@@ -234,7 +234,7 @@ def cmd_selftest(args, out):
     # closed-form local densities at p in {5, 7, 11, 13}
     from .crystals import (HILBERT_INERT_SG, HILBERT_INERT_SSP,
                            HILBERT_SPLIT, SIEGEL_SG, SIEGEL_SSP)
-    from .padics import smallest_nonresidue
+    from .padics import _valuation, smallest_nonresidue
     table = [
         (HILBERT_INERT_SSP, 0, lambda p: Fraction(p - 1, p)),
         (HILBERT_SPLIT, 0, lambda p: Fraction(p + 1, p)),
@@ -250,12 +250,7 @@ def cmd_selftest(args, out):
             m = 0
             while samples < 20:
                 m += 1
-                vm = 0
-                mm = m
-                while mm % p == 0:
-                    mm //= p
-                    vm += 1
-                if vm != vp:
+                if _valuation(m, p) != vp:
                     continue
                 samples += 1
                 got = local_density(p, lat, m)
@@ -285,11 +280,7 @@ def cmd_selftest(args, out):
         if lat.det() == 0:
             continue
         m = rng.randint(1, 60)
-        vm, mm = 0, m
-        while mm % p == 0:
-            mm //= p
-            vm += 1
-        if vm > 1:
+        if _valuation(m, p) > 1:
             continue
         if hanke_density(p, lat, m) != local_density(p, lat, m):
             failures += 1

@@ -19,6 +19,7 @@ product against zeta(2).
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import sympy
@@ -57,36 +58,54 @@ def euler_correction(D0, s):
     return E
 
 
-_L_CACHE = {}
-
-
+@lru_cache(maxsize=None)
 def _l_value_fundamental(D0, tol):
     """Interval for L(2, chi_{D0}), D0 fundamental or 1 (cached)."""
-    key = (D0, tol)
-    if key in _L_CACHE:
-        return _L_CACHE[key]
-    out = _l_value_fundamental_uncached(D0, tol)
-    _L_CACHE[key] = out
-    return out
-
-
-def _l_value_fundamental_uncached(D0, tol):
     if D0 == 1:
         v = ZETA2
         return (v - 5e-15, v + 5e-15)
     aD = abs(D0)
     N = max(1000, math.isqrt(int(2 * aD / tol)) + 1)
-    table = np.array([kronecker(D0, n) for n in range(aD)], dtype=np.float64)
+    table = _chi_table(D0).astype(np.float64)
     total = 0.0
     chunk = 1 << 18
     for start in range(1, N + 1, chunk):
         stop = min(N, start + chunk - 1)
         n = np.arange(start, stop + 1, dtype=np.float64)
-        chi = table[np.arange(start, stop + 1) % aD]
+        chi = np.resize(np.roll(table, -(start % aD)), stop - start + 1)
         total += float(np.sum(chi / (n * n)))
     tail = 2.0 * aD / (N + 1) ** 2
     slack = 1e-13 + 1e-16 * N / 1e6
     return (total - tail - slack, total + tail + slack)
+
+
+# chi_{-4}, chi_8 and chi_{-8} on n mod 8
+_CHI_2 = {-4: [0, 1, 0, -1, 0, 1, 0, -1], 8: [0, 1, 0, -1, 0, -1, 0, 1],
+          -8: [0, 1, 0, 1, 0, -1, 0, -1]}
+
+
+def _chi_table(D0):
+    """chi_{D0}(n) for 0 <= n < |D0|, D0 fundamental, as an int8 vector.
+
+    chi_{D0} is the product of the prime-discriminant characters of D0:
+    the Legendre symbol mod q for each odd q | D0, times chi_{-4},
+    chi_8 or chi_{-8} on n mod 8 for the part D0 / prod q* (q* = +-q,
+    q* = 1 mod 4).
+    """
+    n = np.arange(abs(D0))
+    table = np.ones(abs(D0), dtype=np.int8)
+    odd = 1
+    for q in sympy.primefactors(D0):
+        if q == 2:
+            continue
+        legendre = -np.ones(q, dtype=np.int8)
+        legendre[np.arange(1, q) ** 2 % q] = 1
+        legendre[0] = 0
+        table *= legendre[n % q]
+        odd *= q if q % 4 == 1 else -q
+    if D0 != odd:
+        table *= np.array(_CHI_2[D0 // odd], dtype=np.int8)[n % 8]
+    return table
 
 
 def dirichlet_L2(D, tol=1e-10):

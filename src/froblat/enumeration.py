@@ -19,7 +19,8 @@ import sympy
 
 from .errors import InvalidParameter, NotPositiveDefinite
 from .eisenstein import q_positive_definite
-from .quadforms import kronecker
+from .padics import _valuation
+from .quadforms import _stable_exponent, kronecker
 
 HERMITE_POW = {1: Fraction(1), 2: Fraction(4, 3), 3: Fraction(2),
                4: Fraction(4), 5: Fraction(8)}
@@ -43,75 +44,64 @@ def _cholesky(lattice):
     return q, u
 
 
-def _floor_sqrt(frac):
-    """floor(sqrt(num/den)) for a nonnegative rational."""
-    if frac < 0:
-        return -1
-    num, den = frac.numerator, frac.denominator
-    s = math.isqrt(num * den)
-    r = s // den
-    while (r + 1) * (r + 1) * den <= num:
-        r += 1
-    while r * r * den > num:
-        r -= 1
-    return r
+def _descend(lattice, bound, leaf):
+    """Depth-first walk over 0 < Q(v) <= bound, one v of each +/- pair.
 
-
-def short_vectors(lattice, bound, with_zero=False):
-    """All v with 0 < Q(v) <= bound, as (+v, -v) pairs; complete and exact."""
+    Calls leaf(v, norm) with the live coordinate list v (copy it to keep
+    it) and the exact norm Q(v).  The walk runs in integers: with
+    u_ij = w_ij / d_i over a common denominator d_i per row, and the
+    least scale making every c_i = scale q_i / d_i^2 integral,
+    scale Q(v) is sum c_i t_i^2 with t_i = d_i v_i + sum_{j>i} w_ij v_j,
+    and v_i ranges exactly over |t_i| <= isqrt(remaining // c_i).
+    """
     if not lattice.is_positive_definite():
         raise NotPositiveDefinite(f"{lattice.label}: enumeration needs "
                                   "a positive-definite form")
     q, u = _cholesky(lattice)
     n = lattice.rank
-    out = []
-    if with_zero and bound >= 0:
-        out.append(tuple([0] * n))
+    den = [math.lcm(*(x.denominator for x in row)) for row in u]
+    w = [[int(x * d) for x in row] for row, d in zip(u, den)]
+    scale = math.lcm(*((qi / d ** 2).denominator for qi, d in zip(q, den)))
+    c = [int(scale * qi / d ** 2) for qi, d in zip(q, den)]
+    top = math.floor(scale * Fraction(bound))
     v = [0] * n
 
     def descend(i, remaining, all_higher_zero):
-        ui = u[i]
-        center = Fraction(0)
+        wi, d, ci = w[i], den[i], c[i]
+        shift = 0
         for j in range(i + 1, n):
             if v[j]:
-                center += ui[j] * v[j]
-        budget = remaining / q[i]
-        root = _floor_sqrt(budget)
-        lo = -root
-        hi = root
-        # integer window for v_i + center in [-sqrt, sqrt]
-        lo_i = _ceil_frac(-center - root - 1)
-        hi_i = _floor_frac(-center + root + 1)
-        for cand in range(lo_i, hi_i + 1):
-            t = cand + center
-            contrib = q[i] * t * t
-            if contrib > remaining:
-                continue
-            if all_higher_zero and cand < 0:
-                continue
+                shift += wi[j] * v[j]
+        root = math.isqrt(remaining // ci)
+        lo = -((root + shift) // d)
+        for cand in range(max(lo, 0) if all_higher_zero else lo,
+                          (root - shift) // d + 1):
+            t = cand * d + shift
             v[i] = cand
             if i == 0:
                 if not (all_higher_zero and cand == 0):
-                    vec = tuple(v)
-                    out.append(vec)
-                    out.append(tuple(-x for x in vec))
+                    leaf(v, (top - remaining + ci * t * t) // scale)
             else:
-                descend(i - 1, remaining - contrib,
+                descend(i - 1, remaining - ci * t * t,
                         all_higher_zero and cand == 0)
-            v[i] = 0
+        v[i] = 0
 
-    descend(n - 1, Fraction(bound), True)
+    if top >= 0:
+        descend(n - 1, top, True)
+
+
+def short_vectors(lattice, bound, with_zero=False):
+    """All v with 0 < Q(v) <= bound, as (+v, -v) pairs; complete and exact."""
+    out = []
+    if with_zero and bound >= 0:
+        out.append(tuple([0] * lattice.rank))
+
+    def leaf(v, _norm):
+        out.append(tuple(v))
+        out.append(tuple(-x for x in v))
+
+    _descend(lattice, bound, leaf)
     return out
-
-
-def _ceil_frac(x):
-    return -((-x.numerator) // x.denominator) if isinstance(x, Fraction) \
-        else math.ceil(x)
-
-
-def _floor_frac(x):
-    return x.numerator // x.denominator if isinstance(x, Fraction) \
-        else math.floor(x)
 
 
 def _components(gram):
@@ -149,10 +139,10 @@ def representation_counts(lattice, bound):
     for comp in comps:
         sub = _IL([[lattice.gram[i][j] for j in comp] for i in comp],
                   f"{lattice.label}|{comp}")
-        part = np.zeros(bound + 1, dtype=np.int64)
+        norms = [0]  # the zero vector, counted once below
+        _descend(sub, bound, lambda _v, norm: norms.append(norm))
+        part = 2 * np.bincount(norms, minlength=bound + 1)
         part[0] = 1
-        for v in short_vectors(sub, bound):
-            part[sub.q_value(list(v))] += 1
         total = np.convolve(total, part)[: bound + 1]
     return [int(x) for x in total]
 
@@ -230,7 +220,7 @@ def min_binary_disc(lattice):
                 best = d4
     # optimal pair is reduced: Q(v) Q(w) <= (4/3) disc; sweep that window
     while True:
-        limit = _floor_frac(Fraction(4 * best, 3 * 4 * l1))
+        limit = (4 * best) // (3 * 4 * l1)
         if limit <= minima[1]:
             break
         vecs = short_vectors(lattice, limit)
@@ -311,17 +301,7 @@ def build_T_set(kind, p, params, M):
         for m in range(max(N, 1) + 1, M + 1):
             if m % p == 0:
                 continue
-            ok = True
-            for ell in bad:
-                v = 0
-                mm = m
-                while mm % ell == 0:
-                    mm //= ell
-                    v += 1
-                if v > C:
-                    ok = False
-                    break
-            if not ok:
+            if any(_valuation(m, ell) > C for ell in bad):
                 continue
             has_inert = False
             for q, e in sympy.factorint(m).items():
@@ -347,17 +327,7 @@ def cusp_deviation(lattice, m_lo, m_hi, modulus_cap=20000, tol=1e-6):
     bad = sorted(set(sympy.primefactors(2 * lattice.det())))
     records = []
     for m in range(max(1, m_lo), m_hi + 1):
-        feasible = True
-        for ell in bad:
-            v = 0
-            mm = 2 * m
-            while mm % ell == 0:
-                mm //= ell
-                v += 1
-            if ell ** (1 + 2 * v) > modulus_cap:
-                feasible = False
-                break
-        if not feasible:
+        if any(ell ** _stable_exponent(ell, m) > modulus_cap for ell in bad):
             continue
         qv = q_positive_definite(lattice, m, tol=tol)
         dev = counts[m] - qv.midpoint()

@@ -16,6 +16,8 @@ and caching the result.
 
 from fractions import Fraction
 
+from sympy import isprime
+
 from .errors import DivisionByZero, InvalidParameter, ZeroPrecision
 
 INF = float("inf")
@@ -229,15 +231,14 @@ class ResidueField:
 class PAdicParams:
     """Arithmetic context for W(F_{p^d}) at absolute precision M digits.
 
-    p odd prime, 1 <= d <= 4, modulus reducing irreducibly mod p.  The
+    p odd prime, 1 <= d <= 8, modulus reducing irreducibly mod p.  The
     non-square unit eps defaults to the smallest positive non-residue.
     Caches the Hensel-lifted Frobenius image of the generator and its
     powers, at the working precision.
     """
 
     def __init__(self, p, d, precision_M, modulus=None, eps=None):
-        if p < 3 or any(p % q == 0 for q in range(2, min(p, 60000))
-                        if q * q <= p):
+        if p < 3 or not isprime(p):
             raise InvalidParameter(f"p = {p} is not an odd prime")
         if not 1 <= d <= 8:
             # degree 8 is needed by one supergeneric curve family: the

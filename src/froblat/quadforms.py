@@ -16,11 +16,13 @@ slots by 1/p.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import (BadDiscriminant, InvalidParameter,
                      UnsupportedValuation)
+from .padics import _valuation
 
 
 def kronecker(D, a):
@@ -190,15 +192,7 @@ class LocalLattice:
 
 
 def _vl_fraction(a, ell):
-    num, den = a.numerator, a.denominator
-    v = 0
-    while num % ell == 0:
-        num //= ell
-        v += 1
-    while den % ell == 0:
-        den //= ell
-        v -= 1
-    return v
+    return _valuation(a.numerator, ell) - _valuation(a.denominator, ell)
 
 
 def diagonalize_Zp(lattice, p):
@@ -214,17 +208,7 @@ def diagonalize_Zp(lattice, p):
     diag = []
     idx = list(range(n))
     while idx:
-        # find entry of minimal p-valuation among the remaining block
-        best = None
-        for i in idx:
-            for j in idx:
-                if a[i][j] != 0:
-                    v = _vl_fraction(a[i][j], p)
-                    if best is None or v < best[0]:
-                        best = (v, i, j)
-        if best is None:
-            raise InvalidParameter("degenerate form")
-        vmin, i, j = best
+        vmin, i, j = _min_entry(a, idx, p)
         if i != j:
             # make the (i, i) entry have minimal valuation: v_i += c v_j
             # with c = 1 or -1 (one of the two always avoids cancellation
@@ -235,18 +219,33 @@ def diagonalize_Zp(lattice, p):
                 a[r][i] += c_mult * a[r][j]
             for c in range(n):
                 a[i][c] += c_mult * a[j][c]
-        piv = a[i][i]
-        for r in idx:
-            if r != i and a[r][i] != 0:
-                f = a[r][i] / piv
-                for c in range(n):
-                    a[r][c] -= f * a[i][c]
-                for c in range(n):
-                    a[c][r] -= f * a[c][i]
-        diag.append(piv)
+        diag.append(_eliminate(a, idx, i))
         idx.remove(i)
     return LocalLattice(p, diag, label=lattice.label if hasattr(
         lattice, "label") else "")
+
+
+def _min_entry(a, idx, ell):
+    """(v, i, j): the first entry of least l-valuation in the idx block."""
+    best = min(((_vl_fraction(a[i][j], ell), i, j) for i in idx
+                for j in idx if a[i][j] != 0), key=lambda t: t[0],
+               default=None)
+    if best is None:
+        raise InvalidParameter("degenerate form")
+    return best
+
+
+def _eliminate(a, idx, i):
+    """Clear row and column i of the idx block against a[i][i]."""
+    piv = a[i][i]
+    for r in idx:
+        if r != i and a[r][i] != 0:
+            f = a[r][i] / piv
+            for c in range(len(a)):
+                a[r][c] -= f * a[i][c]
+            for c in range(len(a)):
+                a[c][r] -= f * a[c][i]
+    return piv
 
 
 def _block_shape_2adic(lattice):
@@ -257,26 +256,9 @@ def _block_shape_2adic(lattice):
     blocks2 = []
     idx = list(range(n))
     while idx:
-        best = None
-        for i in idx:
-            for j in idx:
-                if a[i][j] != 0:
-                    v = _vl_fraction(a[i][j], 2)
-                    if best is None or v < best[0]:
-                        best = (v, i, j)
-        if best is None:
-            raise InvalidParameter("degenerate form")
-        _, i, j = best
+        _, i, j = _min_entry(a, idx, 2)
         if i == j:
-            piv = a[i][i]
-            for r in idx:
-                if r != i and a[r][i] != 0:
-                    f = a[r][i] / piv
-                    for c in range(n):
-                        a[r][c] -= f * a[i][c]
-                    for c in range(n):
-                        a[c][r] -= f * a[c][i]
-            diag.append(piv)
+            diag.append(_eliminate(a, idx, i))
             idx.remove(i)
         else:
             # clear the two pivot columns against the off-diagonal entry
@@ -304,6 +286,13 @@ def _as_local(lattice, ell):
         if lattice.ell != ell:
             raise InvalidParameter("local lattice at a different prime")
         return lattice
+    return _local_shape(tuple(map(tuple, lattice.gram)), ell, lattice.label)
+
+
+@lru_cache(maxsize=64)
+def _local_shape(gram, ell, label):
+    """Block shape of a Gram matrix at l (memoized: callers share it)."""
+    lattice = IntLattice(gram, label)
     if ell == 2:
         return _block_shape_2adic(lattice)
     return diagonalize_Zp(lattice, ell)
@@ -320,54 +309,115 @@ def _distribution_1x1(coeff, ell, a_exp):
     """Counts of c x^2 mod l^a over x mod l^a, as an int64 vector."""
     q = ell ** a_exp
     v = _vl_fraction(coeff, ell)
-    dist = np.zeros(q, dtype=np.int64)
-    if v >= a_exp:
-        dist[0] = q
-        return dist
     lead = (_unit_mod(coeff / ell ** v, ell, a_exp) * ell ** v) % q
     x = np.arange(q, dtype=np.int64)
-    vals = (lead * ((x * x) % q)) % q
-    return np.bincount(vals, minlength=q).astype(np.int64)
+    return np.bincount((lead * ((x * x) % q)) % q, minlength=q)
 
 
 def _distribution_2x2(block, ell, a_exp):
-    """Counts of a x^2 + 2b xy + c y^2 mod l^a; a, c, 2b are integers."""
+    """Counts of a x^2 + 2b xy + c y^2 mod l^a; a, c, 2b are integers.
+
+    Rows x = l^j u (u a unit) are summed per valuation j: y -> u y turns
+    the values in row x into u^2 times those in row l^j, so the
+    phi(l^(a-j)) rows of valuation j give the row-l^j histogram averaged
+    over each unit-square orbit, times phi(l^(a-j)).
+    """
     q = ell ** a_exp
     aa, ab, bb = block
     a_i = _unit_mod(aa, ell, a_exp) if aa else 0
     c_i = _unit_mod(bb, ell, a_exp) if bb else 0
     b_i = _unit_mod(2 * ab, ell, a_exp) if ab else 0
+    _, orbit = _square_classes(ell, a_exp)
+    size = np.bincount(orbit)
     y = np.arange(q, dtype=np.int64)
     yy = (c_i * ((y * y) % q)) % q
-    dist = np.zeros(q, dtype=np.int64)
-    for x in range(q):
-        vals = ((a_i * x * x) % q + (b_i * x) % q * y % q + yy) % q
-        dist += np.bincount(vals, minlength=q)
+    dist = np.bincount(yy, minlength=q)
+    for j in range(a_exp):
+        x = ell ** j
+        row = np.bincount(((a_i * x * x) % q + (b_i * x) % q * y % q + yy)
+                          % q, minlength=q)
+        total = np.zeros(len(size), dtype=np.int64)
+        np.add.at(total, orbit, row)
+        dist += (ell - 1) * ell ** (a_exp - j - 1) * total[orbit] \
+            // size[orbit]
     return dist
 
 
-def _convolve_mod(d1, d2):
-    q = len(d1)
-    full = np.convolve(d1, d2)
-    out = full[:q].copy()
-    out[: len(full) - q] += full[q:]
-    return out
+@lru_cache(maxsize=64)
+def _square_classes(ell, a_exp):
+    """Orbits of Z/l^a under multiplication by unit squares.
+
+    Returns one representative residue per orbit and the orbit index of
+    every residue.  Each residue table is constant on these orbits (v ->
+    u v permutes the vectors mod l^a and multiplies Q by u^2).  The orbit
+    of l^v w, w a unit, is fixed by v and the class of w modulo unit
+    squares: w mod 8 (mod 4, mod 2 for v near a) at l = 2, and the
+    Legendre symbol of w at odd l.
+    """
+    q = ell ** a_exp
+    r = np.arange(q, dtype=np.int64)
+    v = np.zeros(q, dtype=np.int64)
+    for k in range(1, a_exp + 1):
+        v += r % ell ** k == 0
+    w = r // ell ** v
+    if ell == 2:
+        cls = w % np.minimum(8, 2 ** (a_exp - v))
+    else:
+        square = np.zeros(ell, dtype=np.int64)
+        square[np.arange(1, ell) ** 2 % ell] = 1
+        cls = square[w % ell]
+    _, reps, orbit = np.unique(8 * v + cls, return_index=True,
+                               return_inverse=True)
+    reps.flags.writeable = orbit.flags.writeable = False
+    return reps, orbit
+
+
+def _convolve_mod(d1, d2, reps, orbit, bound):
+    """Exact cyclic convolution of two orbit-constant tables.
+
+    Only the orbit representatives are summed.  ``bound`` caps every
+    entry of the result; from 2^63 on the sums run in Python ints.
+    """
+    if bound >= 1 << 63:
+        d1, d2 = d1.astype(object), d2.astype(object)
+    shift = np.arange(len(d1))
+    vals = [d1 @ d2[(r - shift) % len(d1)] for r in reps]
+    return np.array(vals, dtype=d1.dtype)[orbit]
+
+
+@lru_cache(maxsize=32)
+def _residue_table(ell, a_exp, diag, blocks2):
+    """#{v mod l^a : Q(v) = r mod l^a} for every r, read-only.
+
+    One table per (l, a, local block shape), held in a bounded memo that
+    the stable-exponent counts and Hanke's alpha share.  Once the factors
+    so far cover k variables, every entry of the next convolution is at
+    most l^(a k) times the largest entry of the next factor; that bound
+    picks int64 or Python-int sums.
+    """
+    factors = [_distribution_1x1(c, ell, a_exp) for c in diag]
+    factors += [_distribution_2x2(b, ell, a_exp) for b in blocks2]
+    if not factors:
+        raise InvalidParameter("empty lattice")
+    reps, orbit = _square_classes(ell, a_exp)
+    dist, total = factors[0], int(factors[0].sum())
+    for d in factors[1:]:
+        dist = _convolve_mod(dist, d, reps, orbit, total * int(d.max()))
+        total *= int(d.sum())
+    dist.flags.writeable = False
+    return dist
 
 
 def count_representations_mod(lattice, ell, m, a_exp):
-    """#{v mod l^a : Q(v) = m mod l^a} by per-block convolution."""
+    """#{v mod l^a : Q(v) = m mod l^a}, read from the residue table."""
     loc = _as_local(lattice, ell)
-    q = ell ** a_exp
-    dist = None
-    for c in loc.diag:
-        d = _distribution_1x1(c, ell, a_exp)
-        dist = d if dist is None else _convolve_mod(dist, d)
-    for b in loc.blocks2:
-        d = _distribution_2x2(b, ell, a_exp)
-        dist = d if dist is None else _convolve_mod(dist, d)
-    if dist is None:
-        raise InvalidParameter("empty lattice")
-    return int(dist[m % q])
+    table = _residue_table(ell, a_exp, tuple(loc.diag), tuple(loc.blocks2))
+    return int(table[m % ell ** a_exp])
+
+
+def _stable_exponent(ell, m):
+    """a = 1 + 2 v_l(2m); counts mod l^a are stable from there on."""
+    return 1 + 2 * _valuation(2 * m, ell)
 
 
 def local_density(ell, lattice, m, a_exp=None):
@@ -376,24 +426,15 @@ def local_density(ell, lattice, m, a_exp=None):
         raise InvalidParameter("m must be positive")
     loc = _as_local(lattice, ell)
     if a_exp is None:
-        vm = 0
-        mm = 2 * m
-        while mm % ell == 0:
-            mm //= ell
-            vm += 1
-        a_exp = 1 + 2 * vm
+        a_exp = _stable_exponent(ell, m)
     count = count_representations_mod(loc, ell, m, a_exp)
     return Fraction(count, ell ** (a_exp * (loc.rank - 1)))
 
 
 def _alpha(p, loc, m):
     """alpha(p, L, m) = p^(1-rk) #{v mod p : Q(v) = m mod p}."""
-    dist = None
-    for c in loc.diag:
-        d = _distribution_1x1(c, p, 1)
-        dist = d if dist is None else _convolve_mod(dist, d)
-    count = int(dist[m % p])
-    return Fraction(count, p ** (loc.rank - 1))
+    return Fraction(count_representations_mod(loc, p, m, 1),
+                    p ** (loc.rank - 1))
 
 
 def hanke_density(p, lattice, m):
@@ -403,11 +444,7 @@ def hanke_density(p, lattice, m):
     if m < 1:
         raise InvalidParameter("m must be positive")
     loc = _as_local(lattice, p)
-    vm = 0
-    mm = m
-    while mm % p == 0:
-        mm //= p
-        vm += 1
+    vm = _valuation(m, p)
     if vm == 0:
         return _alpha(p, loc, m)
     if vm > 1:

@@ -4,12 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from froblat.eisenstein import (EisResult, check_ratio, dirichlet_L2,
+from froblat.eisenstein import (EisResult, _chi_table, check_ratio,
+                                dirichlet_L2,
                                 euler_correction, fundamental_part,
                                 middle_divisor_sum, q_L_hilbert, q_L_siegel,
                                 q_positive_definite, ratio_bound)
 from froblat.enumeration import representation_counts
-from froblat.quadforms import IntLattice
+from froblat.quadforms import IntLattice, kronecker
 
 ZETA2 = math.pi ** 2 / 6
 ZETA4 = math.pi ** 4 / 90
@@ -206,3 +207,21 @@ def test_hilbert_partial_sum_growth():
 
     values = [mass(M) for M in (125, 250, 500)]
     assert max(values) / min(values) < 2.0
+
+
+def _fundamental(D):
+    if D in (0, 1) or D % 4 not in (0, 1):
+        return False
+    return fundamental_part(D) == (D, 1)
+
+
+def test_sieved_chi_table_matches_kronecker():
+    discs = [D for D in range(-3000, 3000) if _fundamental(D)]
+    # twice the largest |D0| (7996) of cusp_deviation(pdet5, 100, 2000)
+    near = [15997, 16001, -15995, 16012, -16004, 16024]
+    assert all(map(_fundamental, near))
+    discs += near
+    for D0 in discs:
+        table = _chi_table(D0)
+        assert [int(c) for c in table] \
+            == [kronecker(D0, n) for n in range(abs(D0))], D0

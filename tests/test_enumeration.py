@@ -201,3 +201,18 @@ def test_cusp_deviation_single_class():
     for rec in recs:
         assert abs(rec["deviation"]) <= 2 * rec["radius"] + 1e-6
     assert math.isnan(slope)  # no deviations exceed the radius
+
+
+@pytest.mark.parametrize("gram,bound", [
+    ([[2, -1, 0, 0, 0], [-1, 2, -1, 0, 0], [0, -1, 2, -1, -1],
+      [0, 0, -1, 2, 0], [0, 0, -1, 0, 2]], 12),
+    ([[2, -1, 0, 0, 0], [-1, 2, -1, 0, 0], [0, -1, 2, -1, 0],
+      [0, 0, -1, 2, -1], [0, 0, 0, -1, 2]], 12),
+    ([[4, 1, -1], [1, 2, 0], [-1, 0, 6]], 40),
+], ids=["D5", "A5", "tern2"])
+def test_counts_from_descent_match_vector_tally(gram, bound):
+    lat = IntLattice(gram)
+    tally = [1] + [0] * bound
+    for v in short_vectors(lat, bound):
+        tally[lat.q_value(list(v))] += 1
+    assert representation_counts(lat, bound) == tally

@@ -162,3 +162,9 @@ def test_ring_laws(a, b, c):
     assert ((x + y) * z - (x * z + y * z)).is_zero()
     assert ((x * y) * z - x * (y * z)).is_zero()
     assert ((x + y) - (y + x)).is_zero()
+
+
+def test_composite_p_without_small_factors_is_rejected():
+    # no prime factor below 60000, and p > 3.6e9
+    with pytest.raises(InvalidParameter):
+        PAdicParams(60013 * 60017, 1, 4)

@@ -10,7 +10,8 @@ from froblat.errors import BadDiscriminant, UnsupportedValuation
 from froblat.padics import smallest_nonresidue
 from froblat.quadforms import (IntLattice, diagonalize_Zp, hanke_density,
                                kronecker, local_density, sigma_s,
-                               _vl_fraction)
+                               _local_shape, _residue_table, _square_classes,
+                               _vl_fraction, count_representations_mod)
 
 
 def test_kronecker_values():
@@ -185,3 +186,84 @@ def test_sublattice_density_bounds(p):
     for m in (p, 2 * p, 3 * p):
         if (m // p) % p:
             assert local_density(p, lat1, m) <= 4
+
+
+I8 = IntLattice([[2 * (i == j) for j in range(8)] for i in range(8)], "I8")
+
+
+def _i8_count(m, a):
+    """#{v mod 2^a : sum v_i^2 = m} in Python ints, by Gauss sums.
+
+    (1/q) sum_t S(t)^8 e(-t m / q) with q = 2^a: t = 2^(a-k) u (u odd)
+    has S(t)^8 = 2^(8(a-k)) 16 2^(4k) for k >= 2 and 0 for k = 1, and the
+    sum of e(-u m / 2^k) over odd u is a Ramanujan sum.
+    """
+    q = 2 ** a
+    total = q ** 8
+    for k in range(2, a + 1):
+        if m % 2 ** k == 0:
+            ramanujan = 2 ** (k - 1)
+        elif m % 2 ** (k - 1) == 0:
+            ramanujan = -2 ** (k - 1)
+        else:
+            ramanujan = 0
+        total += 2 ** (8 * (a - k) + 4 + 4 * k) * ramanujan
+    assert total % q == 0
+    return total // q
+
+
+def test_i8_reference_matches_direct_convolution():
+    for a in range(1, 7):
+        q = 2 ** a
+        squares = [0] * q
+        for x in range(q):
+            squares[x * x % q] += 1
+        dist = squares
+        for _ in range(7):
+            dist = [sum(dist[s] * squares[(r - s) % q] for s in range(q))
+                    for r in range(q)]
+        assert dist == [_i8_count(m, a) for m in range(q)], a
+
+
+@pytest.mark.parametrize("m", [8, 16, 32, 64])
+def test_i8_densities_do_not_wrap(m):
+    # at a >= 9 the counts of sum x_i^2 mod 2^a pass 2^63
+    a = 1 + 2 * ((2 * m).bit_length() - 1)
+    got = []
+    for aa in (a, a + 2):
+        count = count_representations_mod(I8, 2, m, aa)
+        assert count == _i8_count(m, aa)
+        got.append(Fraction(count, 2 ** (7 * aa)))
+    assert got[0] == got[1] == local_density(2, I8, m) > 0
+
+
+def _clear_density_memos():
+    for memo in (_local_shape, _residue_table, _square_classes):
+        memo.cache_clear()
+
+
+def test_density_memos_match_cold_calls():
+    lats = [IntLattice(local_gram(SIEGEL_SSP, 5, 2)),
+            IntLattice([[2, 1, 0], [1, 4, 1], [0, 1, 6]]),
+            IntLattice([[2, 0, 0, 0, 0], [0, 2, 0, 0, 0], [0, 0, 2, 0, 0],
+                        [0, 0, 0, 10, 0], [0, 0, 0, 0, 10]])]
+    calls = [(ell, lat, m) for lat in lats for ell in (2, 3, 5)
+             for m in (1, 5, 4, 25, 12, 2, 50, 8, 1)]
+    cold = []
+    for ell, lat, m in calls:
+        _clear_density_memos()
+        cold.append(local_density(ell, lat, m))
+        if ell != 2 and m % ell ** 2:
+            cold.append(hanke_density(ell, lat, m))
+    _clear_density_memos()
+    for _ in range(2):  # first with empty memos, then warm
+        order = list(range(len(calls)))
+        random.Random(len(calls)).shuffle(order)
+        got = {}
+        for i in order:
+            ell, lat, m = calls[i]
+            got[i] = [local_density(ell, lat, m)]
+            if ell != 2 and m % ell ** 2:
+                got[i].append(hanke_density(ell, lat, m))
+        assert [d for i in range(len(calls)) for d in got[i]] == cold
+    assert _residue_table.cache_info().hits > len(calls)
