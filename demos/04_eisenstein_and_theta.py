@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
 """Eisenstein coefficients against actual representation numbers.
 
-For a one-class genus the theta series has no cuspidal part, so the
-coefficient formula must reproduce r(m) on the nose; that calibration
+Eisenstein coefficients are exact rationals: the L-value L(2, chi_D)
+enters through the generalized Bernoulli number B_{2,chi}, and pi and
+the square roots cancel.  For a one-class genus the theta series has no
+cuspidal part, so the coefficient equals r(m) exactly; that calibration
 pinned the character convention for definite rank-5 lattices.  For a
 multi-class lattice the difference r(m) - q(m) is a cusp form whose
-coefficients grow strictly slower than m^(3/2).
+coefficients grow strictly slower than m^(3/2).  The one interval left
+is L(2, chi_D) itself for D < 0, printed below.
 """
 
 from froblat import (IntLattice, cusp_deviation, dirichlet_L2,
@@ -17,8 +20,8 @@ counts = representation_counts(D5, 12)
 print("one-class genus (rank 5, det 4):")
 for m in range(1, 13):
     q = q_positive_definite(D5, m)
-    print(f"  m={m:2d}  r(m)={counts[m]:5d}  eisenstein={q.midpoint():10.4f}"
-          f"  radius={q.radius():.1e}")
+    print(f"  m={m:2d}  r(m)={counts[m]:5d}  eisenstein={str(q.value):>5s}"
+          f"  equal={q.value == counts[m]}")
 
 print("\nL(2, chi_-4) interval:", dirichlet_L2(-4))
 
@@ -28,5 +31,5 @@ L5 = IntLattice([[2, 0, 0, 0, 0], [0, 2, 0, 0, 0], [0, 0, 2, 0, 0],
 records, slope = cusp_deviation(L5, 100, 800)
 big = max(records, key=lambda r: abs(r["deviation"]))
 print(f"\nrank-5 lattice with 5 | det over 100 <= m <= 800:")
-print(f"  largest deviation {big['deviation']:.1f} at m = {big['m']}")
+print(f"  largest deviation {big['deviation']} at m = {big['m']}")
 print(f"  fitted growth exponent of |r - q|: {slope:.3f}  (target < 1.5)")

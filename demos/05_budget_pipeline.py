@@ -40,5 +40,6 @@ inp = BudgetInput(p=5, A=2, case="superspecial", family="hilbert",
 report = run_budget(inp)
 print(f"\nadmissible m up to 500: {len(report.T)}")
 print(f"cumulative local bound: {float(report.local_sum):.1f}")
-print(f"cumulative global term: {report.global_interval[1]:.1f}")
-print(f"ratio: {report.ratio_interval[1]:.4f}  (bar: 11/12 = 0.9167)")
+print(f"cumulative global term: {report.global_sum}")
+print(f"ratio: {report.ratio} = {float(report.ratio):.4f}"
+      "  (bar: 11/12 = 0.9167)")

@@ -39,8 +39,6 @@ def threshold_A_n(A, p, n):
 
 def alpha_const(p):
     """(p+2)/(2p) + p/(p^2-1), the superspecial budget constant."""
-    if p < 5:
-        pass  # still computable; the 11/12 comparison documents why p >= 5
     return Fraction(p + 2, 2 * p) + Fraction(p, p * p - 1)
 
 
@@ -107,14 +105,11 @@ def local_bound_telescoped(A, p, a_dvr, r_tables, m, n_cut=None):
 
 
 def global_g(A, p, q_value):
-    """g(m) = A/(p-1) |q_L(m)|, as an interval (lo, hi)."""
+    """g(m) = A/(p-1) |q_L(m)|, exact."""
     if A < 1:
         raise InvalidParameter("A must be >= 1: the point lies on the "
                                "non-ordinary locus")
-    lo, hi = q_value.interval()
-    alo, ahi = sorted((abs(lo), abs(hi)))
-    scale = Fraction(A, p - 1)
-    return (float(scale) * alo, float(scale) * ahi)
+    return Fraction(A, p - 1) * abs(q_value.value)
 
 
 def validate_hasse_budget(A_list, p, omega_C):
@@ -463,13 +458,6 @@ def _isotropic_vector(G, p, prec):
     return v
 
 
-def _scaled_gram(G, basis, scales):
-    cols = [[s * x for x in b] for b, s in zip(basis, scales)]
-    n = len(cols)
-    return [[_bilinear(G, cols[i], cols[j]) for j in range(n)]
-            for i in range(n)]
-
-
 @dataclass
 class BudgetInput:
     p: int
@@ -484,17 +472,16 @@ class BudgetInput:
     exclude: list = field(default_factory=list)   # S_M
     omega_C: Fraction = None
     A_partition: list = None       # optional per-point A values
-    tol: float = 1e-10
 
 
 @dataclass
 class BudgetReport:
     T: list
     excluded: list
-    per_m: list                    # dicts with m, local, g_lo, g_hi
+    per_m: list                    # dicts with m, local, g
     local_sum: Fraction
-    global_interval: tuple
-    ratio_interval: tuple
+    global_sum: Fraction
+    ratio: Fraction                # local_sum / global_sum
 
 
 def run_budget(inp):
@@ -525,22 +512,19 @@ def run_budget(inp):
     qfun = q_L_hilbert if inp.family == "hilbert" else q_L_siegel
     per_m = []
     local_sum = Fraction(0)
-    glo = ghi = 0.0
+    global_sum = Fraction(0)
     for m in kept:
         if inp.case == "superspecial":
             lb = local_bound("superspecial", inp.A, inp.p, r_tables, m)
         else:
             lb = local_bound("supergeneric", inp.A, inp.p, flat, m)
-        q = qfun(glob, m, tol=inp.tol)
-        g_lo, g_hi = global_g(inp.A, inp.p, q)
-        per_m.append({"m": m, "local": lb, "g_lo": g_lo, "g_hi": g_hi})
+        g = global_g(inp.A, inp.p, qfun(glob, m))
+        per_m.append({"m": m, "local": lb, "g": g})
         local_sum += lb
-        glo += g_lo
-        ghi += g_hi
-    if glo > 0:
-        ratio = (float(local_sum) / ghi, float(local_sum) / glo)
-    else:
-        ratio = (float("nan"), float("nan"))
+        global_sum += g
+    if global_sum == 0:
+        raise InvalidParameter("the global coefficients vanish on every "
+                               "kept m")
     return BudgetReport(T=t_set, excluded=excluded, per_m=per_m,
-                        local_sum=local_sum, global_interval=(glo, ghi),
-                        ratio_interval=ratio)
+                        local_sum=local_sum, global_sum=global_sum,
+                        ratio=local_sum / global_sum)

@@ -136,9 +136,9 @@ def cmd_eisenstein(args, out):
             from .eisenstein import q_L_siegel
             res = q_L_siegel(lat, m)
         _emit(out, [("m", m), ("m0", res.m0), ("f", res.f),
-                    ("mid", f"{res.midpoint():.12g}"),
-                    ("radius", f"{res.radius():.3g}"),
-                    ("sign", res.sign())], args.pretty)
+                    ("mid", f"{float(res.midpoint()):.12g}"),
+                    ("radius", res.radius()), ("sign", res.sign()),
+                    ("exact", _frac(res.value))], args.pretty)
     return 0
 
 
@@ -216,15 +216,14 @@ def cmd_budget(args, out):
                       t_params=t_params, M=M, exclude=exclude)
     rep = run_budget(inp)
     for rec in rep.per_m:
+        g = _frac(rec["g"])
         _emit(out, [("m", rec["m"]), ("local", _frac(rec["local"])),
-                    ("g_lo", f"{rec['g_lo']:.12g}"),
-                    ("g_hi", f"{rec['g_hi']:.12g}")], args.pretty)
+                    ("g_lo", g), ("g_hi", g)], args.pretty)
+    total = _frac(rep.global_sum)
     _emit(out, [("T_size", len(rep.T)), ("excluded", len(rep.excluded)),
                 ("local_sum", _frac(rep.local_sum)),
-                ("global_lo", f"{rep.global_interval[0]:.12g}"),
-                ("global_hi", f"{rep.global_interval[1]:.12g}"),
-                ("ratio_hi", f"{rep.ratio_interval[1]:.12g}")],
-          args.pretty)
+                ("global_lo", total), ("global_hi", total),
+                ("ratio_hi", _frac(rep.ratio))], args.pretty)
     return 0
 
 

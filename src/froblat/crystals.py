@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .errors import (Indeterminate, InvalidParameter, NotFound,
                      NotGenericallyOrdinary, ThresholdExceedsTruncation)
-from .padics import INF, PAdicParams
+from .padics import INF, PAdicParams, _valuation
 from .series import (MatSeries, TruncSeries, column_valuation_profile,
                      truncated_product)
 
@@ -373,28 +373,21 @@ def decay_index(finf, w, n, kmax=None):
 
 def check_DR(finf, w, A, n_max):
     """Rapid decay of a single vector; raises Indeterminate when masked."""
-    p = finf.params.p
-    thrs = decay_thresholds(A, p, n_max)
-    if thrs[-1] > finf.nt:
-        raise ThresholdExceedsTruncation(
-            f"threshold {thrs[-1]} exceeds truncation {finf.nt}")
-    profile = column_valuation_profile(finf, w)
-    for n, thr in enumerate(thrs):
-        idx, sound = profile.decay_index(n, thr)
-        if idx == INF:
-            if not sound:
-                raise Indeterminate(
-                    f"precision masks the decay verdict at n = {n}")
-            return False
-    return True
+    return _decays_within(finf, w,
+                          decay_thresholds(A, finf.params.p, n_max))
 
 
 def check_DvR(finf, w, A, a_dvr, n_max):
     """Very rapid decay with constant a_dvr (sound, else Indeterminate)."""
     if a_dvr * 2 > A:
         raise InvalidParameter("very rapid decay needs a_dvr <= A/2")
-    p = finf.params.p
-    thrs = dvr_thresholds(A, p, a_dvr, n_max)
+    return _decays_within(finf, w,
+                          dvr_thresholds(A, finf.params.p, a_dvr, n_max))
+
+
+def _decays_within(finf, w, thrs):
+    """True iff for every n some t^k coefficient of F_inf w with
+    k <= thrs[n] has valuation < -n; Indeterminate when masked."""
     if max(thrs) > finf.nt:
         raise ThresholdExceedsTruncation(
             f"threshold {max(thrs)} exceeds truncation {finf.nt}")
@@ -517,7 +510,7 @@ def _span_verdict(finf, basis, A, p, n_max, B):
                     q = p ** window
                     res = [r % q for r in res]
                 if any(res):
-                    v = s + min(_val_int(r, p) for r in res if r)
+                    v = s + min(_valuation(r, p) for r in res if r)
                     if v < minval:
                         minval = v
                 elif bound is not INF:
@@ -543,14 +536,6 @@ def _span_verdict(finf, basis, A, p, n_max, B):
     if indet is not None:
         return None, indet
     return True, None
-
-
-def _val_int(n, p):
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
 
 
 def _default_candidates(rank, p):

@@ -1,19 +1,16 @@
-"""Dirichlet L-values with rigorous tails and Eisenstein Fourier coefficients.
+"""Dirichlet L-values and exact Eisenstein Fourier coefficients.
 
-Every coefficient is stored as
+Every Eisenstein coefficient is an exact Fraction.  Its character
+discriminant D is positive (4|det| in rank 4, 2 m0 |det| in rank 5), and
+for D = D0 s^2 > 0 with D0 fundamental (or 1) and conductor f = D0,
 
-    rational * pi^pi_power * sqrt(sqrt_arg) * L(2, chi_D0)^l_power * E,
+    L(2, chi_D) = E pi^2 B_{2,chi} / f^(3/2)
 
-with the rational, sqrt argument, and Euler correction E exact, and only
-the L-value carried as an interval.  Writing the character discriminant
-as D = D0 * s^2 with D0 fundamental turns every quotient of coefficients
-with the same D0 into an exact rational times the square root of an exact
-rational, which is what the ratio bounds compare against.
-
-L(2, chi) for non-principal chi is summed directly with the Abel tail
-bound 2|D| / (N+1)^2 (partial sums of a period-|D| character with zero
-period sum are bounded by |D|); the principal case is an exact Euler
-product against zeta(2).
+(Washington, Introduction to Cyclotomic Fields, Thm 4.2), with the Euler
+correction E and the generalized Bernoulli number B_{2,chi} of
+chi = chi_{D0} exact.  So pi and every square root cancel from the
+coefficient formulas.  The only interval left is dirichlet_L2, whose
+D < 0 branch sums the series in floats with a proven rounding bound.
 """
 
 import math
@@ -26,9 +23,6 @@ import sympy
 
 from .errors import InvalidParameter
 from .quadforms import kronecker, local_density, sigma_s
-
-ZETA2 = math.pi ** 2 / 6
-ZETA4 = math.pi ** 4 / 90
 
 
 def fundamental_part(D):
@@ -56,27 +50,6 @@ def euler_correction(D0, s):
         if D0 % q != 0:
             E *= 1 - Fraction(kronecker(D0, q), q * q)
     return E
-
-
-@lru_cache(maxsize=None)
-def _l_value_fundamental(D0, tol):
-    """Interval for L(2, chi_{D0}), D0 fundamental or 1 (cached)."""
-    if D0 == 1:
-        v = ZETA2
-        return (v - 5e-15, v + 5e-15)
-    aD = abs(D0)
-    N = max(1000, math.isqrt(int(2 * aD / tol)) + 1)
-    table = _chi_table(D0).astype(np.float64)
-    total = 0.0
-    chunk = 1 << 18
-    for start in range(1, N + 1, chunk):
-        stop = min(N, start + chunk - 1)
-        n = np.arange(start, stop + 1, dtype=np.float64)
-        chi = np.resize(np.roll(table, -(start % aD)), stop - start + 1)
-        total += float(np.sum(chi / (n * n)))
-    tail = 2.0 * aD / (N + 1) ** 2
-    slack = 1e-13 + 1e-16 * N / 1e6
-    return (total - tail - slack, total + tail + slack)
 
 
 # chi_{-4}, chi_8 and chi_{-8} on n mod 8
@@ -108,89 +81,104 @@ def _chi_table(D0):
     return table
 
 
+@lru_cache(maxsize=None)
+def bernoulli_2(D0):
+    """B_{2,chi} = f sum_{a=1}^{f} chi(a) B_2(a/f) for chi = chi_{D0}, exact.
+
+    D0 > 0 is fundamental or 1, f = D0, B_2(x) = x^2 - x + 1/6; D0 = 1
+    gives 1/6.  The integer terms 6 a (a - f) + f^2 lie in [-f^2/2, f^2],
+    so int64 partial sums over chunks of (2^63 - 1) // (2 f^2) terms
+    cannot wrap; the chunk sums are added as Python ints.
+    """
+    f = D0
+    step = (2 ** 63 - 1) // (2 * f * f)
+    if step < 1:
+        raise InvalidParameter(f"conductor {f} too large for B_2 tables")
+    chi = np.roll(_chi_table(D0), -1)  # chi(a) for a = 1..f
+    total = 0
+    for start in range(0, f, step):
+        a = np.arange(start + 1, min(f, start + step) + 1, dtype=np.int64)
+        terms = 6 * (a * (a - f)) + f * f
+        total += int(np.dot(chi[start:start + len(a)].astype(np.int64),
+                            terms))
+    return Fraction(total, 6 * f)
+
+
+def _odd_l_value(D0, tol):
+    """Exact bounds (lo, hi) on L(2, chi_{D0}), D0 < 0 fundamental.
+
+    Sums N terms chi(n)/n^2 in float64 and widens by the Abel tail bound
+    2|D0| / (N+1)^2 (partial sums of chi are bounded by |D0|) plus the
+    rounding bound: each term is within relative 2u of chi(n)/n^2 and
+    any order of the N-1 additions errs by at most gamma_{N-1} sum|terms|
+    <= gamma_{N-1} zeta(2) (Higham, Accuracy and Stability of Numerical
+    Algorithms, sec. 4.2); together at most gamma_{N+1} zeta(2), with
+    gamma_k = k u / (1 - k u) and u = 2^-53.
+    """
+    aD = abs(D0)
+    N = max(1000, math.isqrt(int(2 * aD / tol)) + 1)
+    table = _chi_table(D0).astype(np.float64)
+    total = 0.0
+    chunk = 1 << 18
+    for start in range(1, N + 1, chunk):
+        stop = min(N, start + chunk - 1)
+        n = np.arange(start, stop + 1, dtype=np.float64)
+        chi = np.resize(np.roll(table, -(start % aD)), stop - start + 1)
+        total += float(np.sum(chi / (n * n)))
+    gamma = Fraction(N + 1, 2 ** 53 - (N + 1))
+    radius = Fraction(2 * aD, (N + 1) ** 2) + gamma * Fraction(1645, 1000)
+    return Fraction(total) - radius, Fraction(total) + radius
+
+
 def dirichlet_L2(D, tol=1e-10):
-    """Interval enclosing sum chi_D(n)/n^2; exact Euler part split off."""
+    """Float interval (lo, hi) enclosing L(2, chi_D), rounded outward.
+
+    D > 0: E pi^2 B_{2,chi} / f^(3/2) in mpmath interval arithmetic.
+    D < 0: the direct sum truncated where the tail bound reaches tol.
+    """
     D0, s = fundamental_part(D)
-    E = float(euler_correction(D0, s))
-    lo, hi = _l_value_fundamental(D0, tol)
-    return (lo * E, hi * E)
+    E = euler_correction(D0, s)
+    if D > 0:
+        from mpmath import iv
+        x = E * bernoulli_2(D0)
+        v = iv.pi ** 2 * iv.mpf(x.numerator) / x.denominator \
+            / (D0 * iv.sqrt(D0))
+        lo, hi = float(v.a), float(v.b)
+    else:
+        lo, hi = _odd_l_value(D0, tol)
+        lo, hi = lo * E, hi * E
+    return (math.nextafter(float(lo), -math.inf),
+            math.nextafter(float(hi), math.inf))
 
 
 @dataclass
 class EisResult:
-    """One Eisenstein Fourier coefficient in exact-symbolic form."""
+    """One Eisenstein Fourier coefficient, as an exact rational value."""
 
     m: int
-    rational: Fraction
-    pi_power: int
-    sqrt_arg: Fraction
+    value: Fraction
     l_fund: int
-    l_euler: Fraction
-    l_power: int
-    l_interval: tuple
     m0: int = 0
     f: int = 1
     local: dict = field(default_factory=dict)
 
     def interval(self):
-        if self.rational == 0:
-            return (0.0, 0.0)
-        base = float(self.rational) * math.pi ** self.pi_power \
-            * math.sqrt(self.sqrt_arg)
-        lo, hi = self.l_interval
-        if self.l_power == -1:
-            lo, hi = 1.0 / hi, 1.0 / lo
-        elif self.l_power == 0:
-            lo = hi = 1.0
-        lo *= float(self.l_euler) ** self.l_power
-        hi *= float(self.l_euler) ** self.l_power
-        cands = (base * lo, base * hi)
-        return (min(cands), max(cands))
+        return (self.value, self.value)
 
     def midpoint(self):
-        lo, hi = self.interval()
-        return (lo + hi) / 2
+        return self.value
 
     def radius(self):
-        lo, hi = self.interval()
-        return (hi - lo) / 2
+        return 0
 
     def sign(self):
-        if self.rational == 0:
-            return 0
-        return 1 if self.rational > 0 else -1
+        return (self.value > 0) - (self.value < 0)
 
     def exact_ratio(self, other):
-        """self / other as exact (rational, sqrt of rational) data.
-
-        Requires matching fundamental characters and pi powers, so the
-        L-value interval cancels; returns a Fraction when the square
-        root collapses, else raises.
-        """
-        if self.l_fund != other.l_fund or self.l_power != other.l_power:
-            raise InvalidParameter("characters differ; ratio not exact")
-        if self.pi_power != other.pi_power:
-            raise InvalidParameter("pi powers differ; ratio not exact")
-        if other.rational == 0:
+        """self / other, exact."""
+        if other.value == 0:
             raise ZeroDivisionError("ratio against a vanishing coefficient")
-        if self.rational == 0:
-            return Fraction(0)
-        rat = (self.rational / other.rational
-               * (self.l_euler / other.l_euler) ** self.l_power)
-        arg = self.sqrt_arg / other.sqrt_arg
-        root = _sqrt_fraction(arg)
-        if root is None:
-            raise InvalidParameter("square root of ratio is irrational")
-        return rat * root
-
-
-def _sqrt_fraction(x):
-    n, d = x.numerator, x.denominator
-    rn = math.isqrt(n)
-    rd = math.isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return Fraction(rn, rd)
-    return None
+        return self.value / other.value
 
 
 def _split_square_part(m, bad):
@@ -205,35 +193,38 @@ def _split_square_part(m, bad):
     return m0, f
 
 
-def q_L_hilbert(lattice, m, tol=1e-10):
+def q_L_hilbert(lattice, m):
     """Eisenstein coefficient for a signature-(2,2) even lattice.
 
     -4 pi^2 m sigma_{-1}(m, chi_{4 det}) / (sqrt|det| L(2, chi_{4 det}))
     times the product of local densities at l | 2 det; negative whenever
     every local density is positive.
     """
-    return _q_rank4(lattice, m, tol, sign=-1)
+    return _q_rank4(lattice, m, sign=-1)
 
 
-def q_L_siegel(lattice, m, tol=1e-10):
+def q_L_siegel(lattice, m):
     """Eisenstein coefficient for the rank-5 family (negative sign)."""
-    return _q_rank5(lattice, m, tol, sign=-1)
+    return _q_rank5(lattice, m, sign=-1)
 
 
-def q_positive_definite(lattice, m, tol=1e-10):
+def q_positive_definite(lattice, m, tol=None):
     """Eisenstein coefficient of the theta series of a definite lattice.
 
     Depends only on the genus; positive sign.  Rank 4 uses the
-    signature-(2,2) shape, rank 5 the Siegel shape.
+    signature-(2,2) shape, rank 5 the Siegel shape.  tol is accepted and
+    ignored, for callers written when the L-value was an interval.
     """
     if lattice.rank == 4:
-        return _q_rank4(lattice, m, tol, sign=+1)
+        return _q_rank4(lattice, m, sign=+1)
     if lattice.rank == 5:
-        return _q_rank5(lattice, m, tol, sign=+1)
+        return _q_rank5(lattice, m, sign=+1)
     raise InvalidParameter("only rank 4 and 5 coefficient formulas")
 
 
-def _q_rank4(lattice, m, tol, sign):
+def _q_rank4(lattice, m, sign):
+    # D = 4|det| = D0 s^2, so sqrt|det| = s sqrt(D0) / 2 and
+    # pi^2 / (sqrt|det| L(2, chi_D)) = 2 D0 / (s E B_{2,chi_{D0}})
     det = lattice.det()
     D = 4 * abs(det)
     chi = lambda d: kronecker(D, d)
@@ -244,20 +235,19 @@ def _q_rank4(lattice, m, tol, sign):
         deltas[ell] = local_density(ell, lattice, m)
         prod *= deltas[ell]
     D0, s = fundamental_part(D)
-    rational = Fraction(sign) * 4 * m * sig * prod
-    return EisResult(
-        m=m, rational=rational, pi_power=2,
-        sqrt_arg=Fraction(1, abs(det)),
-        l_fund=D0, l_euler=euler_correction(D0, s), l_power=-1,
-        l_interval=_l_value_fundamental(D0, tol),
-        m0=m, f=1, local=deltas)
+    value = Fraction(sign * 8 * m * D0, s) * sig * prod \
+        / (euler_correction(D0, s) * bernoulli_2(D0))
+    return EisResult(m=m, value=value, l_fund=D0, m0=m, f=1, local=deltas)
 
 
-def _q_rank5(lattice, m, tol, sign):
+def _q_rank5(lattice, m, sign):
     # The character discriminant is 2 m0 |det|; calibration against the
     # one-class genera D5 and A5 (theta = Eisenstein exactly) pins the
-    # positive sign, matching r(m) to the L-value radius.  Sources that
-    # work with (L, -Q) print the same discriminant with a minus sign.
+    # positive sign.  Sources that work with (L, -Q) print the same
+    # discriminant with a minus sign.  The coefficient is
+    # sign (16/3) pi^2 / zeta(4) m S prod sqrt(2m/|det|) L(2, chi_D), and
+    # with m = m0 f^2, D = D0 s^2 the root is f s sqrt(D0) / |det|, so
+    # pi^-2 sqrt(2m/|det|) L(2, chi_D) = f s E B_{2,chi_{D0}} / (D0 |det|).
     det = lattice.det()
     bad = 2 * abs(det)
     m0, f = _split_square_part(m, bad)
@@ -269,14 +259,9 @@ def _q_rank5(lattice, m, tol, sign):
         deltas[ell] = local_density(ell, lattice, m)
         prod *= deltas[ell] / (1 - Fraction(1, ell ** 4))
     D0, s = fundamental_part(D)
-    # zeta(4) = pi^4 / 90 folds into the rational part with pi^-2
-    rational = Fraction(sign) * Fraction(16 * 90, 3) * m * divisor_sum * prod
-    return EisResult(
-        m=m, rational=rational, pi_power=-2,
-        sqrt_arg=Fraction(2 * m, abs(det)),
-        l_fund=D0, l_euler=euler_correction(D0, s), l_power=+1,
-        l_interval=_l_value_fundamental(D0, tol),
-        m0=m0, f=f, local=deltas)
+    value = Fraction(sign * 480 * m * f * s, D0 * abs(det)) * divisor_sum \
+        * prod * euler_correction(D0, s) * bernoulli_2(D0)
+    return EisResult(m=m, value=value, l_fund=D0, m0=m0, f=f, local=deltas)
 
 
 def middle_divisor_sum(m0, f, det):
@@ -284,7 +269,7 @@ def middle_divisor_sum(m0, f, det):
     D = 2 * m0 * abs(det)
     total = Fraction(0)
     for d in sympy.divisors(f):
-        mu = sympy.mobius(d)
+        mu = int(sympy.mobius(d))
         if mu:
             total += mu * kronecker(D, d) * Fraction(1, d * d) \
                 * sigma_s(f // d, -3)

@@ -22,9 +22,6 @@ from .eisenstein import q_positive_definite
 from .padics import _valuation
 from .quadforms import _stable_exponent, kronecker
 
-HERMITE_POW = {1: Fraction(1), 2: Fraction(4, 3), 3: Fraction(2),
-               4: Fraction(4), 5: Fraction(8)}
-
 
 def _cholesky(lattice):
     n = lattice.rank
@@ -314,14 +311,14 @@ def build_T_set(kind, p, params, M):
     raise InvalidParameter(f"unknown T-set kind {kind!r}")
 
 
-def cusp_deviation(lattice, m_lo, m_hi, modulus_cap=20000, tol=1e-6):
-    """Per-m deviations r(m) - q(m) and the fitted growth exponent.
+def cusp_deviation(lattice, m_lo, m_hi, modulus_cap=20000):
+    """Per-m exact deviations r(m) - q(m) and the fitted growth exponent.
 
     m whose stable counting modulus l^(1 + 2 v_l(2m)) at some bad prime
     exceeds modulus_cap are skipped (the exact convolution length grows
     with v_l(m)).  The exponent is the least-squares slope of
-    log|deviation| against log m over entries exceeding twice the
-    L-value radius.
+    log|deviation| against log m over the nonzero deviations.  Records
+    keep a radius field, always 0.
     """
     counts = representation_counts(lattice, m_hi)
     bad = sorted(set(sympy.primefactors(2 * lattice.det())))
@@ -329,14 +326,13 @@ def cusp_deviation(lattice, m_lo, m_hi, modulus_cap=20000, tol=1e-6):
     for m in range(max(1, m_lo), m_hi + 1):
         if any(ell ** _stable_exponent(ell, m) > modulus_cap for ell in bad):
             continue
-        qv = q_positive_definite(lattice, m, tol=tol)
-        dev = counts[m] - qv.midpoint()
-        records.append({"m": m, "r": counts[m], "eis": qv.midpoint(),
-                        "radius": qv.radius(), "deviation": dev})
+        qv = q_positive_definite(lattice, m)
+        records.append({"m": m, "r": counts[m], "eis": qv.value,
+                        "radius": 0, "deviation": counts[m] - qv.value})
     xs = []
     ys = []
     for rec in records:
-        if abs(rec["deviation"]) > max(2 * rec["radius"], 1e-9):
+        if rec["deviation"] != 0:
             xs.append(math.log(rec["m"]))
             ys.append(math.log(abs(rec["deviation"])))
     slope = float("nan")

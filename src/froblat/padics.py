@@ -739,20 +739,7 @@ class PAdicScalar:
         return PAdicScalar(self.params, self.shift + k, self.coeffs,
                            self.rel_prec, self.exact)
 
-    # -- comparison and display ------------------------------------------
-    def same_as(self, other, digits=None):
-        """Agreement modulo p^min(bounds) (or p^(shared val + digits))."""
-        diff = self - other
-        if diff.is_zero():
-            return True
-        if diff.is_precision_zero():
-            return True
-        if digits is not None:
-            ref = min(x for x in (self.maybe_val(), other.maybe_val(), 0)
-                      if x is not None)
-            return diff.val >= ref + digits
-        return False
-
+    # -- display -----------------------------------------------------------
     def __str__(self):
         if self.is_zero():
             return "0"

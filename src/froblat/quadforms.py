@@ -95,6 +95,7 @@ class IntLattice:
         self.gram = g
         self.rank = n
         self.label = label or f"lattice{n}"
+        self._det = None
 
     def q_value(self, v):
         acc = 0
@@ -107,7 +108,9 @@ class IntLattice:
         return acc // 2
 
     def det(self):
-        return _int_det(self.gram)
+        if self._det is None:
+            self._det = _int_det(self.gram)
+        return self._det
 
     def disc_abs(self):
         return abs(self.det())

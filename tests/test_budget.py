@@ -95,8 +95,8 @@ def test_local_bound_dominates_telescoping():
 def test_global_g_validation():
     from froblat.eisenstein import q_L_hilbert
     q = q_L_hilbert(IntLattice(LH), 7)
-    lo, hi = global_g(2, 5, q)
-    assert 0 < lo <= hi
+    g = global_g(2, 5, q)
+    assert g == Fraction(2, 4) * -q.value and g > 0
     with pytest.raises(InvalidParameter):
         global_g(0, 5, q)
     assert validate_hasse_budget([2, 2, 4], 5, 2)
@@ -147,7 +147,8 @@ def test_run_budget_small():
                       M=120)
     rep = run_budget(inp)
     assert rep.T
-    assert rep.ratio_interval[1] <= Fraction(11, 12)
+    assert rep.ratio == rep.local_sum / rep.global_sum
+    assert rep.ratio <= Fraction(11, 12)
     # excluding m only removes local mass
     sm = [rep.per_m[0]["m"]]
     inp2 = BudgetInput(p=5, A=2, case="superspecial", family="hilbert",
@@ -170,3 +171,6 @@ def test_run_budget_validates_partition():
     inp.A_partition = [2, 2]
     rep = run_budget(inp)
     assert rep.T == [4, 9, 49]
+    inp.M = 3  # empty T-set: no global mass to compare against
+    with pytest.raises(InvalidParameter):
+        run_budget(inp)

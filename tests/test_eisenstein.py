@@ -4,9 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from froblat.eisenstein import (EisResult, _chi_table, check_ratio,
-                                dirichlet_L2,
-                                euler_correction, fundamental_part,
+from froblat.eisenstein import (_chi_table, bernoulli_2, check_ratio,
+                                dirichlet_L2, fundamental_part,
                                 middle_divisor_sum, q_L_hilbert, q_L_siegel,
                                 q_positive_definite, ratio_bound)
 from froblat.enumeration import representation_counts
@@ -76,7 +75,7 @@ def test_hilbert_growth_normalization():
     for m in ms:
         r = q_L_hilbert(UU, m)
         key = local_density(2, UU, m)
-        c = r.rational / (m * sigma_s(m, -1, lambda d: kronecker(4, d)))
+        c = r.value / (m * sigma_s(m, -1, lambda d: kronecker(4, d)))
         base.setdefault(key, c)
         assert base[key] == c
 
@@ -86,16 +85,14 @@ def test_rank4_formula_is_exact_on_four_squares():
                      [0, 0, 0, 2]], "Z4")
     counts = representation_counts(Z4, 30)
     for m in range(1, 31):
-        q = q_positive_definite(Z4, m)
-        assert abs(q.midpoint() - counts[m]) <= 2 * q.radius() + 1e-7
+        assert q_positive_definite(Z4, m).value == counts[m], m
 
 
 @pytest.mark.parametrize("lat", [D5, A5], ids=["D5", "A5"])
 def test_rank5_calibration_one_class_genus(lat):
-    counts = representation_counts(lat, 40)
-    for m in range(1, 41):
-        q = q_positive_definite(lat, m)
-        assert abs(q.midpoint() - counts[m]) <= 2 * q.radius() + 1e-6, m
+    counts = representation_counts(lat, 60)
+    for m in range(1, 61):
+        assert q_positive_definite(lat, m).value == counts[m], m
 
 
 def test_siegel_window():
@@ -150,7 +147,7 @@ def test_exact_ratio_and_bound_check():
         if m % 5 == 0:
             continue
         qg = q_L_hilbert(LH, m)
-        if qg.rational == 0:
+        if qg.value == 0:
             continue
         for lat, idx_sqrt in ((Lhead, 5), (Lsub, 25)):
             qs = q_positive_definite(lat, m)
@@ -164,8 +161,10 @@ def test_exact_ratio_and_bound_check():
 
 
 def test_radius_only_from_l_value():
+    # coefficients are exact: the L-value enters through B_{2,chi}
     q = q_L_hilbert(UU, 7)
-    assert q.radius() < 1e-6 * max(1.0, abs(q.midpoint()))
+    assert isinstance(q.value, Fraction)
+    assert q.radius() == 0 and q.interval() == (q.value, q.value)
 
 
 def test_hilbert_growth_window():
@@ -225,3 +224,52 @@ def test_sieved_chi_table_matches_kronecker():
         table = _chi_table(D0)
         assert [int(c) for c in table] \
             == [kronecker(D0, n) for n in range(abs(D0))], D0
+
+
+def _b2_by_kronecker(D0):
+    """(1/f) sum_{a=1}^{f} chi(a) a^2, valid for even chi with f > 1."""
+    return Fraction(sum(kronecker(D0, a) * a * a for a in range(1, D0)), D0)
+
+
+def test_bernoulli_matches_kronecker_sum():
+    assert bernoulli_2(1) == Fraction(1, 6)
+    assert bernoulli_2(5) == Fraction(4, 5)
+    discs = [D for D in range(2, 3000) if _fundamental(D)]
+    assert len(discs) > 900
+    for D0 in discs:
+        assert bernoulli_2(D0) == _b2_by_kronecker(D0), D0
+
+
+def test_bernoulli_large_conductor_is_exact():
+    # D0^3 >= 2^63: the int64 sum is split into chunks; the reference
+    # uses chi_q(a) = 1 exactly on the nonzero squares mod the prime q
+    import sympy
+    q = sympy.nextprime(2 ** 21)
+    while q % 4 != 1:
+        q = sympy.nextprime(q)
+    assert q ** 3 >= 2 ** 63
+    squares = {x * x % q for x in range(1, (q + 1) // 2)}
+    s2 = 2 * sum(r * r for r in squares) - sum(a * a for a in range(1, q))
+    assert bernoulli_2(q) == Fraction(s2, q)
+
+
+def test_l_values_contain_mpmath_reference():
+    import mpmath
+    with mpmath.workdps(30):
+        for D in range(-100, 101):
+            if not _fundamental(D):
+                continue
+            chi = [kronecker(D, n) for n in range(abs(D))]
+            ref = mpmath.dirichlet(2, chi)
+            lo, hi = dirichlet_L2(D)
+            assert lo <= ref <= hi, D
+            assert hi - lo < 1e-9, D
+
+
+def test_every_coefficient_is_a_fraction():
+    LH = IntLattice([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 2, 1],
+                     [0, 0, 1, -6]], "LH13")
+    for m in range(1, 41):
+        for q in (q_L_hilbert(LH, m), q_L_hilbert(UU, m), q_L_siegel(LS, m),
+                  q_positive_definite(D5, m)):
+            assert type(q.value) is Fraction, (q, m)

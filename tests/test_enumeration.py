@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from froblat.budget import derive_chain
-from froblat.enumeration import (HERMITE_POW, binary_prime_density,
+from froblat.enumeration import (binary_prime_density,
                                  build_T_set, cusp_deviation,
                                  min_binary_disc, prime_rep_count,
                                  representation_counts, short_vectors,
@@ -17,6 +17,9 @@ Z4 = IntLattice([[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]],
                 "Z4")
 Z5 = IntLattice([[2, 0, 0, 0, 0], [0, 2, 0, 0, 0], [0, 0, 2, 0, 0],
                  [0, 0, 0, 2, 0], [0, 0, 0, 0, 2]], "Z5")
+# Hermite's constants to the power n: gamma_n^n for n <= 5
+HERMITE_POW = {1: Fraction(1), 2: Fraction(4, 3), 3: Fraction(2),
+               4: Fraction(4), 5: Fraction(8)}
 
 
 def _box_oracle(lattice, bound):
@@ -197,10 +200,11 @@ def test_cusp_deviation_single_class():
     D5 = IntLattice([[2, -1, 0, 0, 0], [-1, 2, -1, 0, 0],
                      [0, -1, 2, -1, -1], [0, 0, -1, 2, 0],
                      [0, 0, -1, 0, 2]], "D5")
-    recs, slope = cusp_deviation(D5, 1, 50, tol=1e-10)
+    recs, slope = cusp_deviation(D5, 1, 50)
+    assert len(recs) == 50
     for rec in recs:
-        assert abs(rec["deviation"]) <= 2 * rec["radius"] + 1e-6
-    assert math.isnan(slope)  # no deviations exceed the radius
+        assert rec["deviation"] == 0 and rec["radius"] == 0
+    assert math.isnan(slope)  # no nonzero deviation to fit
 
 
 @pytest.mark.parametrize("gram,bound", [
