@@ -9,7 +9,8 @@ exactly on the thresholds A(1 + p + ... + p^n) = 2, 12, 62.
 """
 
 from froblat import (HILBERT_SPLIT, FormalCurve, build_model, check_DvR,
-                     decay_index, f_infinity, find_decaying_submodule)
+                     column_valuation_profile, f_infinity,
+                     find_decaying_submodule)
 
 model = build_model(HILBERT_SPLIT, p=5, d=2, precision_M=10)
 curve = FormalCurve(x={1: 1}, y={1: 1}, nt=63)
@@ -20,7 +21,8 @@ print("order of the non-ordinary equation along the curve: A =", A)
 finf = f_infinity(model, curve, n_max=2)
 for i in range(4):
     w = [1 if j == i else 0 for j in range(4)]
-    row = [decay_index(finf, w, n)[0] for n in range(3)]
+    profile = column_valuation_profile(finf, w)
+    row = [profile.decay_index(n)[0] for n in range(3)]
     print(f"w_{i + 1}: decay indices {row}")
 
 print("\nw_3 decays very rapidly (a = 1 = A/2):",

@@ -14,13 +14,14 @@ import sys
 from fractions import Fraction
 
 from . import errors
-from .crystals import (CASES, CrystalModel, FormalCurve, decay_index,
-                       f_infinity, find_decaying_submodule)
+from .crystals import (CASES, CrystalModel, FormalCurve, f_infinity,
+                       find_decaying_submodule)
 from .eisenstein import q_L_hilbert, q_positive_definite
 from .enumeration import (prime_rep_count, representation_counts,
                           square_rep_count)
 from .padics import PAdicParams
 from .quadforms import IntLattice, hanke_density, local_density
+from .series import column_valuation_profile
 
 
 def _fixture_root():
@@ -175,8 +176,9 @@ def cmd_decay(args, out):
     for i in range(rank):
         w = [1 if j == i else 0 for j in range(rank)]
         row = [("vector", "w" + str(i + 1))]
+        profile = column_valuation_profile(finf, w)
         for n in range(args.nmax + 1):
-            idx, sound = decay_index(finf, w, n)
+            idx, sound = profile.decay_index(n)
             row.append((f"n{n}", idx if sound else f"{idx}?"))
         _emit(out, row, args.pretty)
     if args.search:

@@ -13,7 +13,10 @@ Decay of a vector w is measured through the infinite product
 F_inf = prod_i (1 + sigma_t^i(F)): w decays rapidly when, for every n up
 to n_max, some coefficient of t^k, k <= A(1 + p + ... + p^n), of
 F_inf * w has valuation below -n.  Very rapid decay uses the shifted
-thresholds A(1 + ... + p^(n-1)) + a*p^n with a <= A/2.
+thresholds A(1 + ... + p^(n-1)) + a*p^n with a <= A/2.  A rank-3 span
+is certified whole: the coefficient vectors failing level n form a
+Z_p-submodule, and the span decays iff none of these holds a primitive
+vector.
 """
 
 import itertools
@@ -360,17 +363,6 @@ def dvr_thresholds(A, p, a_dvr, n_max):
     return out
 
 
-def decay_index(finf, w, n, kmax=None):
-    """Least k with a t^k coefficient of F_inf * w of valuation < -n.
-
-    Returns (index, sound); index is +inf when no witness exists up to
-    kmax (default N_t), and sound is False when a precision-masked
-    coefficient could hide an earlier witness.
-    """
-    profile = column_valuation_profile(finf, w)
-    return profile.decay_index(n, kmax)
-
-
 def check_DR(finf, w, A, n_max):
     """Rapid decay of a single vector; raises Indeterminate when masked."""
     return _decays_within(finf, w,
@@ -404,138 +396,107 @@ def _decays_within(finf, w, thrs):
 
 # -- submodule search ------------------------------------------------------
 
-def _primitive_classes(p, B, k):
-    """Primitive vectors of (Z/p^B)^k up to unit scaling."""
-    pB = p ** B
-    reps = []
-    for lead in range(k):
-        pools = []
-        for i in range(k):
-            if i < lead:
-                pools.append(range(0, pB, p))
-            elif i == lead:
-                pools.append((1,))
-            else:
-                pools.append(range(pB))
-        reps.extend(itertools.product(*pools))
-    return reps
-
-
 def _combine(basis, coeffs):
     rank = len(basis[0])
     return [sum(c * v[i] for c, v in zip(coeffs, basis)) for i in range(rank)]
 
 
-def _span_verdict(finf, basis, A, p, n_max, B):
-    """DR status of every primitive class of the span: True/False/None.
+def _span_certificate(finf, basis, A, n_max):
+    """Rapid decay of every primitive vector of the span at once.
 
-    None means some class was indeterminate; False carries the falsifier
-    through the second return slot.  Classes are swept together over
-    increasing t-exponents with raw integer coefficient arithmetic, so a
-    class stops costing work as soon as all its witnesses are found.
+    The coefficient vectors c whose combination sum c_b w_b fails level n
+    form a Z_p-submodule N_n: every W-coordinate of every t^k coefficient
+    (k <= thrs[n]) of F_inf * w must lie in p^(-n) W, one congruence on c
+    per coordinate.  A coefficient known only modulo p^bound, bound < -n,
+    gives its congruence modulo p^bound instead.  Returns (True, None)
+    when no N_n holds a primitive vector, (False, falsifier) when one
+    does at an unmasked level, else (None, (n, k, row, bound)) naming the
+    first masked coefficient of the blocked level.
     """
+    p = finf.params.p
     thrs = decay_thresholds(A, p, n_max)
     if thrs[-1] > finf.nt:
         raise ThresholdExceedsTruncation(
             f"threshold {thrs[-1]} exceeds truncation {finf.nt}")
-    d = finf.params.d
-    rank = finf.rows
-    # per basis vector: per row, exponent -> (shift, coeffs, bound)
-    cols = []
-    for vec in basis:
-        u = finf.apply_int_vector(list(vec))
-        rows = []
-        for i in range(rank):
-            table = {}
-            for k, c in u[i].coeffs.items():
-                if k <= thrs[-1]:
-                    bound = None if c.exact else c.shift + c.rel_prec
-                    table[k] = (c.shift, c.coeffs, bound)
-            rows.append(table)
-        cols.append(rows)
-    ks = sorted({k for rows in cols for table in rows for k in table})
-
-    classes = []
-    for coeffs in _primitive_classes(p, B, len(basis)):
-        classes.append({"coeffs": coeffs, "unmet": list(range(n_max + 1)),
-                        "masked": [False] * (n_max + 1)})
-    pending = list(classes)
-    fail = None
-    indet = None
-
-    def class_fails(cl, n):
-        w = _combine(basis, cl["coeffs"])
-        return None if cl["masked"][n] else w
-
-    for k in ks:
-        if not pending:
-            break
-        still = []
-        for cl in pending:
-            # expire thresholds passed without witness
-            while cl["unmet"] and thrs[cl["unmet"][0]] < k:
-                n = cl["unmet"].pop(0)
-                w = class_fails(cl, n)
-                if w is None:
-                    indet = _combine(basis, cl["coeffs"])
-                else:
-                    return False, w
-            if not cl["unmet"]:
-                continue
-            minval = INF
-            floor = INF
-            for i in range(rank):
-                parts = []
-                for b, cb in enumerate(cl["coeffs"]):
-                    if cb:
-                        entry = cols[b][i].get(k)
-                        if entry is not None:
-                            parts.append((entry, cb))
-                if not parts:
-                    continue
-                s = min(e[0] for e, _ in parts)
-                bound = INF
-                res = [0] * d
-                for (sh, cf, bd), cb in parts:
-                    scale = cb * p ** (sh - s)
-                    for t in range(d):
-                        res[t] += scale * cf[t]
-                    if bd is not None and bd < bound:
-                        bound = bd
-                if bound is not INF:
-                    window = bound - s
-                    if window <= 0:
-                        floor = min(floor, bound)
-                        continue
-                    q = p ** window
-                    res = [r % q for r in res]
-                if any(res):
-                    v = s + min(_valuation(r, p) for r in res if r)
-                    if v < minval:
-                        minval = v
-                elif bound is not INF:
-                    floor = min(floor, bound)
-            if floor is not INF:
-                for n in cl["unmet"]:
-                    if floor <= -(n + 1) and k <= thrs[n]:
-                        cl["masked"][n] = True
-            if minval is not INF:
-                cl["unmet"] = [n for n in cl["unmet"]
-                               if not (minval < -n and k <= thrs[n])]
-            if cl["unmet"]:
-                still.append(cl)
-        pending = still
-
-    for cl in pending:
-        for n in cl["unmet"]:
-            w = class_fails(cl, n)
-            if w is None:
-                indet = _combine(basis, cl["coeffs"])
-            else:
-                return False, w
-    if indet is not None:
-        return None, indet
+    cols = [finf.apply_int_vector(list(v)) for v in basis]
+    cells = sorted({(k, i) for col in cols for i, series in enumerate(col)
+                    for k in series.coeffs if k <= thrs[-1]})
+    s_min = min((c.shift for col in cols for series in col
+                 for k, c in series.coeffs.items() if k <= thrs[-1]),
+                default=0)
+    # per (k, row): known bound and the distinct nonzero integer rows, one
+    # per W-coordinate, scaled by p^(-s_min) so that level n reads them
+    # modulo p^(-n - s_min)
+    q0 = p ** max(-s_min, 0)
+    zero = (0,) * finf.params.d
+    table = []
+    for k, i in cells:
+        cs = [col[i].coeffs.get(k) for col in cols]
+        bound = min(c.known_bound() for c in cs if c is not None)
+        scaled = [zero if c is None else
+                  [x * p ** (c.shift - s_min) % q0 for x in c.coeffs]
+                  for c in cs]
+        table.append((k, i, bound, {r for r in zip(*scaled) if any(r)}))
+    blocked = None
+    for n, thr in enumerate(thrs):
+        q = p ** max(-n - s_min, 0)
+        rows = set()
+        masked = None
+        for k, i, bound, coord_rows in table:
+            if k > thr:
+                break
+            lift = 1
+            if bound <= -(n + 1):
+                masked = masked or (n, k, i, bound)
+                lift = p ** (-n - bound)
+            rows.update(tuple(x * lift % q for x in r) for r in coord_rows)
+        c = _primitive_kernel_vector(rows, len(basis), p, -n - s_min)
+        if c is None:
+            continue
+        if masked is None:
+            return False, _combine(basis, c)
+        blocked = blocked or masked
+    if blocked is not None:
+        return None, blocked
     return True, None
+
+
+def _primitive_kernel_vector(rows, k, p, E):
+    """A primitive c in Z^k with row . c = 0 mod p^E for every row, or None.
+
+    Column operations pivot on an entry of least valuation, so the pivot
+    divides the rest of its row and, by row operations that change no
+    other column, the rest of its column; the pivot row then drops out.
+    The tracked transform V stays unimodular, and a column of V whose
+    image vanishes mod p^E is a primitive kernel vector (Cohen, GTM 138,
+    section 2.4).
+    """
+    q = p ** max(E, 0)
+    rows = [r for r in ([x % q for x in row] for row in rows) if any(r)]
+    V = [[int(i == j) for i in range(k)] for j in range(k)]   # columns
+    for step in range(k):
+        best = None
+        for ri, r in enumerate(rows):
+            for j in range(step, k):
+                if r[j]:
+                    v = _valuation(r[j], p)
+                    if best is None or v < best[0]:
+                        best = (v, ri, j)
+        if best is None:
+            return V[step]
+        v, ri, j = best
+        for r in rows:
+            r[step], r[j] = r[j], r[step]
+        V[step], V[j] = V[j], V[step]
+        pivot = rows.pop(ri)
+        inv = pow(pivot[step] // p ** v, -1, q)
+        for j2 in range(step + 1, k):
+            if pivot[j2]:
+                f = pivot[j2] // p ** v * inv % q
+                for r in rows:
+                    r[j2] = (r[j2] - f * r[step]) % q
+                V[j2] = [(a - f * b) % q for a, b in zip(V[j2], V[step])]
+    return None
 
 
 def _default_candidates(rank, p):
@@ -560,16 +521,19 @@ def _default_candidates(rank, p):
     return cands
 
 
-def find_decaying_submodule(model, finf, A, n_max=2, search_depth_B=2,
-                            candidates=None, want_witness=None):
-    """Certify a rank-3 submodule all of whose primitive classes decay.
+def find_decaying_submodule(model, finf, A, n_max=2, candidates=None,
+                            want_witness=None):
+    """Certify a rank-3 submodule all of whose primitive vectors decay.
 
-    Tests every primitive class mod p^search_depth_B of each candidate
-    span, in a deterministic order; superspecial models additionally
-    require a very-rapidly-decaying witness inside the span (a = [A/2]).
-    Returns (basis, witness_or_None).  Raises NotFound with the last
-    falsifying vector, or Indeterminate when precision blocked the only
-    remaining candidates.
+    Each candidate span, taken in a deterministic order, is certified
+    whole by ``_span_certificate``: for every level n the coefficient
+    vectors failing it form a submodule, and one elimination over
+    Z/p^E decides whether it holds a primitive vector.  Superspecial
+    models additionally require a very-rapidly-decaying witness inside
+    the span (a = [A/2]).  Returns (basis, witness_or_None).  Raises
+    NotFound with the last falsifying vector, or Indeterminate naming
+    the masked coefficient (n, k, row, bound) when precision blocked
+    the only remaining candidates.
     """
     p = model.params.p
     if want_witness is None:
@@ -577,35 +541,15 @@ def find_decaying_submodule(model, finf, A, n_max=2, search_depth_B=2,
                                       SIEGEL_SSP)
     if candidates is None:
         candidates = _default_candidates(model.rank, p)
-    # cheap pre-filter: every basis vector must itself decay rapidly
-    vec_status = {}
-
-    def vec_ok(v):
-        if v not in vec_status:
-            try:
-                vec_status[v] = check_DR(finf, list(v), A, n_max)
-            except Indeterminate:
-                vec_status[v] = None
-        return vec_status[v]
-
     last_falsifier = None
-    saw_indet = False
+    blocked = None
     for basis in candidates:
-        statuses = [vec_ok(tuple(v)) for v in basis]
-        if any(s is False for s in statuses):
-            last_falsifier = [list(v) for v, s in zip(basis, statuses)
-                              if s is False][0]
-            continue
-        if any(s is None for s in statuses):
-            saw_indet = True
-            continue
-        verdict, bad = _span_verdict(finf, basis, A, p, n_max,
-                                     search_depth_B)
+        verdict, detail = _span_certificate(finf, basis, A, n_max)
         if verdict is False:
-            last_falsifier = bad
+            last_falsifier = detail
             continue
         if verdict is None:
-            saw_indet = True
+            blocked = detail
             continue
         witness = None
         if want_witness:
@@ -622,8 +566,11 @@ def find_decaying_submodule(model, finf, A, n_max=2, search_depth_B=2,
                 last_falsifier = list(basis[0])
                 continue
         return [list(v) for v in basis], witness
-    if saw_indet:
-        raise Indeterminate("decay search blocked by precision exhaustion")
+    if blocked is not None:
+        n, k, row, bound = blocked
+        raise Indeterminate(
+            f"decay search blocked by precision: coefficient n = {n}, "
+            f"k = {k}, row = {row} is known only to bound = {bound}")
     raise NotFound("no decaying rank-3 submodule certified",
                    falsifier=last_falsifier)
 

@@ -5,17 +5,21 @@ the relation of a = v_t(x) and b = v_t(y); Siegel by the interplay of
 A = v_t of the non-ordinary equation and B = v_t of its Frobenius
 companion x y^p + x^p y + z^(1+p)/(2 eps); supergeneric by the relation
 of v_y and 2 v_z).  ``asserted`` lists the candidate spans the analysis
-proves to decay; verification tests every primitive class mod p^2 of the
-candidate.  Leading coefficients that must cancel are solved for in the
-residue field, including the degree-8 subcase where the z-coefficient
-satisfies g^2 = -4 eps (sigma(c) - sigma^{-1}(c)) and provably does not
-exist in F_{p^4}.
+proves to decay; verification certifies that every primitive vector of
+the candidate span decays (one kernel computation per level).  Each
+fixture's ``make(residue_field, eps_int)`` returns the parameter c (or
+None) and the curve.  Leading coefficients that must cancel are solved
+for in the residue field, including the degree-8 subcase where the
+z-coefficient satisfies g^2 = -4 eps (sigma(c) - sigma^{-1}(c)) and
+provably does not exist in F_{p^4}.
 """
 
 from .crystals import (HILBERT_INERT_SG, HILBERT_INERT_SSP, HILBERT_SPLIT,
-                       SIEGEL_SG, SIEGEL_SSP, FormalCurve, build_model,
-                       decay_index, find_decaying_submodule)
+                       SIEGEL_SG, SIEGEL_SSP, CrystalModel, FormalCurve,
+                       build_model, f_infinity, find_decaying_submodule)
 from .errors import InvalidParameter
+from .padics import PAdicParams
+from .series import column_valuation_profile
 
 
 def _e(i, rank):
@@ -80,81 +84,77 @@ def decay_fixture_table(p=5):
 
     # ---- split Hilbert: four branches of (a, b) --------------------------
     add("split-equal", HILBERT_SPLIT, 2, 10, 63, 2,
-        lambda model: (None, FormalCurve(x={1: 1}, y={1: 1}, nt=63)),
+        lambda rf, eps_int: (None, FormalCurve(x={1: 1}, y={1: 1}, nt=63)),
         _triples(rk4, (0, 1, 2)), True)
     add("split-equal-mirror", HILBERT_SPLIT, 2, 10, 63, 2,
-        lambda model: (None, FormalCurve(x={1: 1}, y={1: p - 1}, nt=63)),
+        lambda rf, eps_int: (None, FormalCurve(x={1: 1}, y={1: p - 1}, nt=63)),
         _triples(rk4, (0, 1, 3)), True)
     add("split-even-power", HILBERT_SPLIT, 2, 12, 807, 1 + p * p,
-        lambda model: (None, FormalCurve(x={1: 1}, y={p * p: 1}, nt=807)),
+        lambda rf, eps_int: (None,
+                             FormalCurve(x={1: 1}, y={p * p: 1}, nt=807)),
         _pair_plus_span(rk4, (0, 1), (2, 3), p), True)
     add("split-odd-power", HILBERT_SPLIT, 2, 11, 187, 1 + p,
-        lambda model: (None, FormalCurve(x={1: 1}, y={p: 1}, nt=187)),
+        lambda rf, eps_int: (None, FormalCurve(x={1: 1}, y={p: 1}, nt=187)),
         _pair_plus_span(rk4, (2, 3), (0, 1), p), True)
     add("split-generic", HILBERT_SPLIT, 2, 10, 94, 3,
-        lambda model: (None, FormalCurve(x={1: 1}, y={2: 1}, nt=94)),
+        lambda rf, eps_int: (None, FormalCurve(x={1: 1}, y={2: 1}, nt=94)),
         _triples(rk4, (0, 1, 2), (0, 1, 3)), True)
 
     # ---- inert Hilbert --------------------------------------------------
     add("inert-superspecial", HILBERT_INERT_SSP, 2, 10, 63, 2,
-        lambda model: ((2, 1), FormalCurve(x={1: 1}, y={1: 1}, nt=63)),
+        lambda rf, eps_int: ((2, 1), FormalCurve(x={1: 1}, y={1: 1}, nt=63)),
         _triples(rk4, (0, 1, 2)), True)
     add("inert-supergeneric", HILBERT_INERT_SG, 4, 10, 32, 1,
-        lambda model: (_first_quartic(model.residue_field),
-                       FormalCurve(x={1: 1}, y={1: 1}, nt=32)),
+        lambda rf, eps_int: (_first_quartic(rf),
+                             FormalCurve(x={1: 1}, y={1: 1}, nt=32)),
         _triples(rk4, (0, 1, 2)), False)
 
     # ---- Siegel superspecial --------------------------------------------
-    def ssp_case1(model):
+    def ssp_case1(rf, eps_int):
         return (3, FormalCurve(x={1: 1}, y={2: 1}, z={3: 1}, nt=94))
 
     add("siegel-A-below-B", SIEGEL_SSP, 2, 10, 94, 3, ssp_case1,
         _triples(rk5, (0, 1, 2)), True)
 
-    def ssp_case21(model):
-        rf = model.residue_field
+    def ssp_case21(rf, eps_int):
         gamma = _lam_bar(rf)
-        beta = _cancel_coeff(rf, gamma, model.eps_int)
+        beta = _cancel_coeff(rf, gamma, eps_int)
         return (3, FormalCurve(x={1: 1}, y={3: beta},
                                z={2: gamma, 8: 1}, nt=311))
 
     add("siegel-2.1", SIEGEL_SSP, 2, 11, 311, 2 * p,
         ssp_case21, _triples(rk5, (0, 1, 2), (0, 1, 3), (0, 1, 4)), True)
 
-    def ssp_case22(model):
-        rf = model.residue_field
+    def ssp_case22(rf, eps_int):
         gamma = _lam_bar(rf)
-        beta = _cancel_coeff(rf, gamma, model.eps_int)
+        beta = _cancel_coeff(rf, gamma, eps_int)
         return (3, FormalCurve(x={1: 1}, y={3: beta},
                                z={2: gamma, 6: 1}, nt=249))
 
     add("siegel-2.2", SIEGEL_SSP, 2, 11, 249, 8,
         ssp_case22, _triples(rk5, (2, 3, 4)), True)
 
-    def ssp_case31(model):
-        rf = model.residue_field
+    def ssp_case31(rf, eps_int):
         gamma = _lam_bar(rf)   # not in F_p, so B = a(1+p)
-        beta = _cancel_coeff(rf, gamma, model.eps_int)
+        beta = _cancel_coeff(rf, gamma, eps_int)
         return (3, FormalCurve(x={1: 1}, y={1: beta, 7: 1},
                                z={1: gamma}, nt=249))
 
     add("siegel-3.1", SIEGEL_SSP, 2, 11, 249, 8,
         ssp_case31, _triples(rk5, (0, 1, 2), (0, 1, 4)), True)
 
-    def ssp_case31s(model):
-        rf = model.residue_field
+    def ssp_case31s(rf, eps_int):
         gamma = _lam_bar(rf)
-        beta = _cancel_coeff(rf, gamma, model.eps_int)
+        beta = _cancel_coeff(rf, gamma, eps_int)
         return (3, FormalCurve(x={1: 1}, y={1: beta, p * p: 1},
                                z={1: gamma}, nt=807))
 
     add("siegel-3.1-special", SIEGEL_SSP, 2, 12, 807, 1 + p * p,
         ssp_case31s, _triples(rk5, (0, 1, 2), (0, 1, 4)), True)
 
-    def ssp_case32(model):
-        rf = model.residue_field
+    def ssp_case32(rf, eps_int):
         gamma = _lam_bar(rf)
-        beta = _cancel_coeff(rf, gamma, model.eps_int)
+        beta = _cancel_coeff(rf, gamma, eps_int)
         return (3, FormalCurve(x={1: 1}, y={1: beta, p: 1},
                                z={1: gamma}, nt=187))
 
@@ -165,16 +165,15 @@ def decay_fixture_table(p=5):
 
     # ---- Siegel supergeneric (d = 4, and d = 8 where forced) -------------
     add("supergeneric-y-dominant", SIEGEL_SG, 4, 10, 94, 2,
-        lambda model: (_first_quartic(model.residue_field),
-                       FormalCurve(x={5: 1}, y={3: 1}, z={1: 1}, nt=94)),
+        lambda rf, eps_int: (_first_quartic(rf),
+                             FormalCurve(x={5: 1}, y={3: 1}, z={1: 1}, nt=94)),
         _triples(rk5, (0, 1, 3)), False)
     add("supergeneric-z-dominant", SIEGEL_SG, 4, 10, 32, 1,
-        lambda model: (_first_quartic(model.residue_field),
-                       FormalCurve(x={1: 1}, y={1: 1}, z={2: 1}, nt=32)),
+        lambda rf, eps_int: (_first_quartic(rf),
+                             FormalCurve(x={1: 1}, y={1: 1}, z={2: 1}, nt=32)),
         _triples(rk5, (0, 1, 2)), False)
 
-    def sg_balanced(model):
-        rf = model.residue_field
+    def sg_balanced(rf, eps_int):
         c = _first_quartic(rf)
         # alpha = gamma^2/(4 eps) with gamma = 1 differs from
         # sigma^{-1}(c) - sigma(c) for this c; checked by the A value
@@ -183,12 +182,11 @@ def decay_fixture_table(p=5):
     add("supergeneric-balanced", SIEGEL_SG, 4, 10, 63, 2, sg_balanced,
         _triples(rk5, (0, 2, 4), (1, 2, 4)), False)
 
-    def _deg8_cancel(model, tail_exp, x_exp, nt):
-        rf = model.residue_field
+    def _deg8_cancel(rf, eps_int, tail_exp, x_exp, nt):
         g = rf.element((0, 1))
         c = rf.mul(g, g)     # degree-4 element inside F_{p^8}
         a = rf.add(rf.pow(c, p), rf.neg(rf.pow(c, p ** 7)))
-        target = rf.neg(rf.mul(rf.element(4 * model.eps_int), a))
+        target = rf.neg(rf.mul(rf.element(4 * eps_int), a))
         gamma = rf.sqrt(target)
         if gamma is None:
             raise InvalidParameter("cancellation coefficient must exist "
@@ -198,11 +196,11 @@ def decay_fixture_table(p=5):
 
     add("supergeneric-deep-cancel-strict", SIEGEL_SG, 8, 9, 1458,
         2 * p ** 2 - p + 2,
-        lambda model: _deg8_cancel(model, 46, 46, 1458),
+        lambda rf, eps_int: _deg8_cancel(rf, eps_int, 46, 46, 1458),
         _triples(rk5, (0, 1, 2)), False)
     add("supergeneric-deep-cancel-equal", SIEGEL_SG, 8, 9, 1427,
         2 * p ** 2 - p + 1,
-        lambda model: _deg8_cancel(model, 45, 46, 1427),
+        lambda rf, eps_int: _deg8_cancel(rf, eps_int, 45, 46, 1427),
         _pair_plus_span(rk5, (0, 4), (1, 2), p)
         + _pair_plus_span(rk5, (1, 4), (0, 2), p)
         + _pair_plus_span(rk5, (2, 4), (0, 1), p), False)
@@ -210,38 +208,37 @@ def decay_fixture_table(p=5):
     return fixtures
 
 
-def run_decay_fixture(fix, n_max=2, search_depth_B=2):
-    """Build and verify one fixture; returns a result record."""
-    from .crystals import CrystalModel
-    from .padics import PAdicParams
+def run_decay_fixture(fix, n_max=2, search_depth_B=None):
+    """Build and verify one fixture; returns a result record.
+
+    ``search_depth_B`` is ignored: the span certificate covers every
+    primitive vector, so there is no enumeration depth left to choose.
+    """
     params = PAdicParams(fix["p"], fix["d"], fix["precision"])
-    probe = type("probe", (), {"residue_field": params.residue_field,
-                               "eps_int": params.eps_int})
-    c_res, curve = fix["make"](probe)
+    c_res, curve = fix["make"](params.residue_field, params.eps_int)
     model = CrystalModel(fix["case"], params, c_residue=c_res)
     A = model.non_ordinary_valuation(curve)
     if A != fix["A"]:
         raise InvalidParameter(
             f"{fix['name']}: built curve has A = {A}, expected {fix['A']}")
-    from .crystals import f_infinity
     finf = f_infinity(model, curve, n_max=n_max)
     basis, witness = find_decaying_submodule(
-        model, finf, A, n_max=n_max, search_depth_B=search_depth_B,
-        candidates=fix["asserted"], want_witness=fix["want_witness"])
+        model, finf, A, n_max=n_max, candidates=fix["asserted"],
+        want_witness=fix["want_witness"])
     return {"name": fix["name"], "A": A, "basis": basis,
             "witness": witness, "nt": fix["nt"]}
 
 
 def split_equal_decay_indices(p=5, n_max=2):
-    """decay_index(w_1, n) for the split x = y = t curve, for each n."""
+    """Decay indices of w_1 for the split x = y = t curve, for each n."""
     model = build_model(HILBERT_SPLIT, p, 2, 10)
     curve = FormalCurve(x={1: 1}, y={1: 1}, nt=2 * sum(p ** i
                                                        for i in range(3)) + 1)
-    from .crystals import f_infinity
     finf = f_infinity(model, curve, n_max=n_max)
+    profile = column_valuation_profile(finf, [1, 0, 0, 0])
     out = []
     for n in range(n_max + 1):
-        idx, sound = decay_index(finf, [1, 0, 0, 0], n)
+        idx, sound = profile.decay_index(n)
         if not sound:
             raise InvalidParameter("precision masked a regression verdict")
         out.append(idx)

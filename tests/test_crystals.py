@@ -1,13 +1,21 @@
+import itertools
+import random
+from fractions import Fraction
+
 import pytest
 
 from froblat.crystals import (HILBERT_INERT_SG, HILBERT_INERT_SSP,
                               HILBERT_SPLIT, SIEGEL_SG, SIEGEL_SSP,
-                              CrystalModel, FormalCurve, build_model,
-                              check_DR, check_DvR, decay_index, f_infinity,
+                              CrystalModel, FormalCurve, _combine,
+                              _primitive_kernel_vector, _span_certificate,
+                              build_model, check_DR, check_DvR, f_infinity,
                               find_decaying_submodule, local_gram)
-from froblat.errors import (InvalidParameter, NotGenericallyOrdinary,
+from froblat.errors import (Indeterminate, InvalidParameter,
+                            NotGenericallyOrdinary,
                             ThresholdExceedsTruncation)
-from froblat.padics import INF, PAdicParams
+from froblat.padics import INF, PAdicParams, PAdicScalar
+from froblat.regression import decay_fixture_table
+from froblat.series import MatSeries, TruncSeries, column_valuation_profile
 
 
 @pytest.fixture(scope="module")
@@ -90,24 +98,26 @@ def test_degenerate_curve():
 
 def test_split_decay_indices(split_xy):
     curve, finf = split_xy
+    w1 = column_valuation_profile(finf, [1, 0, 0, 0])
     for n, expect in [(0, 2), (1, 12), (2, 62)]:
-        idx, sound = decay_index(finf, [1, 0, 0, 0], n)
+        idx, sound = w1.decay_index(n)
         assert sound and idx == expect
+    w3 = column_valuation_profile(finf, [0, 0, 1, 0])
     for n, expect in [(0, 1), (1, 7), (2, 37)]:
-        idx, _ = decay_index(finf, [0, 0, 1, 0], n)
+        idx, _ = w3.decay_index(n)
         assert idx == expect
 
 
 def test_fourth_vector_is_killed_when_x_equals_y(split_xy):
     _, finf = split_xy
-    idx, sound = decay_index(finf, [0, 0, 0, 1], 0)
+    idx, sound = column_valuation_profile(finf, [0, 0, 0, 1]).decay_index(0)
     assert idx == INF and sound
 
 
 def test_scaling_shifts_depth(split_xy):
     _, finf = split_xy
-    i1, _ = decay_index(finf, [5, 0, 0, 0], 1)
-    i2, _ = decay_index(finf, [1, 0, 0, 0], 2)
+    i1, _ = column_valuation_profile(finf, [5, 0, 0, 0]).decay_index(1)
+    i2, _ = column_valuation_profile(finf, [1, 0, 0, 0]).decay_index(2)
     assert i1 == i2
 
 
@@ -160,7 +170,6 @@ def test_supergeneric_unit_a():
 
 def test_column_valuations_bounded_by_factor_count(split_xy):
     """Each product factor contributes at most one inverse power of p."""
-    from froblat.series import column_valuation_profile
     _, finf = split_xy
     K = 0
     while 5 ** (K + 1) <= finf.nt:
@@ -173,11 +182,109 @@ def test_column_valuations_bounded_by_factor_count(split_xy):
 
 
 def test_decay_index_monotone_in_depth(split_xy):
-    from froblat.crystals import decay_index
     _, finf = split_xy
     for w in ([1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [1, 2, 0, 0]):
+        profile = column_valuation_profile(finf, w)
         prev = -1
         for n in range(3):
-            idx, _ = decay_index(finf, w, n)
+            idx, _ = profile.decay_index(n)
             assert idx >= prev
             prev = idx
+
+
+def _classes_mod_p(p, k):
+    """Primitive vectors of F_p^k up to scaling: leading coordinate 1."""
+    out = []
+    for lead in range(k):
+        for tail in itertools.product(range(p), repeat=k - lead - 1):
+            out.append((0,) * lead + (1,) + tail)
+    return out
+
+
+def test_span_certificate_against_definition():
+    """The kernel verdict agrees with check_DR on every class mod p."""
+    table = {f["name"]: f for f in decay_fixture_table(5)}
+    rng = random.Random(20261018)
+    seen = set()
+    for name in ("split-equal", "supergeneric-z-dominant", "siegel-3.2"):
+        fix = table[name]
+        params = PAdicParams(fix["p"], fix["d"], fix["precision"])
+        c_res, curve = fix["make"](params.residue_field, params.eps_int)
+        model = CrystalModel(fix["case"], params, c_residue=c_res)
+        A = fix["A"]
+        finf = f_infinity(model, curve, n_max=2)
+        spans = fix["asserted"][:8]
+        spans += [tuple(tuple(rng.randrange(-3, 4) for _ in range(model.rank))
+                        for _ in range(3)) for _ in range(3)]
+        for basis in spans:
+            verdict, falsifier = _span_certificate(finf, basis, A, 2)
+            seen.add(verdict)
+            decays = [check_DR(finf, _combine(basis, c), A, 2)
+                      for c in _classes_mod_p(5, 3)]
+            if verdict:
+                assert all(decays), (name, basis)
+            else:
+                assert verdict is False
+                assert not check_DR(finf, falsifier, A, 2), (name, basis)
+            if not all(decays):
+                assert verdict is False, (name, basis)
+    assert seen == {True, False}
+
+
+def test_primitive_kernel_vector_against_brute_force():
+    rng = random.Random(5)
+    for p, E in [(2, 3), (3, 2)] * 20:
+        q = p ** E
+        rows = [[rng.choice([0, 1, p, p * p, rng.randrange(q)])
+                 for _ in range(3)] for _ in range(rng.randrange(1, 4))]
+        brute = [c for c in itertools.product(range(q), repeat=3)
+                 if any(x % p for x in c)
+                 and all(sum(a * b for a, b in zip(r, c)) % q == 0
+                         for r in rows)]
+        c = _primitive_kernel_vector(rows, 3, p, E)
+        if c is None:
+            assert not brute, (p, E, rows)
+        else:
+            assert any(x % p for x in c)
+            assert all(sum(a * b for a, b in zip(r, c)) % q == 0
+                       for r in rows), (p, E, rows, c)
+
+
+def test_masked_coefficient_blocks_only_when_it_matters():
+    """At n = 0 the visible rows leave c = (1, 1, 0) failing, and the
+    masked coefficients of row 3 cancel on it to an unknown digit: the
+    verdict is indeterminate.  Without the cancelling entry the visible
+    rows decide every level."""
+    model = build_model(HILBERT_SPLIT, 5, 2, 10)
+    params = model.params
+    nt = 31                                   # thresholds 1, 6, 31 at A = 1
+    one = params.one()
+    p1, p2, p3 = (params.from_rational(Fraction(1, 5 ** e))
+                  for e in (1, 2, 3))
+    masked = [PAdicScalar(params, -2, (u, 0), 1, False) for u in (1, 4)]
+    assert masked[0].known_bound() == -1
+    basis = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)]
+
+    def search(cancel):
+        finf = MatSeries.identity(params, nt, 4)
+        e = finf.entries
+        e[0][0] = TruncSeries(params, nt, {0: one, 1: p2})
+        if cancel:
+            e[0][1] = TruncSeries(params, nt, {1: -p2})
+        e[2][2] = TruncSeries(params, nt, {0: one, 1: p1})
+        e[3][0] = TruncSeries(params, nt, {1: masked[0]})
+        e[3][1] = TruncSeries(params, nt, {1: masked[1]})
+        # levels 1 and 2: one visible p^-3 coefficient per basis vector
+        e[1][0] = TruncSeries(params, nt, {6: p3})
+        e[1][1] = TruncSeries(params, nt, {0: one, 5: p3})
+        e[1][2] = TruncSeries(params, nt, {4: p3})
+        return find_decaying_submodule(model, finf, 1, n_max=2,
+                                       candidates=[basis],
+                                       want_witness=False)
+
+    with pytest.raises(Indeterminate) as info:
+        search(cancel=True)
+    msg = str(info.value)
+    assert "n = 0" in msg and "k = 1" in msg
+    assert "row = 3" in msg and "bound = -1" in msg
+    assert search(cancel=False) == ([list(v) for v in basis], None)

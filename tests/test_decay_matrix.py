@@ -4,7 +4,8 @@ The builders construct one curve per branch of the case analysis (the
 relation of a, b for split curves; the interplay of the non-ordinary
 order A with its Frobenius companion B for the rank-5 family; the
 valuation pattern of y and z in the supergeneric family).  Verification
-tests every primitive class mod p^2 of the asserted span at n_max = 2.
+certifies that every primitive vector of the asserted span decays at
+n_max = 2.
 """
 
 import pytest
@@ -17,7 +18,7 @@ TABLE = decay_fixture_table(5)
 
 @pytest.mark.parametrize("fix", TABLE, ids=[f["name"] for f in TABLE])
 def test_named_case(fix):
-    res = run_decay_fixture(fix, n_max=2, search_depth_B=2)
+    res = run_decay_fixture(fix, n_max=2)
     assert res["A"] == fix["A"]
     assert len(res["basis"]) == 3
     if fix["want_witness"]:
