@@ -38,17 +38,55 @@ def _resolve(path):
 
 
 def read_gram(path):
+    """Square integer matrix, one row per line; errors name the line."""
     rows = []
     with open(_resolve(path)) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
-            if line:
-                rows.append([int(x) for x in line.split()])
+            if not line:
+                continue
+            try:
+                row = [int(x) for x in line.split()]
+            except ValueError:
+                raise errors.InvalidParameter(
+                    f"{path} line {lineno}: non-integer Gram entry in "
+                    f"{line!r}") from None
+            if rows and len(row) != len(rows[0]):
+                raise errors.InvalidParameter(
+                    f"{path} line {lineno}: row has {len(row)} entries, "
+                    f"the first row {len(rows[0])}")
+            rows.append(row)
+    if not rows or len(rows) != len(rows[0]):
+        raise errors.InvalidParameter(
+            f"{path}: Gram matrix is not square "
+            f"({len(rows)} rows of {len(rows[0]) if rows else 0})")
     return rows
 
 
+class KeyVals(dict):
+    """key=value pairs of one fixture file; errors name the file."""
+
+    def __init__(self, path):
+        super().__init__()
+        self.path = path
+
+    def __missing__(self, key):
+        raise errors.InvalidParameter(f"{self.path}: missing key {key!r}")
+
+    def integer(self, key, default=None):
+        """The value of key as an int (default when absent and given)."""
+        if default is not None and key not in self:
+            return default
+        try:
+            return int(self[key])
+        except ValueError:
+            raise errors.InvalidParameter(
+                f"{self.path}: {key}={self[key]!r} is not an integer") \
+                from None
+
+
 def read_keyvals(path):
-    out = {}
+    out = KeyVals(path)
     with open(_resolve(path)) as fh:
         for line in fh:
             line = line.split("#", 1)[0].strip()
@@ -74,18 +112,24 @@ def read_curve(path):
     case = kv["case"]
     if case not in CASES:
         raise errors.InvalidParameter(f"unknown case {case!r}")
-    p = int(kv["p"])
-    d = int(kv["d"])
-    prec = int(kv["precision"])
-    nt = int(kv["nt"])
+    p = kv.integer("p")
+    d = kv.integer("d")
+    prec = kv.integer("precision")
+    nt = kv.integer("nt")
     comps = {}
-    for name in ("x", "y", "z"):
-        comp = {}
-        for item in kv.get(name, "").split():
-            e, _, c = item.partition(":")
-            comp[int(e)] = _parse_coeff(c, d)
-        comps[name] = comp
-    c_res = _parse_coeff(kv["c"], d) if kv.get("c") else None
+    name = "c"
+    try:
+        c_res = _parse_coeff(kv["c"], d) if kv.get("c") else None
+        for name in ("x", "y", "z"):
+            comp = {}
+            for item in kv.get(name, "").split():
+                e, _, c = item.partition(":")
+                comp[int(e)] = _parse_coeff(c, d)
+            comps[name] = comp
+    except ValueError:
+        raise errors.InvalidParameter(
+            f"{path}: {name}={kv[name]!r} is not integer coefficients") \
+            from None
     params = PAdicParams(p, d, prec)
     model = CrystalModel(case, params, c_residue=c_res)
     curve = FormalCurve(x=comps["x"], y=comps["y"], z=comps["z"], nt=nt)
@@ -110,7 +154,7 @@ def _emit(out, fields, pretty):
 def cmd_density(args, out):
     gram = read_gram(args.gram)
     lat = IntLattice(gram, os.path.basename(args.gram))
-    for m in _m_values(args):
+    for m in [args.m] if args.m is not None else _m_range(args.m_range):
         delta = local_density(args.ell, lat, m)
         fields = [("m", m), ("ell", args.ell), ("delta", _frac(delta))]
         if args.hanke:
@@ -119,18 +163,22 @@ def cmd_density(args, out):
     return 0
 
 
-def _m_values(args):
-    if args.m is not None:
-        return [args.m]
-    lo, hi = args.m_range.split("..")
-    return range(int(lo), int(hi) + 1)
+def _m_range(text):
+    """The m of an inclusive range 'lo..hi' with lo <= hi."""
+    try:
+        lo, hi = (int(x) for x in text.split(".."))
+    except ValueError:
+        lo, hi = 1, 0
+    if lo > hi:
+        raise errors.InvalidParameter(
+            f"--m-range {text!r} is not a non-empty range lo..hi")
+    return range(lo, hi + 1)
 
 
 def cmd_eisenstein(args, out):
     gram = read_gram(args.lattice)
     lat = IntLattice(gram, os.path.basename(args.lattice))
-    lo, hi = args.m_range.split("..")
-    for m in range(int(lo), int(hi) + 1):
+    for m in _m_range(args.m_range):
         res = q_positive_definite(lat, m) if args.definite \
             else q_L_hilbert(lat, m) if lat.rank == 4 else None
         if res is None:
@@ -194,19 +242,19 @@ def cmd_decay(args, out):
 def cmd_budget(args, out):
     from .budget import BudgetInput, derive_chain, run_budget
     kv = read_keyvals(args.config)
-    p = int(kv["p"])
-    A = int(kv["A"])
+    p = kv.integer("p")
+    A = kv.integer("A")
     case = kv["case"]
     family = kv["family"]
     glob = read_gram(kv["global_gram"])
     head = read_gram(kv["chain_head"])
-    depth = int(kv.get("depth", 3))
-    M = int(kv.get("M", 500))
+    depth = kv.integer("depth", 3)
+    M = kv.integer("M", 500)
     chain, _ = derive_chain(head, p, depth)
     t_params = {}
     for key in ("N", "C", "D", "disc_F", "det2"):
         if key in kv:
-            t_params[key] = int(kv[key])
+            t_params[key] = kv.integer(key)
     exclude = []
     if kv.get("exclude") == "deep":
         deep = IntLattice(chain[-1][1])

@@ -19,9 +19,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-import sympy
 
 from .errors import InvalidParameter
+from .padics import factorint, primefactors
 from .quadforms import kronecker, local_density, sigma_s
 
 
@@ -29,24 +29,23 @@ def fundamental_part(D):
     """(D0, s) with D = D0 s^2 and D0 a fundamental discriminant (or 1)."""
     if D == 0 or D % 4 not in (0, 1):
         raise InvalidParameter(f"{D} is not a discriminant")
-    fac = sympy.factorint(abs(D))
     kernel = 1 if D > 0 else -1
-    for q, e in fac.items():
+    for q, e in factorint(abs(D)):
         if e % 2:
             kernel *= q
     D0 = kernel if kernel % 4 == 1 else 4 * kernel
     s2, rem = divmod(D, D0)
     if rem:
         raise InvalidParameter("internal: fundamental part failed")
-    s = sympy.integer_nthroot(s2, 2)[0]
+    s = math.isqrt(s2)
     assert s * s == s2
-    return int(D0), int(s)
+    return D0, s
 
 
 def euler_correction(D0, s):
     """E with L(2, chi_{D0 s^2}) = E * L(2, chi_{D0}), exact."""
     E = Fraction(1)
-    for q in sympy.primefactors(s):
+    for q in primefactors(s):
         if D0 % q != 0:
             E *= 1 - Fraction(kronecker(D0, q), q * q)
     return E
@@ -68,7 +67,7 @@ def _chi_table(D0):
     n = np.arange(abs(D0))
     table = np.ones(abs(D0), dtype=np.int8)
     odd = 1
-    for q in sympy.primefactors(D0):
+    for q in primefactors(D0):
         if q == 2:
             continue
         legendre = -np.ones(q, dtype=np.int8)
@@ -185,7 +184,7 @@ def _split_square_part(m, bad):
     """m = m0 f^2 with gcd(f, bad) = 1 and v_q(m0) <= 1 off bad."""
     f = 1
     m0 = m
-    for q, e in sympy.factorint(m).items():
+    for q, e in factorint(m):
         if bad % q != 0 and e >= 2:
             k = e // 2
             f *= q ** k
@@ -231,7 +230,7 @@ def _q_rank4(lattice, m, sign):
     sig = sigma_s(m, -1, chi)
     deltas = {}
     prod = Fraction(1)
-    for ell in sorted(set(sympy.primefactors(2 * det))):
+    for ell in primefactors(2 * det):
         deltas[ell] = local_density(ell, lattice, m)
         prod *= deltas[ell]
     D0, s = fundamental_part(D)
@@ -255,7 +254,7 @@ def _q_rank5(lattice, m, sign):
     divisor_sum = middle_divisor_sum(m0, f, det)
     deltas = {}
     prod = Fraction(1)
-    for ell in sorted(set(sympy.primefactors(bad))):
+    for ell in primefactors(bad):
         deltas[ell] = local_density(ell, lattice, m)
         prod *= deltas[ell] / (1 - Fraction(1, ell ** 4))
     D0, s = fundamental_part(D)
@@ -265,14 +264,19 @@ def _q_rank5(lattice, m, sign):
 
 
 def middle_divisor_sum(m0, f, det):
-    """sum_{d | f} mu(d) chi_D(d) d^-2 sigma_{-3}(f/d), exact."""
+    """sum_{d | f} mu(d) chi_D(d) d^-2 sigma_{-3}(f/d), exact.
+
+    Only squarefree d have mu(d) != 0; they are built from the primes
+    of f, each with mu(d) = (-1)^(number of primes).
+    """
     D = 2 * m0 * abs(det)
+    squarefree = [(1, 1)]
+    for q in primefactors(f):
+        squarefree += [(d * q, -mu) for d, mu in squarefree]
     total = Fraction(0)
-    for d in sympy.divisors(f):
-        mu = int(sympy.mobius(d))
-        if mu:
-            total += mu * kronecker(D, d) * Fraction(1, d * d) \
-                * sigma_s(f // d, -3)
+    for d, mu in squarefree:
+        total += mu * kronecker(D, d) * Fraction(1, d * d) \
+            * sigma_s(f // d, -3)
     return total
 
 

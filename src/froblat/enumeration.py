@@ -15,11 +15,10 @@ import math
 from fractions import Fraction
 
 import numpy as np
-import sympy
 
 from .errors import InvalidParameter, NotPositiveDefinite
 from .eisenstein import q_positive_definite
-from .padics import _valuation
+from .padics import _valuation, factorint, primefactors, primerange
 from .quadforms import _stable_exponent, kronecker
 
 
@@ -240,7 +239,7 @@ def square_rep_count(lattice, D, bound, counts=None):
     if counts is None:
         counts = representation_counts(lattice, bound)
     total = 0
-    for ell in sympy.primerange(2, math.isqrt(bound // D) + 1):
+    for ell in primerange(2, math.isqrt(bound // D) + 1):
         m = D * ell * ell
         if m <= bound:
             total += counts[m]
@@ -250,14 +249,14 @@ def square_rep_count(lattice, D, bound, counts=None):
 def prime_rep_count(lattice, bound, counts=None):
     if counts is None:
         counts = representation_counts(lattice, bound)
-    return sum(counts[ell] for ell in sympy.primerange(2, bound + 1))
+    return sum(counts[ell] for ell in primerange(2, bound + 1))
 
 
 def binary_prime_density(lattice, D, X):
     """Fraction of primes l <= X with D l^2 represented; measured, rank 2."""
     if lattice.rank != 2:
         raise InvalidParameter("density measurement is for binary lattices")
-    primes = list(sympy.primerange(2, X + 1))
+    primes = primerange(2, X + 1)
     if not primes:
         return 0.0
     bound = D * primes[-1] ** 2
@@ -278,13 +277,13 @@ def build_T_set(kind, p, params, M):
     if kind == "square":
         D = params.get("D", 1)
         out = []
-        for q in sympy.primerange(2, math.isqrt(M // D) + 1 if M >= D else 2):
+        for q in primerange(2, math.isqrt(M // D) + 1 if M >= D else 2):
             if q != p and D * q * q <= M:
                 out.append(D * q * q)
         return sorted(out)
     if kind == "prime_qr":
         out = []
-        for q in sympy.primerange(2, M + 1):
+        for q in primerange(2, M + 1):
             if q != p and q % 4 == 3 and pow(q, (p - 1) // 2, p) == 1:
                 out.append(q)
         return out
@@ -293,7 +292,7 @@ def build_T_set(kind, p, params, M):
         C = params.get("C", 2)
         disc_F = params["disc_F"]
         det2 = params["det2"]
-        bad = sorted(set(sympy.primefactors(det2)))
+        bad = primefactors(det2)
         out = []
         for m in range(max(N, 1) + 1, M + 1):
             if m % p == 0:
@@ -301,7 +300,7 @@ def build_T_set(kind, p, params, M):
             if any(_valuation(m, ell) > C for ell in bad):
                 continue
             has_inert = False
-            for q, e in sympy.factorint(m).items():
+            for q, e in factorint(m):
                 if e == 1 and kronecker(disc_F, q) == -1:
                     has_inert = True
                     break
@@ -321,7 +320,7 @@ def cusp_deviation(lattice, m_lo, m_hi, modulus_cap=20000):
     keep a radius field, always 0.
     """
     counts = representation_counts(lattice, m_hi)
-    bad = sorted(set(sympy.primefactors(2 * lattice.det())))
+    bad = primefactors(2 * lattice.det())
     records = []
     for m in range(max(1, m_lo), m_hi + 1):
         if any(ell ** _stable_exponent(ell, m) > modulus_cap for ell in bad):

@@ -12,11 +12,15 @@ produce an exact zero instead of a precision artifact.
 The Frobenius sigma is the unique lift of x -> x^p; it is realized by
 Hensel-lifting the p-power map on the generator once per parameter set
 and caching the result.
+
+The module also holds the exact integer number theory the other modules
+share: valuations, primality, factorization and a prime sieve.
 """
 
+import math
 from fractions import Fraction
-
-from sympy import isprime
+from functools import lru_cache
+from itertools import compress
 
 from .errors import DivisionByZero, InvalidParameter, ZeroPrecision
 
@@ -43,6 +47,87 @@ def _tuple_valuation(coeffs, p):
             if best == 0:
                 return 0
     return best
+
+
+# ---------------------------------------------------------------------------
+# exact integer number theory
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# the least strong pseudoprime to every base in _MR_BASES (Sorenson and
+# Webster, Math. Comp. 86 (2017)); below it Miller-Rabin is exact
+ISPRIME_BOUND = 3317044064679887385961981
+
+
+def isprime(n):
+    """Exact primality of an integer n < ISPRIME_BOUND.
+
+    Deterministic Miller-Rabin on the prime bases 2..41; raises
+    InvalidParameter at or above the bound, where it could err.
+    """
+    if n >= ISPRIME_BOUND:
+        raise InvalidParameter(f"primality is exact only below "
+                               f"{ISPRIME_BOUND}, got {n}")
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    if n < 43 * 43:
+        return True
+    s = _valuation(n - 1, 2)
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@lru_cache(maxsize=128)
+def factorint(n):
+    """Prime factorization of n >= 1 as ((q, e), ...), q increasing.
+
+    Trial division, O(sqrt n); the callers factor discriminants and
+    coefficient indices on which they already do O(n) work (a character
+    table of |D0| entries, a divisor sum over 1..m).
+    """
+    if n < 1:
+        raise InvalidParameter(f"cannot factor {n}")
+    out = []
+    q = 2
+    while q * q <= n:
+        if n % q == 0:
+            e = _valuation(n, q)
+            n //= q ** e
+            out.append((q, e))
+        q += 1 if q == 2 else 2
+    if n > 1:
+        out.append((n, 1))
+    return tuple(out)
+
+
+def primefactors(n):
+    """The distinct primes dividing n != 0, increasing."""
+    return tuple(q for q, _ in factorint(abs(n)))
+
+
+def primerange(a, b):
+    """The primes q with a <= q < b, as a list (sieve of Eratosthenes)."""
+    if b <= 2:
+        return []
+    sieve = bytearray([1]) * b
+    sieve[:2] = b"\0\0"
+    for q in range(2, math.isqrt(b - 1) + 1):
+        if sieve[q]:
+            sieve[q * q::q] = bytes(len(range(q * q, b, q)))
+    a = max(a, 0)
+    return list(compress(range(a, b), sieve[a:]))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import (BadDiscriminant, InvalidParameter,
                      UnsupportedValuation)
-from .padics import _valuation
+from .padics import _valuation, isprime
 
 
 def kronecker(D, a):
@@ -285,6 +285,8 @@ def _block_shape_2adic(lattice):
 
 
 def _as_local(lattice, ell):
+    if not isprime(ell):
+        raise InvalidParameter(f"ell = {ell} is not a prime")
     if isinstance(lattice, LocalLattice):
         if lattice.ell != ell:
             raise InvalidParameter("local lattice at a different prime")

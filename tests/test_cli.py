@@ -75,6 +75,77 @@ def test_missing_file_exits_one():
     assert "error=" in text
 
 
+def test_non_prime_ell_exits_one():
+    code, text = run(["density", "--gram", fx("z4.gram"), "--ell", "4",
+                      "--m", "5"])
+    assert code == 1
+    assert text == "error=InvalidParameter detail=ell = 4 is not a prime\n"
+
+
+def _write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+def test_non_integer_gram_entry_names_the_line(tmp_path):
+    gram = _write(tmp_path, "bad.gram", "# header\n2 0\n0 x\n")
+    code, text = run(["density", "--gram", gram, "--ell", "5", "--m", "1"])
+    assert code == 1
+    assert text.startswith("error=InvalidParameter")
+    assert f"{gram} line 3: non-integer Gram entry" in text
+
+
+def test_ragged_gram_rows_name_the_line(tmp_path):
+    gram = _write(tmp_path, "ragged.gram", "2 0 0\n0 2\n0 0 2\n")
+    code, text = run(["theta", "--lattice", gram, "--max", "5"])
+    assert code == 1
+    assert text.startswith("error=InvalidParameter")
+    assert f"{gram} line 2: row has 2 entries" in text
+
+
+def test_curve_without_degree_names_the_key(tmp_path):
+    with open(fx("xt_yt.curve")) as fh:
+        lines = [ln for ln in fh if not ln.startswith("d=")]
+    curve = _write(tmp_path, "nod.curve", "".join(lines))
+    code, text = run(["decay", "--curve", curve])
+    assert code == 1
+    assert text == (f"error=InvalidParameter detail={curve}: "
+                    f"missing key 'd'\n")
+
+
+@pytest.mark.parametrize("old, new, detail", [
+    ("p=5", "p=five", "p='five' is not an integer"),
+    ("x=1:1", "x=1:a", "x='1:a' is not integer coefficients"),
+])
+def test_curve_non_integer_value_names_the_key(tmp_path, old, new, detail):
+    with open(fx("xt_yt.curve")) as fh:
+        text = fh.read().replace(old, new)
+    curve = _write(tmp_path, "bad.curve", text)
+    code, out = run(["decay", "--curve", curve])
+    assert code == 1
+    assert out == f"error=InvalidParameter detail={curve}: {detail}\n"
+
+
+def test_budget_config_without_case_names_the_key(tmp_path):
+    with open(fx("budget_p5.cfg")) as fh:
+        lines = [ln for ln in fh if not ln.startswith("case=")]
+    cfg = _write(tmp_path, "nocase.cfg", "".join(lines))
+    code, text = run(["budget", "--config", cfg])
+    assert code == 1
+    assert text == (f"error=InvalidParameter detail={cfg}: "
+                    f"missing key 'case'\n")
+
+
+@pytest.mark.parametrize("m_range", ["3..1", "5", "1..x"])
+def test_empty_or_malformed_m_range_exits_one(m_range):
+    code, text = run(["eisenstein", "--lattice", fx("ls_global.gram"),
+                      "--m-range", m_range])
+    assert code == 1
+    assert text.startswith("error=InvalidParameter")
+    assert repr(m_range) in text
+
+
 def test_determinism_byte_identical():
     args = ["density", "--gram", fx("siegel_sg_p5.gram"), "--ell", "5",
             "--m-range", "1..12"]

@@ -9,7 +9,7 @@ from froblat.eisenstein import (_chi_table, bernoulli_2, check_ratio,
                                 middle_divisor_sum, q_L_hilbert, q_L_siegel,
                                 q_positive_definite, ratio_bound)
 from froblat.enumeration import representation_counts
-from froblat.quadforms import IntLattice, kronecker
+from froblat.quadforms import IntLattice, kronecker, sigma_s
 
 ZETA2 = math.pi ** 2 / 6
 ZETA4 = math.pi ** 4 / 90
@@ -115,6 +115,17 @@ def test_middle_sum_window():
         s = middle_divisor_sum(m0, f, 2)
         assert Fraction(1, 5) <= s <= Fraction(2)
         assert float(s) <= ZETA2 * ZETA3 + 1e-12
+
+
+def test_middle_sum_matches_divisor_mobius_reference():
+    import sympy
+    for m0, det in [(1, 4), (3, -2), (5, 2), (6, 10)]:
+        D = 2 * m0 * abs(det)
+        for f in range(1, 301):
+            want = sum(int(sympy.mobius(d)) * kronecker(D, d)
+                       * Fraction(1, d * d) * sigma_s(f // d, -3)
+                       for d in sympy.divisors(f))
+            assert middle_divisor_sum(m0, f, det) == want, (m0, det, f)
 
 
 def test_ratio_bounds_table():

@@ -1,9 +1,13 @@
+import random
+
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from froblat.errors import DivisionByZero, InvalidParameter, ZeroPrecision
-from froblat.padics import INF, PAdicParams, parse_scalar
+from froblat.padics import (INF, ISPRIME_BOUND, PAdicParams, factorint,
+                            isprime, parse_scalar, primefactors, primerange)
 
 
 @pytest.fixture(scope="module")
@@ -168,3 +172,65 @@ def test_composite_p_without_small_factors_is_rejected():
     # no prime factor below 60000, and p > 3.6e9
     with pytest.raises(InvalidParameter):
         PAdicParams(60013 * 60017, 1, 4)
+
+
+# -- exact integer helpers, against sympy as the oracle ---------------------
+
+def test_isprime_matches_sympy_below_1e5():
+    for n in range(-5, 10 ** 5):
+        assert isprime(n) == sympy.isprime(n), n
+
+
+def test_isprime_rejects_carmichael_numbers():
+    small = [561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341,
+             41041, 46657, 52633, 62745, 63973, 75361, 101101, 115921]
+    # Chernick: (6k+1)(12k+1)(18k+1) is a Carmichael number when all
+    # three factors are prime
+    chernick = [(6 * k + 1) * (12 * k + 1) * (18 * k + 1)
+                for k in range(1, 10 ** 5)
+                if all(sympy.isprime(c * k + 1) for c in (6, 12, 18))]
+    assert len(chernick) >= 20 and chernick[-1] > 10 ** 17
+    for n in small + chernick:
+        assert not isprime(n), n
+
+
+def test_isprime_strong_pseudoprimes_and_large_primes():
+    # the least strong pseudoprimes to the prime bases 2..7, 2..31 and
+    # 2..37; only base 41 exposes the last one
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not isprime(n), n
+    prime = sympy.prevprime(ISPRIME_BOUND)
+    assert isprime(prime)
+    rng = random.Random(5)
+    for _ in range(2000):
+        n = rng.randrange(10 ** 6, ISPRIME_BOUND) | 1
+        assert isprime(n) == sympy.isprime(n), n
+
+
+def test_isprime_raises_at_its_bound():
+    assert ISPRIME_BOUND == 3317044064679887385961981
+    for n in (ISPRIME_BOUND, ISPRIME_BOUND + 2, 2 ** 89 - 1):
+        with pytest.raises(InvalidParameter):
+            isprime(n)
+
+
+def test_factorint_matches_sympy():
+    rng = random.Random(12)
+    samples = [1, 2, 4, 97 ** 2, 2 ** 39, 999999000001, 999983 * 999979]
+    samples += [rng.randrange(2, 10 ** 12) for _ in range(30)]
+    for n in samples:
+        fac = factorint(n)
+        assert dict(fac) == sympy.factorint(n), n
+        assert [q for q, _ in fac] == sorted(q for q, _ in fac)
+        assert primefactors(n) == primefactors(-n) \
+            == tuple(sympy.primefactors(n))
+    for n in (0, -4):
+        with pytest.raises(InvalidParameter):
+            factorint(n)
+
+
+def test_primerange_matches_sympy():
+    for a, b in [(0, 0), (0, 2), (2, 3), (0, 100), (90, 97), (97, 98),
+                 (-5, 30), (50, 10), (1000, 1100), (2, 10 ** 5),
+                 (10 ** 5 - 100, 10 ** 5 + 100)]:
+        assert primerange(a, b) == list(sympy.primerange(a, b)), (a, b)

@@ -6,7 +6,8 @@ import pytest
 from froblat.crystals import (HILBERT_INERT_SG, HILBERT_INERT_SSP,
                               HILBERT_SPLIT, SIEGEL_SG, SIEGEL_SSP,
                               local_gram)
-from froblat.errors import BadDiscriminant, UnsupportedValuation
+from froblat.errors import (BadDiscriminant, InvalidParameter,
+                            UnsupportedValuation)
 from froblat.padics import smallest_nonresidue
 from froblat.quadforms import (IntLattice, diagonalize_Zp, hanke_density,
                                kronecker, local_density, sigma_s,
@@ -115,6 +116,20 @@ def test_unsupported_valuation():
     lat = IntLattice(local_gram(SIEGEL_SSP, 5, 2))
     with pytest.raises(UnsupportedValuation):
         hanke_density(5, lat, 25)
+
+
+@pytest.mark.parametrize("ell", [0, 1, 4, 6, -3])
+def test_non_prime_ell_is_rejected(ell):
+    # ell = 1 used to loop forever in the valuation of 2m, and ell = 4
+    # returned a "density"
+    lat = IntLattice([[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0],
+                      [0, 0, 0, 2]])
+    with pytest.raises(InvalidParameter):
+        local_density(ell, lat, 5)
+    with pytest.raises(InvalidParameter):
+        hanke_density(ell, lat, 5)
+    with pytest.raises(InvalidParameter):
+        count_representations_mod(lat, ell, 5, 1)
 
 
 def test_stabilization():
