@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from . import linalg
 from .errors import ChainNotNested, InvalidParameter
 from .eisenstein import q_L_hilbert, q_L_siegel, ratio_bound
 from .enumeration import build_T_set, representation_counts
@@ -184,73 +185,21 @@ def supergeneric_geometric_bound(A, p):
 def check_chain_nested(grams_with_bases):
     """Each lattice must embed integrally in the previous one.
 
-    Input: list of (gram, basis) where basis expresses the lattice's
-    basis in the coordinates of the chain head; returns the index
-    sequence [head : member].
+    Input: list of (gram, basis), basis in the chain head's coordinates,
+    rational bases allowed; returns the indices [head : member].  A member
+    is nested iff its rows leave the previous lattice's covolume unchanged.
     """
-    indices = []
-    head_basis = grams_with_bases[0][1]
-    hb = [[Fraction(x) for x in row] for row in head_basis]
-    det_head = _det(hb)
-    prev = hb
-    for gram, basis in grams_with_bases[1:]:
-        b = [[Fraction(x) for x in row] for row in basis]
-        sol = _solve_matrix(prev, b)
-        for row in sol:
-            for x in row:
-                if x.denominator != 1:
-                    raise ChainNotNested("basis change is not integral")
-        prev = b
-        indices.append(abs(_det(b) / det_head))
-    return [int(x) for x in indices]
-
-
-def _det(m):
-    n = len(m)
-    a = [row[:] for row in m]
-    det = Fraction(1)
-    for i in range(n):
-        piv = next((r for r in range(i, n) if a[r][i] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != i:
-            a[i], a[piv] = a[piv], a[i]
-            det = -det
-        det *= a[i][i]
-        for r in range(i + 1, n):
-            f = a[r][i] / a[i][i]
-            if f:
-                for c in range(i, n):
-                    a[r][c] -= f * a[i][c]
-    return det
-
-
-def _solve_matrix(A, B):
-    """X with A^T X = B^T column-wise, i.e. rows of B in row space of A."""
-    n = len(A)
-    out = []
-    for row in B:
-        aug = [[A[c][r] for c in range(n)] + [row[r]] for r in range(n)]
-        sol = _gauss_solve(aug)
-        out.append(sol)
-    return out
-
-
-def _gauss_solve(aug):
-    n = len(aug)
-    a = [row[:] for row in aug]
-    for i in range(n):
-        piv = next((r for r in range(i, n) if a[r][i] != 0), None)
-        if piv is None:
-            raise ChainNotNested("degenerate basis")
-        a[i], a[piv] = a[piv], a[i]
-        inv = 1 / a[i][i]
-        a[i] = [x * inv for x in a[i]]
-        for r in range(n):
-            if r != i and a[r][i]:
-                f = a[r][i]
-                a[r] = [x - f * y for x, y in zip(a[r], a[i])]
-    return [a[i][n] for i in range(n)]
+    scale = math.lcm(*(Fraction(x).denominator for _, basis in
+                       grams_with_bases for row in basis for x in row))
+    bases = [[[int(x * scale) for x in row] for row in basis]
+             for _, basis in grams_with_bases]
+    dets = [abs(linalg.det(b)) for b in bases]
+    if 0 in dets:
+        raise ChainNotNested("degenerate basis")
+    for prev, b, d_prev in zip(bases, bases[1:], dets):
+        if abs(linalg.det(linalg.hnf_basis(prev + b))) != d_prev:
+            raise ChainNotNested("basis change is not integral")
+    return [d // dets[0] for d in dets[1:]]
 
 
 def _bilinear(gram, v, w):
@@ -263,41 +212,33 @@ def _q_of(gram, v):
 
 
 def _complete_to_basis(v):
-    """Unimodular integer matrix whose first column is the primitive v."""
+    """Unimodular integer matrix whose first column is the primitive v.
+
+    Each Bezout step (g, v_j) -> (d, 0) is a determinant-one row
+    operation on v; its adjugate [[g/d, -t], [v_j/d, s]] is applied to U
+    as a column operation, so U w = v holds for the reduced vector w.
+    """
     n = len(v)
-    w = list(v)
-    ops = []  # (i, j, 2x2 matrix) acting on rows i, j
-    while True:
-        nz = [i for i in range(n) if w[i] != 0]
-        if len(nz) == 1:
-            lead = nz[0]
-            break
-        i, j = nz[0], nz[1]
-        a, b = w[i], w[j]
-        g = math.gcd(a, b)
-        # Bezout: s a + t b = g
-        s, t = _bezout(a, b)
-        ops.append((i, j, (s, t, -b // g, a // g)))
-        w[i], w[j] = g, 0
-    assert abs(w[lead]) == 1
-    # W v = +/- e_lead; build W then invert
-    W = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
-    wv = list(v)
-    for i, j, (s, t, u_, v_) in ops:
-        for M in (W,):
-            ri = [s * M[i][c] + t * M[j][c] for c in range(n)]
-            rj = [u_ * M[i][c] + v_ * M[j][c] for c in range(n)]
-            M[i], M[j] = ri, rj
-    if w[lead] == -1:
-        W[lead] = [-x for x in W[lead]]
-    # move lead row to the top
-    if lead != 0:
-        W[0], W[lead] = W[lead], W[0]
-    inv = _int_inverse(W)
-    return inv
+    U = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
+    lead, *rest = [i for i, x in enumerate(v) if x]
+    g = v[lead]
+    for j in rest:
+        b = v[j]
+        d, s, t = _bezout(g, b)
+        for row in U:
+            row[lead], row[j] = ((g // d) * row[lead] + (b // d) * row[j],
+                                 s * row[j] - t * row[lead])
+        g = d
+    if abs(g) != 1:
+        raise InvalidParameter("vector is not primitive")
+    for row in U:
+        row[lead] *= g
+        row[0], row[lead] = row[lead], row[0]
+    return U
 
 
 def _bezout(a, b):
+    """(g, s, t) with g = gcd(a, b) > 0 and s a + t b = g."""
     old_r, r = a, b
     old_s, s = 1, 0
     old_t, t = 0, 1
@@ -306,30 +247,9 @@ def _bezout(a, b):
         old_r, r = r, old_r - qq * r
         old_s, s = s, old_s - qq * s
         old_t, t = t, old_t - qq * t
-    return old_s, old_t
-
-
-def _int_inverse(M):
-    n = len(M)
-    a = [[Fraction(x) for x in row] + [Fraction(1 if c == r else 0)
-                                       for c in range(n)]
-         for r, row in enumerate(M)]
-    for i in range(n):
-        piv = next(r for r in range(i, n) if a[r][i] != 0)
-        a[i], a[piv] = a[piv], a[i]
-        inv = 1 / a[i][i]
-        a[i] = [x * inv for x in a[i]]
-        for r in range(n):
-            if r != i and a[r][i]:
-                f = a[r][i]
-                a[r] = [x - f * y for x, y in zip(a[r], a[i])]
-    out = [[a[r][n + c] for c in range(n)] for r in range(n)]
-    res = [[int(x) for x in row] for row in out]
-    for r in range(n):
-        for c in range(n):
-            if out[r][c] != res[r][c]:
-                raise InvalidParameter("non-integral basis completion")
-    return res
+    if old_r < 0:
+        return -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
 
 
 def derive_chain(global_gram, p, depth, prec=8):
@@ -384,47 +304,17 @@ def derive_chain(global_gram, p, depth, prec=8):
         gens1 = [[p ** nn if i == j else 0 for j in range(4)]
                  for i in range(4)]
         gens1.append([x % p ** nn if nn else 0 for x in b4])
-        basis1 = _hnf_basis(gens1)
+        basis1 = linalg.hnf_basis(gens1)
         qn = p ** (nn + 1)
         gens2 = [[qn if i == j else 0 for j in range(4)] for i in range(4)]
         gens2.append([p ** nn * (x % p) for x in u1])
         gens2.append([p ** nn * (x % p) for x in u2])
         gens2.append([x % qn for x in b4])
-        basis2 = _hnf_basis(gens2)
+        basis2 = linalg.hnf_basis(gens2)
         s1 = [[_bilinear(G, a, b) for b in basis1] for a in basis1]
         s2 = [[_bilinear(G, a, b) for b in basis2] for a in basis2]
         chain.append((s1, s2))
     return chain, (u1, u2, b3, b4)
-
-
-def _hnf_basis(gens):
-    """Basis of the Z-span of the generators (integer row Hermite form)."""
-    n = len(gens[0])
-    rows = [list(r) for r in gens if any(r)]
-    basis = []
-    for col in range(n):
-        while True:
-            cand = [r for r in rows if r[col] != 0]
-            if len(cand) <= 1:
-                break
-            cand.sort(key=lambda r: abs(r[col]))
-            r0 = cand[0]
-            for r in cand[1:]:
-                qq = r[col] // r0[col]
-                for c in range(n):
-                    r[c] -= qq * r0[c]
-            rows = [r for r in rows if any(r)]
-        cand = [r for r in rows if r[col] != 0]
-        if cand:
-            piv = cand[0]
-            if piv[col] < 0:
-                for c in range(n):
-                    piv[c] = -piv[c]
-            basis.append(piv)
-            rows.remove(piv)
-    if any(any(r) for r in rows):
-        raise InvalidParameter("Hermite reduction left nonzero rows")
-    return basis
 
 
 def _isotropic_vector(G, p, prec):

@@ -432,6 +432,8 @@ def dispatch(argv, out=None):
         _emit(out, [("error", "indeterminate"), ("detail", str(exc))],
               False)
         return 2
+    except BrokenPipeError:
+        raise  # the reader is gone: no record can reach it
     except (errors.FroblatError, OSError, ValueError, KeyError) as exc:
         _emit(out, [("error", type(exc).__name__),
                     ("detail", str(exc))], False)
@@ -439,7 +441,14 @@ def dispatch(argv, out=None):
 
 
 def main():
-    sys.exit(dispatch(sys.argv[1:]))
+    try:
+        code = dispatch(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: aim it at devnull for the exit flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import linalg
 from .errors import InvalidParameter, NotPositiveDefinite
 from .eisenstein import q_positive_definite
 from .padics import _valuation, factorint, primefactors, primerange
@@ -139,8 +140,28 @@ def representation_counts(lattice, bound):
         _descend(sub, bound, lambda _v, norm: norms.append(norm))
         part = 2 * np.bincount(norms, minlength=bound + 1)
         part[0] = 1
-        total = np.convolve(total, part)[: bound + 1]
+        total = _convolve_counts(total, part)
     return [int(x) for x in total]
+
+
+def _convolve_counts(a, b):
+    """(a * b)[:len(a)] for nonnegative count vectors of equal length.
+
+    Loops over the nonzeros of the sparser vector.  No entry exceeds
+    min(sum(a) max(b), max(a) sum(b)), so int64 is used only when that
+    is below 2^63, Python ints (object arrays) otherwise.
+    """
+    if np.count_nonzero(a) > np.count_nonzero(b):
+        a, b = b, a
+    la, lb = a.tolist(), b.tolist()
+    fits = min(sum(la) * max(lb), max(la) * sum(lb)) < 2 ** 63
+    dtype = np.int64 if fits else object
+    b = np.array(lb, dtype=dtype)
+    n = len(la)
+    out = np.zeros(n, dtype=dtype)
+    for i in np.flatnonzero(a):
+        out[i:] += la[i] * b[:n - i]
+    return out
 
 
 def successive_minima(lattice):
@@ -153,36 +174,12 @@ def successive_minima(lattice):
         minima = []
         basis = []
         for v in vecs:
-            if _independent(basis, v):
+            if linalg.rank(basis + [v]) > len(basis):
                 basis.append(v)
                 minima.append(lattice.q_value(list(v)))
                 if len(minima) == n:
                     return tuple(minima)
         bound *= 2
-
-
-def _independent(basis, v):
-    rows = [list(map(Fraction, b)) for b in basis] + [list(map(Fraction, v))]
-    m = len(rows)
-    cols = len(rows[0])
-    r = 0
-    for c in range(cols):
-        piv = None
-        for i in range(r, m):
-            if rows[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        for i in range(r + 1, m):
-            f = rows[i][c] * inv
-            if f:
-                for cc in range(c, cols):
-                    rows[i][cc] -= f * rows[r][cc]
-        r += 1
-    return r == m
 
 
 def _pair_disc4(lattice, v, w):
@@ -253,16 +250,16 @@ def prime_rep_count(lattice, bound, counts=None):
 
 
 def binary_prime_density(lattice, D, X):
-    """Fraction of primes l <= X with D l^2 represented; measured, rank 2."""
+    """Share of primes l <= X with D l^2 represented, as an exact Fraction."""
     if lattice.rank != 2:
         raise InvalidParameter("density measurement is for binary lattices")
     primes = primerange(2, X + 1)
     if not primes:
-        return 0.0
+        return Fraction(0)
     bound = D * primes[-1] ** 2
     counts = representation_counts(lattice, bound)
     hit = sum(1 for ell in primes if counts[D * ell * ell] > 0)
-    return hit / len(primes)
+    return Fraction(hit, len(primes))
 
 
 def build_T_set(kind, p, params, M):

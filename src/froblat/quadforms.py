@@ -20,6 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import linalg
 from .errors import (BadDiscriminant, InvalidParameter,
                      UnsupportedValuation)
 from .padics import _valuation, isprime
@@ -109,19 +110,14 @@ class IntLattice:
 
     def det(self):
         if self._det is None:
-            self._det = _int_det(self.gram)
+            self._det = linalg.det(self.gram)
         return self._det
 
     def disc_abs(self):
         return abs(self.det())
 
     def is_positive_definite(self):
-        # leading principal minors all positive
-        for k in range(1, self.rank + 1):
-            sub = [row[:k] for row in self.gram[:k]]
-            if _int_det(sub) <= 0:
-                return False
-        return True
+        return linalg.is_positive_definite(self.gram)
 
     def q_matrix(self):
         """Rational matrix A with Q(v) = v^T A v."""
@@ -129,32 +125,6 @@ class IntLattice:
 
     def __repr__(self):
         return f"IntLattice({self.label}, rank={self.rank}, det={self.det()})"
-
-
-def _int_det(m):
-    n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
-    for i in range(n):
-        piv = None
-        for r in range(i, n):
-            if a[r][i] != 0:
-                piv = r
-                break
-        if piv is None:
-            return 0
-        if piv != i:
-            a[i], a[piv] = a[piv], a[i]
-            det = -det
-        det *= a[i][i]
-        inv = 1 / a[i][i]
-        for r in range(i + 1, n):
-            f = a[r][i] * inv
-            if f:
-                for c in range(i, n):
-                    a[r][c] -= f * a[i][c]
-    assert det.denominator == 1
-    return int(det)
 
 
 class LocalLattice:

@@ -1,10 +1,12 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
 import sympy
 
-from froblat.budget import (BudgetInput, alpha_const, alpha_variants,
-                            check_chain_nested, derive_chain,
+from froblat.budget import (BudgetInput, _complete_to_basis, alpha_const,
+                            alpha_variants, check_chain_nested, derive_chain,
                             eisenstein_budget, global_g, local_bound,
                             local_bound_telescoped, run_budget,
                             supergeneric_geometric_bound, threshold_A_n,
@@ -118,13 +120,39 @@ def test_chain_derivation_and_nesting():
              [5 ** n * x for x in u3], list(u4)]
         gwb.append((chain[n][0], b))
     assert check_chain_nested(gwb) == [5 ** 3, 5 ** 6, 5 ** 9]
+    # a rational basis of a nested chain is scaled, not rejected
+    halves = [[Fraction(x, 2) for x in row] for row in ident]
+    assert check_chain_nested([(HEAD, halves), (HEAD, ident)]) == [2 ** 4]
     bad = [(HEAD, ident), (HEAD, [[1, 0, 0, 0], [0, 1, 0, 0],
                                   [0, 0, 1, 0], [0, 0, 0, Fraction(1, 2)]])]
+    with pytest.raises(ChainNotNested):
+        check_chain_nested(bad)
     with pytest.raises(ChainNotNested):
         check_chain_nested([(HEAD, ident),
                             (HEAD, [[Fraction(1, 5), 0, 0, 0],
                                     [0, 1, 0, 0], [0, 0, 1, 0],
                                     [0, 0, 0, 1]])])
+    # a degenerate member: det 0, where an index of 0 used to come back
+    with pytest.raises(ChainNotNested):
+        check_chain_nested([(HEAD, ident),
+                            (HEAD, [[1, 0, 0, 0], [0, 1, 0, 0],
+                                    [1, 1, 0, 0], [0, 0, 0, 1]])])
+
+
+def test_complete_to_basis_first_column_is_v():
+    rng = random.Random(17)
+    vectors = [[17, -8, 20, 14], [331330, 0, 1, 1], [-1, 0, 0, 0],
+               [0, 0, -1, 0], [0, 3, -5], [-7, 4], [1]]
+    while len(vectors) < 400:
+        v = [rng.randint(-40, 40) for _ in range(rng.randint(2, 5))]
+        if math.gcd(*v) == 1 and any(x < 0 for x in v):
+            vectors.append(v)
+    for v in vectors:
+        U = _complete_to_basis(v)
+        assert [row[0] for row in U] == v
+        assert abs(sympy.Matrix(U).det()) == 1
+    with pytest.raises(InvalidParameter):
+        _complete_to_basis([4, -6, 2])
 
 
 def test_chain_head_completions():

@@ -1,5 +1,7 @@
 import io
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -171,3 +173,21 @@ def test_fixture_root_env(monkeypatch, tmp_path):
     code, text = run(["density", "--gram", "z4.gram", "--ell", "3",
                       "--m", "1"])
     assert code == 0
+
+
+def test_closed_stdout_exits_without_traceback():
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.abspath(src), env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "froblat.cli", "eisenstein", "--lattice",
+         fx("ls_global.gram"), "--m-range", "1..3000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()  # the reader goes away, as `| head -1` does
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    proc.wait(timeout=120)
+    assert first.startswith(b"m=1 ")
+    assert "Traceback" not in err and "BrokenPipeError" not in err

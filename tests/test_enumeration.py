@@ -147,6 +147,37 @@ def test_binary_density_trivial_families():
     assert d == 0.0
 
 
+def test_binary_density_is_an_exact_fraction():
+    # x^2 + xy + 6y^2 has class group Z/3 and the prime over 2 is not
+    # principal, so 2 l^2 is a norm for some primes l and not for others
+    lat = IntLattice([[2, 1], [1, 12]])
+    d = binary_prime_density(lat, 2, 50)
+    assert isinstance(d, Fraction) and d == Fraction(7, 15)
+    hits = [ell for ell in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37,
+                            41, 43, 47)
+            if any(x * x + x * y + 6 * y * y == 2 * ell * ell
+                   for x in range(-2 * ell, 2 * ell + 1)
+                   for y in range(-ell, ell + 1))]
+    assert Fraction(len(hits), 15) == d
+
+
+def test_counts_do_not_wrap_int64():
+    # r(m) of Z^24 passes 2^63 at m = 75 within this range
+    bound = 120
+    counts = representation_counts(
+        IntLattice([[2 * (i == j) for j in range(24)] for i in range(24)]),
+        bound)
+    one = [0] * (bound + 1)
+    for x in range(math.isqrt(bound) + 1):
+        one[x * x] = 1 if x == 0 else 2
+    exact = [1] + [0] * bound
+    for _ in range(24):
+        exact = [sum(exact[k] * one[m - k] for k in range(m + 1))
+                 for m in range(bound + 1)]
+    assert counts == exact
+    assert counts[75] == 9779536667840774848
+
+
 def test_t_sets():
     assert build_T_set("square", 5, {"D": 1}, 20) == [4, 9]
     assert build_T_set("prime_qr", 5, {}, 50) == [11, 19, 31]
