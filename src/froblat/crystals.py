@@ -22,9 +22,10 @@ vector.
 import itertools
 from fractions import Fraction
 
+from . import linalg
 from .errors import (Indeterminate, InvalidParameter, NotFound,
                      NotGenericallyOrdinary, ThresholdExceedsTruncation)
-from .padics import INF, PAdicParams, _valuation
+from .padics import INF, PAdicParams
 from .series import (MatSeries, TruncSeries, column_valuation_profile,
                      truncated_product)
 
@@ -450,7 +451,7 @@ def _span_certificate(finf, basis, A, n_max):
                 masked = masked or (n, k, i, bound)
                 lift = p ** (-n - bound)
             rows.update(tuple(x * lift % q for x in r) for r in coord_rows)
-        c = _primitive_kernel_vector(rows, len(basis), p, -n - s_min)
+        c = linalg.primitive_kernel_vector(rows, len(basis), p, -n - s_min)
         if c is None:
             continue
         if masked is None:
@@ -459,44 +460,6 @@ def _span_certificate(finf, basis, A, n_max):
     if blocked is not None:
         return None, blocked
     return True, None
-
-
-def _primitive_kernel_vector(rows, k, p, E):
-    """A primitive c in Z^k with row . c = 0 mod p^E for every row, or None.
-
-    Column operations pivot on an entry of least valuation, so the pivot
-    divides the rest of its row and, by row operations that change no
-    other column, the rest of its column; the pivot row then drops out.
-    The tracked transform V stays unimodular, and a column of V whose
-    image vanishes mod p^E is a primitive kernel vector (Cohen, GTM 138,
-    section 2.4).
-    """
-    q = p ** max(E, 0)
-    rows = [r for r in ([x % q for x in row] for row in rows) if any(r)]
-    V = [[int(i == j) for i in range(k)] for j in range(k)]   # columns
-    for step in range(k):
-        best = None
-        for ri, r in enumerate(rows):
-            for j in range(step, k):
-                if r[j]:
-                    v = _valuation(r[j], p)
-                    if best is None or v < best[0]:
-                        best = (v, ri, j)
-        if best is None:
-            return V[step]
-        v, ri, j = best
-        for r in rows:
-            r[step], r[j] = r[j], r[step]
-        V[step], V[j] = V[j], V[step]
-        pivot = rows.pop(ri)
-        inv = pow(pivot[step] // p ** v, -1, q)
-        for j2 in range(step + 1, k):
-            if pivot[j2]:
-                f = pivot[j2] // p ** v * inv % q
-                for r in rows:
-                    r[j2] = (r[j2] - f * r[step]) % q
-                V[j2] = [(a - f * b) % q for a, b in zip(V[j2], V[step])]
-    return None
 
 
 def _default_candidates(rank, p):

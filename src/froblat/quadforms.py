@@ -3,9 +3,10 @@
 Lattices carry the Gram matrix of the bilinear form [x, y], so Q(v) =
 v^T G v / 2 and det(L) = det(G).  Local densities are computed two ways:
 a stable-exponent count delta(l, L, m) = l^(a(1-rk)) #{v mod l^a :
-Q(v) = m mod l^a} with a = 1 + 2 v_l(2m) (by block diagonalization and
-convolution of per-block value distributions), and for odd p with
-v_p(m) <= 1 the good/bad-type-I decomposition
+Q(v) = m mod l^a} with a = 1 + 2 v_l(2m) (by an integer Jordan splitting
+mod l^K, see ``linalg.jordan_split``, and convolution of per-block value
+distributions), and for odd p with v_p(m) <= 1 the good/bad-type-I
+decomposition
 
     delta = alpha*(p, L, m) + p^(1-s0) alpha(p, L_I, m/p),
 
@@ -15,6 +16,7 @@ diagonal coefficients, and L_I rescales unit slots by p and non-unit
 slots by 1/p.
 """
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -23,7 +25,7 @@ import numpy as np
 from . import linalg
 from .errors import (BadDiscriminant, InvalidParameter,
                      UnsupportedValuation)
-from .padics import _valuation, isprime
+from .padics import _valuation, isprime, smallest_nonresidue
 
 
 def kronecker(D, a):
@@ -128,130 +130,59 @@ class IntLattice:
 
 
 class LocalLattice:
-    """l-adic block shape: a list of 1x1 and 2x2 blocks.
+    """l-adic Jordan splitting: integer Q-coefficients of 1x1 and 2x2 blocks.
 
-    Each block holds rational entries with l-unit denominators; diagonal
-    blocks are recorded as their single coefficient a_i (so the form is
-    sum a_i x_i^2 plus the 2x2 contributions, possible only at l = 2).
+    The form is sum c_i x_i^2 over ``diag`` plus a x^2 + b xy + c y^2 for
+    each (a, b, c) in ``blocks2`` (2x2 blocks occur only at l = 2).  At
+    odd l the diagonal is stored as the canonical symbol, units 1, ..., 1,
+    eps in each constituent l^k (eps = 1 or the least non-residue as the
+    product of the units is a square or not), which fixes the Z_l-class.
     """
 
-    def __init__(self, ell, diag, blocks2=None, label=""):
+    def __init__(self, ell, diag, blocks2=()):
+        if any(int(a) != a for a in diag):
+            raise InvalidParameter("coefficients must be integers")
+        if any(a == 0 for a in diag):
+            raise InvalidParameter("degenerate diagonal coefficient")
         self.ell = ell
-        self.diag = [Fraction(a) for a in diag]
-        self.blocks2 = [tuple(Fraction(x) for x in b) for b in (blocks2 or [])]
-        self.label = label
-        for a in self.diag:
-            if a == 0:
-                raise InvalidParameter("degenerate diagonal coefficient")
-            if a.denominator % ell == 0:
-                raise InvalidParameter("denominator not an l-adic unit")
+        self.diag = tuple(int(a) for a in diag)
+        if ell != 2:
+            self.diag = _canonical_symbol(ell, self.diag)
+        self.blocks2 = tuple(tuple(b) for b in blocks2)
         self.rank = len(self.diag) + 2 * len(self.blocks2)
 
     def unit_count(self):
         """Number of diagonal coefficients with v_l = 0 (s_0)."""
-        return sum(1 for a in self.diag if _vl_fraction(a, self.ell) == 0)
+        return sum(1 for a in self.diag if a % self.ell)
 
     def scaled_for_bad_type(self):
         """L_I: unit slots scaled by l, non-unit slots divided by l."""
         if self.blocks2:
             raise UnsupportedValuation("bad-type reduction needs odd l")
-        out = []
-        for a in self.diag:
-            if _vl_fraction(a, self.ell) == 0:
-                out.append(a * self.ell)
-            else:
-                out.append(a / self.ell)
-        return LocalLattice(self.ell, out, label=self.label + "_I")
+        ell = self.ell
+        return LocalLattice(ell, [a * ell if a % ell else a // ell
+                                  for a in self.diag])
 
 
-def _vl_fraction(a, ell):
-    return _valuation(a.numerator, ell) - _valuation(a.denominator, ell)
+def _canonical_symbol(ell, diag):
+    """Units 1, ..., 1, eps in each constituent l^k, by increasing k."""
+    units = {}
+    for a in diag:
+        k = _valuation(a, ell)
+        units.setdefault(k, []).append(a // ell ** k)
+    out = []
+    for k in sorted(units):
+        square = _kronecker_symbol(math.prod(units[k]), ell) == 1
+        eps = 1 if square else smallest_nonresidue(ell)
+        out += [ell ** k] * (len(units[k]) - 1) + [ell ** k * eps]
+    return tuple(out)
 
 
 def diagonalize_Zp(lattice, p):
-    """Congruent diagonal form over Z_p for odd p, exact arithmetic.
-
-    Entries of the output are rationals with p-unit denominators; the
-    valuation of the determinant and its square class are preserved.
-    """
+    """Canonical diagonal form over Z_p for odd p, in integers."""
     if p == 2:
         raise InvalidParameter("odd p only; 2-adic forms keep 2x2 blocks")
-    a = [[Fraction(x) for x in row] for row in lattice.q_matrix()]
-    n = len(a)
-    diag = []
-    idx = list(range(n))
-    while idx:
-        vmin, i, j = _min_entry(a, idx, p)
-        if i != j:
-            # make the (i, i) entry have minimal valuation: v_i += c v_j
-            # with c = 1 or -1 (one of the two always avoids cancellation
-            # for odd p)
-            cand = a[i][i] + 2 * a[i][j] + a[j][j]
-            c_mult = 1 if cand != 0 and _vl_fraction(cand, p) == vmin else -1
-            for r in range(n):
-                a[r][i] += c_mult * a[r][j]
-            for c in range(n):
-                a[i][c] += c_mult * a[j][c]
-        diag.append(_eliminate(a, idx, i))
-        idx.remove(i)
-    return LocalLattice(p, diag, label=lattice.label if hasattr(
-        lattice, "label") else "")
-
-
-def _min_entry(a, idx, ell):
-    """(v, i, j): the first entry of least l-valuation in the idx block."""
-    best = min(((_vl_fraction(a[i][j], ell), i, j) for i in idx
-                for j in idx if a[i][j] != 0), key=lambda t: t[0],
-               default=None)
-    if best is None:
-        raise InvalidParameter("degenerate form")
-    return best
-
-
-def _eliminate(a, idx, i):
-    """Clear row and column i of the idx block against a[i][i]."""
-    piv = a[i][i]
-    for r in idx:
-        if r != i and a[r][i] != 0:
-            f = a[r][i] / piv
-            for c in range(len(a)):
-                a[r][c] -= f * a[i][c]
-            for c in range(len(a)):
-                a[c][r] -= f * a[c][i]
-    return piv
-
-
-def _block_shape_2adic(lattice):
-    """2-adic splitting into 1x1 and 2x2 blocks (symmetric pivoting)."""
-    a = [[Fraction(x) for x in row] for row in lattice.q_matrix()]
-    n = len(a)
-    diag = []
-    blocks2 = []
-    idx = list(range(n))
-    while idx:
-        _, i, j = _min_entry(a, idx, 2)
-        if i == j:
-            diag.append(_eliminate(a, idx, i))
-            idx.remove(i)
-        else:
-            # clear the two pivot columns against the off-diagonal entry
-            piv = a[i][j]
-            det = a[i][i] * a[j][j] - piv * piv
-            for r in list(idx):
-                if r in (i, j):
-                    continue
-                # solve [a_ri, a_rj] = x*[a_ii, a_ij] + y*[a_ij, a_jj]
-                x = (a[r][i] * a[j][j] - a[r][j] * piv) / det
-                y = (a[r][j] * a[i][i] - a[r][i] * piv) / det
-                if x or y:
-                    for c in range(n):
-                        a[r][c] -= x * a[i][c] + y * a[j][c]
-                    for c in range(n):
-                        a[c][r] -= x * a[c][i] + y * a[c][j]
-            blocks2.append((a[i][i], a[i][j], a[j][j]))
-            idx.remove(i)
-            idx.remove(j)
-    return LocalLattice(2, diag, blocks2, label=lattice.label)
+    return _as_local(lattice, p)
 
 
 def _as_local(lattice, ell):
@@ -261,36 +192,24 @@ def _as_local(lattice, ell):
         if lattice.ell != ell:
             raise InvalidParameter("local lattice at a different prime")
         return lattice
-    return _local_shape(tuple(map(tuple, lattice.gram)), ell, lattice.label)
+    return _local_shape(tuple(map(tuple, lattice.gram)), ell)
 
 
 @lru_cache(maxsize=64)
-def _local_shape(gram, ell, label):
-    """Block shape of a Gram matrix at l (memoized: callers share it)."""
-    lattice = IntLattice(gram, label)
-    if ell == 2:
-        return _block_shape_2adic(lattice)
-    return diagonalize_Zp(lattice, ell)
-
-
-def _unit_mod(a, ell, power):
-    """Value of a rational with l-unit denominator mod l^power."""
-    q = ell ** power
-    num, den = a.numerator, a.denominator
-    return (num * pow(den, -1, q)) % q
+def _local_shape(gram, ell):
+    """Jordan splitting of a Gram matrix at l (memoized: callers share it)."""
+    return LocalLattice(ell, *linalg.jordan_split(gram, ell))
 
 
 def _distribution_1x1(coeff, ell, a_exp):
     """Counts of c x^2 mod l^a over x mod l^a, as an int64 vector."""
     q = ell ** a_exp
-    v = _vl_fraction(coeff, ell)
-    lead = (_unit_mod(coeff / ell ** v, ell, a_exp) * ell ** v) % q
     x = np.arange(q, dtype=np.int64)
-    return np.bincount((lead * ((x * x) % q)) % q, minlength=q)
+    return np.bincount(coeff % q * ((x * x) % q) % q, minlength=q)
 
 
 def _distribution_2x2(block, ell, a_exp):
-    """Counts of a x^2 + 2b xy + c y^2 mod l^a; a, c, 2b are integers.
+    """Counts of a x^2 + b xy + c y^2 mod l^a over (x, y) mod l^a.
 
     Rows x = l^j u (u a unit) are summed per valuation j: y -> u y turns
     the values in row x into u^2 times those in row l^j, so the
@@ -298,10 +217,7 @@ def _distribution_2x2(block, ell, a_exp):
     over each unit-square orbit, times phi(l^(a-j)).
     """
     q = ell ** a_exp
-    aa, ab, bb = block
-    a_i = _unit_mod(aa, ell, a_exp) if aa else 0
-    c_i = _unit_mod(bb, ell, a_exp) if bb else 0
-    b_i = _unit_mod(2 * ab, ell, a_exp) if ab else 0
+    a_i, b_i, c_i = (t % q for t in block)
     _, orbit = _square_classes(ell, a_exp)
     size = np.bincount(orbit)
     y = np.arange(q, dtype=np.int64)
@@ -386,7 +302,7 @@ def _residue_table(ell, a_exp, diag, blocks2):
 def count_representations_mod(lattice, ell, m, a_exp):
     """#{v mod l^a : Q(v) = m mod l^a}, read from the residue table."""
     loc = _as_local(lattice, ell)
-    table = _residue_table(ell, a_exp, tuple(loc.diag), tuple(loc.blocks2))
+    table = _residue_table(ell, a_exp, loc.diag, loc.blocks2)
     return int(table[m % ell ** a_exp])
 
 

@@ -7,12 +7,13 @@ import pytest
 from froblat.crystals import (HILBERT_INERT_SG, HILBERT_INERT_SSP,
                               HILBERT_SPLIT, SIEGEL_SG, SIEGEL_SSP,
                               CrystalModel, FormalCurve, _combine,
-                              _primitive_kernel_vector, _span_certificate,
+                              _span_certificate,
                               build_model, check_DR, check_DvR, f_infinity,
                               find_decaying_submodule, local_gram)
 from froblat.errors import (Indeterminate, InvalidParameter,
                             NotGenericallyOrdinary,
                             ThresholdExceedsTruncation)
+from froblat.linalg import primitive_kernel_vector as _primitive_kernel_vector
 from froblat.padics import INF, PAdicParams, PAdicScalar
 from froblat.regression import decay_fixture_table
 from froblat.series import MatSeries, TruncSeries, column_valuation_profile

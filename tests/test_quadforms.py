@@ -1,6 +1,8 @@
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from froblat.crystals import (HILBERT_INERT_SG, HILBERT_INERT_SSP,
@@ -8,11 +10,11 @@ from froblat.crystals import (HILBERT_INERT_SG, HILBERT_INERT_SSP,
                               local_gram)
 from froblat.errors import (BadDiscriminant, InvalidParameter,
                             UnsupportedValuation)
-from froblat.padics import smallest_nonresidue
+from froblat.padics import _valuation, smallest_nonresidue
 from froblat.quadforms import (IntLattice, diagonalize_Zp, hanke_density,
-                               kronecker, local_density, sigma_s,
+                               kronecker, local_density, sigma_s, _as_local,
                                _local_shape, _residue_table, _square_classes,
-                               _vl_fraction, count_representations_mod)
+                               count_representations_mod)
 
 
 def test_kronecker_values():
@@ -86,7 +88,7 @@ def test_siegel_sg_unit_values(p=5):
     assert vals == {Fraction(0), Fraction(2)}
 
 
-def test_hanke_matches_brute_force():
+def test_hanke_matches_stable_count():
     rng = random.Random(11)
     checked = 0
     while checked < 200:
@@ -145,29 +147,125 @@ def test_stabilization():
                 == local_density(ell, lat, m, a0 + 2)
 
 
+def _assert_square_class_of_det(lat, loc, p):
+    """prod c_i and det(G / 2) share valuation and unit square class."""
+    prod = math.prod(loc.diag)
+    d = lat.det() * 2 ** lat.rank       # 2^n and 2^-n share a square class
+    v = _valuation(prod, p)
+    assert v == _valuation(d, p)
+    assert pow(prod // p ** v * (d // p ** v), (p - 1) // 2, p) == 1
+
+
 def test_diagonalize_hyperbolic():
     U = IntLattice([[0, 1], [1, 0]], "U")
     loc = diagonalize_Zp(U, 5)
-    vals = sorted(_vl_fraction(a, 5) for a in loc.diag)
+    vals = sorted(_valuation(a, 5) for a in loc.diag)
     assert vals == [0, 0]
-    # discriminant class preserved: det(q-matrix) = -1/4, square class of
-    # -1 mod squares; product of diagonal entries has the same class
-    prod = loc.diag[0] * loc.diag[1]
-    num = prod.numerator * prod.denominator
-    assert pow((-4 * num) % 5, (5 - 1) // 2, 5) == 1  # -4 num a square
+    assert all(isinstance(a, int) for a in loc.diag)
+    _assert_square_class_of_det(U, loc, 5)
 
 
 def test_diagonalize_fixed_point():
     lat = IntLattice([[2, 0], [0, -6]])
     loc = diagonalize_Zp(lat, 5)
-    assert sorted(loc.diag) == sorted([Fraction(1), Fraction(-3)])
+    # x^2 - 3y^2: -3 is a non-residue mod 5, so the symbol is (1, eps)
+    assert sorted(loc.diag) == [1, 2]
+    _assert_square_class_of_det(lat, loc, 5)
 
 
 def test_siegel_ssp_diag_shape():
     lat = IntLattice(local_gram(SIEGEL_SSP, 5, 2))
     loc = diagonalize_Zp(lat, 5)
-    vals = sorted(_vl_fraction(a, 5) for a in loc.diag)
+    vals = sorted(_valuation(a, 5) for a in loc.diag)
     assert vals == [0, 0, 0, 1, 1]
+    _assert_square_class_of_det(lat, loc, 5)
+
+
+def _random_gram(rng, rk, ell):
+    """A nondegenerate even Gram matrix, off-diagonal for rank >= 2."""
+    while True:
+        G = [[0] * rk for _ in range(rk)]
+        for i in range(rk):
+            G[i][i] = 2 * rng.choice([1, 2, 3, 4, 5, 6, 8, 12, ell, 2 * ell]) \
+                * rng.choice([1, -1])
+            for j in range(i):
+                G[i][j] = G[j][i] = rng.randint(-3, 3)
+        lat = IntLattice(G)
+        if lat.det() and (rk == 1 or any(G[i][j] for i in range(rk)
+                                         for j in range(i))):
+            return lat
+
+
+def _brute_counts(gram, ell, a):
+    """#{v mod l^a : Q(v) = r mod l^a} for every r, by enumerating v."""
+    q = ell ** a
+    n = len(gram)
+    v = np.indices((q,) * n).reshape(n, -1)
+    values = np.einsum("ik,ij,jk->k", v, np.array(gram), v) // 2
+    return np.bincount(values % q, minlength=q)
+
+
+def test_counts_match_brute_force():
+    """count_representations_mod against every v mod l^a.
+
+    At l = 2 the cases include forms that split off a 2x2 block and forms
+    with v_2(det) >= 3, whose class needs the Gram mod 2^(v_2(det) + 3).
+    """
+    rng = random.Random(31)
+    blocks = deep = 0
+    for ell in (2, 3, 5):
+        for rk in (1, 2, 3):
+            a_max = max(a for a in range(1, 20)
+                        if ell ** (a * rk) <= 10 ** 5)
+            for _ in range(16):
+                lat = _random_gram(rng, rk, ell)
+                if ell == 2:
+                    blocks += bool(_as_local(lat, 2).blocks2)
+                    deep += _valuation(lat.det(), 2) >= 3
+                for a in {a_max, rng.randint(1, a_max)}:
+                    q = ell ** a
+                    brute = _brute_counts(lat.gram, ell, a)
+                    ms = range(q) if q <= 2048 else rng.sample(range(q), 2048)
+                    for m in ms:
+                        assert count_representations_mod(lat, ell, m, a) \
+                            == brute[m], (lat.gram, ell, a, m)
+    assert blocks >= 10 and deep >= 5
+
+
+def _unimodular(rng, n):
+    """A product of elementary integer matrices and sign changes."""
+    U = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        if i == j or rng.random() < 0.2:
+            U[i] = [-x for x in U[i]]
+        else:
+            t = rng.choice([-2, -1, 1, 2])
+            U[i] = [x + t * y for x, y in zip(U[i], U[j])]
+    return U
+
+
+def test_local_shape_is_a_class_invariant():
+    """U G U^T gives the same LocalLattice at odd p, the same tables at 2."""
+    rng = random.Random(77)
+    for _ in range(150):
+        ell = rng.choice([2, 3, 5, 7])
+        rk = rng.randint(1, 4)
+        lat = _random_gram(rng, rk, ell)
+        U = _unimodular(rng, rk)
+        moved = [[sum(U[i][k] * lat.gram[k][l] * U[j][l]
+                      for k in range(rk) for l in range(rk))
+                  for j in range(rk)] for i in range(rk)]
+        loc, loc2 = _as_local(lat, ell), _as_local(IntLattice(moved), ell)
+        if ell != 2:
+            assert (loc.diag, loc.blocks2) == (loc2.diag, loc2.blocks2), \
+                (lat.gram, moved, ell)
+            continue
+        for a in range(1, 8 - rk):
+            assert np.array_equal(
+                _residue_table(2, a, loc.diag, loc.blocks2),
+                _residue_table(2, a, loc2.diag, loc2.blocks2)), \
+                (lat.gram, moved, a)
 
 
 def _index_p_sublattice(gram, p, k):
