@@ -376,6 +376,12 @@ class BudgetReport:
 
 def run_budget(inp):
     """Full pipeline: T-set, chain counts, local bounds, global sums."""
+    if inp.case not in ("superspecial", "supergeneric"):
+        raise InvalidParameter(f"unknown case {inp.case!r}: expected "
+                               f"superspecial or supergeneric")
+    if inp.family not in ("hilbert", "siegel"):
+        raise InvalidParameter(f"unknown family {inp.family!r}: expected "
+                               f"hilbert or siegel")
     if inp.A < 1:
         raise InvalidParameter("A must be >= 1")
     if inp.omega_C is not None and inp.A_partition is not None:
@@ -397,17 +403,14 @@ def run_budget(inp):
         r2 = representation_counts(L2, inp.M) if L2 is not None else None
         r_tables.append((r1, r2))
     if inp.case == "supergeneric":
-        flat = [r1 for r1, _ in r_tables]
+        r_tables = [r1 for r1, _ in r_tables]
     glob = IntLattice(inp.global_gram, "global")
     qfun = q_L_hilbert if inp.family == "hilbert" else q_L_siegel
     per_m = []
     local_sum = Fraction(0)
     global_sum = Fraction(0)
     for m in kept:
-        if inp.case == "superspecial":
-            lb = local_bound("superspecial", inp.A, inp.p, r_tables, m)
-        else:
-            lb = local_bound("supergeneric", inp.A, inp.p, flat, m)
+        lb = local_bound(inp.case, inp.A, inp.p, r_tables, m)
         g = global_g(inp.A, inp.p, qfun(glob, m))
         per_m.append({"m": m, "local": lb, "g": g})
         local_sum += lb

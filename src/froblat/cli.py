@@ -2,10 +2,11 @@
 
 Subcommands: density, eisenstein, theta, decay, budget, selftest.
 Output is line-delimited records of named fields with exact rationals
-("num/den"); --pretty switches to aligned tables.  Identical inputs
-produce byte-identical output.  Exit codes: 0 success, 1 validation
-failure, 2 indeterminate verdict (precision exhausted).  Errors are
-emitted as machine-readable "error code=... detail=..." records.
+("num/den"); --pretty separates the fields by two spaces, not one.
+Identical inputs produce byte-identical output.  Exit codes: 0 success,
+1 validation failure, 2 indeterminate verdict (precision exhausted).
+Errors are emitted as machine-readable "error code=... detail=..."
+records.
 """
 
 import argparse
@@ -16,7 +17,7 @@ from fractions import Fraction
 from . import errors
 from .crystals import (CASES, CrystalModel, FormalCurve, f_infinity,
                        find_decaying_submodule)
-from .eisenstein import q_L_hilbert, q_positive_definite
+from .eisenstein import q_L_hilbert, q_L_siegel, q_positive_definite
 from .enumeration import (prime_rep_count, representation_counts,
                           square_rep_count)
 from .padics import PAdicParams
@@ -143,10 +144,8 @@ def _frac(x):
 
 
 def _emit(out, fields, pretty):
-    if pretty:
-        out.write("  ".join(f"{k}={v}" for k, v in fields) + "\n")
-    else:
-        out.write(" ".join(f"{k}={v}" for k, v in fields) + "\n")
+    sep = "  " if pretty else " "
+    out.write(sep.join(f"{k}={v}" for k, v in fields) + "\n")
 
 
 # -- subcommands -------------------------------------------------------------
@@ -180,10 +179,7 @@ def cmd_eisenstein(args, out):
     lat = IntLattice(gram, os.path.basename(args.lattice))
     for m in _m_range(args.m_range):
         res = q_positive_definite(lat, m) if args.definite \
-            else q_L_hilbert(lat, m) if lat.rank == 4 else None
-        if res is None:
-            from .eisenstein import q_L_siegel
-            res = q_L_siegel(lat, m)
+            else q_L_hilbert(lat, m) if lat.rank == 4 else q_L_siegel(lat, m)
         _emit(out, [("m", m), ("m0", res.m0), ("f", res.f),
                     ("mid", f"{float(res.midpoint()):.12g}"),
                     ("radius", res.radius()), ("sign", res.sign()),
@@ -369,7 +365,7 @@ def build_parser():
         description="exact local densities, Eisenstein coefficients, "
                     "decay tables, and intersection budgets")
     ap.add_argument("--pretty", action="store_true",
-                    help="aligned human-readable output")
+                    help="separate the fields by two spaces")
     sub = ap.add_subparsers(dest="command", required=True)
 
     d = sub.add_parser("density", help="local representation densities")

@@ -324,8 +324,8 @@ class CrystalModel:
         return min(eq)
 
 
-def build_model(case, p, d, precision_M, c_residue=None, eps=None):
-    params = PAdicParams(p, d, precision_M, eps=eps)
+def build_model(case, p, d, precision_M, c_residue=None):
+    params = PAdicParams(p, d, precision_M)
     return CrystalModel(case, params, c_residue)
 
 

@@ -199,11 +199,15 @@ def q_L_hilbert(lattice, m):
     times the product of local densities at l | 2 det; negative whenever
     every local density is positive.
     """
+    if lattice.rank != 4:
+        raise InvalidParameter(f"q_L_hilbert needs rank 4, got {lattice.rank}")
     return _q_rank4(lattice, m, sign=-1)
 
 
 def q_L_siegel(lattice, m):
     """Eisenstein coefficient for the rank-5 family (negative sign)."""
+    if lattice.rank != 5:
+        raise InvalidParameter(f"q_L_siegel needs rank 5, got {lattice.rank}")
     return _q_rank5(lattice, m, sign=-1)
 
 

@@ -20,7 +20,7 @@ share: valuations, primality, factorization and a prime sieve.
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, product
 
 from .errors import DivisionByZero, InvalidParameter, ZeroPrecision
 
@@ -131,52 +131,101 @@ def primerange(a, b):
 
 
 # ---------------------------------------------------------------------------
-# residue field F_{p^d}
+# polynomials in the generator: one multiply-reduce kernel
 
-def _fp_poly_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
+def _reduction_rows(modulus):
+    """Exact integer rows of g^d .. g^(2d-2) in the basis 1, g, .., g^(d-1).
+
+    g is a root of h = X^d + sum modulus_i X^i (modulus constant first).
+    """
+    d = len(modulus)
+    rows = []
+    cur = tuple(-c for c in modulus)
+    for _ in range(d - 1):
+        rows.append(cur)
+        lead = cur[-1]
+        cur = tuple(lo + lead * r for lo, r in zip((0,) + cur[:-1], rows[0]))
+    return rows
 
 
-def _fp_poly_mulmod(a, b, mod, p):
-    res = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
+def _mulmod(a, b, rows, q=None):
+    """a * b for coefficient tuples of length d, reduced mod h, then mod q.
+
+    The schoolbook product is folded once by the rows of
+    ``_reduction_rows(h)``; with q None the result is the exact integer
+    product in Z[X]/(h).  Degrees 1 and 2 are unrolled, where the loop
+    costs more than the arithmetic.
+    """
+    d = len(a)
+    if d == 1:
+        c = a[0] * b[0]
+        return (c,) if q is None else (c % q,)
+    if d == 2:
+        (e0, e1), = rows
+        a0, a1 = a
+        b0, b1 = b
+        high = a1 * b1
+        c0 = a0 * b0 + e0 * high
+        c1 = a0 * b1 + a1 * b0 + e1 * high
+        return (c0, c1) if q is None else (c0 % q, c1 % q)
+    res = [0] * (2 * d - 1)
+    for i in range(d):
+        ai = a[i]
         if ai:
-            for j, bj in enumerate(b):
-                res[i + j] = (res[i + j] + ai * bj) % p
-    # reduce by monic mod
-    dm = len(mod) - 1
-    while len(res) > dm:
-        lead = res.pop()
-        if lead:
-            for k in range(dm):
-                res[-dm + k] = (res[-dm + k] - lead * mod[k]) % p
-    return _fp_poly_trim(res)
+            for j in range(d):
+                res[i + j] += ai * b[j]
+    out = res[:d]
+    for k in range(d, 2 * d - 1):
+        c = res[k]
+        if c:
+            row = rows[k - d]
+            for t in range(d):
+                if row[t]:
+                    out[t] += c * row[t]
+    return tuple(out) if q is None else tuple(c % q for c in out)
 
 
-def _fp_poly_powmod(a, e, mod, p):
-    result = [1]
-    base = list(a)
+def _powmod(a, e, rows, q=None):
+    """a^e by square-and-multiply on ``_mulmod``."""
+    result = (1,) + (0,) * (len(a) - 1)
     while e:
         if e & 1:
-            result = _fp_poly_mulmod(result, base, mod, p)
-        base = _fp_poly_mulmod(base, base, mod, p)
+            result = _mulmod(result, a, rows, q)
         e >>= 1
+        if e:
+            a = _mulmod(a, a, rows, q)
     return result
 
 
-def _is_irreducible(mod, p):
-    """Irreducibility of a monic polynomial over F_p via x^(p^k) tests."""
-    d = len(mod) - 1
-    x = [0, 1]
-    xp = list(x)
-    for k in range(1, d):
-        xp = _fp_poly_powmod(xp, p, mod, p)
-        if d % k == 0 and xp == x:
+def _fp_tuples(p, d):
+    """Every coefficient tuple over F_p of length d, constant first, in
+    the order of the integer code sum c_i p^i."""
+    return (t[::-1] for t in product(range(p), repeat=d))
+
+
+# ---------------------------------------------------------------------------
+# residue field F_{p^d}
+
+def _is_irreducible(modulus, p):
+    """Irreducibility over F_p of h = X^d + sum modulus_i X^i, d >= 2.
+
+    Ben-Or's criterion: a reducible h has an irreducible factor of some
+    degree k <= d/2, which divides X^(p^k) - X, so that X^(p^k) - X is
+    not a unit mod h.  An irreducible h makes F_p[X]/(h) the field
+    F_{p^d}, where each X^(p^k) - X with 0 < k < d is a unit u, so
+    u^(p^d - 1) = 1.
+    """
+    d = len(modulus)
+    rows = _reduction_rows(modulus)
+    x = (0, 1) + (0,) * (d - 2)
+    one = (1,) + (0,) * (d - 1)
+    xp = x
+    for _ in range(d // 2):
+        xp = _powmod(xp, p, rows, p)
+        u = tuple((s - t) % p for s, t in zip(xp, x))
+        if _powmod(u, p ** d - 1, rows, p) != one:
             return False
-    xp = _fp_poly_powmod(xp, p, mod, p)
-    return xp == x
+    return True
 
 
 def smallest_nonresidue(p):
@@ -198,27 +247,19 @@ def canonical_modulus(p, d):
         return (0,)
     if d == 2:
         return (-smallest_nonresidue(p), 0)
-    # lexicographic search over constant-first coefficient vectors
-    bound = p ** d
-    for code in range(bound):
-        coeffs = []
-        c = code
-        for _ in range(d):
-            coeffs.append(c % p)
-            c //= p
-        mod = coeffs + [1]
-        if coeffs[0] != 0 and _is_irreducible(mod, p):
-            return tuple(coeffs)
+    for coeffs in _fp_tuples(p, d):
+        if coeffs[0] and _is_irreducible(coeffs, p):
+            return coeffs
     raise InvalidParameter(f"no irreducible of degree {d} over F_{p}")
 
 
 class ResidueField:
     """F_{p^d} with elements as coefficient tuples over F_p."""
 
-    def __init__(self, p, d, modulus):
+    def __init__(self, p, modulus):
         self.p = p
-        self.d = d
-        self.modulus = list(modulus) + [1]  # monic, constant first
+        self.d = len(modulus)
+        self.rows = _reduction_rows(modulus)
 
     def element(self, coeffs):
         if isinstance(coeffs, int):
@@ -239,15 +280,10 @@ class ResidueField:
         return tuple((-x) % self.p for x in a)
 
     def mul(self, a, b):
-        r = _fp_poly_mulmod(list(a), list(b), self.modulus, self.p)
-        return tuple(r + [0] * (self.d - len(r)))
+        return _mulmod(a, b, self.rows, self.p)
 
     def pow(self, a, e):
-        r = _fp_poly_powmod(list(a), e, self.modulus, self.p)
-        return tuple(r + [0] * (self.d - len(r)))
-
-    def frob(self, a):
-        return self.pow(a, self.p)
+        return _powmod(a, e, self.rows, self.p)
 
     def inv(self, a):
         if self.is_zero(a):
@@ -269,18 +305,10 @@ class ResidueField:
         while s % 2 == 0:
             s //= 2
             e += 1
-        # find a non-square z by scanning small elements
-        z = None
-        for code in range(1, q):
-            coeffs = []
-            c = code
-            for _ in range(self.d):
-                coeffs.append(c % self.p)
-                c //= self.p
-            cand = tuple(coeffs)
-            if self.pow(cand, (q - 1) // 2) != self.one():
-                z = cand
-                break
+        # the first non-square in code order
+        minus_one = self.neg(self.one())
+        z = next(c for c in self.elements()
+                 if self.pow(c, (q - 1) // 2) == minus_one)
         m = e
         cfac = self.pow(z, s)
         t = self.pow(a, s)
@@ -301,13 +329,7 @@ class ResidueField:
         return r
 
     def elements(self):
-        for code in range(self.p ** self.d):
-            coeffs = []
-            c = code
-            for _ in range(self.d):
-                coeffs.append(c % self.p)
-                c //= self.p
-            yield tuple(coeffs)
+        return _fp_tuples(self.p, self.d)
 
 
 # ---------------------------------------------------------------------------
@@ -316,13 +338,16 @@ class ResidueField:
 class PAdicParams:
     """Arithmetic context for W(F_{p^d}) at absolute precision M digits.
 
-    p odd prime, 1 <= d <= 8, modulus reducing irreducibly mod p.  The
-    non-square unit eps defaults to the smallest positive non-residue.
-    Caches the Hensel-lifted Frobenius image of the generator and its
-    powers, at the working precision.
+    p odd prime, 1 <= d <= 8.  The generator g is a root of
+    ``canonical_modulus(p, d)`` and the non-square unit eps is the
+    smallest positive non-residue mod p; neither is configurable.  Every
+    product of generator polynomials, in the residue field, mod p^k or
+    exact, goes through the one kernel ``_mulmod``/``_powmod`` folded by
+    the exact rows of the modulus.  Caches the Hensel-lifted Frobenius
+    image of the generator and its powers, at the working precision.
     """
 
-    def __init__(self, p, d, precision_M, modulus=None, eps=None):
+    def __init__(self, p, d, precision_M):
         if p < 3 or not isprime(p):
             raise InvalidParameter(f"p = {p} is not an odd prime")
         if not 1 <= d <= 8:
@@ -335,80 +360,20 @@ class PAdicParams:
         self.p = p
         self.d = d
         self.precision_M = precision_M
-        self.eps_int = eps if eps is not None else smallest_nonresidue(p)
-        if pow(self.eps_int % p, (p - 1) // 2, p) != p - 1:
-            raise InvalidParameter(f"eps = {eps} is a square mod {p}")
-        if modulus is None:
-            modulus = canonical_modulus(p, d)
-        self.modulus = tuple(int(c) for c in modulus)
-        if len(self.modulus) != d:
-            raise InvalidParameter("modulus must be monic of degree d")
-        self.residue_field = ResidueField(p, d, [c % p for c in self.modulus])
-        if d > 1 and not _is_irreducible(self.residue_field.modulus, p):
-            raise InvalidParameter("modulus is reducible mod p")
+        self.eps_int = smallest_nonresidue(p)
+        self.modulus = canonical_modulus(p, d)
+        self.residue_field = ResidueField(p, self.modulus)
+        self.rows = self.residue_field.rows
         self.pM = p ** precision_M
-        self._red_rows = self._reduction_rows()
         self._frob_gen_pows = None  # lazy: powers of sigma(g)
 
-    # -- polynomial reduction data ------------------------------------
-    def _reduction_rows(self):
-        """Rows expressing g^d .. g^(2d-2) in the power basis, mod p^M."""
-        d, pM = self.d, self.pM
-        if d == 1:
-            return []
-        rows = []
-        # g^d = modulus row (negated constant-first coefficients)
-        cur = [(-c) % pM for c in self.modulus]
-        rows.append(tuple(cur))
-        for _ in range(d - 2):
-            # multiply by g
-            nxt = [0] + cur[:-1]
-            lead = cur[-1]
-            if lead:
-                for k in range(d):
-                    nxt[k] = (nxt[k] + lead * rows[0][k]) % pM
-            cur = [c % pM for c in nxt]
-            rows.append(tuple(cur))
-        return rows
-
+    # -- polynomial arithmetic ------------------------------------------
     def poly_mul(self, a, b, mod_power):
         """Product of coefficient tuples, reduced mod (modulus, p^mod_power)."""
-        d = self.d
-        q = self.p ** mod_power
-        if d == 1:
-            return ((a[0] * b[0]) % q,)
-        if d == 2:
-            e = (-self.modulus[0])  # g^2 = e  (modulus x^2 - e)
-            m1 = (-self.modulus[1])  # plus m1 * g when modulus has x term
-            a0, a1 = a
-            b0, b1 = b
-            cross = a0 * b1 + a1 * b0
-            high = a1 * b1
-            return ((a0 * b0 + e * high) % q, (cross + m1 * high) % q)
-        res = [0] * (2 * d - 1)
-        for i in range(d):
-            ai = a[i]
-            if ai:
-                for j in range(d):
-                    res[i + j] += ai * b[j]
-        out = res[:d]
-        for k in range(d, 2 * d - 1):
-            c = res[k]
-            if c:
-                row = self._red_rows[k - d]
-                for t in range(d):
-                    out[t] += c * row[t]
-        return tuple(c % q for c in out)
+        return _mulmod(a, b, self.rows, self.p ** mod_power)
 
     def poly_pow(self, a, e, mod_power):
-        result = tuple([1] + [0] * (self.d - 1))
-        base = a
-        while e:
-            if e & 1:
-                result = self.poly_mul(result, base, mod_power)
-            base = self.poly_mul(base, base, mod_power)
-            e >>= 1
-        return result
+        return _powmod(a, e, self.rows, self.p ** mod_power)
 
     def poly_inv(self, a, mod_power):
         """Inverse of a unit polynomial mod (modulus, p^mod_power)."""
@@ -440,14 +405,13 @@ class PAdicParams:
         gbar_p = self.residue_field.pow(
             tuple([0, 1] + [0] * (d - 2)), p)
         x = tuple(int(c) for c in gbar_p)
-        # Newton iteration on h(X) = X^d - sum modulus_i X^i
+        # Newton iteration on h(X) = X^d + sum modulus_i X^i
         prec = 1
         while prec < M:
             prec = min(2 * prec, M)
-            hx = self._eval_modulus(x, prec)
-            dhx = self._eval_modulus_deriv(x, prec)
-            delta = self.poly_mul(hx, self.poly_inv(dhx, prec), prec)
             q = p ** prec
+            hx, dhx = self._eval_modulus(x, q)
+            delta = self.poly_mul(hx, self.poly_inv(dhx, prec), prec)
             x = tuple((xi - di) % q for xi, di in zip(x, delta))
         pows = [tuple([1] + [0] * (d - 1)), x]
         for _ in range(d - 2):
@@ -455,33 +419,16 @@ class PAdicParams:
         self._frob_gen_pows = pows
         return pows
 
-    def _eval_modulus(self, x, mod_power):
-        """h(x) with h = X^d + sum modulus_i X^i, constant-first."""
-        q = self.p ** mod_power
-        acc = self.poly_pow(x, self.d, mod_power)
-        acc = list(acc)
-        acc[0] = (acc[0] + self.modulus[0]) % q
-        for i in range(1, self.d):
-            ci = self.modulus[i]
-            if ci:
-                term = self.poly_pow(x, i, mod_power)
-                for t in range(self.d):
-                    acc[t] = (acc[t] + ci * term[t]) % q
-        return tuple(acc)
-
-    def _eval_modulus_deriv(self, x, mod_power):
-        q = self.p ** mod_power
-        d = self.d
-        # h'(X) = d X^(d-1) + sum_{i>=1} i modulus_i X^(i-1)
-        acc = self.poly_pow(x, d - 1, mod_power)
-        acc = [(d * a) % q for a in acc]
-        for i in range(1, d):
-            ci = self.modulus[i]
-            if ci:
-                term = self.poly_pow(x, i - 1, mod_power)
-                for t in range(d):
-                    acc[t] = (acc[t] + i * ci * term[t]) % q
-        return tuple(acc)
+    def _eval_modulus(self, x, q):
+        """(h(x), h'(x)) mod q for h = X^d + sum modulus_i X^i, by one
+        Horner pass."""
+        h, dh = (1,) + (0,) * (self.d - 1), (0,) * self.d
+        for c in reversed(self.modulus):
+            dh = tuple((s + t) % q
+                       for s, t in zip(_mulmod(dh, x, self.rows, q), h))
+            h = _mulmod(h, x, self.rows, q)
+            h = ((h[0] + c) % q,) + h[1:]
+        return h, dh
 
     def frobenius_poly(self, coeffs, mod_power):
         """Apply sigma to a coefficient tuple (coefficients are Z_p-fixed)."""
@@ -528,11 +475,6 @@ class PAdicParams:
         return PAdicScalar(self, vn - vd, coeffs, self.precision_M,
                            exact=False)
 
-    def from_coeffs(self, coeffs, shift=0):
-        """Exact element p^shift * (sum coeffs_i g^i) from integers."""
-        c = tuple(int(x) for x in coeffs) + (0,) * (self.d - len(coeffs))
-        return PAdicScalar(self, shift, c, None, exact=True)._normalize()
-
     def teichmuller(self, residue):
         """The root-of-unity (or zero) lift of a residue-field element."""
         r = self.residue_field.element(residue)
@@ -548,7 +490,7 @@ class PAdicParams:
         return PAdicScalar(self, 0, x, self.precision_M, exact=False)
 
     def eps(self):
-        """The configured non-square unit as an exact scalar."""
+        """The non-square unit eps as an exact scalar."""
         return self.from_int(self.eps_int)
 
     def lam(self):
@@ -558,9 +500,9 @@ class PAdicParams:
         """
         if self.d % 2 != 0:
             raise InvalidParameter("lambda lives in W(F_{p^2}); need even d")
-        if self.d == 2 and self.modulus == (-self.eps_int, 0):
-            g = PAdicScalar(self, 0, (0, 1), self.precision_M, exact=False)
-            return g
+        if self.d == 2:
+            # the canonical modulus is X^2 - eps: g itself
+            return PAdicScalar(self, 0, (0, 1), self.precision_M, False)
         rf = self.residue_field
         r = rf.sqrt(rf.element(self.eps_int))
         if r is None:
@@ -708,69 +650,24 @@ class PAdicScalar:
         a, b = self, other
         if a.is_zero() or b.is_zero():
             return self.params.zero()
+        params = self.params
         s = a.shift + b.shift
         if a.exact and b.exact:
-            # unreduced integer product
-            d = self.params.d
-            res = [0] * (2 * d - 1) if d > 1 else [a.coeffs[0] * b.coeffs[0]]
-            if d > 1:
-                for i in range(d):
-                    ai = a.coeffs[i]
-                    if ai:
-                        for j in range(d):
-                            res[i + j] += ai * b.coeffs[j]
-                out = res[:d]
-                for k in range(d, 2 * d - 1):
-                    c = res[k]
-                    if c:
-                        # exact reduction uses integer modulus relation
-                        row = self._exact_red_row(k - d)
-                        for t in range(d):
-                            out[t] += c * row[t]
-                coeffs = tuple(out)
-            else:
-                coeffs = (res[0],)
-            return PAdicScalar(self.params, s, coeffs, None,
-                               True)._normalize()
+            return PAdicScalar(params, s,
+                               _mulmod(a.coeffs, b.coeffs, params.rows),
+                               None, True)._normalize()
         if a.is_precision_zero() or b.is_precision_zero():
             # product of a bounded-zero with anything: only a bound survives
             bound_a = a.known_bound() if a.is_precision_zero() else a.shift
             bound_b = b.known_bound() if b.is_precision_zero() else b.shift
-            if a.is_precision_zero() and not b.is_precision_zero():
-                bound = a.known_bound() + b.shift
-            elif b.is_precision_zero() and not a.is_precision_zero():
-                bound = b.known_bound() + a.shift
-            else:
-                bound = a.known_bound() + b.known_bound()
-            return PAdicScalar(self.params, bound - 1, (0,) * self.params.d,
-                               1, False)
-        na = a.rel_prec if not a.exact else None
-        nb = b.rel_prec if not b.exact else None
-        n = min(x for x in (na, nb) if x is not None)
-        coeffs = self.params.poly_mul(a.coeffs, b.coeffs, n)
-        return PAdicScalar(self.params, s, coeffs, n, False)._normalize()
+            return PAdicScalar(params, bound_a + bound_b - 1,
+                               (0,) * params.d, 1, False)
+        n = b.rel_prec if a.exact else a.rel_prec if b.exact \
+            else min(a.rel_prec, b.rel_prec)
+        coeffs = _mulmod(a.coeffs, b.coeffs, params.rows, params.p ** n)
+        return PAdicScalar(params, s, coeffs, n, False)._normalize()
 
     __rmul__ = __mul__
-
-    def _exact_red_row(self, k):
-        # g^(d+k) written in the power basis with exact integer entries
-        params = self.params
-        d = params.d
-        rows = getattr(params, "_exact_rows", None)
-        if rows is None:
-            rows = []
-            cur = [-c for c in params.modulus]
-            rows.append(list(cur))
-            for _ in range(d - 2):
-                nxt = [0] + cur[:-1]
-                lead = cur[-1]
-                if lead:
-                    for t in range(d):
-                        nxt[t] += lead * rows[0][t]
-                cur = nxt
-                rows.append(list(cur))
-            params._exact_rows = rows
-        return rows[k]
 
     def inv(self):
         if self.is_zero():

@@ -115,9 +115,6 @@ class IntLattice:
             self._det = linalg.det(self.gram)
         return self._det
 
-    def disc_abs(self):
-        return abs(self.det())
-
     def is_positive_definite(self):
         return linalg.is_positive_definite(self.gram)
 
@@ -276,7 +273,7 @@ def _convolve_mod(d1, d2, reps, orbit, bound):
     return np.array(vals, dtype=d1.dtype)[orbit]
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=512)
 def _residue_table(ell, a_exp, diag, blocks2):
     """#{v mod l^a : Q(v) = r mod l^a} for every r, read-only.
 

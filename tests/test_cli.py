@@ -139,6 +139,28 @@ def test_budget_config_without_case_names_the_key(tmp_path):
                     f"missing key 'case'\n")
 
 
+@pytest.mark.parametrize("key, typo", [("case", "superspecal"),
+                                       ("family", "hilbret")])
+def test_budget_config_typo_is_one_error_record(tmp_path, key, typo):
+    with open(fx("budget_p5.cfg")) as fh:
+        text = "".join(f"{key}={typo}\n" if ln.startswith(key + "=")
+                       else ln for ln in fh)
+    cfg = _write(tmp_path, "typo.cfg", text)
+    code, out = run(["budget", "--config", cfg])
+    assert code == 1
+    assert out.startswith(f"error=InvalidParameter detail=unknown {key} "
+                          f"{typo!r}")
+    assert out.count("\n") == 1
+
+
+def test_eisenstein_rank_three_exits_one(tmp_path):
+    gram = _write(tmp_path, "r3.gram", "2 1 0\n1 2 0\n0 0 2\n")
+    code, text = run(["eisenstein", "--lattice", gram, "--m-range", "1..2"])
+    assert code == 1
+    assert text == ("error=InvalidParameter detail=q_L_siegel needs "
+                    "rank 5, got 3\n")
+
+
 @pytest.mark.parametrize("m_range", ["3..1", "5", "1..x"])
 def test_empty_or_malformed_m_range_exits_one(m_range):
     code, text = run(["eisenstein", "--lattice", fx("ls_global.gram"),

@@ -8,6 +8,7 @@ from froblat.eisenstein import (_chi_table, bernoulli_2, check_ratio,
                                 dirichlet_L2, fundamental_part,
                                 middle_divisor_sum, q_L_hilbert, q_L_siegel,
                                 q_positive_definite, ratio_bound)
+from froblat.errors import InvalidParameter
 from froblat.enumeration import representation_counts
 from froblat.quadforms import IntLattice, kronecker, sigma_s
 
@@ -284,3 +285,16 @@ def test_every_coefficient_is_a_fraction():
         for q in (q_L_hilbert(LH, m), q_L_hilbert(UU, m), q_L_siegel(LS, m),
                   q_positive_definite(D5, m)):
             assert type(q.value) is Fraction, (q, m)
+
+
+@pytest.mark.parametrize("qfun, lat", [
+    (q_L_hilbert, IntLattice([[2, 1], [1, 4]])),
+    (q_L_hilbert, LS),
+    (q_L_siegel, IntLattice([[2, 1, 0], [1, 2, 0], [0, 0, 2]])),
+    (q_L_siegel, UU),
+    (q_positive_definite, IntLattice([[2, 1], [1, 4]])),
+], ids=["hilbert-rank2", "hilbert-rank5", "siegel-rank3", "siegel-rank4",
+        "definite-rank2"])
+def test_coefficient_formulas_check_the_rank(qfun, lat):
+    with pytest.raises(InvalidParameter, match="rank"):
+        qfun(lat, 3)

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from froblat.errors import DivisionByZero, InvalidParameter, ZeroPrecision
-from froblat.padics import (INF, ISPRIME_BOUND, PAdicParams, factorint,
+from froblat.padics import (INF, ISPRIME_BOUND, PAdicParams, ResidueField,
+                            _is_irreducible, _mulmod, _powmod,
+                            _reduction_rows, canonical_modulus, factorint,
                             isprime, parse_scalar, primefactors, primerange)
 
 
@@ -146,8 +148,6 @@ def test_param_validation():
         PAdicParams(5, 9, 3)
     with pytest.raises(InvalidParameter):
         PAdicParams(5, 1, 0)
-    with pytest.raises(InvalidParameter):
-        PAdicParams(5, 2, 4, eps=4)  # 4 is a square mod 5
 
 
 def test_precision_zero_masks_valuation(W25):
@@ -234,3 +234,66 @@ def test_primerange_matches_sympy():
                  (-5, 30), (50, 10), (1000, 1100), (2, 10 ** 5),
                  (10 ** 5 - 100, 10 ** 5 + 100)]:
         assert primerange(a, b) == list(sympy.primerange(a, b)), (a, b)
+
+
+# -- the polynomial kernel, against sympy's remainder as the oracle ---------
+
+X = sympy.Symbol("x")
+
+
+def _monic(modulus):
+    """X^d + sum modulus_i X^i as a sympy Poly over Z."""
+    return sympy.Poly([1] + list(reversed(modulus)), X)
+
+
+def _rem(poly, modulus):
+    """Constant-first integer coefficients of poly mod the monic modulus."""
+    r = poly.rem(_monic(modulus)).all_coeffs()[::-1]
+    return tuple(int(c) for c in r) + (0,) * (len(modulus) - len(r))
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_kernel_matches_sympy_remainder(d):
+    # the kernel is exact in Z[X]/(h) for any monic h, canonical or not
+    rng = random.Random(d)
+    for p, modulus in [(p, canonical_modulus(p, d)) for p in (3, 5, 7)] \
+            + [(5, tuple(rng.randint(-9, 9) for _ in range(d)))]:
+        rows = _reduction_rows(modulus)
+        rf = ResidueField(p, modulus)
+        q = p ** 6
+        for _ in range(6):
+            a = tuple(rng.randint(-10 ** 9, 10 ** 9) for _ in range(d))
+            b = tuple(rng.randint(-10 ** 9, 10 ** 9) for _ in range(d))
+            pa, pb = sympy.Poly(a[::-1], X), sympy.Poly(b[::-1], X)
+            exact = _rem(pa * pb, modulus)
+            assert _mulmod(a, b, rows) == exact
+            assert _mulmod(a, b, rows, q) == tuple(c % q for c in exact)
+            abar, bbar = rf.element(a), rf.element(b)
+            assert rf.mul(abar, bbar) == tuple(c % p for c in exact)
+            e = rng.randrange(30)
+            power = _rem(pa ** e, modulus)
+            assert _powmod(a, e, rows, q) == tuple(c % q for c in power)
+            assert rf.pow(abar, e) == tuple(c % p for c in power)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_canonical_modulus_is_the_first_irreducible(p, d):
+    def irreducible(coeffs):
+        return sympy.Poly([1] + list(reversed(coeffs)), X,
+                          modulus=p).is_irreducible
+
+    first = next(c for c in (tuple(code // p ** i % p for i in range(d))
+                             for code in range(p ** d)) if irreducible(c))
+    assert canonical_modulus(p, d) == first
+
+
+def test_irreducibility_matches_sympy_in_degree_six():
+    # products of distinct irreducibles of degrees 1, 2 and 3 satisfy
+    # X^(3^6) = X without any X^(3^k) = X for k = 1, 2, 3
+    p, d = 3, 6
+    for code in range(p ** d):
+        coeffs = tuple(code // p ** i % p for i in range(d))
+        want = sympy.Poly([1] + list(reversed(coeffs)), X,
+                          modulus=p).is_irreducible
+        assert _is_irreducible(coeffs, p) == want, coeffs
