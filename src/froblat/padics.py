@@ -545,6 +545,12 @@ class PAdicScalar:
         self.rel_prec = rel_prec
         self.exact = exact
 
+    @classmethod
+    def masked(cls, params, bound):
+        """A value known only to vanish mod p^bound, in the one form
+        every masked result takes: shift bound - 1, one zero digit."""
+        return cls(params, bound - 1, (0,) * params.d, 1, False)
+
     # -- state ----------------------------------------------------------
     def is_zero(self):
         """True if the value is an exact zero."""
@@ -597,12 +603,11 @@ class PAdicScalar:
         coeffs = tuple(c % q for c in self.coeffs)
         v = _tuple_valuation(coeffs, p)
         if v is None:
-            return PAdicScalar(self.params, self.shift, coeffs, n, False)
+            return PAdicScalar.masked(self.params, self.shift + n)
         if v:
             coeffs = tuple(c // p ** v for c in coeffs)
-            return PAdicScalar(self.params, self.shift + v, coeffs,
-                               n - v, False)._capped()
-        return self._capped()
+        return PAdicScalar(self.params, self.shift + v, coeffs,
+                           n - v, False)._capped()
 
     def _capped(self):
         M = self.params.precision_M
@@ -660,8 +665,7 @@ class PAdicScalar:
             # product of a bounded-zero with anything: only a bound survives
             bound_a = a.known_bound() if a.is_precision_zero() else a.shift
             bound_b = b.known_bound() if b.is_precision_zero() else b.shift
-            return PAdicScalar(params, bound_a + bound_b - 1,
-                               (0,) * params.d, 1, False)
+            return PAdicScalar.masked(params, bound_a + bound_b)
         n = b.rel_prec if a.exact else a.rel_prec if b.exact \
             else min(a.rel_prec, b.rel_prec)
         coeffs = _mulmod(a.coeffs, b.coeffs, params.rows, params.p ** n)
@@ -753,8 +757,7 @@ def parse_scalar(params, text):
     if text == "0":
         return params.zero()
     if text.startswith("O(p^"):
-        bound = int(text[4:].rstrip(")"))
-        return PAdicScalar(params, bound - 1, (0,) * params.d, 1, False)
+        return PAdicScalar.masked(params, int(text[4:].rstrip(")")))
     head, _, _ = text.partition(" mod ")
     vpart, _, body = head.partition("*")
     shift = int(vpart.strip().replace("p^", ""))

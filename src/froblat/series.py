@@ -6,21 +6,125 @@ coefficient and sends t to t^p.  Infinite products prod_i (1 + sigma_t^i F)
 are truncated once further factors are congruent to the identity mod
 t^(N_t + 1), which happens as soon as p^i times the t-adic valuation of F
 exceeds N_t.
+
+Every product and sum of series goes through one kernel, ``_fused``: for
+each output exponent it sums the exact products of its terms as integers
+at a common shift, keeps the least known bound among the terms, and
+reduces and normalizes the coefficient once.
 """
 
+from collections import defaultdict
+
 from .errors import InvalidParameter, NonConvergent
-from .padics import INF
+from .padics import INF, PAdicScalar, _mulmod
+
+
+def _term(k, c):
+    """Kernel view of the t^k coefficient c: (k, valuation bound, integer
+    coefficients, known bound).  A masked c, known only to vanish mod
+    p^bound, has no coefficients and bound as its valuation bound."""
+    bound = c.known_bound()
+    if c.exact or any(c.coeffs):
+        return k, c.shift, c.coeffs, bound
+    return k, bound, None, bound
+
+
+def _terms(series):
+    """Kernel view of a series by exponent, made once and kept with it."""
+    if series._view is None:
+        series._view = [_term(k, series.coeffs[k])
+                        for k in sorted(series.coeffs)]
+    return series._view
+
+
+def _fused(params, nt, pairs, addends=()):
+    """sum(a * b for a, b in pairs) + sum(addends) for series, at N_t.
+
+    For each output exponent the exact products ``_mulmod(a, b, rows)``
+    of its terms are summed as integers at the least shift among them,
+    and the bound is the least known bound among the terms.  A product's
+    bound is min(v(a) + bound(b), v(b) + bound(a)), as in
+    ``PAdicScalar.__mul__``, so a masked factor contributes only a bound.
+    Each coefficient is then built once, reduced mod p^(bound - shift)
+    and normalized once, so it knows at least the digits that
+    multiplying and adding term by term would.  A coefficient that only
+    one addend supplies, at its own bound, is that addend's scalar.
+    """
+    rows = params.rows
+    terms = defaultdict(list)  # k -> [(shift, exact integer coefficients)]
+    bounds = {}                # k -> least finite known bound of a term
+    kept = {}                  # k -> the addend scalar there
+    for series in addends:
+        for k, t, c, bound in _terms(series):
+            if c is not None:
+                terms[k].append((t, c))
+                kept[k] = series.coeffs[k]
+            if bound < bounds.get(k, INF):
+                bounds[k] = bound
+    for a, b in pairs:
+        right = _terms(b)
+        for i, sa, ca, ba in _terms(a):
+            for j, sb, cb, bb in right:
+                k = i + j
+                if k > nt:
+                    break
+                if ca is not None and cb is not None:
+                    terms[k].append((sa + sb, _mulmod(ca, cb, rows)))
+                bound = sa + bb if sa + bb < sb + ba else sb + ba
+                if bound < bounds.get(k, INF):
+                    bounds[k] = bound
+
+    out, view = {}, []
+    for k in sorted(terms.keys() | bounds.keys()):
+        bound = bounds.get(k, INF)
+        ts = terms.get(k, ())
+        c = kept.get(k) if len(ts) == 1 else None
+        if c is None or c.known_bound() != bound:
+            c = _sum_terms(params, ts, bound)
+            if c is None:
+                continue
+        out[k] = c
+        view.append(_term(k, c))
+    series = TruncSeries(params, nt)
+    series.coeffs = out
+    series._view = view
+    return series
+
+
+def _sum_terms(params, terms, bound):
+    """The (shift, exact integer coefficients) terms summed at their
+    least shift, known mod p^bound and normalized; None if exactly 0."""
+    shift = min((t for t, _ in terms), default=INF)
+    if bound <= shift:
+        return PAdicScalar.masked(params, bound)
+    if len(terms) == 1:
+        total = terms[0][1]
+    else:
+        total = [0] * params.d
+        for t, c in terms:
+            f = params.p ** (t - shift)
+            total = [x + f * y for x, y in zip(total, c)]
+    if bound == INF:
+        c = PAdicScalar(params, shift, tuple(total), None, True)._normalize()
+        return None if c.is_zero() else c
+    return PAdicScalar(params, shift, tuple(total), bound - shift,
+                       False)._normalize()
 
 
 class TruncSeries:
-    """Sparse truncated series; absent exponents are zero up to N_t."""
+    """Sparse truncated series; absent exponents are zero up to N_t.
 
-    __slots__ = ("params", "nt", "coeffs")
+    A series is not changed once built: the kernel keeps its view of the
+    coefficients with it.
+    """
+
+    __slots__ = ("params", "nt", "coeffs", "_view")
 
     def __init__(self, params, nt, coeffs=None):
         self.params = params
         self.nt = nt
         self.coeffs = {}
+        self._view = None
         if coeffs:
             for k, c in coeffs.items():
                 if k <= nt and not c.is_zero():
@@ -52,17 +156,7 @@ class TruncSeries:
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            if k in out:
-                s = out[k] + c
-                if s.is_zero():
-                    del out[k]
-                else:
-                    out[k] = s
-            else:
-                out[k] = c
-        return TruncSeries(self.params, self.nt, out)
+        return _fused(self.params, self.nt, (), (self, other))
 
     def __neg__(self):
         return TruncSeries(self.params, self.nt,
@@ -75,31 +169,13 @@ class TruncSeries:
         if not isinstance(other, TruncSeries):
             return self.scale(other)
         self._check(other)
-        out = {}
-        nt = self.nt
-        for i, a in self.coeffs.items():
-            for j, b in other.coeffs.items():
-                k = i + j
-                if k > nt:
-                    continue
-                prod = a * b
-                if prod.is_zero():
-                    continue
-                if k in out:
-                    s = out[k] + prod
-                    if s.is_zero():
-                        del out[k]
-                    else:
-                        out[k] = s
-                else:
-                    out[k] = prod
-        return TruncSeries(self.params, self.nt, out)
+        return _fused(self.params, self.nt, [(self, other)])
 
     def scale(self, scalar):
-        if scalar.is_zero():
-            return TruncSeries(self.params, self.nt)
-        return TruncSeries(self.params, self.nt,
-                           {k: c * scalar for k, c in self.coeffs.items()})
+        if scalar.params is not self.params:
+            raise InvalidParameter("mixed parameter sets")
+        return _fused(self.params, self.nt,
+                      [(self, TruncSeries.constant(self.params, 0, scalar))])
 
     def frobenius_twist(self):
         """sigma on coefficients, t -> t^p; exponents beyond N_t drop."""
@@ -158,28 +234,25 @@ class MatSeries:
             m.entries[i][i] = TruncSeries.constant(params, nt, one)
         return m
 
-    def __add__(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise InvalidParameter("shape mismatch")
-        return MatSeries(self.params, self.nt,
-                         [[a + b for a, b in zip(ra, rb)]
-                          for ra, rb in zip(self.entries, other.entries)])
-
     def __mul__(self, other):
-        if self.cols != other.rows:
+        return self.mul_add(other)
+
+    def mul_add(self, other, addend=None):
+        """self * other (+ addend), each entry one ``_fused`` call."""
+        for m in (other,) if addend is None else (other, addend):
+            if m.params is not self.params or m.nt != self.nt:
+                raise InvalidParameter("series contexts differ")
+        if self.cols != other.rows or addend is not None and \
+                (addend.rows, addend.cols) != (self.rows, other.cols):
             raise InvalidParameter("shape mismatch")
         out = []
-        for i in range(self.rows):
-            row = []
+        for i, row in enumerate(self.entries):
+            out_row = []
             for j in range(other.cols):
-                acc = TruncSeries.zero(self.params, self.nt)
-                for k in range(self.cols):
-                    a = self.entries[i][k]
-                    b = other.entries[k][j]
-                    if a.coeffs and b.coeffs:
-                        acc = acc + a * b
-                row.append(acc)
-            out.append(row)
+                pairs = [(a, r[j]) for a, r in zip(row, other.entries)]
+                extra = () if addend is None else (addend.entries[i][j],)
+                out_row.append(_fused(self.params, self.nt, pairs, extra))
+            out.append(out_row)
         return MatSeries(self.params, self.nt, out)
 
     def frobenius_twist(self):
@@ -192,19 +265,21 @@ class MatSeries:
                    default=INF)
 
     def apply_int_vector(self, w):
-        """Product with an integer vector; returns a list of TruncSeries."""
+        """Product with an integer vector; returns a list of TruncSeries.
+
+        A unit vector picks out its column as it stands.
+        """
         if len(w) != self.cols:
             raise InvalidParameter("vector length mismatch")
-        ws = [self.params.from_int(x) for x in w]
-        out = []
-        for i in range(self.rows):
-            acc = TruncSeries.zero(self.params, self.nt)
-            for j, wj in enumerate(ws):
-                if w[j] == 0:
-                    continue
-                acc = acc + self.entries[i][j].scale(wj)
-            out.append(acc)
-        return out
+        nonzero = [j for j, x in enumerate(w) if x]
+        if len(nonzero) == 1 and w[nonzero[0]] == 1:
+            return [row[nonzero[0]] for row in self.entries]
+        ws = {j: TruncSeries.constant(self.params, 0,
+                                      self.params.from_int(w[j]))
+              for j in nonzero}
+        return [_fused(self.params, self.nt,
+                       [(row[j], ws[j]) for j in nonzero])
+                for row in self.entries]
 
 
 def truncated_product(F, K_terms="auto"):
@@ -232,7 +307,7 @@ def truncated_product(F, K_terms="auto"):
     prod = MatSeries.identity(F.params, F.nt, F.rows)
     factor = F
     for i in range(K + 1):
-        prod = prod + prod * factor
+        prod = prod.mul_add(factor, prod)
         if i < K:
             factor = factor.frobenius_twist()
     return prod
@@ -272,7 +347,7 @@ class DecayProfile:
                 sound = False
             v = self.minvals.get(k)
             if v is not None and v < -n:
-                return k, True
+                return k, sound
         return INF, sound
 
 

@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 
 from froblat.errors import InvalidParameter, NonConvergent
-from froblat.padics import INF, PAdicParams
-from froblat.series import (MatSeries, TruncSeries, column_valuation_profile,
+from froblat.padics import INF, PAdicParams, PAdicScalar
+from froblat.series import (DecayProfile, MatSeries, TruncSeries, _fused,
+                            _terms, column_valuation_profile,
                             truncated_product)
 
 
@@ -110,6 +111,16 @@ def test_shape_mismatch(P):
         A * B
 
 
+def test_mixed_contexts_rejected(P, W):
+    with pytest.raises(InvalidParameter):
+        TruncSeries.constant(P, 10, P.one()).scale(W.one())
+    with pytest.raises(InvalidParameter):
+        MatSeries.identity(P, 10, 2) * MatSeries.identity(W, 10, 2)
+    with pytest.raises(InvalidParameter):
+        MatSeries.identity(P, 10, 2).mul_add(MatSeries.identity(P, 10, 2),
+                                             MatSeries.identity(P, 11, 2))
+
+
 def test_scalar_product_example(P):
     # F = [t/5] at p = 5, N_t = 30: the t^(1+p) coefficient has
     # valuation -2, the t^1 coefficient valuation -1
@@ -178,3 +189,99 @@ def test_profile_trivial_cases(P):
     assert all(prof.min_valuation(k) == INF for k in range(11))
     prof2 = column_valuation_profile(M, [3, 5])
     assert prof2.min_valuation(0) >= 0
+
+
+def test_decay_index_hit_after_a_masked_floor_is_unsound():
+    profile = DecayProfile(10, minvals={5: -1}, floors={3: -2})
+    assert profile.decay_index(0) == (5, False)
+    assert profile.decay_index(0, kmax=2) == (INF, True)
+    assert DecayProfile(10, {5: -1}, {}).decay_index(0) == (5, True)
+
+
+# -- the fused kernel against chained scalar arithmetic ---------------------
+
+def chained(pairs, addend, nt):
+    """sum a * b + addend, one PAdicScalar multiply or add at a time, and
+    the least known bound among the terms at each exponent."""
+    out = dict(addend.coeffs)
+    least = {k: c.known_bound() for k, c in addend.coeffs.items()}
+    for a, b in pairs:
+        for i, x in a.coeffs.items():
+            for j, y in b.coeffs.items():
+                k = i + j
+                if k > nt:
+                    continue
+                prod = x * y
+                least[k] = min(least.get(k, INF), prod.known_bound())
+                if prod.is_zero():
+                    continue
+                s = out[k] + prod if k in out else prod
+                if s.is_zero():
+                    out.pop(k, None)
+                else:
+                    out[k] = s
+    return out, least
+
+
+def random_scalar(params, rng):
+    p, d, M = params.p, params.d, params.precision_M
+    shift = rng.randint(-3, 3)
+    kind = rng.random()
+    if kind < 0.15:
+        return PAdicScalar.masked(params, shift + rng.randint(1, M))
+    if kind < 0.4:
+        unit = [rng.randint(-30, 30) for _ in range(d)]
+        unit[0] = rng.choice((-1, 1)) * rng.randrange(1, p)
+        return PAdicScalar(params, shift, tuple(unit), None, True)._normalize()
+    unit = [rng.randrange(p ** M) for _ in range(d)]
+    unit[rng.randrange(d)] = rng.randrange(1, p)
+    return PAdicScalar(params, shift, tuple(unit), rng.randint(1, M),
+                       False)._normalize()
+
+
+def random_series(params, nt, rng):
+    return TruncSeries(params, nt, {rng.randrange(nt + 1):
+                                    random_scalar(params, rng)
+                                    for _ in range(rng.randint(0, 5))})
+
+
+def digits(c, shift, bound):
+    """c as integer digits at ``shift``, mod p^(bound - shift); masked 0."""
+    p = c.params.p
+    if c.is_precision_zero():
+        return (0,) * c.params.d
+    return tuple(x * p ** (c.shift - shift) % p ** (bound - shift)
+                 for x in c.coeffs)
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_fused_kernel_matches_chained_oracle(d):
+    params = PAdicParams(5, d, 6)
+    nt = 8
+    rng = random.Random(100 + d)
+    for _ in range(150):
+        pairs = [(random_series(params, nt, rng),
+                  random_series(params, nt, rng))
+                 for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.3:
+            # a later term cancels an earlier one exactly
+            pairs.append((-pairs[0][0], pairs[0][1]))
+        addend = random_series(params, nt, rng)
+        out = _fused(params, nt, pairs, (addend,))
+        fused = out.coeffs
+        # the view the kernel leaves with its output is the output's own
+        view, out._view = out._view, None
+        assert _terms(out) == view
+        want, least = chained(pairs, addend, nt)
+        assert set(fused) == set(want)
+        for k, c in fused.items():
+            w = want[k]
+            # never fewer digits than the chain, never more than the terms
+            assert w.known_bound() <= c.known_bound() <= least[k]
+            bound = min(c.known_bound(), w.known_bound())
+            if bound == INF:
+                assert (c.shift, c.coeffs) == (w.shift, w.coeffs)
+                continue
+            visible = [x.shift for x in (c, w) if not x.is_precision_zero()]
+            shift = min(visible + [bound])
+            assert digits(c, shift, bound) == digits(w, shift, bound)
