@@ -36,19 +36,6 @@ def _valuation(n, p):
     return v
 
 
-def _tuple_valuation(coeffs, p):
-    """Minimum valuation over the coefficients, or None if all zero."""
-    best = None
-    for c in coeffs:
-        if c:
-            v = _valuation(c, p)
-            if best is None or v < best:
-                best = v
-            if best == 0:
-                return 0
-    return best
-
-
 # ---------------------------------------------------------------------------
 # exact integer number theory
 
@@ -93,9 +80,9 @@ def isprime(n):
 def factorint(n):
     """Prime factorization of n >= 1 as ((q, e), ...), q increasing.
 
-    Trial division, O(sqrt n); the callers factor discriminants and
-    coefficient indices on which they already do O(n) work (a character
-    table of |D0| entries, a divisor sum over 1..m).
+    Trial division, O(sqrt n); the callers factor discriminants (for a
+    character table of |D0| entries) and coefficient indices (for the
+    divisors of m in ``sigma_s``).
     """
     if n < 1:
         raise InvalidParameter(f"cannot factor {n}")
@@ -134,7 +121,8 @@ def primerange(a, b):
 # polynomials in the generator: one multiply-reduce kernel
 
 def _reduction_rows(modulus):
-    """Exact integer rows of g^d .. g^(2d-2) in the basis 1, g, .., g^(d-1).
+    """Exact integer rows of g^d .. g^(2d-2) in the basis 1, g, .., g^(d-1),
+    each as its nonzero entries ((i, x), ...).
 
     g is a root of h = X^d + sum modulus_i X^i (modulus constant first).
     """
@@ -145,43 +133,35 @@ def _reduction_rows(modulus):
         rows.append(cur)
         lead = cur[-1]
         cur = tuple(lo + lead * r for lo, r in zip((0,) + cur[:-1], rows[0]))
-    return rows
+    return [tuple((i, x) for i, x in enumerate(row) if x) for row in rows]
+
+
+def _fold(res, rows):
+    """The 2d - 1 coefficients res of a polynomial in g reduced to d by
+    the rows of ``_reduction_rows(h)``, as a list."""
+    d = len(rows) + 1
+    out = res[:d]
+    for c, row in zip(res[d:], rows):
+        if c:
+            for i, x in row:
+                out[i] += c * x
+    return out
 
 
 def _mulmod(a, b, rows, q=None):
     """a * b for coefficient tuples of length d, reduced mod h, then mod q.
 
-    The schoolbook product is folded once by the rows of
-    ``_reduction_rows(h)``; with q None the result is the exact integer
-    product in Z[X]/(h).  Degrees 1 and 2 are unrolled, where the loop
-    costs more than the arithmetic.
+    The schoolbook product is folded once (``_fold``); with q None the
+    result is the exact integer product in Z[X]/(h).
     """
     d = len(a)
-    if d == 1:
-        c = a[0] * b[0]
-        return (c,) if q is None else (c % q,)
-    if d == 2:
-        (e0, e1), = rows
-        a0, a1 = a
-        b0, b1 = b
-        high = a1 * b1
-        c0 = a0 * b0 + e0 * high
-        c1 = a0 * b1 + a1 * b0 + e1 * high
-        return (c0, c1) if q is None else (c0 % q, c1 % q)
     res = [0] * (2 * d - 1)
     for i in range(d):
         ai = a[i]
         if ai:
             for j in range(d):
                 res[i + j] += ai * b[j]
-    out = res[:d]
-    for k in range(d, 2 * d - 1):
-        c = res[k]
-        if c:
-            row = rows[k - d]
-            for t in range(d):
-                if row[t]:
-                    out[t] += c * row[t]
+    out = _fold(res, rows)
     return tuple(out) if q is None else tuple(c % q for c in out)
 
 
@@ -551,6 +531,31 @@ class PAdicScalar:
         every masked result takes: shift bound - 1, one zero digit."""
         return cls(params, bound - 1, (0,) * params.d, 1, False)
 
+    @classmethod
+    def from_digits(cls, params, shift, digits, n):
+        """p^shift * sum(x g^i for (i, x) in digits) known mod
+        p^(shift + n), normalized: digits reduced mod p^n, their common
+        power of p moved into the shift, at most M digits kept.  Returns
+        it with its nonzero digits ((i, x), ...), () if it is masked."""
+        p = params.p
+        q = p ** n
+        digits = [(i, r) for i, x in digits if (r := x % q)]
+        if not digits:
+            return cls.masked(params, shift + n), ()
+        v = _valuation(math.gcd(*[x for _, x in digits]), p)
+        if v:
+            q = p ** v
+            digits = [(i, x // q) for i, x in digits]
+            shift, n = shift + v, n - v
+        if n > params.precision_M:
+            n = params.precision_M
+            q = p ** n
+            digits = [(i, r) for i, x in digits if (r := x % q)]
+        coeffs = [0] * params.d
+        for i, x in digits:
+            coeffs[i] = x
+        return cls(params, shift, tuple(coeffs), n, False), tuple(digits)
+
     # -- state ----------------------------------------------------------
     def is_zero(self):
         """True if the value is an exact zero."""
@@ -586,11 +591,12 @@ class PAdicScalar:
     def _normalize(self):
         p = self.params.p
         if self.exact:
-            v = _tuple_valuation(self.coeffs, p)
-            if v is None:
+            g = math.gcd(*self.coeffs)
+            if not g:
                 if self.shift != 0:
                     return PAdicScalar(self.params, 0, self.coeffs, None, True)
                 return self
+            v = _valuation(g, p)
             if v:
                 coeffs = tuple(c // p ** v for c in self.coeffs)
                 return PAdicScalar(self.params, self.shift + v, coeffs,
@@ -599,23 +605,8 @@ class PAdicScalar:
         n = self.rel_prec
         if n < 1:
             raise ZeroPrecision("no retained digits after operation")
-        q = p ** n
-        coeffs = tuple(c % q for c in self.coeffs)
-        v = _tuple_valuation(coeffs, p)
-        if v is None:
-            return PAdicScalar.masked(self.params, self.shift + n)
-        if v:
-            coeffs = tuple(c // p ** v for c in coeffs)
-        return PAdicScalar(self.params, self.shift + v, coeffs,
-                           n - v, False)._capped()
-
-    def _capped(self):
-        M = self.params.precision_M
-        if not self.exact and self.rel_prec > M:
-            q = self.params.p ** M
-            return PAdicScalar(self.params, self.shift,
-                               tuple(c % q for c in self.coeffs), M, False)
-        return self
+        return PAdicScalar.from_digits(self.params, self.shift,
+                                       enumerate(self.coeffs), n)[0]
 
     # -- ring operations -------------------------------------------------
     def _check(self, other):

@@ -25,7 +25,7 @@ import numpy as np
 from . import linalg
 from .errors import (BadDiscriminant, InvalidParameter,
                      UnsupportedValuation)
-from .padics import _valuation, isprime, smallest_nonresidue
+from .padics import _valuation, factorint, isprime, smallest_nonresidue
 
 
 def kronecker(D, a):
@@ -69,16 +69,18 @@ def _kronecker_symbol(a, n):
 
 
 def sigma_s(m, s, chi=None):
-    """sum_{d | m} chi(d) d^s as an exact Fraction (chi defaults trivial)."""
+    """sum_{d | m} chi(d) d^s as an exact Fraction (chi defaults trivial),
+    over the divisors from ``factorint``; for s < 0 as one integer sum
+    of chi(d) (m/d)^(-s) over m^(-s)."""
     if m < 1:
         raise InvalidParameter("m must be positive")
-    total = Fraction(0)
-    for d in range(1, m + 1):
-        if m % d == 0:
-            c = chi(d) if chi is not None else 1
-            if c:
-                total += c * Fraction(d) ** s
-    return total
+    divisors = [1]
+    for q, e in factorint(m):
+        divisors = [d * q ** i for d in divisors for i in range(e + 1)]
+    e = abs(s)
+    total = sum((1 if chi is None else chi(d)) * (m // d if s < 0 else d) ** e
+                for d in divisors)
+    return Fraction(total, m ** e if s < 0 else 1)
 
 
 class IntLattice:

@@ -8,25 +8,28 @@ t^(N_t + 1), which happens as soon as p^i times the t-adic valuation of F
 exceeds N_t.
 
 Every product and sum of series goes through one kernel, ``_fused``: for
-each output exponent it sums the exact products of its terms as integers
-at a common shift, keeps the least known bound among the terms, and
-reduces and normalizes the coefficient once.
+each output exponent it multiplies only the nonzero digits of its terms
+into unfolded integer accumulators, folds them by the modulus once,
+keeps the least known bound among the terms, and reduces and normalizes
+the coefficient once.
 """
 
-from collections import defaultdict
-
 from .errors import InvalidParameter, NonConvergent
-from .padics import INF, PAdicScalar, _mulmod
+from .padics import INF, PAdicScalar, _fold
 
 
-def _term(k, c):
-    """Kernel view of the t^k coefficient c: (k, valuation bound, integer
-    coefficients, known bound).  A masked c, known only to vanish mod
-    p^bound, has no coefficients and bound as its valuation bound."""
-    bound = c.known_bound()
-    if c.exact or any(c.coeffs):
-        return k, c.shift, c.coeffs, bound
-    return k, bound, None, bound
+def _term(k, c, digits=None):
+    """Kernel view of the t^k coefficient c: (k, valuation bound, nonzero
+    digits ((i, x), ...) of its integer coefficients, known bound).  A
+    masked c, known only to vanish mod p^bound, has no digits and bound
+    as its valuation bound.  ``digits``, when given, are c's nonzero
+    digits as ``PAdicScalar.from_digits`` returns them."""
+    if digits is None:
+        digits = tuple([(i, x) for i, x in enumerate(c.coeffs) if x])
+    if c.exact:
+        return k, c.shift, digits, INF
+    bound = c.shift + c.rel_prec
+    return (k, c.shift, digits, bound) if digits else (k, bound, None, bound)
 
 
 def _terms(series):
@@ -40,27 +43,25 @@ def _terms(series):
 def _fused(params, nt, pairs, addends=()):
     """sum(a * b for a, b in pairs) + sum(addends) for series, at N_t.
 
-    For each output exponent the exact products ``_mulmod(a, b, rows)``
-    of its terms are summed as integers at the least shift among them,
-    and the bound is the least known bound among the terms.  A product's
-    bound is min(v(a) + bound(b), v(b) + bound(a)), as in
-    ``PAdicScalar.__mul__``, so a masked factor contributes only a bound.
-    Each coefficient is then built once, reduced mod p^(bound - shift)
-    and normalized once, so it knows at least the digits that
-    multiplying and adding term by term would.  A coefficient that only
-    one addend supplies, at its own bound, is that addend's scalar.
+    Each output exponent has one record: the least known bound among its
+    terms, and the unfolded sum of its terms at their least shift, 2d - 1
+    integer slots.  A product adds x * y into slot i + j for each nonzero
+    digit x g^i of a and y g^j of b, and its bound is
+    min(v(a) + bound(b), v(b) + bound(a)), as in ``PAdicScalar.__mul__``,
+    so a masked factor contributes only a bound.  Each coefficient is
+    then built once (``_build``).  A coefficient that only one addend
+    supplies is that addend's scalar, untouched.
     """
-    rows = params.rows
-    terms = defaultdict(list)  # k -> [(shift, exact integer coefficients)]
-    bounds = {}                # k -> least finite known bound of a term
-    kept = {}                  # k -> the addend scalar there
+    p, width = params.p, 2 * params.d - 1
+    acc = {}   # k -> [least bound, least shift, slots at that shift]
+    kept = {}  # k -> the first addend scalar with digits there, its view
     for series in addends:
-        for k, t, c, bound in _terms(series):
-            if c is not None:
-                terms[k].append((t, c))
-                kept[k] = series.coeffs[k]
-            if bound < bounds.get(k, INF):
-                bounds[k] = bound
+        for term in _terms(series):
+            k = term[0]
+            if k in kept or term[2] is None:
+                _add(acc.setdefault(k, [INF, INF, None]), term, p, width)
+            else:
+                kept[k] = series.coeffs[k], term
     for a, b in pairs:
         right = _terms(b)
         for i, sa, ca, ba in _terms(a):
@@ -68,47 +69,80 @@ def _fused(params, nt, pairs, addends=()):
                 k = i + j
                 if k > nt:
                     break
-                if ca is not None and cb is not None:
-                    terms[k].append((sa + sb, _mulmod(ca, cb, rows)))
                 bound = sa + bb if sa + bb < sb + ba else sb + ba
-                if bound < bounds.get(k, INF):
-                    bounds[k] = bound
+                rec = acc.get(k)
+                if rec is None:
+                    rec = acc[k] = [bound, INF, None]
+                elif bound < rec[0]:
+                    rec[0] = bound
+                if ca is not None and cb is not None:
+                    s = sa + sb
+                    if s == rec[1]:
+                        slots, f = rec[2], 1
+                    else:
+                        slots, f = _align(rec, s, p, width)
+                    for u, x in ca:
+                        x *= f
+                        for v, y in cb:
+                            slots[u + v] += x * y
 
     out, view = {}, []
-    for k in sorted(terms.keys() | bounds.keys()):
-        bound = bounds.get(k, INF)
-        ts = terms.get(k, ())
-        c = kept.get(k) if len(ts) == 1 else None
-        if c is None or c.known_bound() != bound:
-            c = _sum_terms(params, ts, bound)
-            if c is None:
+    for k in sorted(acc.keys() | kept.keys()):
+        rec = acc.get(k)
+        if rec is None:
+            out[k], term = kept[k]
+        else:
+            if k in kept:
+                _add(rec, kept[k][1], p, width)
+            built = _build(params, k, *rec)
+            if built is None:
                 continue
-        out[k] = c
-        view.append(_term(k, c))
+            out[k], term = built
+        view.append(term)
     series = TruncSeries(params, nt)
     series.coeffs = out
     series._view = view
     return series
 
 
-def _sum_terms(params, terms, bound):
-    """The (shift, exact integer coefficients) terms summed at their
-    least shift, known mod p^bound and normalized; None if exactly 0."""
-    shift = min((t for t, _ in terms), default=INF)
+def _add(rec, term, p, width):
+    """Add an addend's term to a record."""
+    _, t, c, bound = term
+    rec[0] = min(rec[0], bound)
+    if c is not None:
+        slots, f = _align(rec, t, p, width)
+        for u, x in c:
+            slots[u] += x * f
+
+
+def _align(rec, s, p, width):
+    """The slots of a record and the power of p that puts a term at shift
+    s on them; the slots move down to s first when s is less."""
+    if rec[2] is None:
+        rec[1], rec[2] = s, [0] * width
+        return rec[2], 1
+    if s < rec[1]:
+        f = p ** (rec[1] - s)
+        rec[1], rec[2] = s, [x * f for x in rec[2]]
+        return rec[2], 1
+    return rec[2], p ** (s - rec[1])
+
+
+def _build(params, k, bound, shift, slots):
+    """The t^k coefficient from its record, with its view; None if it is
+    exactly 0.  Slots d .. 2d - 2 are folded once by the rows of the
+    modulus, then the coefficient is reduced mod p^(bound - shift) and
+    normalized once.  Folding is linear, so it has the digits of the
+    folded products summed term by term."""
     if bound <= shift:
-        return PAdicScalar.masked(params, bound)
-    if len(terms) == 1:
-        total = terms[0][1]
-    else:
-        total = [0] * params.d
-        for t, c in terms:
-            f = params.p ** (t - shift)
-            total = [x + f * y for x, y in zip(total, c)]
+        return PAdicScalar.masked(params, bound), (k, bound, None, bound)
+    folded = _fold(slots, params.rows)
     if bound == INF:
-        c = PAdicScalar(params, shift, tuple(total), None, True)._normalize()
-        return None if c.is_zero() else c
-    return PAdicScalar(params, shift, tuple(total), bound - shift,
-                       False)._normalize()
+        c = PAdicScalar(params, shift, tuple(folded), None, True)._normalize()
+        return None if c.is_zero() else (c, _term(k, c))
+    c, digits = PAdicScalar.from_digits(params, shift, enumerate(folded),
+                                        bound - shift)
+    return c, _term(k, c, digits)
 
 
 class TruncSeries:

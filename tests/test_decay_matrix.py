@@ -8,11 +8,13 @@ certifies that every primitive vector of the asserted span decays at
 n_max = 2.
 """
 
+import hashlib
 from functools import lru_cache
 
 import pytest
 
-from froblat.crystals import CrystalModel, f_infinity
+from froblat.crystals import (HILBERT_SPLIT, CrystalModel, FormalCurve,
+                              build_model, f_infinity)
 from froblat.padics import INF, PAdicParams
 from froblat.regression import (decay_fixture_table, run_decay_fixture,
                                 split_equal_decay_indices)
@@ -36,15 +38,82 @@ HEADROOM = {
 }
 
 
+SPLIT_EQUAL_CURVE = "split-equal-indices"
+
+# sha256 over every t^k coefficient of F_inf at n_max = 2, as
+# (row, col, k, shift, coeffs, rel_prec, exact): a change to the series
+# arithmetic must leave every digit and every bound as it is
+FINF_SHA256 = {
+    "split-equal":
+        "1da2337aab03ac8e05723cecb558fd149bac1fa6491ae4dd46625da823419f57",
+    "split-equal-mirror":
+        "535e1275688e0092e0d2dd08df1a91191fe2027d125f3f1f773c2767b39a547d",
+    "split-even-power":
+        "306954602f7dba4685452d117a787a7e6c75e8718b8ae0be7ba85003dbaaec90",
+    "split-odd-power":
+        "3c7dbde4f58f2ce2947549d304ca47b1c64fcbd09670f5cbb3c4b62fbff0781b",
+    "split-generic":
+        "deed7b9b7655851bbf78d94ad754aeec664f22c0616b0d4726a84774775bd635",
+    "inert-superspecial":
+        "77fe80fb9503c2db708e34934c4474ba40919145363122160da9c971f555316a",
+    "inert-supergeneric":
+        "3bd7a7720d91e2926fb04cec36da5839478bbe2bd67394a2185cfd95c7e9f876",
+    "siegel-A-below-B":
+        "3550deaa0c5394158d1d90022d9213fbdc731711417990e1831807d9aa9cacea",
+    "siegel-2.1":
+        "4c3a8442b34c722450b7a4263100edd9a7dd6ecd55c69d3eba40e643c91c9b40",
+    "siegel-2.2":
+        "42bb3a180cd1eb25bbfb0984448638cac7e6ac0b9aad39bce2e6635adfa990d1",
+    "siegel-3.1":
+        "40e3ef80b52f19abae8bf4ba90ab491cb420b3ddd852539a721fe0ed93785314",
+    "siegel-3.1-special":
+        "62bd0cd82c30dc6552e54c580c144062c22c370284e99f4b7f7edbd434c5a660",
+    "siegel-3.2":
+        "acbe35417da643f95ca7e63f137801e5a94debbb94f16be6618f449b6f04fce5",
+    "supergeneric-y-dominant":
+        "3ef9850671ced2f76bd31a52782d30ba957c5b79891e8f633c21bf2a7f8ccf4e",
+    "supergeneric-z-dominant":
+        "1905a5d08d5ec208ca66aec438025a05d91a244956467575949d418df716815c",
+    "supergeneric-balanced":
+        "367945002fc324b04ea41dced420dc4484dea9a72e73c3417ede947dc24590ec",
+    "supergeneric-deep-cancel-strict":
+        "235b23438a595b6e76019075b2ccc3d419222c3033d86c5253529af4428c7f30",
+    "supergeneric-deep-cancel-equal":
+        "f35eab4bb48e0f16f040820e51687ba83ad98e8202f2994f61d0d4d4b35e59e5",
+    "split-equal-indices":
+        "1da2337aab03ac8e05723cecb558fd149bac1fa6491ae4dd46625da823419f57",
+}
+
+
 @lru_cache(maxsize=None)
-def inexact_finf_coefficients(name):
-    """Every inexact t^k coefficient of the fixture's F_inf at n_max = 2."""
+def finf_of(name):
+    """F_inf at n_max = 2 for a fixture, or for the split x = y = t curve
+    of ``split_equal_decay_indices`` under SPLIT_EQUAL_CURVE."""
+    if name == SPLIT_EQUAL_CURVE:
+        model = build_model(HILBERT_SPLIT, 5, 2, 10)
+        curve = FormalCurve(x={1: 1}, y={1: 1}, nt=2 * (1 + 5 + 25) + 1)
+        return f_infinity(model, curve, n_max=2)
     fix = next(f for f in TABLE if f["name"] == name)
     params = PAdicParams(fix["p"], fix["d"], fix["precision"])
     c_res, curve = fix["make"](params.residue_field, params.eps_int)
     model = CrystalModel(fix["case"], params, c_residue=c_res)
-    finf = f_infinity(model, curve, n_max=2)
-    return [c for row in finf.entries for e in row
+    return f_infinity(model, curve, n_max=2)
+
+
+def finf_digest(name):
+    h = hashlib.sha256()
+    for r, row in enumerate(finf_of(name).entries):
+        for col, e in enumerate(row):
+            for k in sorted(e.coeffs):
+                c = e.coeffs[k]
+                h.update(repr((r, col, k, c.shift, c.coeffs, c.rel_prec,
+                               c.exact)).encode())
+    return h.hexdigest()
+
+
+def inexact_finf_coefficients(name):
+    """Every inexact t^k coefficient of the fixture's F_inf at n_max = 2."""
+    return [c for row in finf_of(name).entries for e in row
             for c in e.coeffs.values() if not c.exact]
 
 
@@ -88,3 +157,12 @@ def test_finf_headroom_no_worse(fix):
     pinned_least, pinned_masked = HEADROOM[fix["name"]]
     assert least >= pinned_least
     assert masked <= pinned_masked
+
+
+@pytest.mark.parametrize("name", sorted(FINF_SHA256))
+def test_finf_digest_pinned(name):
+    assert finf_digest(name) == FINF_SHA256[name]
+
+
+def test_finf_digest_table_covers_every_fixture():
+    assert set(FINF_SHA256) == {f["name"] for f in TABLE} | {SPLIT_EQUAL_CURVE}

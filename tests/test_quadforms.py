@@ -44,6 +44,17 @@ def test_sigma_s():
         assert sigma_s(q, -1, chi) == 1 + Fraction(kronecker(-4, q), q)
 
 
+@pytest.mark.parametrize("s", [-3, -1, 1])
+@pytest.mark.parametrize("D", [None, -4, 5, -23])
+def test_sigma_s_matches_the_divisor_sum(s, D):
+    chi = None if D is None else (lambda d: kronecker(D, d))
+    for m in range(1, 301):
+        naive = sum(((1 if chi is None else chi(d)) * Fraction(d) ** s
+                     for d in range(1, m + 1) if m % d == 0), Fraction(0))
+        got = sigma_s(m, s, chi)
+        assert type(got) is Fraction and got == naive, (m, s, D)
+
+
 def test_two_squares_density():
     L = IntLattice([[2, 0], [0, 2]])
     assert local_density(5, L, 1) == Fraction(4, 5)

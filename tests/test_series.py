@@ -230,6 +230,12 @@ def random_scalar(params, rng):
     if kind < 0.15:
         return PAdicScalar.masked(params, shift + rng.randint(1, M))
     if kind < 0.4:
+        # one digit c g^i, exact or not: the kernel's main traffic
+        unit = [0] * d
+        unit[rng.randrange(d)] = rng.randrange(1, p)
+        rel = None if kind < 0.25 else rng.randint(1, M)
+        return PAdicScalar(params, shift, tuple(unit), rel, rel is None)
+    if kind < 0.6:
         unit = [rng.randint(-30, 30) for _ in range(d)]
         unit[0] = rng.choice((-1, 1)) * rng.randrange(1, p)
         return PAdicScalar(params, shift, tuple(unit), None, True)._normalize()
@@ -254,11 +260,14 @@ def digits(c, shift, bound):
                  for x in c.coeffs)
 
 
-@pytest.mark.parametrize("d", [1, 2, 4])
-def test_fused_kernel_matches_chained_oracle(d):
-    params = PAdicParams(5, d, 6)
+# x^3 + x + 1 at p = 5, x^8 + x^2 + 2 at p = 3 and x^4 + x + 1 at p = 7
+# fold through rows with several nonzero entries
+@pytest.mark.parametrize("p, d", [(5, 1), (5, 2), (5, 4), (5, 3), (5, 8),
+                                  (3, 8), (7, 4)])
+def test_fused_kernel_matches_chained_oracle(p, d):
+    params = PAdicParams(p, d, 6)
     nt = 8
-    rng = random.Random(100 + d)
+    rng = random.Random(100 * p + d)
     for _ in range(150):
         pairs = [(random_series(params, nt, rng),
                   random_series(params, nt, rng))
