@@ -62,9 +62,6 @@ class FormalCurve:
                     raise InvalidParameter(
                         f"{name}(t) must vanish at t = 0 (exponent {e})")
 
-    def is_trivial(self):
-        return not (self.x or self.y or self.z)
-
     def component_series(self, params, which):
         comp = {"x": self.x, "y": self.y, "z": self.z}[which]
         coeffs = {}
@@ -462,25 +459,31 @@ def _span_certificate(finf, basis, A, n_max):
     return True, None
 
 
+def _e(i, rank):
+    v = [0] * rank
+    v[i] = 1
+    return tuple(v)
+
+
+def _triples(rank, *idx_groups):
+    """Candidate bases: one coordinate triple per index triple."""
+    return [tuple(_e(i, rank) for i in tri) for tri in idx_groups]
+
+
+def _combos(rank, pair, k, l, p):
+    """Candidate bases pair + (e_k + m e_l) for m = 1 .. p-1."""
+    return [(_e(pair[0], rank), _e(pair[1], rank),
+             tuple(1 if i == k else m if i == l else 0 for i in range(rank)))
+            for m in range(1, p)]
+
+
 def _default_candidates(rank, p):
     """Coordinate triples first, then pairs completed by mod-p combos."""
-    def e(i):
-        v = [0] * rank
-        v[i] = 1
-        return tuple(v)
-
-    cands = []
-    for tri in itertools.combinations(range(rank), 3):
-        cands.append(tuple(e(i) for i in tri))
+    cands = _triples(rank, *itertools.combinations(range(rank), 3))
     for pair in itertools.combinations(range(rank), 2):
         rest = [i for i in range(rank) if i not in pair]
-        for other in itertools.combinations(rest, 2):
-            k, l = other
-            for m in range(1, p):
-                combo = [0] * rank
-                combo[k] = 1
-                combo[l] = m
-                cands.append((e(pair[0]), e(pair[1]), tuple(combo)))
+        for k, l in itertools.combinations(rest, 2):
+            cands += _combos(rank, pair, k, l, p)
     return cands
 
 

@@ -8,7 +8,8 @@ for D = D0 s^2 > 0 with D0 fundamental (or 1) and conductor f = D0,
 
 (Washington, Introduction to Cyclotomic Fields, Thm 4.2), with the Euler
 correction E and the generalized Bernoulli number B_{2,chi} of
-chi = chi_{D0} exact.  So pi and every square root cancel from the
+chi = chi_{D0} exact; B_{2,chi} = -2 H(2, D0) is read from Cohen's
+numbers H(2, N).  So pi and every square root cancel from the
 coefficient formulas.  The only interval left is dirichlet_L2, whose
 D < 0 branch sums the series in floats with a proven rounding bound.
 """
@@ -43,12 +44,13 @@ def fundamental_part(D):
 
 
 def euler_correction(D0, s):
-    """E with L(2, chi_{D0 s^2}) = E * L(2, chi_{D0}), exact."""
-    E = Fraction(1)
+    """E = prod_{q | s} (q^2 - chi_{D0}(q)) / q^2, the exact factor with
+    L(2, chi_{D0 s^2}) = E * L(2, chi_{D0})."""
+    num = den = 1
     for q in primefactors(s):
-        if D0 % q != 0:
-            E *= 1 - Fraction(kronecker(D0, q), q * q)
-    return E
+        num *= q * q - kronecker(D0, q)
+        den *= q * q
+    return Fraction(num, den)
 
 
 # chi_{-4}, chi_8 and chi_{-8} on n mod 8
@@ -80,27 +82,46 @@ def _chi_table(D0):
     return table
 
 
+H2_MAX = 34887503849  # largest N: (2 sqrt N + 1) 28 N (1 + ln N) < 2^63
+_g = np.ones(1, dtype=np.int64)  # g(0 .. X-1)
+
+
+def cohen_h2(N):
+    """Cohen's H(2, N) = (theta g)(N) / 120 for 1 <= N <= H2_MAX, exact.
+
+    120 sum_N H(2, N) q^N = theta^5 - 20 theta sum_{n odd} sigma_1(n) q^n
+    spans Kohnen's plus space M^+_{5/2}(Gamma_0(4)) (Cohen, Math. Ann. 217,
+    1975; Kohnen, Math. Ann. 248, 1980); by Jacobi's r_4(n) = 8 sigma_1(n)
+    - 32 sigma_1(n/4) it is theta g, g(n) = r_4(n) - 20 [n odd] sigma_1(n),
+    g(0) = 1.  |g(n)| <= 28 sigma_1(n) < 28 n (1 + ln n), so the int64 sum
+    of the 2 sqrt(N) + 1 terms g(N - k^2) cannot wrap for N <= H2_MAX.  The
+    memoized table of g grows to max(2 X, N + 1) by one sigma_1 sieve.
+    """
+    global _g
+    if N > H2_MAX:
+        raise InvalidParameter(f"H(2, {N}): above {H2_MAX} int64 could wrap")
+    if len(_g) <= N:
+        X = max(2 * len(_g), N + 1)
+        sig = np.zeros(X, dtype=np.int64)
+        for d in range(1, math.isqrt(X - 1) + 1):  # n = d e with d <= e
+            sig[d * d::d] += np.arange(2 * d, (X - 1) // d + d + 1)
+            sig[d * d] -= d
+        g = 8 * sig
+        g[1::2] -= 20 * sig[1::2]
+        g[::4] -= 32 * sig[:(X + 3) // 4]
+        g[0] = 1
+        _g = g
+    k = np.arange(1, math.isqrt(N) + 1)
+    return Fraction(int(_g[N]) + 2 * int(_g[N - k * k].sum()), 120)
+
+
 @lru_cache(maxsize=None)
 def bernoulli_2(D0):
-    """B_{2,chi} = f sum_{a=1}^{f} chi(a) B_2(a/f) for chi = chi_{D0}, exact.
+    """B_{2,chi} = -2 L(-1, chi) = -2 H(2, D0) for chi = chi_{D0}, exact.
 
-    D0 > 0 is fundamental or 1, f = D0, B_2(x) = x^2 - x + 1/6; D0 = 1
-    gives 1/6.  The integer terms 6 a (a - f) + f^2 lie in [-f^2/2, f^2],
-    so int64 partial sums over chunks of (2^63 - 1) // (2 f^2) terms
-    cannot wrap; the chunk sums are added as Python ints.
+    D0 > 0 is fundamental or 1; D0 = 1 gives 1/6.
     """
-    f = D0
-    step = (2 ** 63 - 1) // (2 * f * f)
-    if step < 1:
-        raise InvalidParameter(f"conductor {f} too large for B_2 tables")
-    chi = np.roll(_chi_table(D0), -1)  # chi(a) for a = 1..f
-    total = 0
-    for start in range(0, f, step):
-        a = np.arange(start + 1, min(f, start + step) + 1, dtype=np.int64)
-        terms = 6 * (a * (a - f)) + f * f
-        total += int(np.dot(chi[start:start + len(a)].astype(np.int64),
-                            terms))
-    return Fraction(total, 6 * f)
+    return -2 * cohen_h2(D0)
 
 
 def _odd_l_value(D0, tol):
@@ -270,18 +291,16 @@ def _q_rank5(lattice, m, sign):
 def middle_divisor_sum(m0, f, det):
     """sum_{d | f} mu(d) chi_D(d) d^-2 sigma_{-3}(f/d), exact.
 
-    Only squarefree d have mu(d) != 0; they are built from the primes
-    of f, each with mu(d) = (-1)^(number of primes).
+    That is sum mu(d) chi(d) d sigma_3(f/d) / f^3, and since chi_D is
+    completely multiplicative it is the product over q^e || f of
+    sigma_3(q^e) - chi(q) q sigma_3(q^(e-1)), over f^3.
     """
     D = 2 * m0 * abs(det)
-    squarefree = [(1, 1)]
-    for q in primefactors(f):
-        squarefree += [(d * q, -mu) for d, mu in squarefree]
-    total = Fraction(0)
-    for d, mu in squarefree:
-        total += mu * kronecker(D, d) * Fraction(1, d * d) \
-            * sigma_s(f // d, -3)
-    return total
+    total = 1
+    for q, e in factorint(f):
+        lower = sum(q ** (3 * i) for i in range(e))  # sigma_3(q^(e-1))
+        total *= lower + q ** (3 * e) - kronecker(D, q) * q * lower
+    return Fraction(total, f ** 3)
 
 
 def ratio_bound(case, p, idx_sqrt=None, vp_m=0, index_is_p=False):

@@ -202,28 +202,21 @@ def min_binary_disc(lattice):
     Returned value is det of the half-Gram of the pair, i.e. the square
     of the root discriminant d.
     """
+    def least_disc4(bound):
+        vecs = short_vectors(lattice, bound)
+        return min(d4 for i, v in enumerate(vecs) for w in vecs[i + 1:]
+                   if (d4 := _pair_disc4(lattice, v, w)) > 0)
+
     minima = successive_minima(lattice)
     l1 = minima[0]
-    vecs = short_vectors(lattice, minima[1])
-    best = None
-    for i, v in enumerate(vecs):
-        for w in vecs[i + 1:]:
-            d4 = _pair_disc4(lattice, v, w)
-            if d4 > 0 and (best is None or d4 < best):
-                best = d4
+    best = least_disc4(minima[1])
     # optimal pair is reduced: Q(v) Q(w) <= (4/3) disc; sweep that window
     while True:
         limit = (4 * best) // (3 * 4 * l1)
         if limit <= minima[1]:
             break
-        vecs = short_vectors(lattice, limit)
-        improved = best
-        for i, v in enumerate(vecs):
-            for w in vecs[i + 1:]:
-                d4 = _pair_disc4(lattice, v, w)
-                if d4 > 0 and d4 < improved:
-                    improved = d4
-        if improved == best:
+        improved = least_disc4(limit)
+        if improved >= best:
             break
         best = improved
     return Fraction(best, 4)

@@ -16,33 +16,18 @@ provably does not exist in F_{p^4}.
 
 from .crystals import (HILBERT_INERT_SG, HILBERT_INERT_SSP, HILBERT_SPLIT,
                        SIEGEL_SG, SIEGEL_SSP, CrystalModel, FormalCurve,
-                       build_model, f_infinity, find_decaying_submodule)
+                       _combos, _triples, build_model, f_infinity,
+                       find_decaying_submodule)
 from .errors import InvalidParameter
 from .padics import PAdicParams
 from .series import column_valuation_profile
-
-
-def _e(i, rank):
-    v = [0] * rank
-    v[i] = 1
-    return tuple(v)
-
-
-def _triples(rank, *idx_groups):
-    """Candidate bases: one coordinate triple per index triple."""
-    return [tuple(_e(i, rank) for i in tri) for tri in idx_groups]
 
 
 def _pair_plus_span(rank, pair, span, p):
     """Candidates pair + (each coordinate of span, then mod-p combos)."""
     out = _triples(rank, *[(pair[0], pair[1], k) for k in span])
     if len(span) == 2:
-        k, l = span
-        for m in range(1, p):
-            combo = [0] * rank
-            combo[k] = 1
-            combo[l] = m
-            out.append((_e(pair[0], rank), _e(pair[1], rank), tuple(combo)))
+        out += _combos(rank, pair, *span, p)
     return out
 
 

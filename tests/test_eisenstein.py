@@ -2,10 +2,12 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from froblat.eisenstein import (_chi_table, bernoulli_2, check_ratio,
-                                dirichlet_L2, fundamental_part,
+from froblat import eisenstein
+from froblat.eisenstein import (H2_MAX, _chi_table, bernoulli_2, check_ratio,
+                                cohen_h2, dirichlet_L2, fundamental_part,
                                 middle_divisor_sum, q_L_hilbert, q_L_siegel,
                                 q_positive_definite, ratio_bound)
 from froblat.errors import InvalidParameter
@@ -228,7 +230,7 @@ def _fundamental(D):
 
 def test_sieved_chi_table_matches_kronecker():
     discs = [D for D in range(-3000, 3000) if _fundamental(D)]
-    # twice the largest |D0| (7996) of cusp_deviation(pdet5, 100, 2000)
+    # around 16000, the top of the direct-sum oracle for B_{2,chi} below
     near = [15997, 16001, -15995, 16012, -16004, 16024]
     assert all(map(_fundamental, near))
     discs += near
@@ -253,8 +255,8 @@ def test_bernoulli_matches_kronecker_sum():
 
 
 def test_bernoulli_large_conductor_is_exact():
-    # D0^3 >= 2^63: the int64 sum is split into chunks; the reference
-    # uses chi_q(a) = 1 exactly on the nonzero squares mod the prime q
+    # D0^3 >= 2^63, a table of g past 2 * 10^6; the reference uses
+    # chi_q(a) = 1 exactly on the nonzero squares mod the prime q
     import sympy
     q = sympy.nextprime(2 ** 21)
     while q % 4 != 1:
@@ -263,6 +265,65 @@ def test_bernoulli_large_conductor_is_exact():
     squares = {x * x % q for x in range(1, (q + 1) // 2)}
     s2 = 2 * sum(r * r for r in squares) - sum(a * a for a in range(1, q))
     assert bernoulli_2(q) == Fraction(s2, q)
+
+
+def _b2_direct(D0):
+    """f sum_{a=1}^{f} chi(a) B_2(a/f), f = D0: the character table dotted
+    with 6 a (a - f) + f^2, over 6 f (exact in int64 for f <= 16000)."""
+    f = D0
+    a = np.arange(1, f + 1, dtype=np.int64)
+    chi = np.roll(_chi_table(D0), -1).astype(np.int64)
+    return Fraction(int(np.dot(chi, 6 * a * (a - f) + f * f)), 6 * f)
+
+
+def test_bernoulli_matches_direct_sum_to_16000():
+    # independent of the sigma_1 sieve, which is built from theta^5
+    discs = [1] + [D for D in range(2, 16001) if _fundamental(D)]
+    assert len(discs) == 4866
+    for D0 in discs:
+        assert bernoulli_2(D0) == _b2_direct(D0), D0
+
+
+def test_cohen_h2_vanishes_off_discriminants():
+    for N in range(1, 2001):
+        if N % 4 in (2, 3):
+            assert cohen_h2(N) == 0, N
+
+
+def test_cohen_h2_at_non_fundamental_discriminants():
+    # H(2, D0 f^2) = L(-1, chi_{D0}) sum_{d | f} mu(d) chi(d) d sigma_3(f/d)
+    import sympy
+    checked = 0
+    for N in range(1, 2001):
+        if N % 4 not in (0, 1):
+            continue
+        D0, f = fundamental_part(N)
+        s = sum(int(sympy.mobius(d)) * kronecker(D0, d) * d
+                * int(sympy.divisor_sigma(f // d, 3))
+                for d in sympy.divisors(f))
+        assert cohen_h2(N) == -_b2_direct(D0) / 2 * s, N
+        checked += f > 1
+    assert checked > 300
+
+
+def test_cohen_h2_raises_above_int64_bound_before_building():
+    import tracemalloc
+
+    def bound(N):
+        return (2 * math.isqrt(N) + 1) * 28 * N * (1 + math.log(N))
+
+    assert bound(H2_MAX) < 2 ** 63 <= bound(H2_MAX + 1)
+    size = len(eisenstein._g)
+    tracemalloc.start()
+    try:
+        for call in (cohen_h2, bernoulli_2):
+            with pytest.raises(InvalidParameter, match="int64"):
+                call(H2_MAX + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(eisenstein._g) == size
+    assert peak < 1 << 16
 
 
 def test_l_values_contain_mpmath_reference():
