@@ -74,6 +74,11 @@ class KeyVals(dict):
     def __missing__(self, key):
         raise errors.InvalidParameter(f"{self.path}: missing key {key!r}")
 
+    def error(self, key, what):
+        """An error naming the file, the key and its value."""
+        return errors.InvalidParameter(f"{self.path}: {key}={self[key]!r} "
+                                       f"{what}")
+
     def integer(self, key, default=None):
         """The value of key as an int (default when absent and given)."""
         if default is not None and key not in self:
@@ -81,9 +86,7 @@ class KeyVals(dict):
         try:
             return int(self[key])
         except ValueError:
-            raise errors.InvalidParameter(
-                f"{self.path}: {key}={self[key]!r} is not an integer") \
-                from None
+            raise self.error(key, "is not an integer") from None
 
 
 def read_keyvals(path):
@@ -98,8 +101,11 @@ def read_keyvals(path):
     return out
 
 
-def _parse_coeff(tok, d):
+def _parse_coeff(kv, key, tok, d):
+    """A residue coefficient of key: at most d F_p coordinates."""
     parts = tok.split(".")
+    if len(parts) > d:
+        raise kv.error(key, f"has more than d = {d} coordinates")
     return tuple(int(x) for x in parts) + (0,) * (d - len(parts))
 
 
@@ -120,17 +126,15 @@ def read_curve(path):
     comps = {}
     name = "c"
     try:
-        c_res = _parse_coeff(kv["c"], d) if kv.get("c") else None
+        c_res = _parse_coeff(kv, name, kv["c"], d) if kv.get("c") else None
         for name in ("x", "y", "z"):
             comp = {}
             for item in kv.get(name, "").split():
                 e, _, c = item.partition(":")
-                comp[int(e)] = _parse_coeff(c, d)
+                comp[int(e)] = _parse_coeff(kv, name, c, d)
             comps[name] = comp
     except ValueError:
-        raise errors.InvalidParameter(
-            f"{path}: {name}={kv[name]!r} is not integer coefficients") \
-            from None
+        raise kv.error(name, "is not integer coefficients") from None
     params = PAdicParams(p, d, prec)
     model = CrystalModel(case, params, c_residue=c_res)
     curve = FormalCurve(x=comps["x"], y=comps["y"], z=comps["z"], nt=nt)

@@ -3,11 +3,13 @@
 Five explicit models are supported, distinguished by the ambient family
 (Hilbert-type rank 4 or Siegel-type rank 5), the splitting behaviour, and
 whether the point is superspecial (sigma^2 fixes the Teichmuller parameter
-c) or supergeneric (it does not).  Each model knows its perturbation
-matrix F as a function of a formal curve (x(t), y(t), z(t)) with
-Teichmuller coefficients, the local equation of the non-ordinary locus,
-and the Gram matrix of the quadratic form on the special-endomorphism
-lattice at p.
+c) or supergeneric (it does not).  Along a formal curve (x(t), y(t), z(t))
+with Teichmuller coefficients each model gives F = sum_j s_j M_j as a
+sparse table of terms: a series s_j (from x, y, z and Q = x y, plus
+z^2/(4 eps) for Siegel) with the nonzero entries of M_j.  The mod-p
+equation of the non-ordinary locus is Q, y or Q + a y among these series.
+Each model also knows the Gram matrix of the quadratic form on the
+special-endomorphism lattice at p.
 
 Decay of a vector w is measured through the infinite product
 F_inf = prod_i (1 + sigma_t^i(F)): w decays rapidly when, for every n up
@@ -37,10 +39,6 @@ SIEGEL_SG = "siegel-supergeneric"
 
 CASES = (HILBERT_INERT_SSP, HILBERT_INERT_SG, HILBERT_SPLIT,
          SIEGEL_SSP, SIEGEL_SG)
-
-_RANK = {HILBERT_INERT_SSP: 4, HILBERT_INERT_SG: 4, HILBERT_SPLIT: 4,
-         SIEGEL_SSP: 5, SIEGEL_SG: 5}
-
 
 class FormalCurve:
     """A map Spf k[[t]] -> Spf k[[x,y,z]] with Teichmuller coefficients.
@@ -72,253 +70,151 @@ class FormalCurve:
                     coeffs[e] = lift
         return TruncSeries(params, self.nt, coeffs)
 
-    def residue_component(self, rf, which):
-        comp = {"x": self.x, "y": self.y, "z": self.z}[which]
-        return {e: rf.element(r) for e, r in comp.items()
-                if not rf.is_zero(rf.element(r))}
-
 
 class CrystalModel:
-    """One Frobenius model: parameters, matrix template, local Gram."""
+    """One Frobenius model: parameters, term table, local Gram.
+
+    A supergeneric model is exactly one with ``a_frob``, the unit
+    sigma(c) - sigma^(-1)(c); ``rank`` is 4 for the Hilbert models and 5
+    for the Siegel ones.
+    """
 
     def __init__(self, case, params, c_residue=None):
         if case not in CASES:
             raise InvalidParameter(f"unknown case {case!r}")
         self.case = case
         self.params = params
-        self.rank = _RANK[case]
+        self.rank = 5 if case.startswith("siegel") else 4
         if params.d % 2 != 0:
             raise InvalidParameter(
                 "models need lambda in W(F_{p^2}); use even degree d")
         self.eps = params.eps()
+        self.inv2eps = (self.eps * params.from_int(2)).inv()
         self.lam = params.lam()
-        rf = params.residue_field
         self.c = None
         self.a_frob = None
         if case == HILBERT_SPLIT:
             if c_residue is not None:
                 raise InvalidParameter("split case carries no parameter c")
-        else:
-            if c_residue is None:
-                raise InvalidParameter(f"case {case} needs the parameter c")
-            cbar = rf.element(c_residue)
-            fixed = rf.pow(cbar, params.p ** 2) == cbar
-            superspecial = case in (HILBERT_INERT_SSP, SIEGEL_SSP)
-            if superspecial and not fixed:
+            return
+        if c_residue is None:
+            raise InvalidParameter(f"case {case} needs the parameter c")
+        rf = params.residue_field
+        cbar = rf.element(c_residue)
+        fixed = rf.pow(cbar, params.p ** 2) == cbar
+        supergeneric = case.endswith("supergeneric")
+        if fixed == supergeneric:
+            raise InvalidParameter(
+                "supergeneric case needs sigma^2(c) != c" if supergeneric
+                else "superspecial case needs sigma^2(c) = c")
+        self.c = params.teichmuller(cbar)
+        if supergeneric:
+            cm1 = self.c.frobenius_power(params.d - 1)
+            self.a_frob = self.c.frobenius() - cm1
+            if self.a_frob.maybe_val() != 0:
                 raise InvalidParameter(
-                    "superspecial case needs sigma^2(c) = c")
-            if not superspecial and fixed:
-                raise InvalidParameter(
-                    "supergeneric case needs sigma^2(c) != c")
-            self.c = params.teichmuller(cbar)
-            if not superspecial:
-                cm1 = self.c.frobenius_power(params.d - 1)
-                self.a_frob = self.c.frobenius() - cm1
-                v = self.a_frob.maybe_val()
-                if v != 0:
-                    raise InvalidParameter(
-                        "supergeneric parameter must have unit a = "
-                        "sigma(c) - sigma^(-1)(c)")
+                    "supergeneric parameter must have unit a = "
+                    "sigma(c) - sigma^(-1)(c)")
 
-    # -- matrix template -------------------------------------------------
-    def perturbation_matrix(self, curve):
-        """The matrix F with Frob = (I + F) o sigma, specialized at the curve."""
-        params = self.params
-        nt = curve.nt
-        X = curve.component_series(params, "x")
-        Y = curve.component_series(params, "y")
-        Z = curve.component_series(params, "z")
-        lam = self.lam
-        lam_inv = lam.inv()
-        half = params.from_rational(Fraction(1, 2))
-        half_p = params.from_rational(Fraction(1, 2 * params.p))
-        inv2eps = (self.eps * params.from_int(2)).inv()
-        zero = TruncSeries.zero(params, nt)
+    # -- term table ------------------------------------------------------
+    def _series(self, curve):
+        """x, y, z and Q = x y (+ z^2 / (4 eps) for Siegel) as series."""
+        X, Y, Z = (curve.component_series(self.params, w) for w in "xyz")
+        Q = X * Y
+        if self.rank == 5:
+            half = self.params.from_rational(Fraction(1, 2))
+            Q = Q + (Z * Z).scale(self.inv2eps * half)
+        return X, Y, Z, Q
 
-        def S(series, scalar):
-            return series.scale(scalar)
-
+    def _terms(self, curve):
+        """F = sum_j s_j M_j as a list of (s_j, {(i, j): scalar}), zero
+        entries of M_j left out; an entry sums its terms in list order."""
+        P = self.params
+        X, Y, Z, Q = self._series(curve)
+        one, lam, li = P.one(), self.lam, self.lam.inv()
+        h = P.from_rational(Fraction(1, 2))
+        hp = P.from_rational(Fraction(1, 2 * P.p))
+        pinv = P.from_rational(Fraction(1, P.p))
         if self.case == HILBERT_INERT_SSP:
-            XY = X * Y
-            rows = [
-                [S(XY, -half_p), S(XY, half_p * lam), S(X, half_p),
-                 S(Y, half_p)],
-                [S(XY, -half_p * lam_inv), S(XY, half_p),
-                 S(X, half_p * lam_inv), S(Y, half_p * lam_inv)],
-                [S(Y, -params.one()), S(Y, lam), zero, zero],
-                [S(X, -params.one()), S(X, lam), zero, zero],
-            ]
-            return MatSeries(params, nt, rows)
-
+            return [
+                (Q, {(0, 0): -hp, (0, 1): hp * lam, (1, 0): -hp * li,
+                     (1, 1): hp}),
+                (X, {(0, 2): hp, (1, 2): hp * li, (3, 0): -one,
+                     (3, 1): lam}),
+                (Y, {(0, 3): hp, (1, 3): hp * li, (2, 0): -one,
+                     (2, 1): lam})]
         if self.case == HILBERT_SPLIT:
-            XY = X * Y
-            Spl = X + Y
-            Dif = X - Y
-            rows = [
-                [S(XY, half_p), S(XY, -half_p * lam), S(Spl, half_p),
-                 S(Dif, -half_p * lam)],
-                [S(XY, half_p * lam_inv), S(XY, -half_p),
-                 S(Spl, half_p * lam_inv), S(Dif, -half_p)],
-                [S(Spl, half), S(Spl, -half * lam), zero, zero],
-                [S(Dif, half * lam_inv), S(Dif, -half), zero, zero],
-            ]
-            return MatSeries(params, nt, rows)
-
-        if self.case == HILBERT_INERT_SG:
-            # F = (y/p) A + x B with B = B0 + (y/p) B1
-            c = self.c
-            c2 = c * c
-            Yp = Y.scale(params.from_rational(Fraction(1, params.p)))
-            XYp = X * Yp
-            A = [
-                [-c, -c2, -(lam * c2), params.zero()],
-                [half, params.zero(), lam * c, half * c2],
-                [half * lam_inv, c * lam_inv, params.zero(),
-                 -(half * c2 * lam_inv)],
-                [params.zero(), -params.one(), lam, c],
-            ]
-            B0 = [
-                [params.zero(), -params.one(), lam, params.zero()],
-                [params.zero(), params.zero(), params.zero(), half],
-                [params.zero(), params.zero(), params.zero(),
-                 half * lam_inv],
-                [params.zero()] * 4,
-            ]
-            B1 = [
-                [params.zero(), c, lam * c, -c2],
-                [params.zero(), -half, half * lam, half * c],
-                [params.zero(), -(half * lam_inv), half,
-                 half * c * lam_inv],
-                [params.zero()] * 4,
-            ]
-            rows = []
-            for i in range(4):
-                row = []
-                for j in range(4):
-                    acc = S(Yp, A[i][j]) + S(X, B0[i][j]) + S(XYp, B1[i][j])
-                    row.append(acc)
-                rows.append(row)
-            return MatSeries(params, nt, rows)
-
+            return [
+                (Q, {(0, 0): hp, (0, 1): -hp * lam, (1, 0): hp * li,
+                     (1, 1): -hp}),
+                (X + Y, {(0, 2): hp, (1, 2): hp * li, (2, 0): h,
+                         (2, 1): -h * lam}),
+                (X - Y, {(0, 3): -hp * lam, (1, 3): -hp, (3, 0): h * li,
+                         (3, 1): -h})]
         if self.case == SIEGEL_SSP:
-            Q = X * Y + (Z * Z).scale(inv2eps * half)
-            rows = [
-                [S(Q, half_p), S(Q, -half_p * lam_inv),
-                 S(X, half_p * lam_inv), S(Y, half_p * lam_inv),
-                 S(Z, half_p * lam_inv)],
-                [S(Q, half_p * lam), S(Q, -half_p), S(X, half_p),
-                 S(Y, half_p), S(Z, half_p)],
-                [S(Y, lam), S(Y, -params.one()), zero, zero, zero],
-                [S(X, lam), S(X, -params.one()), zero, zero, zero],
-                [S(Z, lam * inv2eps), S(Z, -inv2eps), zero, zero, zero],
-            ]
-            return MatSeries(params, nt, rows)
-
-        # SIEGEL_SG: F = (y/p) A + (Q/p) B + x C + z D
+            return [
+                (Q, {(0, 0): hp, (0, 1): -hp * li, (1, 0): hp * lam,
+                     (1, 1): -hp}),
+                (X, {(0, 2): hp * li, (1, 2): hp, (3, 0): lam,
+                     (3, 1): -one}),
+                (Y, {(0, 3): hp * li, (1, 3): hp, (2, 0): lam,
+                     (2, 1): -one}),
+                (Z, {(0, 4): hp * li, (1, 4): hp,
+                     (4, 0): lam * self.inv2eps, (4, 1): -self.inv2eps})]
         c = self.c
         c2 = c * c
-        pinv = params.from_rational(Fraction(1, params.p))
-        Yp = Y.scale(pinv)
-        Qp = (X * Y + (Z * Z).scale(inv2eps * half)).scale(pinv)
-        A = [
-            [params.zero(), c * lam, half, half * c2, params.zero()],
-            [c * lam_inv, params.zero(), half * lam_inv,
-             -(half * c2 * lam_inv), params.zero()],
-            [-c2, -(lam * c2), -c, params.zero(), params.zero()],
-            [-params.one(), lam, params.zero(), c, params.zero()],
-            [params.zero()] * 5,
-        ]
-        B = [
-            [-half, half * lam, params.zero(), half * c, params.zero()],
-            [-(half * lam_inv), half, params.zero(),
-             half * c * lam_inv, params.zero()],
-            [c, -(c * lam), params.zero(), -c2, params.zero()],
-            [params.zero()] * 5,
-            [params.zero()] * 5,
-        ]
-        C = [
-            [params.zero(), params.zero(), params.zero(), half,
-             params.zero()],
-            [params.zero(), params.zero(), params.zero(),
-             half * lam_inv, params.zero()],
-            [-params.one(), lam, params.zero(), params.zero(),
-             params.zero()],
-            [params.zero()] * 5,
-            [params.zero()] * 5,
-        ]
-        D = [
-            [params.zero(), params.zero(), params.zero(), params.zero(),
-             half_p],
-            [params.zero(), params.zero(), params.zero(), params.zero(),
-             half_p * lam_inv],
-            [params.zero(), params.zero(), params.zero(), params.zero(),
-             -(c * pinv)],
-            [params.zero()] * 5,
-            [-(half * self.eps.inv()), lam * half * self.eps.inv(),
-             params.zero(), c * half * self.eps.inv(), params.zero()],
-        ]
-        rows = []
-        for i in range(5):
-            row = []
-            for j in range(5):
-                acc = (S(Yp, A[i][j]) + S(Qp, B[i][j]) + S(X, C[i][j])
-                       + S(Z, D[i][j]))
-                row.append(acc)
-            rows.append(row)
-        return MatSeries(params, nt, rows)
+        Yp, Qp = Y.scale(pinv), Q.scale(pinv)
+        if self.case == HILBERT_INERT_SG:
+            # F = (y/p) A + x B0 + (Q/p) B1
+            return [
+                (Yp, {(0, 0): -c, (0, 1): -c2, (0, 2): -(lam * c2),
+                      (1, 0): h, (1, 2): lam * c, (1, 3): h * c2,
+                      (2, 0): h * li, (2, 1): c * li,
+                      (2, 3): -(h * c2 * li),
+                      (3, 1): -one, (3, 2): lam, (3, 3): c}),
+                (X, {(0, 1): -one, (0, 2): lam, (1, 3): h, (2, 3): h * li}),
+                (Qp, {(0, 1): c, (0, 2): lam * c, (0, 3): -c2,
+                      (1, 1): -h, (1, 2): h * lam, (1, 3): h * c,
+                      (2, 1): -(h * li), (2, 2): h, (2, 3): h * c * li})]
+        # SIEGEL_SG: F = (y/p) A + (Q/p) B + x C + z D
+        ei = self.eps.inv()
+        return [
+            (Yp, {(0, 1): c * lam, (0, 2): h, (0, 3): h * c2,
+                  (1, 0): c * li, (1, 2): h * li, (1, 3): -(h * c2 * li),
+                  (2, 0): -c2, (2, 1): -(lam * c2), (2, 2): -c,
+                  (3, 0): -one, (3, 1): lam, (3, 3): c}),
+            (Qp, {(0, 0): -h, (0, 1): h * lam, (0, 3): h * c,
+                  (1, 0): -(h * li), (1, 1): h, (1, 3): h * c * li,
+                  (2, 0): c, (2, 1): -(c * lam), (2, 3): -c2}),
+            (X, {(0, 3): h, (1, 3): h * li, (2, 0): -one, (2, 1): lam}),
+            (Z, {(0, 4): hp, (1, 4): hp * li, (2, 4): -(c * pinv),
+                 (4, 0): -(h * ei), (4, 1): lam * h * ei,
+                 (4, 3): c * h * ei})]
+
+    def perturbation_matrix(self, curve):
+        """The matrix F with Frob = (I + F) o sigma, specialized at the curve."""
+        n, nt = self.rank, curve.nt
+        zero = TruncSeries.zero(self.params, nt)
+        entries = [[zero] * n for _ in range(n)]
+        for series, scalars in self._terms(curve):
+            for (i, j), a in scalars.items():
+                entries[i][j] = entries[i][j] + series.scale(a)
+        return MatSeries(self.params, nt, entries)
 
     # -- non-ordinary locus ----------------------------------------------
     def non_ordinary_valuation(self, curve):
-        """t-adic order of the mod-p equation of the non-ordinary locus."""
-        rf = self.params.residue_field
-        x = curve.residue_component(rf, "x")
-        y = curve.residue_component(rf, "y")
-        z = curve.residue_component(rf, "z")
-        nt = curve.nt
-
-        def conv(a, b):
-            out = {}
-            for i, ai in a.items():
-                for j, bj in b.items():
-                    k = i + j
-                    if k > nt:
-                        continue
-                    s = rf.add(out.get(k, rf.element(0)), rf.mul(ai, bj))
-                    if rf.is_zero(s):
-                        out.pop(k, None)
-                    else:
-                        out[k] = s
-            return out
-
-        def add(a, b):
-            out = dict(a)
-            for k, bk in b.items():
-                s = rf.add(out.get(k, rf.element(0)), bk)
-                if rf.is_zero(s):
-                    out.pop(k, None)
-                else:
-                    out[k] = s
-            return out
-
-        if self.case in (HILBERT_INERT_SSP, HILBERT_SPLIT):
-            eq = conv(x, y)
-        elif self.case == HILBERT_INERT_SG:
-            eq = y
-        else:
-            inv4eps = rf.inv(rf.element(4 * self.params.eps_int))
-            z2 = conv(z, z)
-            z2 = {k: rf.mul(v, inv4eps) for k, v in z2.items()}
-            if self.case == SIEGEL_SSP:
-                eq = add(conv(x, y), z2)
-            else:
-                abar = self.a_frob.residue()
-                xa = add(x, {0: abar} if not rf.is_zero(abar) else {})
-                # (x + a) y + z^2/(4 eps); constant term of x+a allowed
-                eq = add(conv(xa, y), z2)
-        if not eq:
+        """t-adic order A of the non-ordinary locus along the curve: the
+        first exponent whose coefficient is a unit in its equation, Q, or
+        y (Hilbert) and Q + a y (Siegel) at a supergeneric point."""
+        _, Y, _, eq = self._series(curve)
+        if self.a_frob is not None:
+            eq = Y if self.rank == 4 else eq + Y.scale(self.a_frob)
+        A = next((k for k in sorted(eq.coeffs)
+                  if eq.coeffs[k].maybe_val() == 0), None)
+        if A is None:
             raise NotGenericallyOrdinary(
                 "non-ordinary equation vanishes up to t^nt")
-        return min(eq)
+        return A
 
 
 def build_model(case, p, d, precision_M, c_residue=None):
@@ -503,8 +399,7 @@ def find_decaying_submodule(model, finf, A, n_max=2, candidates=None,
     """
     p = model.params.p
     if want_witness is None:
-        want_witness = model.case in (HILBERT_INERT_SSP, HILBERT_SPLIT,
-                                      SIEGEL_SSP)
+        want_witness = model.a_frob is None
     if candidates is None:
         candidates = _default_candidates(model.rank, p)
     last_falsifier = None

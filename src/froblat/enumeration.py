@@ -1,8 +1,10 @@
 """Short-vector enumeration and derived counts, in exact arithmetic.
 
-Enumeration runs on the rational Cholesky decomposition Q(v) =
-sum q_i (v_i + sum_{j>i} u_ij v_j)^2 with all bounds computed through
-integer square roots, so no vector is ever gained or lost to rounding.
+Enumeration runs on the LDL^T decomposition Q(v) =
+sum q_i (v_i + sum_{j>i} u_ij v_j)^2, read in integers from the pivot
+rows of one fraction-free Bareiss pass over the Gram matrix, with all
+bounds computed through integer square roots, so no vector is ever
+gained or lost to rounding.
 Vectors come in +/- pairs; the zero vector is counted once.
 
 Derived quantities: representation counts r(m), successive minima
@@ -23,43 +25,31 @@ from .padics import _valuation, factorint, primefactors, primerange
 from .quadforms import _stable_exponent, kronecker
 
 
-def _cholesky(lattice):
-    n = lattice.rank
-    a = [[Fraction(x) for x in row] for row in lattice.q_matrix()]
-    q = [Fraction(0)] * n
-    u = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        q[i] = a[i][i]
-        if q[i] <= 0:
-            raise NotPositiveDefinite(
-                f"{lattice.label}: not positive definite")
-        for j in range(i + 1, n):
-            u[i][j] = a[i][j] / q[i]
-        for r in range(i + 1, n):
-            for c in range(r, n):
-                a[r][c] -= a[i][r] * a[i][c] / q[i]
-    return q, u
-
-
 def _descend(lattice, bound, leaf):
     """Depth-first walk over 0 < Q(v) <= bound, one v of each +/- pair.
 
     Calls leaf(v, norm) with the live coordinate list v (copy it to keep
-    it) and the exact norm Q(v).  The walk runs in integers: with
-    u_ij = w_ij / d_i over a common denominator d_i per row, and the
-    least scale making every c_i = scale q_i / d_i^2 integral,
-    scale Q(v) is sum c_i t_i^2 with t_i = d_i v_i + sum_{j>i} w_ij v_j,
-    and v_i ranges exactly over |t_i| <= isqrt(remaining // c_i).
+    it) and the exact norm Q(v).  The walk runs in integers read from the
+    Bareiss pivot rows r_i of the Gram matrix, with pivots P_i (its
+    leading minors): Q(v) = sum q_i (v_i + sum_{j>i} u_ij v_j)^2 with
+    q_i = P_i / (2 P_(i-1)), and u_ij = w_ij / d_i where (d_i, w_ij) is
+    r_i from the diagonal on, divided by the gcd of those entries.  With
+    the least scale making every c_i = scale q_i / d_i^2 integral, scale
+    Q(v) is sum c_i t_i^2 with t_i = d_i v_i + sum_{j>i} w_ij v_j, and
+    v_i ranges exactly over |t_i| <= isqrt(remaining // c_i).
     """
-    if not lattice.is_positive_definite():
+    rows = linalg.pivot_rows(lattice.gram)
+    if rows is None:
         raise NotPositiveDefinite(f"{lattice.label}: enumeration needs "
                                   "a positive-definite form")
-    q, u = _cholesky(lattice)
     n = lattice.rank
-    den = [math.lcm(*(x.denominator for x in row)) for row in u]
-    w = [[int(x * d) for x in row] for row, d in zip(u, den)]
-    scale = math.lcm(*((qi / d ** 2).denominator for qi, d in zip(q, den)))
-    c = [int(scale * qi / d ** 2) for qi, d in zip(q, den)]
+    w = [[x // math.gcd(*r[i:]) for x in r] for i, r in enumerate(rows)]
+    den = [r[i] for i, r in enumerate(w)]
+    # c_i = scale q_i / d_i^2 = scale P_i / (2 P_(i-1) d_i^2)
+    pivots = [1] + [r[i] for i, r in enumerate(rows)]
+    dq = [2 * pivots[i] * d * d for i, d in enumerate(den)]
+    scale = math.lcm(*(b // math.gcd(a, b) for a, b in zip(pivots[1:], dq)))
+    c = [scale * a // b for a, b in zip(pivots[1:], dq)]
     top = math.floor(scale * Fraction(bound))
     v = [0] * n
 

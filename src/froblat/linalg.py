@@ -16,15 +16,16 @@ from .padics import _valuation
 
 
 def _bareiss(rows):
-    """(pivots, row swaps) of one fraction-free echelon pass.
+    """(pivot rows, row swaps) of one fraction-free echelon pass.
 
-    Columns with no nonzero active entry are skipped, so len(pivots) is
-    the rank; at full rank the last pivot is (-1)^swaps det.
+    Each pivot row is kept as it was when it pivoted: zero before its
+    pivot column, its pivot the k-th leading minor of the row-permuted
+    matrix.  Columns with no nonzero active entry are skipped, so there
+    are rank-many rows.
     """
     a = [list(r) for r in rows]
-    pivots, swaps, prev = [], 0, 1
+    k, swaps, prev = 0, 0, 1
     for c in range(len(a[0]) if a else 0):
-        k = len(pivots)
         piv = next((r for r in range(k, len(a)) if a[r][c]), None)
         if piv is None:
             continue
@@ -37,17 +38,17 @@ def _bareiss(rows):
             x = row[c]
             row[c:] = [0] + [(p * y - x * z) // prev
                              for y, z in zip(row[c + 1:], top[c + 1:])]
-        pivots.append(p)
+        k += 1
         prev = p
-    return pivots, swaps
+    return a[:k], swaps
 
 
 def det(m):
-    """Determinant of a square integer matrix."""
-    pivots, swaps = _bareiss(m)
-    if len(pivots) < len(m):
+    """Determinant of a square integer matrix: (-1)^swaps P_(n-1)."""
+    rows, swaps = _bareiss(m)
+    if len(rows) < len(m):
         return 0
-    return (-1) ** swaps * pivots[-1] if pivots else 1
+    return (-1) ** swaps * rows[-1][-1] if rows else 1
 
 
 def rank(m):
@@ -55,15 +56,25 @@ def rank(m):
     return len(_bareiss(m)[0])
 
 
-def is_positive_definite(m):
-    """Sylvester's criterion for a symmetric integer matrix.
+def pivot_rows(m):
+    """The Bareiss pivot rows of a symmetric integer matrix m if it is
+    positive definite, else None.
 
-    Without a row swap the pivots are the leading principal minors; a
-    swap means one of them vanished.
+    Sylvester's criterion: without a row swap the pivots, the diagonal
+    entries of the pivot rows, are the leading principal minors; a swap
+    means one of them vanished.  Row i is P_(i-1) times row i of the
+    Gaussian U, so m = sum_i r_i^T r_i / (P_i P_(i-1)) with P_(-1) = 1.
     """
-    pivots, swaps = _bareiss(m)
-    return swaps == 0 and len(pivots) == len(m) and all(
-        p > 0 for p in pivots)
+    rows, swaps = _bareiss(m)
+    if swaps or len(rows) < len(m) or any(
+            r[i] <= 0 for i, r in enumerate(rows)):
+        return None
+    return rows
+
+
+def is_positive_definite(m):
+    """Sylvester's criterion for a symmetric integer matrix."""
+    return pivot_rows(m) is not None
 
 
 def hnf_basis(gens):

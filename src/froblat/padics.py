@@ -709,13 +709,6 @@ class PAdicScalar:
         p = self.params.p
         return tuple(c % p for c in self.coeffs)
 
-    def shift_by(self, k):
-        """Multiply by p^k (exactness preserved)."""
-        if self.is_zero():
-            return self
-        return PAdicScalar(self.params, self.shift + k, self.coeffs,
-                           self.rel_prec, self.exact)
-
     # -- display -----------------------------------------------------------
     def __str__(self):
         if self.is_zero():

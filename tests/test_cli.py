@@ -119,6 +119,8 @@ def test_curve_without_degree_names_the_key(tmp_path):
 @pytest.mark.parametrize("old, new, detail", [
     ("p=5", "p=five", "p='five' is not an integer"),
     ("x=1:1", "x=1:a", "x='1:a' is not integer coefficients"),
+    ("x=1:1", "x=1:1.2.3", "x='1:1.2.3' has more than d = 2 coordinates"),
+    ("nt=63", "nt=63\nc=1.2.3", "c='1.2.3' has more than d = 2 coordinates"),
 ])
 def test_curve_non_integer_value_names_the_key(tmp_path, old, new, detail):
     with open(fx("xt_yt.curve")) as fh:

@@ -72,16 +72,17 @@ def test_non_ordinary_valuations():
 
 def test_cancellation_raises_when_total():
     m = build_model(SIEGEL_SSP, 5, 2, 8, c_residue=2)
-    rf = m.params.residue_field
-    inv4eps = rf.inv(rf.element(4 * m.params.eps_int))
-    beta = rf.neg(inv4eps)
+    beta = _beta(m)
     with pytest.raises(NotGenericallyOrdinary):
         m.non_ordinary_valuation(
             FormalCurve(x={1: 1}, y={1: beta}, z={1: 1}, nt=30))
     # with a higher-order term the valuation jumps past 2
-    A = m.non_ordinary_valuation(
-        FormalCurve(x={1: 1}, y={1: beta, 7: 1}, z={1: 1}, nt=30))
+    curve = FormalCurve(x={1: 1}, y={1: beta, 7: 1}, z={1: 1}, nt=30)
+    A = m.non_ordinary_valuation(curve)
     assert A == 8 > 2
+    # the W-coefficient of t^2 is not 0, only divisible by p
+    q = m._series(curve)[3].coeffs[2]
+    assert not q.is_zero() and q.maybe_val() >= 1
 
 
 def test_degenerate_curve():
@@ -95,6 +96,97 @@ def test_degenerate_curve():
                 assert list(finf.entries[i][j].coeffs) == [0]
             else:
                 assert finf.entries[i][j].coeffs == {}
+
+
+def _reference_valuation(model, curve):
+    """The non-ordinary equation computed in the residue field, term by
+    term: its t-adic order, or None when it vanishes up to t^nt."""
+    rf = model.params.residue_field
+    nt = curve.nt
+
+    def comp(c):
+        return {e: rf.element(r) for e, r in c.items()
+                if not rf.is_zero(rf.element(r))}
+
+    def add(a, b):
+        out = dict(a)
+        for k, bk in b.items():
+            s = rf.add(out.get(k, rf.element(0)), bk)
+            if rf.is_zero(s):
+                out.pop(k, None)
+            else:
+                out[k] = s
+        return out
+
+    def conv(a, b):
+        out = {}
+        for i, ai in a.items():
+            for j, bj in b.items():
+                if i + j <= nt:
+                    out = add(out, {i + j: rf.mul(ai, bj)})
+        return out
+
+    x, y, z = comp(curve.x), comp(curve.y), comp(curve.z)
+    if model.case in (HILBERT_INERT_SSP, HILBERT_SPLIT):
+        eq = conv(x, y)
+    elif model.case == HILBERT_INERT_SG:
+        eq = y
+    else:
+        inv4eps = rf.inv(rf.element(4 * model.params.eps_int))
+        z2 = {k: rf.mul(v, inv4eps) for k, v in conv(z, z).items()}
+        if model.case == SIEGEL_SG:
+            x = add(x, {0: model.a_frob.residue()})
+        eq = add(conv(x, y), z2)
+    return min(eq, default=None)
+
+
+def _beta(model):
+    """beta = -1/(4 eps) in the residue field: x = t, y = beta t, z = t
+    cancels x y + z^2/(4 eps) at t^2 mod p."""
+    rf = model.params.residue_field
+    return rf.neg(rf.inv(rf.element(4 * model.params.eps_int)))
+
+
+def _models():
+    P2, P4 = PAdicParams(5, 2, 6), PAdicParams(5, 4, 6)
+    rf4 = P4.residue_field
+    quartic = next(e for e in rf4.elements()
+                   if not rf4.is_zero(e) and rf4.pow(e, 25) != e)
+    return [CrystalModel(HILBERT_INERT_SSP, P2, c_residue=2),
+            CrystalModel(HILBERT_SPLIT, P2),
+            CrystalModel(SIEGEL_SSP, P2, c_residue=2),
+            CrystalModel(HILBERT_INERT_SG, P4, c_residue=quartic),
+            CrystalModel(SIEGEL_SG, P4, c_residue=quartic)]
+
+
+@pytest.mark.parametrize("model", _models(), ids=lambda m: m.case)
+def test_non_ordinary_valuation_matches_residue_field(model):
+    """A read from the W_M series of F agrees with the residue-field
+    equation on random sparse curves, both on A and on which curves
+    raise NotGenericallyOrdinary."""
+    rng = random.Random(model.case)
+    rf = model.params.residue_field
+    elements = list(rf.elements())
+    nt = 12
+    beta = _beta(model)
+    curves = [FormalCurve(x={1: 1}, y={1: beta}, z={1: 1}, nt=nt),
+              FormalCurve(x={1: 1}, y={1: beta, 7: 1}, z={1: 1}, nt=nt)]
+    for _ in range(60):
+        comps = [{rng.randint(1, nt): rng.choice(elements)
+                  for _ in range(rng.randint(0, 3))} for _ in "xyz"]
+        if rng.random() < 0.3:   # force the t^2 cancellation above
+            comps[0][1], comps[1][1], comps[2][1] = (1,), beta, (1,)
+        curves.append(FormalCurve(*comps, nt=nt))
+    raised = 0
+    for curve in curves:
+        want = _reference_valuation(model, curve)
+        if want is None:
+            raised += 1
+            with pytest.raises(NotGenericallyOrdinary):
+                model.non_ordinary_valuation(curve)
+        else:
+            assert model.non_ordinary_valuation(curve) == want
+    assert 0 < raised < len(curves)
 
 
 def test_split_decay_indices(split_xy):

@@ -1,16 +1,20 @@
+import hashlib
 import math
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
 from froblat.budget import derive_chain
+from froblat.cli import read_gram
 from froblat.enumeration import (binary_prime_density,
                                  build_T_set, cusp_deviation,
                                  min_binary_disc, prime_rep_count,
                                  representation_counts, short_vectors,
                                  square_rep_count, successive_minima)
 from froblat.errors import NotPositiveDefinite
+from froblat.linalg import pivot_rows
 from froblat.quadforms import IntLattice
 
 Z4 = IntLattice([[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]],
@@ -251,3 +255,54 @@ def test_counts_from_descent_match_vector_tally(gram, bound):
     for v in short_vectors(lat, bound):
         tally[lat.q_value(list(v))] += 1
     assert representation_counts(lat, bound) == tally
+
+
+# sha256 of repr(short_vectors(lattice, bound)), order included, as the
+# Fraction LDL^T descent gave them: the integer one walks the same way
+DESCENT_SHA256 = {
+    ("d5", 12): "9f570c16fd71754809ed4bcbc18af254"
+                "0ab3b1fd3b981efcb59b5c456d084f25",
+    ("a5", 12): "712be1ad17cef5cf03fcfca81bccc813"
+                "2361e6891ad585474d7b634aea2f18b1",
+    ("z5", 10): "13aba9d25e900bd7e3dbd91a846c4ce0"
+                "8b1934379befb08aea4dfa34b7db9b0a",
+    ("chain_head_p5", 40): "fca5121de72619773d2da4c9d79d1cb6"
+                           "e993c5215568fbd29e3236222a42d18e",
+}
+
+
+@pytest.mark.parametrize("name,bound", sorted(DESCENT_SHA256))
+def test_descent_order_pinned(name, bound):
+    path = os.path.join(os.path.dirname(__file__), "..", "fixtures",
+                        f"{name}.gram")
+    vecs = short_vectors(IntLattice(read_gram(path), name), bound)
+    digest = hashlib.sha256(repr(vecs).encode()).hexdigest()
+    assert digest == DESCENT_SHA256[name, bound]
+
+
+def test_ldl_from_pivot_rows_reproduces_q_matrix():
+    """The descent's integers: d_i and w_ij are pivot row i divided by
+    the gcd of its entries from the diagonal on, q_i = P_i / (2 P_(i-1)).
+    Then Q = sum_i (q_i / d_i^2) r_i^T r_i with r_i = (d_i, w_ij)."""
+    rng = random.Random(12)
+    checked = 0
+    while checked < 200:
+        n = rng.randint(1, 6)
+        B = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        gram = [[2 * sum(b[i] * b[j] for b in B) + 2 * (i == j)
+                 * rng.randint(0, 2) for j in range(n)] for i in range(n)]
+        rows = pivot_rows(gram)
+        if rows is None:
+            continue
+        pivots = [1] + [r[i] for i, r in enumerate(rows)]
+        got = [[Fraction(0)] * n for _ in range(n)]
+        for i, r in enumerate(rows):
+            g = math.gcd(*r[i:])
+            w = [x // g for x in r]
+            assert w[:i] == [0] * i and w[i] > 0
+            q = Fraction(pivots[i + 1], 2 * pivots[i] * w[i] ** 2)
+            for a in range(i, n):
+                for b in range(i, n):
+                    got[a][b] += q * w[a] * w[b]
+        assert got == IntLattice(gram).q_matrix()
+        checked += 1

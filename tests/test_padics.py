@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -135,7 +136,8 @@ def test_lambda_degree_four():
 
 
 def test_render_parse_roundtrip(W25):
-    x = W25.teichmuller((2, 3)).shift_by(-2)
+    x = W25.teichmuller((2, 3)) * W25.from_rational(Fraction(1, 25))
+    assert x.shift == -2
     y = parse_scalar(W25, str(x))
     assert (x - y).is_precision_zero() or (x - y).is_zero()
     assert parse_scalar(W25, "0").is_zero()
