@@ -59,32 +59,42 @@ def alpha_variants(p):
     }
 
 
+def _chain_weights(case, A, p):
+    """n -> the weights of the chain's members at level n: two for
+    'superspecial', (A(p+2)/(2p), A/2) at n = 0 and A p^n / 2 after;
+    one for 'supergeneric', A(p+1)/p at n = 0 and A p^n after."""
+    if case == "superspecial":
+        return lambda n: ((Fraction(A * (p + 2), 2 * p), Fraction(A, 2))
+                          if n == 0 else (Fraction(A * p ** n, 2),) * 2)
+    if case == "supergeneric":
+        return lambda n: (Fraction(A * (p + 1), p) if n == 0
+                          else Fraction(A * p ** n),)
+    raise InvalidParameter(f"unknown case {case!r}")
+
+
+def _chain_sum(case, A, p, chain, value):
+    """sum over the chain of weight times value(n, member).
+
+    An entry of the chain is a tuple of members or a single member;
+    members past the case's weights and None members are skipped.
+    """
+    weights = _chain_weights(case, A, p)
+    total = Fraction(0)
+    for n, entry in enumerate(chain):
+        members = entry if isinstance(entry, tuple) else (entry,)
+        for w, x in zip(weights(n), members):
+            if x is not None:
+                total += w * value(n, x)
+    return total
+
+
 def local_bound(case, A, p, r_tables, m):
     """Per-m weighted count bound from the chain's r-tables.
 
-    For 'superspecial', r_tables is a list of (r_n1, r_n2) count arrays
-    indexed by n; for 'supergeneric', a list of r_n arrays.  Missing
-    second components are allowed and simply dropped from the sum.
+    Each entry is a tuple (r_n1, r_n2) of count arrays indexed by m, or
+    one array; a supergeneric chain reads only r_n1.
     """
-    if case == "superspecial":
-        total = Fraction(0)
-        for n, pair in enumerate(r_tables):
-            r1, r2 = pair if isinstance(pair, tuple) else (pair, None)
-            c1 = Fraction(A * (p + 2), 2 * p) if n == 0 \
-                else Fraction(A * p ** n, 2)
-            c2 = Fraction(A, 2) if n == 0 else Fraction(A * p ** n, 2)
-            if r1 is not None:
-                total += c1 * r1[m]
-            if r2 is not None:
-                total += c2 * r2[m]
-        return total
-    if case == "supergeneric":
-        total = Fraction(0)
-        for n, r in enumerate(r_tables):
-            c = Fraction(A * (p + 1), p) if n == 0 else Fraction(A * p ** n)
-            total += c * r[m]
-        return total
-    raise InvalidParameter(f"unknown case {case!r}")
+    return _chain_sum(case, A, p, r_tables, lambda n, r: r[m])
 
 
 def local_bound_telescoped(A, p, a_dvr, r_tables, m, n_cut=None):
@@ -123,42 +133,30 @@ def eisenstein_budget(case, A, p, chain="geometric", vp_m=0):
     """Aggregate coefficient-ratio bounds over a chain, exactly.
 
     chain is either 'geometric' (the closed form of the infinite chain
-    with indices p^(3n) and p^(3n+1)) or a list of per-n index data:
-    (idx1, idx2) pairs for superspecial, idx for supergeneric; None
-    entries are omitted.  Index values are [L' : L'_{n, i}].
+    with indices p^(3n) and p^(3n+1)) or a list of per-n index data in
+    the entries ``local_bound`` reads, None entries omitted.  Index
+    values are [L' : L'_{n, i}].
     """
+    if chain != "geometric":
+        return _chain_sum(case, A, p, chain,
+                          lambda n, idx: _sub_ratio(case, p, n, idx, vp_m))
+    if vp_m != 0:
+        raise InvalidParameter("closed form assumes p coprime to m")
     if case == "superspecial":
-        if chain == "geometric":
-            if vp_m != 0:
-                raise InvalidParameter("closed form assumes p coprime to m")
-            return Fraction(A, p - 1) * alpha_const(p)
-        total = Fraction(0)
-        for n, pair in enumerate(chain):
-            idx1, idx2 = pair if isinstance(pair, tuple) else (pair, None)
-            w1 = Fraction(A * (p + 2), 2 * p) if n == 0 \
-                else Fraction(A * p ** n, 2)
-            w2 = Fraction(A, 2) if n == 0 else Fraction(A * p ** n, 2)
-            if idx1 is not None:
-                total += w1 * _sub_ratio(p, n, idx1, vp_m)
-            if idx2 is not None:
-                total += w2 * _sub_ratio(p, n, idx2, vp_m)
-        return total
+        return Fraction(A, p - 1) * alpha_const(p)
     if case == "supergeneric":
-        if chain == "geometric":
-            if vp_m != 0:
-                raise InvalidParameter("closed form assumes p coprime to m")
-            return supergeneric_geometric_bound(A, p)
-        total = Fraction(0)
-        for n, idx in enumerate(chain):
-            w = Fraction(A * (p + 1), p) if n == 0 else Fraction(A * p ** n)
-            if idx is not None:
-                total += w * _sg_sub_ratio(p, idx, vp_m)
-        return total
+        return Fraction(A, p - 1) * alpha_variants(p)["supergeneric_inert"]
     raise InvalidParameter(f"unknown case {case!r}")
 
 
-def _sub_ratio(p, n, idx, vp_m):
-    """Coefficient ratio bound for a superspecial chain member."""
+def _sub_ratio(case, p, n, idx, vp_m):
+    """Coefficient ratio bound for the chain member of index idx at n."""
+    if case == "supergeneric":
+        if idx == 1:
+            return ratio_bound("supergeneric", p)
+        if vp_m == 0:
+            return Fraction(2, (p * p - 1) * idx)
+        return Fraction(2, (p - 1) * idx)
     if n == 0 and idx == 1:
         return ratio_bound("superspecial", p)
     # |disc_p| of the sublattice is p^2 idx^2, so sqrt is p * idx
@@ -166,20 +164,6 @@ def _sub_ratio(p, n, idx, vp_m):
         return ratio_bound("superspecial", p, idx_sqrt=p * idx)
     return ratio_bound("superspecial", p, idx_sqrt=p * idx, vp_m=1,
                        index_is_p=(idx == p))
-
-
-def _sg_sub_ratio(p, idx, vp_m):
-    if idx == 1:
-        return ratio_bound("supergeneric", p)
-    if vp_m == 0:
-        return Fraction(2, (p * p - 1) * idx)
-    return Fraction(2, (p - 1) * idx)
-
-
-def supergeneric_geometric_bound(A, p):
-    """Closed form of the supergeneric inert chain aggregation."""
-    return Fraction(A, p - 1) * (Fraction(2, p)
-                                 + Fraction(2, (p + 1) * (p * p - 1)))
 
 
 def check_chain_nested(grams_with_bases):
@@ -391,19 +375,12 @@ def run_budget(inp):
     t_set = build_T_set(inp.t_kind, inp.p, inp.t_params, inp.M)
     excluded = sorted(set(inp.exclude) & set(t_set))
     kept = [m for m in t_set if m not in set(excluded)]
-    lattices = []
-    for pair in inp.chain:
-        g1, g2 = pair if isinstance(pair, tuple) else (pair, None)
-        L1 = IntLattice(g1) if g1 is not None else None
-        L2 = IntLattice(g2) if g2 is not None else None
-        lattices.append((L1, L2))
     r_tables = []
-    for L1, L2 in lattices:
-        r1 = representation_counts(L1, inp.M) if L1 is not None else None
-        r2 = representation_counts(L2, inp.M) if L2 is not None else None
-        r_tables.append((r1, r2))
-    if inp.case == "supergeneric":
-        r_tables = [r1 for r1, _ in r_tables]
+    for pair in inp.chain:
+        members = pair if isinstance(pair, tuple) else (pair,)
+        r_tables.append(tuple(
+            None if g is None else representation_counts(IntLattice(g), inp.M)
+            for g in members))
     glob = IntLattice(inp.global_gram, "global")
     qfun = q_L_hilbert if inp.family == "hilbert" else q_L_siegel
     per_m = []

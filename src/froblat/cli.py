@@ -251,12 +251,14 @@ def cmd_budget(args, out):
     depth = kv.integer("depth", 3)
     M = kv.integer("M", 500)
     chain, _ = derive_chain(head, p, depth)
-    t_params = {}
+    t_params = KeyVals(kv.path)    # so a missing T-set key names the file
     for key in ("N", "C", "D", "disc_F", "det2"):
         if key in kv:
             t_params[key] = kv.integer(key)
     exclude = []
-    if kv.get("exclude") == "deep":
+    if kv.get("exclude", "deep") != "deep":
+        raise kv.error("exclude", "is not 'deep'")
+    if "exclude" in kv:
         deep = IntLattice(chain[-1][1])
         counts = representation_counts(deep, M)
         exclude = [m for m in range(1, M + 1) if counts[m] > 0]

@@ -123,11 +123,12 @@ def _least_valuation(entries, p):
     return best
 
 
-def jordan_split(gram, ell):
+def jordan_split(gram, ell, d):
     """Jordan splitting over Z_l of the form Q(v) = v^T G v / 2.
 
-    G is an even Gram matrix.  The work is done on integers mod l^K with
-    K = v_l(det G) + 1 at odd l and v_l(det G) + 3 at l = 2, which fixes
+    G is an even Gram matrix and d = det G, nonzero, is passed in by the
+    caller, which holds it already.  The work is done on integers mod l^K
+    with K = v_l(d) + 1 at odd l and v_l(d) + 3 at l = 2, which fixes
     the Z_l-class (Cassels, Rational Quadratic Forms, ch. 8; Conway and
     Sloane, SPLAG, ch. 15).  Each step pivots on an entry of least
     valuation, a diagonal one if it can.  At odd l an off-diagonal pivot
@@ -141,9 +142,6 @@ def jordan_split(gram, ell):
     Returns (diag, blocks) of integer Q-coefficients mod l^K: diag entries
     c for c x^2, and blocks (a, b, c) for a x^2 + b xy + c y^2.
     """
-    d = det(gram)
-    if d == 0:
-        raise InvalidParameter("degenerate form")
     q = ell ** (_valuation(d, ell) + (3 if ell == 2 else 1))
     g = [[x % q for x in row] for row in gram]
     idx = list(range(len(g)))

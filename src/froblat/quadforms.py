@@ -3,9 +3,8 @@
 Lattices carry the Gram matrix of the bilinear form [x, y], so Q(v) =
 v^T G v / 2 and det(L) = det(G).  Local densities are computed two ways:
 a stable-exponent count delta(l, L, m) = l^(a(1-rk)) #{v mod l^a :
-Q(v) = m mod l^a} with a = 1 + 2 v_l(2m) (by an integer Jordan splitting
-mod l^K, see ``linalg.jordan_split``, and convolution of per-block value
-distributions), and for odd p with v_p(m) <= 1 the good/bad-type-I
+Q(v) = m mod l^a} with a = 1 + 2 v_l(2m) (by convolution of per-block
+value distributions), and for odd p with v_p(m) <= 1 the good/bad-type-I
 decomposition
 
     delta = alpha*(p, L, m) + p^(1-s0) alpha(p, L_I, m/p),
@@ -13,7 +12,9 @@ decomposition
 where alpha counts solutions mod p, alpha* restricts to solutions with a
 unit-coefficient coordinate not divisible by p, s0 is the number of unit
 diagonal coefficients, and L_I rescales unit slots by p and non-unit
-slots by 1/p.
+slots by 1/p.  Both read the Jordan splitting ``lattice.local(l)``: an
+IntLattice builds it once per l, mod l^K from its cached determinant
+(see ``linalg.jordan_split``), and a LocalLattice is its own splitting.
 """
 
 import math
@@ -89,18 +90,25 @@ class IntLattice:
     def __init__(self, gram, label=""):
         g = [[int(x) for x in row] for row in gram]
         n = len(g)
+        self.label = label or f"lattice{n}"
         for i, row in enumerate(g):
             if len(row) != n:
-                raise InvalidParameter("Gram matrix must be square")
+                raise InvalidParameter(f"{self.label}: Gram matrix must be "
+                                       f"square")
             if row[i] % 2 != 0:
-                raise InvalidParameter("diagonal of a bilinear Gram is even")
+                raise InvalidParameter(
+                    f"{self.label}: Gram entry ({i + 1}, {i + 1}) = {row[i]} "
+                    f"is odd; the diagonal of a bilinear Gram is even")
             for j in range(n):
                 if g[i][j] != g[j][i]:
-                    raise InvalidParameter("Gram matrix must be symmetric")
+                    raise InvalidParameter(
+                        f"{self.label}: Gram entries ({i + 1}, {j + 1}) = "
+                        f"{g[i][j]} and ({j + 1}, {i + 1}) = {g[j][i]} "
+                        f"differ; a Gram matrix must be symmetric")
         self.gram = g
         self.rank = n
-        self.label = label or f"lattice{n}"
         self._det = None
+        self._local = {}
 
     def q_value(self, v):
         acc = 0
@@ -119,6 +127,19 @@ class IntLattice:
 
     def is_positive_definite(self):
         return linalg.is_positive_definite(self.gram)
+
+    def local(self, ell):
+        """The Jordan splitting at the prime l, built once per lattice."""
+        loc = self._local.get(ell)
+        if loc is None:
+            if not isprime(ell):
+                raise InvalidParameter(f"ell = {ell} is not a prime")
+            if self.det() == 0:
+                raise InvalidParameter(f"{self.label}: degenerate form "
+                                       f"(det = 0)")
+            loc = self._local[ell] = LocalLattice(
+                ell, *linalg.jordan_split(self.gram, ell, self.det()))
+        return loc
 
     def q_matrix(self):
         """Rational matrix A with Q(v) = v^T A v."""
@@ -150,6 +171,13 @@ class LocalLattice:
         self.blocks2 = tuple(tuple(b) for b in blocks2)
         self.rank = len(self.diag) + 2 * len(self.blocks2)
 
+    def local(self, ell):
+        """This splitting itself; it holds only at its own prime."""
+        if ell != self.ell:
+            raise InvalidParameter(f"ell = {ell} is not the prime "
+                                   f"{self.ell} of this local lattice")
+        return self
+
     def unit_count(self):
         """Number of diagonal coefficients with v_l = 0 (s_0)."""
         return sum(1 for a in self.diag if a % self.ell)
@@ -175,29 +203,6 @@ def _canonical_symbol(ell, diag):
         eps = 1 if square else smallest_nonresidue(ell)
         out += [ell ** k] * (len(units[k]) - 1) + [ell ** k * eps]
     return tuple(out)
-
-
-def diagonalize_Zp(lattice, p):
-    """Canonical diagonal form over Z_p for odd p, in integers."""
-    if p == 2:
-        raise InvalidParameter("odd p only; 2-adic forms keep 2x2 blocks")
-    return _as_local(lattice, p)
-
-
-def _as_local(lattice, ell):
-    if not isprime(ell):
-        raise InvalidParameter(f"ell = {ell} is not a prime")
-    if isinstance(lattice, LocalLattice):
-        if lattice.ell != ell:
-            raise InvalidParameter("local lattice at a different prime")
-        return lattice
-    return _local_shape(tuple(map(tuple, lattice.gram)), ell)
-
-
-@lru_cache(maxsize=64)
-def _local_shape(gram, ell):
-    """Jordan splitting of a Gram matrix at l (memoized: callers share it)."""
-    return LocalLattice(ell, *linalg.jordan_split(gram, ell))
 
 
 def _distribution_1x1(coeff, ell, a_exp):
@@ -300,7 +305,7 @@ def _residue_table(ell, a_exp, diag, blocks2):
 
 def count_representations_mod(lattice, ell, m, a_exp):
     """#{v mod l^a : Q(v) = m mod l^a}, read from the residue table."""
-    loc = _as_local(lattice, ell)
+    loc = lattice.local(ell)
     table = _residue_table(ell, a_exp, loc.diag, loc.blocks2)
     return int(table[m % ell ** a_exp])
 
@@ -314,7 +319,7 @@ def local_density(ell, lattice, m, a_exp=None):
     """delta(l, L, m) at the stable exponent, as an exact Fraction."""
     if m < 1:
         raise InvalidParameter("m must be positive")
-    loc = _as_local(lattice, ell)
+    loc = lattice.local(ell)
     if a_exp is None:
         a_exp = _stable_exponent(ell, m)
     count = count_representations_mod(loc, ell, m, a_exp)
@@ -333,7 +338,7 @@ def hanke_density(p, lattice, m):
         raise InvalidParameter("p must be odd")
     if m < 1:
         raise InvalidParameter("m must be positive")
-    loc = _as_local(lattice, p)
+    loc = lattice.local(p)
     vm = _valuation(m, p)
     if vm == 0:
         return _alpha(p, loc, m)

@@ -9,8 +9,7 @@ from froblat.budget import (BudgetInput, _complete_to_basis, alpha_const,
                             alpha_variants, check_chain_nested, derive_chain,
                             eisenstein_budget, global_g, local_bound,
                             local_bound_telescoped, run_budget,
-                            supergeneric_geometric_bound, threshold_A_n,
-                            validate_hasse_budget)
+                            threshold_A_n, validate_hasse_budget)
 from froblat.crystals import HILBERT_INERT_SSP, local_gram
 from froblat.errors import ChainNotNested, InvalidParameter
 from froblat.quadforms import IntLattice, local_density
@@ -63,7 +62,21 @@ def test_eisenstein_budget_closed_forms():
             assert fin < closed
             assert closed - fin < Fraction(1, p ** 20)
             sg = eisenstein_budget("supergeneric", A, p, "geometric")
-            assert sg == supergeneric_geometric_bound(A, p)
+            assert sg == Fraction(A, p - 1) * (
+                Fraction(2, p) + Fraction(2, (p + 1) * (p * p - 1)))
+
+
+def test_supergeneric_chain_sums_are_pinned():
+    """Finite-chain sums whose values were fixed before the two sums
+    shared one table of chain weights."""
+    r = [[0, 1, 2, 3], [0, 0, 5, 1], [1, 1, 1, 1]]
+    assert local_bound("supergeneric", 3, 7, r, 2) == Fraction(1812, 7)
+    for v, sg, ss in ((0, Fraction(388, 1875), Fraction(169, 375)),
+                      (1, Fraction(151, 625), Fraction(931, 1500))):
+        assert eisenstein_budget("supergeneric", 2, 5,
+                                 [1, 125, None, 5 ** 7], vp_m=v) == sg
+        assert eisenstein_budget("superspecial", 2, 5,
+                                 [(1, 5), (125, None), 5 ** 6], vp_m=v) == ss
 
 
 def test_budget_single_term_and_monotone():
@@ -186,6 +199,16 @@ def test_run_budget_small():
     rep2 = run_budget(inp2)
     assert rep2.excluded == sm
     assert rep2.local_sum <= rep.local_sum
+
+
+def test_run_budget_supergeneric_is_pinned():
+    chain, _ = derive_chain(HEAD, 5, 2)
+    inp = BudgetInput(p=5, A=2, case="supergeneric", family="hilbert",
+                      global_gram=LH, chain=chain, t_kind="hilbert",
+                      t_params={"N": 0, "C": 1, "disc_F": 13, "det2": 26},
+                      M=120)
+    rep = run_budget(inp)
+    assert (rep.local_sum, rep.global_sum, len(rep.T)) == (11280, 15314, 49)
 
 
 def test_run_budget_validates_partition():

@@ -106,6 +106,22 @@ def test_ragged_gram_rows_name_the_line(tmp_path):
     assert f"{gram} line 2: row has 2 entries" in text
 
 
+@pytest.mark.parametrize("cmd, text, detail", [
+    ("theta", "2 1\n0 2\n", "Gram entries (1, 2) = 1 and (2, 1) = 0 differ; "
+     "a Gram matrix must be symmetric"),
+    ("theta", "2 0 0\n0 2 1\n0 1 3\n", "Gram entry (3, 3) = 3 is odd; "
+     "the diagonal of a bilinear Gram is even"),
+    ("density", "2 2\n2 2\n", "degenerate form (det = 0)"),
+])
+def test_malformed_gram_names_the_file_and_entry(tmp_path, cmd, text, detail):
+    gram = _write(tmp_path, "bad.gram", text)
+    flag = ["--gram", gram, "--ell", "5"] if cmd == "density" \
+        else ["--lattice", gram, "--max", "5"]
+    code, out = run([cmd] + flag)
+    assert code == 1
+    assert out == f"error=InvalidParameter detail=bad.gram: {detail}\n"
+
+
 def test_curve_without_degree_names_the_key(tmp_path):
     with open(fx("xt_yt.curve")) as fh:
         lines = [ln for ln in fh if not ln.startswith("d=")]
@@ -131,27 +147,34 @@ def test_curve_non_integer_value_names_the_key(tmp_path, old, new, detail):
     assert out == f"error=InvalidParameter detail={curve}: {detail}\n"
 
 
-def test_budget_config_without_case_names_the_key(tmp_path):
+@pytest.mark.parametrize("key", ["case", "disc_F"])
+def test_budget_config_missing_key_names_the_key(tmp_path, key):
     with open(fx("budget_p5.cfg")) as fh:
-        lines = [ln for ln in fh if not ln.startswith("case=")]
-    cfg = _write(tmp_path, "nocase.cfg", "".join(lines))
+        lines = [ln for ln in fh if not ln.startswith(key + "=")]
+    cfg = _write(tmp_path, "nokey.cfg", "".join(lines))
     code, text = run(["budget", "--config", cfg])
     assert code == 1
     assert text == (f"error=InvalidParameter detail={cfg}: "
-                    f"missing key 'case'\n")
+                    f"missing key {key!r}\n")
 
 
-@pytest.mark.parametrize("key, typo", [("case", "superspecal"),
-                                       ("family", "hilbret")])
-def test_budget_config_typo_is_one_error_record(tmp_path, key, typo):
+@pytest.mark.parametrize("key, typo, detail", [
+    pytest.param("case", "superspecal", "unknown case 'superspecal'",
+                 id="case-superspecal"),
+    pytest.param("family", "hilbret", "unknown family 'hilbret'",
+                 id="family-hilbret"),
+    pytest.param("exclude", "dep", "{cfg}: exclude='dep' is not 'deep'",
+                 id="exclude-dep"),
+])
+def test_budget_config_typo_is_one_error_record(tmp_path, key, typo, detail):
     with open(fx("budget_p5.cfg")) as fh:
         text = "".join(f"{key}={typo}\n" if ln.startswith(key + "=")
                        else ln for ln in fh)
     cfg = _write(tmp_path, "typo.cfg", text)
     code, out = run(["budget", "--config", cfg])
     assert code == 1
-    assert out.startswith(f"error=InvalidParameter detail=unknown {key} "
-                          f"{typo!r}")
+    assert out.startswith("error=InvalidParameter detail="
+                          + detail.format(cfg=cfg))
     assert out.count("\n") == 1
 
 

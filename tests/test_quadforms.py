@@ -5,16 +5,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from froblat import linalg
 from froblat.crystals import (HILBERT_INERT_SG, HILBERT_INERT_SSP,
                               HILBERT_SPLIT, SIEGEL_SG, SIEGEL_SSP,
                               local_gram)
 from froblat.errors import (BadDiscriminant, InvalidParameter,
                             UnsupportedValuation)
 from froblat.padics import _valuation, smallest_nonresidue
-from froblat.quadforms import (IntLattice, diagonalize_Zp, hanke_density,
-                               kronecker, local_density, sigma_s, _as_local,
-                               _local_shape, _residue_table, _square_classes,
-                               count_representations_mod)
+from froblat.quadforms import (IntLattice, hanke_density, kronecker,
+                               local_density, sigma_s, _residue_table,
+                               _square_classes, count_representations_mod)
 
 
 def test_kronecker_values():
@@ -169,7 +169,7 @@ def _assert_square_class_of_det(lat, loc, p):
 
 def test_diagonalize_hyperbolic():
     U = IntLattice([[0, 1], [1, 0]], "U")
-    loc = diagonalize_Zp(U, 5)
+    loc = U.local(5)
     vals = sorted(_valuation(a, 5) for a in loc.diag)
     assert vals == [0, 0]
     assert all(isinstance(a, int) for a in loc.diag)
@@ -178,7 +178,7 @@ def test_diagonalize_hyperbolic():
 
 def test_diagonalize_fixed_point():
     lat = IntLattice([[2, 0], [0, -6]])
-    loc = diagonalize_Zp(lat, 5)
+    loc = lat.local(5)
     # x^2 - 3y^2: -3 is a non-residue mod 5, so the symbol is (1, eps)
     assert sorted(loc.diag) == [1, 2]
     _assert_square_class_of_det(lat, loc, 5)
@@ -186,7 +186,7 @@ def test_diagonalize_fixed_point():
 
 def test_siegel_ssp_diag_shape():
     lat = IntLattice(local_gram(SIEGEL_SSP, 5, 2))
-    loc = diagonalize_Zp(lat, 5)
+    loc = lat.local(5)
     vals = sorted(_valuation(a, 5) for a in loc.diag)
     assert vals == [0, 0, 0, 1, 1]
     _assert_square_class_of_det(lat, loc, 5)
@@ -231,7 +231,7 @@ def test_counts_match_brute_force():
             for _ in range(16):
                 lat = _random_gram(rng, rk, ell)
                 if ell == 2:
-                    blocks += bool(_as_local(lat, 2).blocks2)
+                    blocks += bool(lat.local(2).blocks2)
                     deep += _valuation(lat.det(), 2) >= 3
                 for a in {a_max, rng.randint(1, a_max)}:
                     q = ell ** a
@@ -267,7 +267,7 @@ def test_local_shape_is_a_class_invariant():
         moved = [[sum(U[i][k] * lat.gram[k][l] * U[j][l]
                       for k in range(rk) for l in range(rk))
                   for j in range(rk)] for i in range(rk)]
-        loc, loc2 = _as_local(lat, ell), _as_local(IntLattice(moved), ell)
+        loc, loc2 = lat.local(ell), IntLattice(moved).local(ell)
         if ell != 2:
             assert (loc.diag, loc.blocks2) == (loc2.diag, loc2.blocks2), \
                 (lat.gram, moved, ell)
@@ -362,32 +362,74 @@ def test_i8_densities_do_not_wrap(m):
 
 
 def _clear_density_memos():
-    for memo in (_local_shape, _residue_table, _square_classes):
+    for memo in (_residue_table, _square_classes):
         memo.cache_clear()
 
 
+DENSITY_GRAMS = [local_gram(SIEGEL_SSP, 5, 2),
+                 [[2, 1, 0], [1, 4, 1], [0, 1, 6]],
+                 [[2, 0, 0, 0, 0], [0, 2, 0, 0, 0], [0, 0, 2, 0, 0],
+                  [0, 0, 0, 10, 0], [0, 0, 0, 0, 10]]]
+
+
 def test_density_memos_match_cold_calls():
-    lats = [IntLattice(local_gram(SIEGEL_SSP, 5, 2)),
-            IntLattice([[2, 1, 0], [1, 4, 1], [0, 1, 6]]),
-            IntLattice([[2, 0, 0, 0, 0], [0, 2, 0, 0, 0], [0, 0, 2, 0, 0],
-                        [0, 0, 0, 10, 0], [0, 0, 0, 0, 10]])]
-    calls = [(ell, lat, m) for lat in lats for ell in (2, 3, 5)
-             for m in (1, 5, 4, 25, 12, 2, 50, 8, 1)]
+    """Each cold call gets a fresh lattice and empty residue memos."""
+    calls = [(ell, k, m) for k in range(len(DENSITY_GRAMS))
+             for ell in (2, 3, 5) for m in (1, 5, 4, 25, 12, 2, 50, 8, 1)]
     cold = []
-    for ell, lat, m in calls:
+    for ell, k, m in calls:
         _clear_density_memos()
-        cold.append(local_density(ell, lat, m))
+        cold.append(local_density(ell, IntLattice(DENSITY_GRAMS[k]), m))
         if ell != 2 and m % ell ** 2:
-            cold.append(hanke_density(ell, lat, m))
+            _clear_density_memos()
+            cold.append(hanke_density(ell, IntLattice(DENSITY_GRAMS[k]), m))
     _clear_density_memos()
+    lats = [IntLattice(g) for g in DENSITY_GRAMS]
     for _ in range(2):  # first with empty memos, then warm
         order = list(range(len(calls)))
         random.Random(len(calls)).shuffle(order)
         got = {}
         for i in order:
-            ell, lat, m = calls[i]
-            got[i] = [local_density(ell, lat, m)]
+            ell, k, m = calls[i]
+            got[i] = [local_density(ell, lats[k], m)]
             if ell != 2 and m % ell ** 2:
-                got[i].append(hanke_density(ell, lat, m))
+                got[i].append(hanke_density(ell, lats[k], m))
         assert [d for i in range(len(calls)) for d in got[i]] == cold
     assert _residue_table.cache_info().hits > len(calls)
+
+
+def test_one_split_per_prime_and_one_determinant(monkeypatch):
+    """A lattice splits once per l, from the one determinant it caches."""
+    splits, pivots = [], []
+    jordan_split, bareiss = linalg.jordan_split, linalg._bareiss
+
+    def split(gram, ell, d):
+        splits.append(ell)
+        return jordan_split(gram, ell, d)
+
+    def elimination(rows):
+        pivots.append(rows)
+        return bareiss(rows)
+
+    monkeypatch.setattr(linalg, "jordan_split", split)
+    monkeypatch.setattr(linalg, "_bareiss", elimination)
+    for gram in DENSITY_GRAMS:
+        splits.clear()
+        pivots.clear()
+        lat = IntLattice(gram)
+        for _ in range(3):
+            for ell in (2, 3, 5):
+                for m in (1, 5, 12, 3):
+                    local_density(ell, lat, m)
+                    if ell != 2 and m % ell ** 2:
+                        hanke_density(ell, lat, m)
+        assert sorted(splits) == [2, 3, 5] and len(pivots) == 1, gram
+
+
+def test_local_lattice_is_its_own_splitting():
+    lat = IntLattice(local_gram(SIEGEL_SSP, 5, 2))
+    loc = lat.local(5)
+    assert lat.local(5) is loc and loc.local(5) is loc
+    assert local_density(5, loc, 10) == local_density(5, lat, 10)
+    with pytest.raises(InvalidParameter):
+        loc.local(3)
