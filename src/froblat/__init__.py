@@ -1,7 +1,7 @@
 """Exact arithmetic for Frobenius crystals on formal curves, quadratic
 lattice densities, Eisenstein coefficients, and intersection budgets."""
 
-from .padics import PAdicParams, PAdicScalar, parse_scalar
+from .padics import PAdicParams, PAdicScalar
 from .series import (DecayProfile, MatSeries, TruncSeries,
                      column_valuation_profile, truncated_product)
 from .crystals import (CASES, HILBERT_INERT_SG, HILBERT_INERT_SSP,

@@ -97,16 +97,14 @@ def local_bound(case, A, p, r_tables, m):
     return _chain_sum(case, A, p, r_tables, lambda n, r: r[m])
 
 
-def local_bound_telescoped(A, p, a_dvr, r_tables, m, n_cut=None):
+def local_bound_telescoped(A, p, a_dvr, r_tables, m):
     """The sharper telescoping form the weighted bound dominates."""
-    if n_cut is None:
-        n_cut = len(r_tables) - 1
     total = Fraction(0)
     r01 = r_tables[0][0][m]
     r02 = r_tables[0][1][m] if r_tables[0][1] is not None else r01
     total += (threshold_A_n(A, p, -1) + a_dvr) * r01
     total += (threshold_A_n(A, p, 0) - threshold_A_n(A, p, -1) - a_dvr) * r02
-    for n in range(1, n_cut + 1):
+    for n in range(1, len(r_tables)):
         r1 = r_tables[n][0][m]
         r2 = r_tables[n][1][m] if r_tables[n][1] is not None else r1
         total += a_dvr * p ** n * r1
@@ -236,7 +234,10 @@ def _bezout(a, b):
     return old_r, old_s, old_t
 
 
-def derive_chain(global_gram, p, depth, prec=8):
+CHAIN_PREC = 8  # the splitting holds mod p^CHAIN_PREC
+
+
+def derive_chain(global_gram, p, depth):
     """Chain sublattices forced by decay, from the p-adic splitting.
 
     Finds an isotropic direction u3 of the p-unimodular part (the very
@@ -253,8 +254,8 @@ def derive_chain(global_gram, p, depth, prec=8):
     n = len(G)
     if n != 4:
         raise InvalidParameter("chain derivation implemented for rank 4")
-    q = p ** prec
-    u3 = _isotropic_vector(G, p, prec)
+    q = p ** CHAIN_PREC
+    u3 = _isotropic_vector(G, p)
     U = _complete_to_basis(u3)
     cols = [[U[r][c] for r in range(n)] for c in range(n)]
     b3 = cols[0]
@@ -264,7 +265,7 @@ def derive_chain(global_gram, p, depth, prec=8):
              if _bilinear(G, b3, b) % p != 0)
     b4 = rest.pop(j)
     inv34 = pow(_bilinear(G, b3, b4) % q, -1, q)
-    # make Q(b4) = 0 mod p^prec
+    # make Q(b4) = 0 mod p^CHAIN_PREC
     c = (-_q_of(G, b4) * inv34) % q
     b4 = [x + c * y for x, y in zip(b4, b3)]
     inv34 = pow(_bilinear(G, b3, b4) % q, -1, q)
@@ -301,8 +302,8 @@ def derive_chain(global_gram, p, depth, prec=8):
     return chain, (u1, u2, b3, b4)
 
 
-def _isotropic_vector(G, p, prec):
-    """Primitive v with Q(v) = 0 mod p^prec and a unit gradient."""
+def _isotropic_vector(G, p):
+    """Primitive v with Q(v) = 0 mod p^CHAIN_PREC and a unit gradient."""
     n = len(G)
     import itertools as _it
     start = None
@@ -318,7 +319,7 @@ def _isotropic_vector(G, p, prec):
     if start is None:
         raise InvalidParameter("no smooth isotropic direction mod p")
     v = start
-    q = p ** prec
+    q = p ** CHAIN_PREC
     while _q_of(G, v) % q:
         grad = [sum(G[i][j] * v[j] for j in range(n)) for i in range(n)]
         w = next(([1 if i == k else 0 for i in range(n)]
@@ -344,8 +345,6 @@ class BudgetInput:
     t_params: dict = field(default_factory=dict)
     M: int = 500
     exclude: list = field(default_factory=list)   # S_M
-    omega_C: Fraction = None
-    A_partition: list = None       # optional per-point A values
 
 
 @dataclass
@@ -368,19 +367,16 @@ def run_budget(inp):
                                f"hilbert or siegel")
     if inp.A < 1:
         raise InvalidParameter("A must be >= 1")
-    if inp.omega_C is not None and inp.A_partition is not None:
-        if not validate_hasse_budget(inp.A_partition, inp.p, inp.omega_C):
-            raise InvalidParameter(
-                "supplied A values do not sum to (p-1)(omega.C)")
     t_set = build_T_set(inp.t_kind, inp.p, inp.t_params, inp.M)
     excluded = sorted(set(inp.exclude) & set(t_set))
     kept = [m for m in t_set if m not in set(excluded)]
-    r_tables = []
-    for pair in inp.chain:
-        members = pair if isinstance(pair, tuple) else (pair,)
+    weights = _chain_weights(inp.case, inp.A, inp.p)
+    r_tables = []  # counts of the members that carry a weight
+    for n, entry in enumerate(inp.chain):
+        members = entry if isinstance(entry, tuple) else (entry,)
         r_tables.append(tuple(
             None if g is None else representation_counts(IntLattice(g), inp.M)
-            for g in members))
+            for _, g in zip(weights(n), members)))
     glob = IntLattice(inp.global_gram, "global")
     qfun = q_L_hilbert if inp.family == "hilbert" else q_L_siegel
     per_m = []

@@ -155,8 +155,7 @@ def _emit(out, fields, pretty):
 # -- subcommands -------------------------------------------------------------
 
 def cmd_density(args, out):
-    gram = read_gram(args.gram)
-    lat = IntLattice(gram, os.path.basename(args.gram))
+    lat = IntLattice(read_gram(args.gram), args.gram)
     for m in [args.m] if args.m is not None else _m_range(args.m_range):
         delta = local_density(args.ell, lat, m)
         fields = [("m", m), ("ell", args.ell), ("delta", _frac(delta))]
@@ -179,8 +178,7 @@ def _m_range(text):
 
 
 def cmd_eisenstein(args, out):
-    gram = read_gram(args.lattice)
-    lat = IntLattice(gram, os.path.basename(args.lattice))
+    lat = IntLattice(read_gram(args.lattice), args.lattice)
     for m in _m_range(args.m_range):
         res = q_positive_definite(lat, m) if args.definite \
             else q_L_hilbert(lat, m) if lat.rank == 4 else q_L_siegel(lat, m)
@@ -192,8 +190,7 @@ def cmd_eisenstein(args, out):
 
 
 def cmd_theta(args, out):
-    gram = read_gram(args.lattice)
-    lat = IntLattice(gram, os.path.basename(args.lattice))
+    lat = IntLattice(read_gram(args.lattice), args.lattice)
     counts = representation_counts(lat, args.max)
     if args.squares is not None:
         total = square_rep_count(lat, args.squares, args.max, counts)
@@ -246,11 +243,11 @@ def cmd_budget(args, out):
     A = kv.integer("A")
     case = kv["case"]
     family = kv["family"]
-    glob = read_gram(kv["global_gram"])
-    head = read_gram(kv["chain_head"])
+    glob, head = (IntLattice(read_gram(kv[key]), kv[key])
+                  for key in ("global_gram", "chain_head"))
     depth = kv.integer("depth", 3)
     M = kv.integer("M", 500)
-    chain, _ = derive_chain(head, p, depth)
+    chain, _ = derive_chain(head.gram, p, depth)
     t_params = KeyVals(kv.path)    # so a missing T-set key names the file
     for key in ("N", "C", "D", "disc_F", "det2"):
         if key in kv:
@@ -263,7 +260,7 @@ def cmd_budget(args, out):
         counts = representation_counts(deep, M)
         exclude = [m for m in range(1, M + 1) if counts[m] > 0]
     inp = BudgetInput(p=p, A=A, case=case, family=family,
-                      global_gram=glob, chain=chain,
+                      global_gram=glob.gram, chain=chain,
                       t_kind=kv.get("t_kind", "square"),
                       t_params=t_params, M=M, exclude=exclude)
     rep = run_budget(inp)

@@ -1,6 +1,7 @@
 """Dirichlet L-values and exact Eisenstein Fourier coefficients.
 
-Every Eisenstein coefficient is an exact Fraction.  Its character
+Every Eisenstein coefficient is one exact Fraction, built from an integer
+numerator and denominator multiplied factor by factor.  Its character
 discriminant D is positive (4|det| in rank 4, 2 m0 |det| in rank 5), and
 for D = D0 s^2 > 0 with D0 fundamental (or 1) and conductor f = D0,
 
@@ -15,7 +16,7 @@ D < 0 branch sums the series in floats with a proven rounding bound.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -124,11 +125,15 @@ def bernoulli_2(D0):
     return -2 * cohen_h2(D0)
 
 
-def _odd_l_value(D0, tol):
+L2_TOL = 1e-10  # the Abel tail bound the D < 0 sum is truncated at
+
+
+def _odd_l_value(D0):
     """Exact bounds (lo, hi) on L(2, chi_{D0}), D0 < 0 fundamental.
 
-    Sums N terms chi(n)/n^2 in float64 and widens by the Abel tail bound
-    2|D0| / (N+1)^2 (partial sums of chi are bounded by |D0|) plus the
+    Sums N >= 1000 terms chi(n)/n^2 in float64, with N large enough that
+    the Abel tail bound 2|D0| / (N+1)^2 (partial sums of chi are bounded
+    by |D0|) is below L2_TOL, and widens by that bound plus the
     rounding bound: each term is within relative 2u of chi(n)/n^2 and
     any order of the N-1 additions errs by at most gamma_{N-1} sum|terms|
     <= gamma_{N-1} zeta(2) (Higham, Accuracy and Stability of Numerical
@@ -136,7 +141,7 @@ def _odd_l_value(D0, tol):
     gamma_k = k u / (1 - k u) and u = 2^-53.
     """
     aD = abs(D0)
-    N = max(1000, math.isqrt(int(2 * aD / tol)) + 1)
+    N = max(1000, math.isqrt(int(2 * aD / L2_TOL)) + 1)
     table = _chi_table(D0).astype(np.float64)
     total = 0.0
     chunk = 1 << 18
@@ -150,11 +155,11 @@ def _odd_l_value(D0, tol):
     return Fraction(total) - radius, Fraction(total) + radius
 
 
-def dirichlet_L2(D, tol=1e-10):
+def dirichlet_L2(D):
     """Float interval (lo, hi) enclosing L(2, chi_D), rounded outward.
 
     D > 0: E pi^2 B_{2,chi} / f^(3/2) in mpmath interval arithmetic.
-    D < 0: the direct sum truncated where the tail bound reaches tol.
+    D < 0: the direct sum truncated where the tail bound reaches L2_TOL.
     """
     D0, s = fundamental_part(D)
     E = euler_correction(D0, s)
@@ -165,7 +170,7 @@ def dirichlet_L2(D, tol=1e-10):
             / (D0 * iv.sqrt(D0))
         lo, hi = float(v.a), float(v.b)
     else:
-        lo, hi = _odd_l_value(D0, tol)
+        lo, hi = _odd_l_value(D0)
         lo, hi = lo * E, hi * E
     return (math.nextafter(float(lo), -math.inf),
             math.nextafter(float(hi), math.inf))
@@ -180,10 +185,6 @@ class EisResult:
     l_fund: int
     m0: int = 0
     f: int = 1
-    local: dict = field(default_factory=dict)
-
-    def interval(self):
-        return (self.value, self.value)
 
     def midpoint(self):
         return self.value
@@ -193,12 +194,6 @@ class EisResult:
 
     def sign(self):
         return (self.value > 0) - (self.value < 0)
-
-    def exact_ratio(self, other):
-        """self / other, exact."""
-        if other.value == 0:
-            raise ZeroDivisionError("ratio against a vanishing coefficient")
-        return self.value / other.value
 
 
 def _split_square_part(m, bad):
@@ -251,17 +246,17 @@ def _q_rank4(lattice, m, sign):
     # pi^2 / (sqrt|det| L(2, chi_D)) = 2 D0 / (s E B_{2,chi_{D0}})
     det = lattice.det()
     D = 4 * abs(det)
-    chi = lambda d: kronecker(D, d)
-    sig = sigma_s(m, -1, chi)
-    deltas = {}
-    prod = Fraction(1)
+    sig = sigma_s(m, -1, lambda d: kronecker(D, d))
+    num, den = sign * 8 * m * sig.numerator, sig.denominator
     for ell in primefactors(2 * det):
-        deltas[ell] = local_density(ell, lattice, m)
-        prod *= deltas[ell]
+        delta = local_density(ell, lattice, m)
+        num *= delta.numerator
+        den *= delta.denominator
     D0, s = fundamental_part(D)
-    value = Fraction(sign * 8 * m * D0, s) * sig * prod \
-        / (euler_correction(D0, s) * bernoulli_2(D0))
-    return EisResult(m=m, value=value, l_fund=D0, m0=m, f=1, local=deltas)
+    E, B = euler_correction(D0, s), bernoulli_2(D0)
+    num *= D0 * E.denominator * B.denominator
+    den *= s * E.numerator * B.numerator
+    return EisResult(m=m, value=Fraction(num, den), l_fund=D0, m0=m, f=1)
 
 
 def _q_rank5(lattice, m, sign):
@@ -277,15 +272,17 @@ def _q_rank5(lattice, m, sign):
     m0, f = _split_square_part(m, bad)
     D = 2 * m0 * abs(det)
     divisor_sum = middle_divisor_sum(m0, f, det)
-    deltas = {}
-    prod = Fraction(1)
-    for ell in primefactors(bad):
-        deltas[ell] = local_density(ell, lattice, m)
-        prod *= deltas[ell] / (1 - Fraction(1, ell ** 4))
+    num = sign * 480 * m * f * divisor_sum.numerator
+    den = abs(det) * divisor_sum.denominator
+    for ell in primefactors(bad):  # delta / (1 - ell^-4)
+        delta = local_density(ell, lattice, m)
+        num *= delta.numerator * ell ** 4
+        den *= delta.denominator * (ell ** 4 - 1)
     D0, s = fundamental_part(D)
-    value = Fraction(sign * 480 * m * f * s, D0 * abs(det)) * divisor_sum \
-        * prod * euler_correction(D0, s) * bernoulli_2(D0)
-    return EisResult(m=m, value=value, l_fund=D0, m0=m0, f=f, local=deltas)
+    E, B = euler_correction(D0, s), bernoulli_2(D0)
+    num *= s * E.numerator * B.numerator
+    den *= D0 * E.denominator * B.denominator
+    return EisResult(m=m, value=Fraction(num, den), l_fund=D0, m0=m0, f=f)
 
 
 def middle_divisor_sum(m0, f, det):
@@ -326,9 +323,3 @@ def ratio_bound(case, p, idx_sqrt=None, vp_m=0, index_is_p=False):
             return Fraction(4, p * p - 1)
         return Fraction(2 * p * p, idx_sqrt * (p - 1))
     raise InvalidParameter("bounds cover v_p(m) <= 1 only")
-
-
-def check_ratio(q_sub, q_full, bound):
-    """Assert computed q_sub / (-q_full) <= bound, exactly."""
-    ratio = q_sub.exact_ratio(q_full)
-    return -ratio <= bound

@@ -77,11 +77,9 @@ def _descend(lattice, bound, leaf):
         descend(n - 1, top, True)
 
 
-def short_vectors(lattice, bound, with_zero=False):
+def short_vectors(lattice, bound):
     """All v with 0 < Q(v) <= bound, as (+v, -v) pairs; complete and exact."""
     out = []
-    if with_zero and bound >= 0:
-        out.append(tuple([0] * lattice.rank))
 
     def leaf(v, _norm):
         out.append(tuple(v))
@@ -290,20 +288,24 @@ def build_T_set(kind, p, params, M):
     raise InvalidParameter(f"unknown T-set kind {kind!r}")
 
 
-def cusp_deviation(lattice, m_lo, m_hi, modulus_cap=20000):
+MODULUS_CAP = 20000  # largest stable counting modulus cusp_deviation uses
+
+
+def cusp_deviation(lattice, m_lo, m_hi):
     """Per-m exact deviations r(m) - q(m) and the fitted growth exponent.
 
     m whose stable counting modulus l^(1 + 2 v_l(2m)) at some bad prime
-    exceeds modulus_cap are skipped (the exact convolution length grows
+    exceeds MODULUS_CAP are skipped (the exact convolution length grows
     with v_l(m)).  The exponent is the least-squares slope of
-    log|deviation| against log m over the nonzero deviations.  Records
-    keep a radius field, always 0.
+    log|deviation| against log m over the nonzero deviations.  Each
+    record holds m, r(m), the exact coefficient eis = q(m), the deviation
+    r(m) - q(m), and a radius, always 0 since q(m) is exact.
     """
     counts = representation_counts(lattice, m_hi)
     bad = primefactors(2 * lattice.det())
     records = []
     for m in range(max(1, m_lo), m_hi + 1):
-        if any(ell ** _stable_exponent(ell, m) > modulus_cap for ell in bad):
+        if any(ell ** _stable_exponent(ell, m) > MODULUS_CAP for ell in bad):
             continue
         qv = q_positive_definite(lattice, m)
         records.append({"m": m, "r": counts[m], "eis": qv.value,

@@ -281,10 +281,8 @@ class ResidueField:
         if self.pow(a, (q - 1) // 2) != self.one():
             return None
         # write q - 1 = s * 2^e with s odd
-        s, e = q - 1, 0
-        while s % 2 == 0:
-            s //= 2
-            e += 1
+        e = _valuation(q - 1, 2)
+        s = (q - 1) >> e
         # the first non-square in code order
         minus_one = self.neg(self.one())
         z = next(c for c in self.elements()
@@ -676,11 +674,6 @@ class PAdicScalar:
         return PAdicScalar(self.params, -self.shift, inv, n,
                            False)._normalize()
 
-    def __truediv__(self, other):
-        if isinstance(other, int):
-            other = self.params.from_int(other)
-        return self * other.inv()
-
     def frobenius(self):
         """The lift sigma of x -> x^p; fixes Z_p, order d."""
         if self.is_zero():
@@ -733,30 +726,3 @@ class PAdicScalar:
         return f"p^{self.shift} * ({body}) mod p^{n}"
 
     __repr__ = __str__
-
-
-def parse_scalar(params, text):
-    """Parse the rendering ``p^v * (c0 + c1*g + ...) mod p^M``."""
-    text = text.strip()
-    if text == "0":
-        return params.zero()
-    if text.startswith("O(p^"):
-        return PAdicScalar.masked(params, int(text[4:].rstrip(")")))
-    head, _, _ = text.partition(" mod ")
-    vpart, _, body = head.partition("*")
-    shift = int(vpart.strip().replace("p^", ""))
-    body = body.strip().lstrip("(").rstrip(")")
-    coeffs = [0] * params.d
-    for term in body.split("+"):
-        term = term.strip()
-        if not term:
-            continue
-        if "*g^" in term:
-            c, e = term.split("*g^")
-            coeffs[int(e)] = int(c)
-        elif term.endswith("*g"):
-            coeffs[1] = int(term[:-2])
-        else:
-            coeffs[0] = int(term)
-    return PAdicScalar(params, shift, tuple(coeffs),
-                       params.precision_M, False)._normalize()

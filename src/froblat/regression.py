@@ -39,20 +39,22 @@ def _first_quartic(rf):
     raise InvalidParameter("no supergeneric residue found")
 
 
-def _lam_bar(rf):
-    """A square root of eps in the residue field."""
-    from .padics import smallest_nonresidue
-    eps = rf.element(smallest_nonresidue(rf.p))
-    r = rf.sqrt(eps)
-    if r is None:
-        raise InvalidParameter("eps must become a square in F_{p^d}")
-    return r
-
-
-def _cancel_coeff(rf, gamma, eps_int):
-    """beta with beta + gamma^2 / (4 eps) = 0."""
-    inv4eps = rf.inv(rf.element(4 * eps_int))
-    return rf.neg(rf.mul(rf.mul(gamma, gamma), inv4eps))
+def _siegel_cancel(y, z, nt):
+    """make(rf, eps_int) for a superspecial Siegel curve whose leading
+    coefficients cancel: gamma with gamma^2 = eps and beta = -gamma^2 /
+    (4 eps) in the residue field.  y and z are exponent tuples; beta sits
+    at y[0], gamma at z[0], and every later exponent has coefficient 1.
+    """
+    def make(rf, eps_int):
+        gamma = rf.sqrt(rf.element(eps_int))
+        if gamma is None:
+            raise InvalidParameter("eps must become a square in F_{p^d}")
+        beta = rf.neg(rf.mul(rf.mul(gamma, gamma),
+                             rf.inv(rf.element(4 * eps_int))))
+        return (3, FormalCurve(
+            x={1: 1}, y={y[0]: beta, **{e: 1 for e in y[1:]}},
+            z={z[0]: gamma, **{e: 1 for e in z[1:]}}, nt=nt))
+    return make
 
 
 def decay_fixture_table(p=5):
@@ -101,49 +103,20 @@ def decay_fixture_table(p=5):
     add("siegel-A-below-B", SIEGEL_SSP, 2, 10, 94, 3, ssp_case1,
         _triples(rk5, (0, 1, 2)), True)
 
-    def ssp_case21(rf, eps_int):
-        gamma = _lam_bar(rf)
-        beta = _cancel_coeff(rf, gamma, eps_int)
-        return (3, FormalCurve(x={1: 1}, y={3: beta},
-                               z={2: gamma, 8: 1}, nt=311))
-
     add("siegel-2.1", SIEGEL_SSP, 2, 11, 311, 2 * p,
-        ssp_case21, _triples(rk5, (0, 1, 2), (0, 1, 3), (0, 1, 4)), True)
-
-    def ssp_case22(rf, eps_int):
-        gamma = _lam_bar(rf)
-        beta = _cancel_coeff(rf, gamma, eps_int)
-        return (3, FormalCurve(x={1: 1}, y={3: beta},
-                               z={2: gamma, 6: 1}, nt=249))
-
+        _siegel_cancel((3,), (2, 8), 311),
+        _triples(rk5, (0, 1, 2), (0, 1, 3), (0, 1, 4)), True)
     add("siegel-2.2", SIEGEL_SSP, 2, 11, 249, 8,
-        ssp_case22, _triples(rk5, (2, 3, 4)), True)
-
-    def ssp_case31(rf, eps_int):
-        gamma = _lam_bar(rf)   # not in F_p, so B = a(1+p)
-        beta = _cancel_coeff(rf, gamma, eps_int)
-        return (3, FormalCurve(x={1: 1}, y={1: beta, 7: 1},
-                               z={1: gamma}, nt=249))
-
+        _siegel_cancel((3,), (2, 6), 249), _triples(rk5, (2, 3, 4)), True)
+    # gamma is not in F_p, so B = a(1+p)
     add("siegel-3.1", SIEGEL_SSP, 2, 11, 249, 8,
-        ssp_case31, _triples(rk5, (0, 1, 2), (0, 1, 4)), True)
-
-    def ssp_case31s(rf, eps_int):
-        gamma = _lam_bar(rf)
-        beta = _cancel_coeff(rf, gamma, eps_int)
-        return (3, FormalCurve(x={1: 1}, y={1: beta, p * p: 1},
-                               z={1: gamma}, nt=807))
-
+        _siegel_cancel((1, 7), (1,), 249),
+        _triples(rk5, (0, 1, 2), (0, 1, 4)), True)
     add("siegel-3.1-special", SIEGEL_SSP, 2, 12, 807, 1 + p * p,
-        ssp_case31s, _triples(rk5, (0, 1, 2), (0, 1, 4)), True)
-
-    def ssp_case32(rf, eps_int):
-        gamma = _lam_bar(rf)
-        beta = _cancel_coeff(rf, gamma, eps_int)
-        return (3, FormalCurve(x={1: 1}, y={1: beta, p: 1},
-                               z={1: gamma}, nt=187))
-
-    add("siegel-3.2", SIEGEL_SSP, 2, 11, 187, 6, ssp_case32,
+        _siegel_cancel((1, p * p), (1,), 807),
+        _triples(rk5, (0, 1, 2), (0, 1, 4)), True)
+    add("siegel-3.2", SIEGEL_SSP, 2, 11, 187, 6,
+        _siegel_cancel((1, p), (1,), 187),
         _pair_plus_span(rk5, (2, 3), (0, 1), p)
         + _pair_plus_span(rk5, (2, 4), (0, 1), p)
         + _pair_plus_span(rk5, (3, 4), (0, 1), p), True)

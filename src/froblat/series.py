@@ -316,13 +316,14 @@ class MatSeries:
                 for row in self.entries]
 
 
-def truncated_product(F, K_terms="auto"):
+def truncated_product(F):
     """prod_{i=0}^{K} (I + sigma_t^i(F)) truncated at N_t.
 
     Requires every entry of F to vanish at t = 0; otherwise the
-    degree-by-degree stabilization fails.  With K_terms='auto', factors
-    are included while p^i * v_t(F) <= N_t, so every omitted factor is
-    congruent to the identity mod t^(N_t + 1).
+    degree-by-degree stabilization fails.  K is the largest i with
+    p^i * v_t(F) <= N_t, so every omitted factor I + sigma_t^i(F) is
+    congruent to the identity mod t^(N_t + 1) and the product is exact
+    to that degree.
     """
     if F.rows != F.cols:
         raise InvalidParameter("product needs a square matrix")
@@ -332,12 +333,9 @@ def truncated_product(F, K_terms="auto"):
     if v < 1:
         raise NonConvergent("an entry of F has t-adic valuation 0")
     p = F.params.p
-    if K_terms == "auto":
-        K = 0
-        while v * p ** (K + 1) <= F.nt:
-            K += 1
-    else:
-        K = int(K_terms)
+    K = 0
+    while v * p ** (K + 1) <= F.nt:
+        K += 1
     prod = MatSeries.identity(F.params, F.nt, F.rows)
     factor = F
     for i in range(K + 1):

@@ -5,12 +5,14 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from froblat import budget
 from froblat.budget import (BudgetInput, _complete_to_basis, alpha_const,
                             alpha_variants, check_chain_nested, derive_chain,
                             eisenstein_budget, global_g, local_bound,
                             local_bound_telescoped, run_budget,
                             threshold_A_n, validate_hasse_budget)
 from froblat.crystals import HILBERT_INERT_SSP, local_gram
+from froblat.enumeration import representation_counts
 from froblat.errors import ChainNotNested, InvalidParameter
 from froblat.quadforms import IntLattice, local_density
 
@@ -211,15 +213,35 @@ def test_run_budget_supergeneric_is_pinned():
     assert (rep.local_sum, rep.global_sum, len(rep.T)) == (11280, 15314, 49)
 
 
-def test_run_budget_validates_partition():
+@pytest.mark.parametrize("case, calls", [("supergeneric", 3),
+                                         ("superspecial", 6)])
+def test_run_budget_enumerates_only_weighted_members(monkeypatch, case,
+                                                     calls):
+    # a supergeneric chain weighs one member per level, so its second
+    # member is never enumerated
+    seen = []
+
+    def counting(lattice, bound):
+        seen.append(lattice.det())
+        return representation_counts(lattice, bound)
+
+    monkeypatch.setattr(budget, "representation_counts", counting)
+    chain, _ = derive_chain(HEAD, 5, 2)
+    inp = BudgetInput(p=5, A=2, case=case, family="hilbert",
+                      global_gram=LH, chain=chain, t_kind="hilbert",
+                      t_params={"N": 0, "C": 1, "disc_F": 13, "det2": 26},
+                      M=120)
+    run_budget(inp)
+    assert len(seen) == calls
+    if case == "supergeneric":
+        assert seen == [IntLattice(g1).det() for g1, _ in chain]
+
+
+def test_run_budget_square_t_set_and_empty_t_set():
     chain, _ = derive_chain(HEAD, 5, 1)
     inp = BudgetInput(p=5, A=2, case="superspecial", family="hilbert",
                       global_gram=LH, chain=chain, t_kind="square",
-                      t_params={"D": 1}, M=50, omega_C=Fraction(1),
-                      A_partition=[2, 1])
-    with pytest.raises(InvalidParameter):
-        run_budget(inp)
-    inp.A_partition = [2, 2]
+                      t_params={"D": 1}, M=50)
     rep = run_budget(inp)
     assert rep.T == [4, 9, 49]
     inp.M = 3  # empty T-set: no global mass to compare against

@@ -119,7 +119,28 @@ def test_malformed_gram_names_the_file_and_entry(tmp_path, cmd, text, detail):
         else ["--lattice", gram, "--max", "5"]
     code, out = run([cmd] + flag)
     assert code == 1
-    assert out == f"error=InvalidParameter detail=bad.gram: {detail}\n"
+    assert out == f"error=InvalidParameter detail={gram}: {detail}\n"
+
+
+@pytest.mark.parametrize("head, detail", [
+    # the chain's Hensel lift never ends on this head: the check comes first
+    pytest.param("3 0 -1 -1\n0 2 -1 0\n-1 -1 6 -2\n-1 0 -2 18\n",
+                 "Gram entry (1, 1) = 3 is odd; the diagonal of a bilinear "
+                 "Gram is even", id="odd-diagonal"),
+    # on this one the splitting fails later, naming no file or entry
+    pytest.param("2 1 -1 -1\n0 2 -1 0\n-1 -1 6 -2\n-1 0 -2 18\n",
+                 "Gram entries (1, 2) = 1 and (2, 1) = 0 differ; a Gram "
+                 "matrix must be symmetric", id="asymmetric"),
+])
+def test_malformed_chain_head_is_one_error_record(tmp_path, head, detail):
+    gram = _write(tmp_path, "head.gram", head)
+    with open(fx("budget_p5.cfg")) as fh:
+        text = "".join(f"chain_head={gram}\n" if ln.startswith("chain_head=")
+                       else ln for ln in fh)
+    cfg = _write(tmp_path, "head.cfg", text)
+    code, out = run(["budget", "--config", cfg])
+    assert code == 1
+    assert out == f"error=InvalidParameter detail={gram}: {detail}\n"
 
 
 def test_curve_without_degree_names_the_key(tmp_path):

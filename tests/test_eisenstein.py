@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -6,12 +7,11 @@ import numpy as np
 import pytest
 
 from froblat import eisenstein
-from froblat.eisenstein import (H2_MAX, _chi_table, bernoulli_2, check_ratio,
-                                cohen_h2, dirichlet_L2, fundamental_part,
+from froblat.eisenstein import (H2_MAX, _chi_table, bernoulli_2, cohen_h2, dirichlet_L2, fundamental_part,
                                 middle_divisor_sum, q_L_hilbert, q_L_siegel,
                                 q_positive_definite, ratio_bound)
 from froblat.errors import InvalidParameter
-from froblat.enumeration import representation_counts
+from froblat.enumeration import cusp_deviation, representation_counts
 from froblat.quadforms import IntLattice, kronecker, sigma_s
 
 ZETA2 = math.pi ** 2 / 6
@@ -66,8 +66,7 @@ def test_euler_correction_square_character():
 def test_hilbert_sign_and_vanishing():
     q = q_L_hilbert(UU, 4)
     assert q.sign() < 0
-    lo, hi = q.interval()
-    assert hi < 0
+    assert q.value < 0
 
 
 def test_hilbert_growth_normalization():
@@ -81,6 +80,31 @@ def test_hilbert_growth_normalization():
         c = r.value / (m * sigma_s(m, -1, lambda d: kronecker(4, d)))
         base.setdefault(key, c)
         assert base[key] == c
+
+
+# sha256 over "m value" lines, one per coefficient; a change to the
+# coefficient formulas that moves any value changes the digest
+PDET5 = IntLattice([[2, 0, 0, 0, 0], [0, 2, 0, 0, 0], [0, 0, 2, 0, 0],
+                    [0, 0, 0, 10, 0], [0, 0, 0, 0, 10]], "pdet5")
+LH13 = IntLattice([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 2, 1], [0, 0, 1, -6]],
+                  "LH13")
+
+
+def _digest(pairs):
+    return hashlib.sha256("".join(f"{m} {v}\n" for m, v in pairs)
+                          .encode()).hexdigest()
+
+
+def test_cusp_coefficients_are_pinned():
+    records, _ = cusp_deviation(PDET5, 100, 2000)
+    assert len(records) == 1855
+    assert _digest((rec["m"], rec["eis"]) for rec in records) \
+        == "a9340bb0d219603b25829a5706b3348bfea26fe73b66da241debe99ce67d875c"
+
+
+def test_hilbert_coefficients_are_pinned():
+    assert _digest((m, q_L_hilbert(LH13, m).value) for m in range(1, 400)) \
+        == "020017e11a307493e036c26e2015a5aecd92b4734fe7a98d981f4abd9e23e380"
 
 
 def test_rank4_formula_is_exact_on_four_squares():
@@ -165,10 +189,9 @@ def test_exact_ratio_and_bound_check():
             continue
         for lat, idx_sqrt in ((Lhead, 5), (Lsub, 25)):
             qs = q_positive_definite(lat, m)
-            ratio = qs.exact_ratio(qg)
+            ratio = qs.value / qg.value
             assert isinstance(ratio, Fraction)
             bound = ratio_bound("superspecial", 5, idx_sqrt=idx_sqrt)
-            assert check_ratio(qs, qg, bound)
             assert -ratio <= bound
         checked += 1
     assert checked > 10
@@ -178,7 +201,7 @@ def test_radius_only_from_l_value():
     # coefficients are exact: the L-value enters through B_{2,chi}
     q = q_L_hilbert(UU, 7)
     assert isinstance(q.value, Fraction)
-    assert q.radius() == 0 and q.interval() == (q.value, q.value)
+    assert q.radius() == 0 and q.midpoint() == q.value
 
 
 def test_hilbert_growth_window():

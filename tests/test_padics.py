@@ -10,7 +10,7 @@ from froblat.errors import DivisionByZero, InvalidParameter, ZeroPrecision
 from froblat.padics import (INF, ISPRIME_BOUND, PAdicParams, ResidueField,
                             _is_irreducible, _mulmod, _powmod,
                             _reduction_rows, canonical_modulus, factorint,
-                            isprime, parse_scalar, primefactors, primerange)
+                            isprime, primefactors, primerange)
 
 
 @pytest.fixture(scope="module")
@@ -135,12 +135,11 @@ def test_lambda_degree_four():
     assert (lam.frobenius() + lam).is_precision_zero()
 
 
-def test_render_parse_roundtrip(W25):
+def test_render_pins_the_string(W25):
     x = W25.teichmuller((2, 3)) * W25.from_rational(Fraction(1, 25))
     assert x.shift == -2
-    y = parse_scalar(W25, str(x))
-    assert (x - y).is_precision_zero() or (x - y).is_zero()
-    assert parse_scalar(W25, "0").is_zero()
+    assert str(x) == "p^-2 * (195312 + 381603*g) mod p^8"
+    assert str(W25.zero()) == "0"
 
 
 def test_param_validation():
