@@ -24,7 +24,7 @@ print("geometric-chain aggregate =",
       eisenstein_budget("superspecial", 2, 5, "geometric"),
       "= alpha(5) * A/(p-1)")
 
-chain, basis = derive_chain(HEAD, 5, depth=3)
+chain, basis = derive_chain(IntLattice(HEAD), 5, depth=3)
 print("\nchain determinants:",
       [IntLattice(g1).det() for g1, _ in chain])
 

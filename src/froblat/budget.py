@@ -15,6 +15,7 @@ alpha(p) A/(p-1) with alpha(p) = (p+2)/(2p) + p/(p^2-1) < 11/12 for
 p >= 5, which is what the cumulative report checks empirically.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -184,15 +185,6 @@ def check_chain_nested(grams_with_bases):
     return [d // dets[0] for d in dets[1:]]
 
 
-def _bilinear(gram, v, w):
-    return sum(v[i] * gram[i][j] * w[j]
-               for i in range(len(v)) for j in range(len(w)))
-
-
-def _q_of(gram, v):
-    return _bilinear(gram, v, v) // 2
-
-
 def _complete_to_basis(v):
     """Unimodular integer matrix whose first column is the primitive v.
 
@@ -237,50 +229,46 @@ def _bezout(a, b):
 CHAIN_PREC = 8  # the splitting holds mod p^CHAIN_PREC
 
 
-def derive_chain(global_gram, p, depth):
+def derive_chain(head, p, depth):
     """Chain sublattices forced by decay, from the p-adic splitting.
 
-    Finds an isotropic direction u3 of the p-unimodular part (the very
-    rapidly decaying one), completes it to a unimodular basis arranged as
-    (u1, u2, u3, u4) with u1, u2 spanning the p-scaled block and u4 the
-    complementary isotropic direction, and returns Gram pairs for
+    head is the chain head's IntLattice.  Finds an isotropic direction u3
+    of the p-unimodular part (the very rapidly decaying one), completes
+    it to a unimodular basis arranged as (u1, u2, u3, u4) with u1, u2
+    spanning the p-scaled block and u4 the complementary isotropic
+    direction, and returns Gram pairs for
 
         L_{n,1} = <p^n u1, p^n u2, p^n u3, u4>,
         L_{n,2} = <p^n u1, p^n u2, p^(n+1) u3, u4>,
 
     whose indices in the head are p^(3n) and p^(3n+1).
     """
-    G = [[int(x) for x in row] for row in global_gram]
-    n = len(G)
-    if n != 4:
+    if head.rank != 4:
         raise InvalidParameter("chain derivation implemented for rank 4")
+    B = head.bilinear
     q = p ** CHAIN_PREC
-    u3 = _isotropic_vector(G, p)
+    u3 = _isotropic_vector(head, p)
     U = _complete_to_basis(u3)
-    cols = [[U[r][c] for r in range(n)] for c in range(n)]
-    b3 = cols[0]
-    rest = cols[1:]
+    b3, *rest = [[row[c] for row in U] for c in range(4)]
     # partner with unit pairing against u3
-    j = next(i for i, b in enumerate(rest)
-             if _bilinear(G, b3, b) % p != 0)
-    b4 = rest.pop(j)
-    inv34 = pow(_bilinear(G, b3, b4) % q, -1, q)
+    b4 = rest.pop(next(i for i, b in enumerate(rest) if B(b3, b) % p))
+    inv34 = pow(B(b3, b4) % q, -1, q)
     # make Q(b4) = 0 mod p^CHAIN_PREC
-    c = (-_q_of(G, b4) * inv34) % q
+    c = (-head.q_value(b4) * inv34) % q
     b4 = [x + c * y for x, y in zip(b4, b3)]
-    inv34 = pow(_bilinear(G, b3, b4) % q, -1, q)
+    inv34 = pow(B(b3, b4) % q, -1, q)
     # orthogonalize the remaining two against the hyperbolic pair
     out12 = []
     for b in rest:
-        al = (-_bilinear(G, b, b3) * inv34) % q
-        bl = (-_bilinear(G, b, b4) * inv34) % q
+        al = (-B(b, b3) * inv34) % q
+        bl = (-B(b, b4) * inv34) % q
         out12.append([x + al * y4 + bl * y3
                       for x, y4, y3 in zip(b, b4, b3)])
     u1, u2 = out12
     for u in (u1, u2):
-        if _bilinear(G, u, b3) % q or _bilinear(G, u, b4) % q:
+        if B(u, b3) % q or B(u, b4) % q:
             raise InvalidParameter("splitting failed to orthogonalize")
-        if _q_of(G, u) % p != 0:
+        if head.q_value(u) % p != 0:
             raise InvalidParameter("p-part direction has unit norm")
     chain = []
     for nn in range(depth + 1):
@@ -296,41 +284,29 @@ def derive_chain(global_gram, p, depth):
         gens2.append([p ** nn * (x % p) for x in u2])
         gens2.append([x % qn for x in b4])
         basis2 = linalg.hnf_basis(gens2)
-        s1 = [[_bilinear(G, a, b) for b in basis1] for a in basis1]
-        s2 = [[_bilinear(G, a, b) for b in basis2] for a in basis2]
-        chain.append((s1, s2))
+        chain.append(tuple([[B(a, b) for b in basis] for a in basis]
+                           for basis in (basis1, basis2)))
     return chain, (u1, u2, b3, b4)
 
 
-def _isotropic_vector(G, p):
+def _isotropic_vector(lattice, p):
     """Primitive v with Q(v) = 0 mod p^CHAIN_PREC and a unit gradient."""
-    n = len(G)
-    import itertools as _it
-    start = None
-    for cand in _it.product(range(p), repeat=n):
-        if not any(cand):
-            continue
-        if _q_of(G, list(cand)) % p == 0:
-            grad = [sum(G[i][j] * cand[j] for j in range(n)) % p
-                    for i in range(n)]
-            if any(grad):
-                start = list(cand)
-                break
+    n = lattice.rank
+    units = [[int(i == k) for i in range(n)] for k in range(n)]
+    start = next((v for v in itertools.product(range(p), repeat=n)
+                  if any(v) and lattice.q_value(v) % p == 0
+                  and any(lattice.bilinear(v, e) % p for e in units)), None)
     if start is None:
         raise InvalidParameter("no smooth isotropic direction mod p")
     v = start
     q = p ** CHAIN_PREC
-    while _q_of(G, v) % q:
-        grad = [sum(G[i][j] * v[j] for j in range(n)) for i in range(n)]
-        w = next(([1 if i == k else 0 for i in range(n)]
-                  for k in range(n) if grad[k] % p), None)
-        c = (-_q_of(G, v) * pow(_bilinear(G, v, w), -1, q)) % q
-        v = [x + c * y for x, y in zip(v, w)]
-        v = [x % q for x in v]
+    while lattice.q_value(v) % q:
+        # the gradient stays a unit mod p: each step moves v by p
+        w = next(e for e in units if lattice.bilinear(v, e) % p)
+        c = (-lattice.q_value(v) * pow(lattice.bilinear(v, w), -1, q)) % q
+        v = [(x + c * y) % q for x, y in zip(v, w)]
     g = math.gcd(*v)
-    if g > 1:
-        v = [x // g for x in v]
-    return v
+    return [x // g for x in v]
 
 
 @dataclass

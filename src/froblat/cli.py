@@ -2,8 +2,7 @@
 
 Subcommands: density, eisenstein, theta, decay, budget, selftest.
 Output is line-delimited records of named fields with exact rationals
-("num/den"); --pretty separates the fields by two spaces, not one.
-Identical inputs produce byte-identical output.  Exit codes: 0 success,
+("num/den").  Identical inputs produce byte-identical output.  Exit codes: 0 success,
 1 validation failure, 2 indeterminate verdict (precision exhausted).
 Errors are emitted as machine-readable "error code=... detail=..."
 records.
@@ -11,17 +10,20 @@ records.
 
 import argparse
 import os
+import random
 import sys
 from fractions import Fraction
 
 from . import errors
-from .crystals import (CASES, CrystalModel, FormalCurve, f_infinity,
-                       find_decaying_submodule)
+from .budget import BudgetInput, derive_chain, run_budget
+from .crystals import (CASES, LOCAL_DENSITIES, CrystalModel, FormalCurve,
+                       f_infinity, find_decaying_submodule, local_gram)
 from .eisenstein import q_L_hilbert, q_L_siegel, q_positive_definite
 from .enumeration import (prime_rep_count, representation_counts,
                           square_rep_count)
-from .padics import PAdicParams
+from .padics import PAdicParams, _valuation, smallest_nonresidue
 from .quadforms import IntLattice, hanke_density, local_density
+from .regression import decay_fixture_table, run_decay_fixture
 from .series import column_valuation_profile
 
 
@@ -147,9 +149,8 @@ def _frac(x):
         else str(f.numerator)
 
 
-def _emit(out, fields, pretty):
-    sep = "  " if pretty else " "
-    out.write(sep.join(f"{k}={v}" for k, v in fields) + "\n")
+def _emit(out, fields):
+    out.write(" ".join(f"{k}={v}" for k, v in fields) + "\n")
 
 
 # -- subcommands -------------------------------------------------------------
@@ -161,7 +162,7 @@ def cmd_density(args, out):
         fields = [("m", m), ("ell", args.ell), ("delta", _frac(delta))]
         if args.hanke:
             fields.append(("hanke", _frac(hanke_density(args.ell, lat, m))))
-        _emit(out, fields, args.pretty)
+        _emit(out, fields)
     return 0
 
 
@@ -185,7 +186,7 @@ def cmd_eisenstein(args, out):
         _emit(out, [("m", m), ("m0", res.m0), ("f", res.f),
                     ("mid", f"{float(res.midpoint()):.12g}"),
                     ("radius", res.radius()), ("sign", res.sign()),
-                    ("exact", _frac(res.value))], args.pretty)
+                    ("exact", _frac(res.value))])
     return 0
 
 
@@ -195,13 +196,13 @@ def cmd_theta(args, out):
     if args.squares is not None:
         total = square_rep_count(lat, args.squares, args.max, counts)
         _emit(out, [("kind", "squares"), ("D", args.squares),
-                    ("count", total)], args.pretty)
+                    ("count", total)])
     elif args.primes:
         total = prime_rep_count(lat, args.max, counts)
-        _emit(out, [("kind", "primes"), ("count", total)], args.pretty)
+        _emit(out, [("kind", "primes"), ("count", total)])
     else:
         for m, r in enumerate(counts):
-            _emit(out, [("m", m), ("r", r)], args.pretty)
+            _emit(out, [("m", m), ("r", r)])
     return 0
 
 
@@ -215,8 +216,7 @@ def cmd_decay(args, out):
             f"curve file has p = {model.params.p}, not {args.p}")
     A = model.non_ordinary_valuation(curve)
     finf = f_infinity(model, curve, n_max=args.nmax)
-    _emit(out, [("case", model.case), ("A", A), ("nt", curve.nt)],
-          args.pretty)
+    _emit(out, [("case", model.case), ("A", A), ("nt", curve.nt)])
     rank = model.rank
     for i in range(rank):
         w = [1 if j == i else 0 for j in range(rank)]
@@ -225,19 +225,18 @@ def cmd_decay(args, out):
         for n in range(args.nmax + 1):
             idx, sound = profile.decay_index(n)
             row.append((f"n{n}", idx if sound else f"{idx}?"))
-        _emit(out, row, args.pretty)
+        _emit(out, row)
     if args.search:
         basis, witness = find_decaying_submodule(model, finf, A,
                                                  n_max=args.nmax)
         _emit(out, [("span", ";".join(",".join(map(str, v))
                                       for v in basis)),
                     ("witness", ",".join(map(str, witness))
-                     if witness else "-")], args.pretty)
+                     if witness else "-")])
     return 0
 
 
 def cmd_budget(args, out):
-    from .budget import BudgetInput, derive_chain, run_budget
     kv = read_keyvals(args.config)
     p = kv.integer("p")
     A = kv.integer("A")
@@ -247,7 +246,7 @@ def cmd_budget(args, out):
                   for key in ("global_gram", "chain_head"))
     depth = kv.integer("depth", 3)
     M = kv.integer("M", 500)
-    chain, _ = derive_chain(head.gram, p, depth)
+    chain, _ = derive_chain(head, p, depth)
     t_params = KeyVals(kv.path)    # so a missing T-set key names the file
     for key in ("N", "C", "D", "disc_F", "det2"):
         if key in kv:
@@ -267,32 +266,21 @@ def cmd_budget(args, out):
     for rec in rep.per_m:
         g = _frac(rec["g"])
         _emit(out, [("m", rec["m"]), ("local", _frac(rec["local"])),
-                    ("g_lo", g), ("g_hi", g)], args.pretty)
+                    ("g_lo", g), ("g_hi", g)])
     total = _frac(rep.global_sum)
     _emit(out, [("T_size", len(rep.T)), ("excluded", len(rep.excluded)),
                 ("local_sum", _frac(rep.local_sum)),
                 ("global_lo", total), ("global_hi", total),
-                ("ratio_hi", _frac(rep.ratio))], args.pretty)
+                ("ratio_hi", _frac(rep.ratio))])
     return 0
 
 
 def cmd_selftest(args, out):
-    from .crystals import local_gram
     failures = 0
     # closed-form local densities at p in {5, 7, 11, 13}
-    from .crystals import (HILBERT_INERT_SG, HILBERT_INERT_SSP,
-                           HILBERT_SPLIT, SIEGEL_SG, SIEGEL_SSP)
-    from .padics import _valuation, smallest_nonresidue
-    table = [
-        (HILBERT_INERT_SSP, 0, lambda p: Fraction(p - 1, p)),
-        (HILBERT_SPLIT, 0, lambda p: Fraction(p + 1, p)),
-        (HILBERT_INERT_SG, 0, lambda p: Fraction(0)),
-        (SIEGEL_SSP, 1, lambda p: 1 + Fraction(1, p ** 3)),
-        (SIEGEL_SG, 1, lambda p: 1 + Fraction(1, p ** 2)),
-    ]
     for p in (5, 7, 11, 13):
         eps = smallest_nonresidue(p)
-        for case, vp, expect in table:
+        for case, vp, expect in LOCAL_DENSITIES:
             lat = IntLattice(local_gram(case, p, eps), case)
             samples = 0
             m = 0
@@ -308,11 +296,9 @@ def cmd_selftest(args, out):
                     failures += 1
                     _emit(out, [("check", "density"), ("case", case),
                                 ("p", p), ("m", m), ("got", _frac(got)),
-                                ("want", _frac(want))], args.pretty)
-        _emit(out, [("check", "densities"), ("p", p), ("ok", 1)],
-              args.pretty)
+                                ("want", _frac(want))])
+        _emit(out, [("check", "densities"), ("p", p), ("ok", 1)])
     # seeded random sweep: type decomposition against stable counts
-    import random
     rng = random.Random(args.seed)
     swept = 0
     while swept < 40:
@@ -332,18 +318,14 @@ def cmd_selftest(args, out):
             continue
         if hanke_density(p, lat, m) != local_density(p, lat, m):
             failures += 1
-            _emit(out, [("check", "hanke"), ("p", p), ("m", m),
-                        ("ok", 0)], args.pretty)
+            _emit(out, [("check", "hanke"), ("p", p), ("m", m), ("ok", 0)])
         swept += 1
     _emit(out, [("check", "hanke-sweep"), ("seed", args.seed),
-                ("instances", swept), ("ok", int(failures == 0))],
-          args.pretty)
+                ("instances", swept), ("ok", int(failures == 0))])
     if args.quick:
-        _emit(out, [("selftest", "quick"), ("failures", failures)],
-              args.pretty)
+        _emit(out, [("selftest", "quick"), ("failures", failures)])
         return 1 if failures else 0
     # decay regression matrix
-    from .regression import decay_fixture_table, run_decay_fixture
     for fix in decay_fixture_table(5):
         try:
             res = run_decay_fixture(fix)
@@ -351,14 +333,14 @@ def cmd_selftest(args, out):
                         ("A", res["A"]),
                         ("span", ";".join(",".join(map(str, v))
                                           for v in res["basis"])),
-                        ("ok", 1)], args.pretty)
+                        ("ok", 1)])
         except errors.Indeterminate as exc:
             raise
         except errors.FroblatError as exc:
             failures += 1
             _emit(out, [("check", "decay"), ("name", fix["name"]),
-                        ("ok", 0), ("detail", str(exc))], args.pretty)
-    _emit(out, [("selftest", "full"), ("failures", failures)], args.pretty)
+                        ("ok", 0), ("detail", str(exc))])
+    _emit(out, [("selftest", "full"), ("failures", failures)])
     return 1 if failures else 0
 
 
@@ -367,8 +349,6 @@ def build_parser():
         prog="froblat",
         description="exact local densities, Eisenstein coefficients, "
                     "decay tables, and intersection budgets")
-    ap.add_argument("--pretty", action="store_true",
-                    help="separate the fields by two spaces")
     sub = ap.add_subparsers(dest="command", required=True)
 
     d = sub.add_parser("density", help="local representation densities")
@@ -428,14 +408,12 @@ def dispatch(argv, out=None):
     try:
         return args.func(args, out)
     except errors.Indeterminate as exc:
-        _emit(out, [("error", "indeterminate"), ("detail", str(exc))],
-              False)
+        _emit(out, [("error", "indeterminate"), ("detail", str(exc))])
         return 2
     except BrokenPipeError:
         raise  # the reader is gone: no record can reach it
     except (errors.FroblatError, OSError, ValueError, KeyError) as exc:
-        _emit(out, [("error", type(exc).__name__),
-                    ("detail", str(exc))], False)
+        _emit(out, [("error", type(exc).__name__), ("detail", str(exc))])
         return 1
 
 

@@ -451,7 +451,7 @@ def local_gram(case, p, eps):
     """Bilinear Gram matrix of Q' on the special-endomorphism lattice at p.
 
     Entries are integers; Q(v) = v^T G v / 2.  The shapes match the five
-    closed-form local densities used by the Eisenstein comparisons.
+    closed-form local densities of ``LOCAL_DENSITIES``.
     """
     U = [[0, 1], [1, 0]]
     if case == HILBERT_INERT_SSP:
@@ -471,6 +471,17 @@ def local_gram(case, p, eps):
         return _block_diag([[0, p], [p, 0]], [[2 * eps]], [[2 * p]],
                            [[-2 * p * eps]])
     raise InvalidParameter(f"unknown case {case!r}")
+
+
+# (case, v_p(m), p -> delta(p, L, m)): the closed-form local density at p
+# of the shape local_gram(case, p, eps) for every m of that valuation
+LOCAL_DENSITIES = (
+    (HILBERT_INERT_SSP, 0, lambda p: Fraction(p - 1, p)),
+    (HILBERT_SPLIT, 0, lambda p: Fraction(p + 1, p)),
+    (HILBERT_INERT_SG, 0, lambda p: Fraction(0)),
+    (SIEGEL_SSP, 1, lambda p: 1 + Fraction(1, p ** 3)),
+    (SIEGEL_SG, 1, lambda p: 1 + Fraction(1, p ** 2)),
+)
 
 
 def _block_diag(*blocks):

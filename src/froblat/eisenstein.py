@@ -155,20 +155,25 @@ def _odd_l_value(D0):
     return Fraction(total) - radius, Fraction(total) + radius
 
 
+# pi lies strictly between PI_LO and PI_LO + 10^-20
+PI_LO = Fraction(314159265358979323846, 10 ** 20)
+
+
 def dirichlet_L2(D):
     """Float interval (lo, hi) enclosing L(2, chi_D), rounded outward.
 
-    D > 0: E pi^2 B_{2,chi} / f^(3/2) in mpmath interval arithmetic.
+    D > 0: E pi^2 B_{2,chi} / (D0 sqrt D0) enclosed in Fractions, from
+    PI_LO < pi < PI_LO + 10^-20 and r <= 10^20 sqrt D0 < r + 1 for
+    r = isqrt(D0 10^40).
     D < 0: the direct sum truncated where the tail bound reaches L2_TOL.
     """
     D0, s = fundamental_part(D)
     E = euler_correction(D0, s)
     if D > 0:
-        from mpmath import iv
-        x = E * bernoulli_2(D0)
-        v = iv.pi ** 2 * iv.mpf(x.numerator) / x.denominator \
-            / (D0 * iv.sqrt(D0))
-        lo, hi = float(v.a), float(v.b)
+        x = E * bernoulli_2(D0) * 10 ** 20 / D0
+        r = math.isqrt(D0 * 10 ** 40)
+        lo, hi = sorted((x * PI_LO ** 2 / (r + 1),
+                         x * (PI_LO + Fraction(1, 10 ** 20)) ** 2 / r))
     else:
         lo, hi = _odd_l_value(D0)
         lo, hi = lo * E, hi * E

@@ -22,7 +22,7 @@ from . import linalg
 from .errors import InvalidParameter, NotPositiveDefinite
 from .eisenstein import q_positive_definite
 from .padics import _valuation, factorint, primefactors, primerange
-from .quadforms import _stable_exponent, kronecker
+from .quadforms import IntLattice, _stable_exponent, kronecker
 
 
 def _descend(lattice, bound, leaf):
@@ -117,13 +117,12 @@ def representation_counts(lattice, bound):
     vectors convolved, so block-diagonal Gram matrices stay cheap even
     when the total vector count is astronomical.
     """
-    from .quadforms import IntLattice as _IL
     comps = _components(lattice.gram)
     total = np.zeros(bound + 1, dtype=np.int64)
     total[0] = 1
     for comp in comps:
-        sub = _IL([[lattice.gram[i][j] for j in comp] for i in comp],
-                  f"{lattice.label}|{comp}")
+        sub = IntLattice([[lattice.gram[i][j] for j in comp] for i in comp],
+                         f"{lattice.label}|{comp}")
         norms = [0]  # the zero vector, counted once below
         _descend(sub, bound, lambda _v, norm: norms.append(norm))
         part = 2 * np.bincount(norms, minlength=bound + 1)
@@ -158,13 +157,13 @@ def successive_minima(lattice):
     bound = max(lattice.gram[i][i] // 2 for i in range(n))
     while True:
         vecs = short_vectors(lattice, bound)
-        vecs = sorted(set(vecs), key=lambda v: lattice.q_value(list(v)))
+        vecs = sorted(set(vecs), key=lattice.q_value)
         minima = []
         basis = []
         for v in vecs:
             if linalg.rank(basis + [v]) > len(basis):
                 basis.append(v)
-                minima.append(lattice.q_value(list(v)))
+                minima.append(lattice.q_value(v))
                 if len(minima) == n:
                     return tuple(minima)
         bound *= 2
@@ -172,16 +171,8 @@ def successive_minima(lattice):
 
 def _pair_disc4(lattice, v, w):
     """4 * disc of the rank-2 sublattice spanned by v, w (integer)."""
-    qv = lattice.q_value(list(v))
-    qw = lattice.q_value(list(w))
-    b = 0
-    g = lattice.gram
-    for i, vi in enumerate(v):
-        if vi:
-            for j, wj in enumerate(w):
-                if wj:
-                    b += vi * g[i][j] * wj
-    return 4 * qv * qw - b * b
+    b = lattice.bilinear(v, w)
+    return lattice.bilinear(v, v) * lattice.bilinear(w, w) - b * b
 
 
 def min_binary_disc(lattice):

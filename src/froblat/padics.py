@@ -6,12 +6,13 @@ coefficients.  The modulus is a fixed monic lift of an irreducible
 polynomial over F_p, chosen deterministically per (p, d).  Every value
 carries the number of p-adic digits of u that are guaranteed; values
 built from integers or rationals with p-unit denominator times a p-power
-are flagged exact and kept unreduced, so that genuine cancellations
-produce an exact zero instead of a precision artifact.
+carry None there (exact) and are kept unreduced, so that genuine
+cancellations produce an exact zero instead of a precision artifact.
 
-The Frobenius sigma is the unique lift of x -> x^p; it is realized by
-Hensel-lifting the p-power map on the generator once per parameter set
-and caching the result.
+The Frobenius sigma is the unique lift of x -> x^p; sigma(g) and lambda
+(lambda^2 = eps) are roots of integer polynomials, Newton-lifted from
+their residues by one routine, and Teichmuller lifts are a closed-form
+power.
 
 The module also holds the exact integer number theory the other modules
 share: valuations, primality, factorization and a prime sieve.
@@ -321,7 +322,7 @@ class PAdicParams:
     smallest positive non-residue mod p; neither is configurable.  Every
     product of generator polynomials, in the residue field, mod p^k or
     exact, goes through the one kernel ``_mulmod``/``_powmod`` folded by
-    the exact rows of the modulus.  Caches the Hensel-lifted Frobenius
+    the exact rows of the modulus.  Caches the Newton-lifted Frobenius
     image of the generator and its powers, at the working precision.
     """
 
@@ -350,9 +351,6 @@ class PAdicParams:
         """Product of coefficient tuples, reduced mod (modulus, p^mod_power)."""
         return _mulmod(a, b, self.rows, self.p ** mod_power)
 
-    def poly_pow(self, a, e, mod_power):
-        return _powmod(a, e, self.rows, self.p ** mod_power)
-
     def poly_inv(self, a, mod_power):
         """Inverse of a unit polynomial mod (modulus, p^mod_power)."""
         p, d = self.p, self.d
@@ -371,42 +369,43 @@ class PAdicParams:
             x = self.poly_mul(x, two_minus, prec)
         return x
 
+    def _root(self, poly, x):
+        """Newton's lift mod p^M of the root congruent to x mod p of the
+        integer polynomial ``poly`` (constant first), a simple root mod p.
+
+        Each step evaluates f and f' at x by one Horner pass.
+        """
+        p, d, rows = self.p, self.d, self.rows
+        prec = 1
+        while prec < self.precision_M:
+            prec = min(2 * prec, self.precision_M)
+            q = p ** prec
+            f = df = (0,) * d
+            for c in reversed(poly):
+                df = tuple((s + t) % q
+                           for s, t in zip(_mulmod(df, x, rows, q), f))
+                f = _mulmod(f, x, rows, q)
+                f = ((f[0] + c) % q,) + f[1:]
+            delta = _mulmod(f, self.poly_inv(df, prec), rows, q)
+            x = tuple((xi - di) % q for xi, di in zip(x, delta))
+        return x
+
     # -- Frobenius ------------------------------------------------------
     def _frobenius_generator_powers(self):
         if self._frob_gen_pows is not None:
             return self._frob_gen_pows
-        p, d, M = self.p, self.d, self.precision_M
+        d, M = self.d, self.precision_M
         if d == 1:
             self._frob_gen_pows = [((1,),)]
             return self._frob_gen_pows
-        # Hensel-lift the root of the modulus congruent to gbar^p
-        gbar_p = self.residue_field.pow(
-            tuple([0, 1] + [0] * (d - 2)), p)
-        x = tuple(int(c) for c in gbar_p)
-        # Newton iteration on h(X) = X^d + sum modulus_i X^i
-        prec = 1
-        while prec < M:
-            prec = min(2 * prec, M)
-            q = p ** prec
-            hx, dhx = self._eval_modulus(x, q)
-            delta = self.poly_mul(hx, self.poly_inv(dhx, prec), prec)
-            x = tuple((xi - di) % q for xi, di in zip(x, delta))
-        pows = [tuple([1] + [0] * (d - 1)), x]
+        # sigma(g) is the root of the modulus congruent to gbar^p
+        gbar_p = self.residue_field.pow((0, 1) + (0,) * (d - 2), self.p)
+        x = self._root(self.modulus + (1,), gbar_p)
+        pows = [(1,) + (0,) * (d - 1), x]
         for _ in range(d - 2):
             pows.append(self.poly_mul(pows[-1], x, M))
         self._frob_gen_pows = pows
         return pows
-
-    def _eval_modulus(self, x, q):
-        """(h(x), h'(x)) mod q for h = X^d + sum modulus_i X^i, by one
-        Horner pass."""
-        h, dh = (1,) + (0,) * (self.d - 1), (0,) * self.d
-        for c in reversed(self.modulus):
-            dh = tuple((s + t) % q
-                       for s, t in zip(_mulmod(dh, x, self.rows, q), h))
-            h = _mulmod(h, x, self.rows, q)
-            h = ((h[0] + c) % q,) + h[1:]
-        return h, dh
 
     def frobenius_poly(self, coeffs, mod_power):
         """Apply sigma to a coefficient tuple (coefficients are Z_p-fixed)."""
@@ -424,7 +423,7 @@ class PAdicParams:
 
     # -- distinguished constants ---------------------------------------
     def zero(self):
-        return PAdicScalar(self, 0, (0,) * self.d, None, exact=True)
+        return PAdicScalar(self, 0, (0,) * self.d, None)
 
     def one(self):
         return self.from_int(1)
@@ -434,7 +433,7 @@ class PAdicParams:
             return self.zero()
         v = _valuation(n, self.p)
         coeffs = (n // self.p ** v,) + (0,) * (self.d - 1)
-        return PAdicScalar(self, v, coeffs, None, exact=True)
+        return PAdicScalar(self, v, coeffs, None)
 
     def from_rational(self, q):
         q = Fraction(q)
@@ -447,25 +446,27 @@ class PAdicParams:
         den //= self.p ** vd
         if den in (1, -1):
             coeffs = (num * den,) + (0,) * (self.d - 1)
-            return PAdicScalar(self, vn - vd, coeffs, None, exact=True)
+            return PAdicScalar(self, vn - vd, coeffs, None)
         u = (num * pow(den, -1, self.pM)) % self.pM
         coeffs = (u,) + (0,) * (self.d - 1)
-        return PAdicScalar(self, vn - vd, coeffs, self.precision_M,
-                           exact=False)
+        return PAdicScalar(self, vn - vd, coeffs, self.precision_M)
 
     def teichmuller(self, residue):
-        """The root-of-unity (or zero) lift of a residue-field element."""
+        """The root-of-unity (or zero) lift of a residue-field element.
+
+        For any lift r of a nonzero residue in F_q, r^(q^(M-1)) is it mod
+        p^M: the 1-units of W(F_q) mod p^M form a group of order
+        q^(M-1).  A residue in F_p lifts into Z_p, with q = p.
+        """
         r = self.residue_field.element(residue)
         if self.residue_field.is_zero(r):
             return self.zero()
-        x = tuple(int(c) for c in r)
-        q = self.p ** self.d
-        for _ in range(self.precision_M + 2):
-            nxt = self.poly_pow(x, q, self.precision_M)
-            if nxt == x:
-                break
-            x = nxt
-        return PAdicScalar(self, 0, x, self.precision_M, exact=False)
+        e = self.precision_M - 1
+        if any(r[1:]):
+            x = _powmod(r, self.p ** (self.d * e), self.rows, self.pM)
+        else:
+            x = (pow(r[0], self.p ** e, self.pM),) + r[1:]
+        return PAdicScalar(self, 0, x, self.precision_M)
 
     def eps(self):
         """The non-square unit eps as an exact scalar."""
@@ -480,22 +481,13 @@ class PAdicParams:
             raise InvalidParameter("lambda lives in W(F_{p^2}); need even d")
         if self.d == 2:
             # the canonical modulus is X^2 - eps: g itself
-            return PAdicScalar(self, 0, (0, 1), self.precision_M, False)
+            return PAdicScalar(self, 0, (0, 1), self.precision_M)
         rf = self.residue_field
         r = rf.sqrt(rf.element(self.eps_int))
         if r is None:
             raise InvalidParameter("eps has no square root in the residue field")
-        # Newton: x <- (x + eps/x) / 2
-        x = tuple(int(c) for c in r)
-        inv2 = pow(2, -1, self.pM)
-        prec = 1
-        while prec < self.precision_M:
-            prec = min(2 * prec, self.precision_M)
-            q = self.p ** prec
-            xinv = self.poly_inv(x, prec)
-            ex = tuple((self.eps_int * c) % q for c in xinv)
-            x = tuple(((a + b) * inv2) % q for a, b in zip(x, ex))
-        lam = PAdicScalar(self, 0, x, self.precision_M, exact=False)
+        lam = PAdicScalar(self, 0, self._root((-self.eps_int, 0, 1), r),
+                          self.precision_M)
         flip = lam.frobenius() + lam
         if not (flip.is_zero() or flip.is_precision_zero()):
             raise InvalidParameter("constructed lambda is not sign-flipped by sigma")
@@ -514,20 +506,24 @@ class PAdicScalar:
     element is known modulo p^(shift + rel_prec).  Values are immutable.
     """
 
-    __slots__ = ("params", "shift", "coeffs", "rel_prec", "exact")
+    __slots__ = ("params", "shift", "coeffs", "rel_prec")
 
-    def __init__(self, params, shift, coeffs, rel_prec, exact):
+    def __init__(self, params, shift, coeffs, rel_prec):
         self.params = params
         self.shift = shift
         self.coeffs = coeffs
         self.rel_prec = rel_prec
-        self.exact = exact
+
+    @property
+    def exact(self):
+        """True for an exact value (``rel_prec`` None)."""
+        return self.rel_prec is None
 
     @classmethod
     def masked(cls, params, bound):
         """A value known only to vanish mod p^bound, in the one form
         every masked result takes: shift bound - 1, one zero digit."""
-        return cls(params, bound - 1, (0,) * params.d, 1, False)
+        return cls(params, bound - 1, (0,) * params.d, 1)
 
     @classmethod
     def from_digits(cls, params, shift, digits, n):
@@ -552,7 +548,7 @@ class PAdicScalar:
         coeffs = [0] * params.d
         for i, x in digits:
             coeffs[i] = x
-        return cls(params, shift, tuple(coeffs), n, False), tuple(digits)
+        return cls(params, shift, tuple(coeffs), n), tuple(digits)
 
     # -- state ----------------------------------------------------------
     def is_zero(self):
@@ -592,13 +588,12 @@ class PAdicScalar:
             g = math.gcd(*self.coeffs)
             if not g:
                 if self.shift != 0:
-                    return PAdicScalar(self.params, 0, self.coeffs, None, True)
+                    return PAdicScalar(self.params, 0, self.coeffs, None)
                 return self
             v = _valuation(g, p)
             if v:
                 coeffs = tuple(c // p ** v for c in self.coeffs)
-                return PAdicScalar(self.params, self.shift + v, coeffs,
-                                   None, True)
+                return PAdicScalar(self.params, self.shift + v, coeffs, None)
             return self
         n = self.rel_prec
         if n < 1:
@@ -624,15 +619,14 @@ class PAdicScalar:
         cb = tuple(c * p ** (b.shift - s) for c in b.coeffs)
         coeffs = tuple(x + y for x, y in zip(ca, cb))
         if a.exact and b.exact:
-            return PAdicScalar(self.params, s, coeffs, None, True)._normalize()
+            return PAdicScalar(self.params, s, coeffs, None)._normalize()
         bound = min(a.known_bound(), b.known_bound())
         n = bound - s
-        return PAdicScalar(self.params, s, coeffs, n, False)._normalize()
+        return PAdicScalar(self.params, s, coeffs, n)._normalize()
 
     def __neg__(self):
         return PAdicScalar(self.params, self.shift,
-                           tuple(-c for c in self.coeffs),
-                           self.rel_prec, self.exact)
+                           tuple(-c for c in self.coeffs), self.rel_prec)
 
     def __sub__(self, other):
         return self + (-other)
@@ -649,7 +643,7 @@ class PAdicScalar:
         if a.exact and b.exact:
             return PAdicScalar(params, s,
                                _mulmod(a.coeffs, b.coeffs, params.rows),
-                               None, True)._normalize()
+                               None)._normalize()
         if a.is_precision_zero() or b.is_precision_zero():
             # product of a bounded-zero with anything: only a bound survives
             bound_a = a.known_bound() if a.is_precision_zero() else a.shift
@@ -658,7 +652,7 @@ class PAdicScalar:
         n = b.rel_prec if a.exact else a.rel_prec if b.exact \
             else min(a.rel_prec, b.rel_prec)
         coeffs = _mulmod(a.coeffs, b.coeffs, params.rows, params.p ** n)
-        return PAdicScalar(params, s, coeffs, n, False)._normalize()
+        return PAdicScalar(params, s, coeffs, n)._normalize()
 
     __rmul__ = __mul__
 
@@ -671,8 +665,7 @@ class PAdicScalar:
         q = self.params.p ** n
         coeffs = tuple(c % q for c in self.coeffs)
         inv = self.params.poly_inv(coeffs, n)
-        return PAdicScalar(self.params, -self.shift, inv, n,
-                           False)._normalize()
+        return PAdicScalar(self.params, -self.shift, inv, n)._normalize()
 
     def frobenius(self):
         """The lift sigma of x -> x^p; fixes Z_p, order d."""
@@ -682,8 +675,7 @@ class PAdicScalar:
             return self  # sigma fixes Z_p
         n = self.params.precision_M if self.exact else self.rel_prec
         coeffs = self.params.frobenius_poly(self.coeffs, n)
-        return PAdicScalar(self.params, self.shift, coeffs, n,
-                           False)._normalize()
+        return PAdicScalar(self.params, self.shift, coeffs, n)._normalize()
 
     def frobenius_power(self, k):
         x = self

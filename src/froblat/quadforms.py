@@ -110,15 +110,14 @@ class IntLattice:
         self._det = None
         self._local = {}
 
+    def bilinear(self, v, w):
+        """The pairing [v, w] = v^T G w of integer vectors."""
+        return sum(vi * g * x for vi, row in zip(v, self.gram) if vi
+                   for g, x in zip(row, w))
+
     def q_value(self, v):
-        acc = 0
-        g = self.gram
-        for i, vi in enumerate(v):
-            if vi:
-                acc += g[i][i] * vi * vi
-                for j in range(i + 1, self.rank):
-                    acc += 2 * g[i][j] * vi * v[j]
-        return acc // 2
+        """Q(v) = [v, v] / 2."""
+        return self.bilinear(v, v) // 2
 
     def det(self):
         if self._det is None:

@@ -26,7 +26,7 @@ def _term(k, c, digits=None):
     digits as ``PAdicScalar.from_digits`` returns them."""
     if digits is None:
         digits = tuple([(i, x) for i, x in enumerate(c.coeffs) if x])
-    if c.exact:
+    if c.rel_prec is None:  # exact
         return k, c.shift, digits, INF
     bound = c.shift + c.rel_prec
     return (k, c.shift, digits, bound) if digits else (k, bound, None, bound)
@@ -138,7 +138,7 @@ def _build(params, k, bound, shift, slots):
         return PAdicScalar.masked(params, bound), (k, bound, None, bound)
     folded = _fold(slots, params.rows)
     if bound == INF:
-        c = PAdicScalar(params, shift, tuple(folded), None, True)._normalize()
+        c = PAdicScalar(params, shift, tuple(folded), None)._normalize()
         return None if c.is_zero() else (c, _term(k, c))
     c, digits = PAdicScalar.from_digits(params, shift, enumerate(folded),
                                         bound - shift)

@@ -14,9 +14,7 @@ import sympy
 
 from froblat.budget import (BudgetInput, alpha_const, derive_chain,
                             eisenstein_budget, run_budget)
-from froblat.crystals import (HILBERT_INERT_SG, HILBERT_INERT_SSP,
-                              HILBERT_SPLIT, SIEGEL_SG, SIEGEL_SSP,
-                              local_gram)
+from froblat.crystals import LOCAL_DENSITIES, SIEGEL_SG, local_gram
 from froblat.eisenstein import dirichlet_L2, q_L_siegel, q_positive_definite
 from froblat.enumeration import (build_T_set, cusp_deviation,
                                  representation_counts)
@@ -37,14 +35,10 @@ def _report(name, elapsed, budget):
 
 def test_criterion_1_golden_densities():
     start = time.time()
-    families = [
-        (HILBERT_INERT_SSP, 0, lambda p, d: d == 1 - Fraction(1, p)),
-        (HILBERT_SPLIT, 0, lambda p, d: d == 1 + Fraction(1, p)),
-        (HILBERT_INERT_SG, 0, lambda p, d: d == 0),
-        (SIEGEL_SSP, 1, lambda p, d: d == 1 + Fraction(1, p ** 3)),
-        (SIEGEL_SG, 1, lambda p, d: d == 1 + Fraction(1, p ** 2)),
-        (SIEGEL_SG, 0, lambda p, d: d in (Fraction(0), Fraction(2))),
-    ]
+    families = [(case, vp, lambda p, d, want=want: d == want(p))
+                for case, vp, want in LOCAL_DENSITIES]
+    families.append((SIEGEL_SG, 0,
+                     lambda p, d: d in (Fraction(0), Fraction(2))))
     for p in (5, 7, 11, 13):
         eps = smallest_nonresidue(p)
         for case, vp, ok in families:
@@ -209,7 +203,7 @@ def test_criterion_9_budget_pipeline():
     head = [[2, 0, -1, -1], [0, 2, -1, 0], [-1, -1, 6, -2],
             [-1, 0, -2, 18]]
     lh = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 2, 1], [0, 0, 1, -6]]
-    chain, _ = derive_chain(head, 5, 3)
+    chain, _ = derive_chain(IntLattice(head), 5, 3)
     deep = IntLattice(chain[-1][1])
     deep_counts = representation_counts(deep, 500)
     exclude = [m for m in range(1, 501) if deep_counts[m] > 0]

@@ -121,7 +121,7 @@ def test_global_g_validation():
 
 
 def test_chain_derivation_and_nesting():
-    chain, basis = derive_chain(HEAD, 5, 3)
+    chain, basis = derive_chain(IntLattice(HEAD), 5, 3)
     for n, (g1, g2) in enumerate(chain):
         L1, L2 = IntLattice(g1), IntLattice(g2)
         assert L1.is_positive_definite() and L2.is_positive_definite()
@@ -154,6 +154,24 @@ def test_chain_derivation_and_nesting():
                                     [1, 1, 0, 0], [0, 0, 0, 1]])])
 
 
+def test_one_entry_edits_of_the_head_give_a_chain_or_an_error():
+    """Every symmetric edit by +-1 or +-2 of one entry of the chain head
+    (fixtures/chain_head_p5.gram) derives a chain or raises
+    InvalidParameter; an odd diagonal entry is rejected by name."""
+    for i in range(4):
+        for j in range(i, 4):
+            for delta in (-2, -1, 1, 2):
+                G = [row[:] for row in HEAD]
+                G[i][j] = G[j][i] = HEAD[i][j] + delta
+                odd = i == j and delta % 2
+                try:
+                    chain, _ = derive_chain(IntLattice(G), 5, 3)
+                except InvalidParameter as exc:
+                    assert not odd or f"entry ({i + 1}, {i + 1})" in str(exc)
+                else:
+                    assert not odd and len(chain) == 4
+
+
 def test_complete_to_basis_first_column_is_v():
     rng = random.Random(17)
     vectors = [[17, -8, 20, 14], [331330, 0, 1, 1], [-1, 0, 0, 0],
@@ -183,7 +201,7 @@ def test_chain_head_completions():
 
 
 def test_run_budget_small():
-    chain, _ = derive_chain(HEAD, 5, 2)
+    chain, _ = derive_chain(IntLattice(HEAD), 5, 2)
     inp = BudgetInput(p=5, A=2, case="superspecial", family="hilbert",
                       global_gram=LH, chain=chain, t_kind="hilbert",
                       t_params={"N": 0, "C": 1, "disc_F": 13, "det2": 26},
@@ -204,7 +222,7 @@ def test_run_budget_small():
 
 
 def test_run_budget_supergeneric_is_pinned():
-    chain, _ = derive_chain(HEAD, 5, 2)
+    chain, _ = derive_chain(IntLattice(HEAD), 5, 2)
     inp = BudgetInput(p=5, A=2, case="supergeneric", family="hilbert",
                       global_gram=LH, chain=chain, t_kind="hilbert",
                       t_params={"N": 0, "C": 1, "disc_F": 13, "det2": 26},
@@ -226,7 +244,7 @@ def test_run_budget_enumerates_only_weighted_members(monkeypatch, case,
         return representation_counts(lattice, bound)
 
     monkeypatch.setattr(budget, "representation_counts", counting)
-    chain, _ = derive_chain(HEAD, 5, 2)
+    chain, _ = derive_chain(IntLattice(HEAD), 5, 2)
     inp = BudgetInput(p=5, A=2, case=case, family="hilbert",
                       global_gram=LH, chain=chain, t_kind="hilbert",
                       t_params={"N": 0, "C": 1, "disc_F": 13, "det2": 26},
@@ -238,7 +256,7 @@ def test_run_budget_enumerates_only_weighted_members(monkeypatch, case,
 
 
 def test_run_budget_square_t_set_and_empty_t_set():
-    chain, _ = derive_chain(HEAD, 5, 1)
+    chain, _ = derive_chain(IntLattice(HEAD), 5, 1)
     inp = BudgetInput(p=5, A=2, case="superspecial", family="hilbert",
                       global_gram=LH, chain=chain, t_kind="square",
                       t_params={"D": 1}, M=50)

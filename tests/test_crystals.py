@@ -354,7 +354,7 @@ def test_masked_coefficient_blocks_only_when_it_matters():
     one = params.one()
     p1, p2, p3 = (params.from_rational(Fraction(1, 5 ** e))
                   for e in (1, 2, 3))
-    masked = [PAdicScalar(params, -2, (u, 0), 1, False) for u in (1, 4)]
+    masked = [PAdicScalar(params, -2, (u, 0), 1) for u in (1, 4)]
     assert masked[0].known_bound() == -1
     basis = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)]
 

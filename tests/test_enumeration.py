@@ -211,7 +211,7 @@ def test_t_sets():
 def test_chain_minima_growth():
     """Scaled chains force the later minima up like p^n."""
     head = [[2, 0, -1, -1], [0, 2, -1, 0], [-1, -1, 6, -2], [-1, 0, -2, 18]]
-    chain, _ = derive_chain(head, 5, 3)
+    chain, _ = derive_chain(IntLattice(head), 5, 3)
     p = 5
     prev = None
     for n, (g1, _) in enumerate(chain):

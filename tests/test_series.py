@@ -239,15 +239,15 @@ def random_scalar(params, rng):
         unit = [0] * d
         unit[rng.randrange(d)] = rng.randrange(1, p)
         rel = None if kind < 0.25 else rng.randint(1, M)
-        return PAdicScalar(params, shift, tuple(unit), rel, rel is None)
+        return PAdicScalar(params, shift, tuple(unit), rel)
     if kind < 0.6:
         unit = [rng.randint(-30, 30) for _ in range(d)]
         unit[0] = rng.choice((-1, 1)) * rng.randrange(1, p)
-        return PAdicScalar(params, shift, tuple(unit), None, True)._normalize()
+        return PAdicScalar(params, shift, tuple(unit), None)._normalize()
     unit = [rng.randrange(p ** M) for _ in range(d)]
     unit[rng.randrange(d)] = rng.randrange(1, p)
-    return PAdicScalar(params, shift, tuple(unit), rng.randint(1, M),
-                       False)._normalize()
+    return PAdicScalar(params, shift, tuple(unit),
+                       rng.randint(1, M))._normalize()
 
 
 def random_series(params, nt, rng):
