@@ -2,10 +2,10 @@
 """Local representation densities, two ways.
 
 delta(l, L, m) counts solutions of Q(v) = m modulo l^a at the stable
-exponent a = 1 + 2 v_l(2m).  For odd p and v_p(m) <= 1 the same number
-splits into a good-type count plus one bad-type reduction; the two
-computations agree exactly, and the five local shapes attached to
-supersingular points have closed-form values.
+exponent a = 1 + 2 v_l(2m).  The same number splits into a good-type
+count plus a bad-type reduction to m/l, at every prime and every
+valuation; the two computations agree exactly, and the five local shapes
+attached to supersingular points have closed-form values.
 """
 
 from fractions import Fraction
@@ -39,3 +39,9 @@ print("\nsupergeneric unit densities:",
 L = IntLattice([[2, 1, 0], [1, 4, 1], [0, 1, 6]])
 for a in (1, 3, 5):
     print(f"delta at exponent {a}:", local_density(3, L, 6, a_exp=a))
+
+# the reduction also holds at l = 2 and at v_l(m) >= 2
+for ell, m in ((2, 12), (5, 50)):
+    d, h = local_density(ell, L, m), hanke_density(ell, L, m)
+    assert d == h
+    print(f"l={ell} m={m}: delta = {d} = hanke")

@@ -21,7 +21,7 @@ from .crystals import (CASES, LOCAL_DENSITIES, CrystalModel, FormalCurve,
 from .eisenstein import q_L_hilbert, q_L_siegel, q_positive_definite
 from .enumeration import (prime_rep_count, representation_counts,
                           square_rep_count)
-from .padics import PAdicParams, _valuation, smallest_nonresidue
+from .padics import PAdicParams, _valuation, isprime, smallest_nonresidue
 from .quadforms import IntLattice, hanke_density, local_density
 from .regression import decay_fixture_table, run_decay_fixture
 from .series import column_valuation_profile
@@ -207,6 +207,8 @@ def cmd_theta(args, out):
 
 
 def cmd_decay(args, out):
+    if args.nmax < 0:
+        raise errors.InvalidParameter(f"--nmax {args.nmax} is negative")
     model, curve = read_curve(args.curve)
     if args.case is not None and args.case != model.case:
         raise errors.InvalidParameter(
@@ -239,13 +241,19 @@ def cmd_decay(args, out):
 def cmd_budget(args, out):
     kv = read_keyvals(args.config)
     p = kv.integer("p")
+    if not isprime(p):
+        raise kv.error("p", "is not a prime")
     A = kv.integer("A")
     case = kv["case"]
     family = kv["family"]
     glob, head = (IntLattice(read_gram(kv[key]), kv[key])
                   for key in ("global_gram", "chain_head"))
     depth = kv.integer("depth", 3)
+    if depth < 0:
+        raise kv.error("depth", "is negative")
     M = kv.integer("M", 500)
+    if M < 1:
+        raise kv.error("M", "is not positive")
     chain, _ = derive_chain(head, p, depth)
     t_params = KeyVals(kv.path)    # so a missing T-set key names the file
     for key in ("N", "C", "D", "disc_F", "det2"):
@@ -314,8 +322,6 @@ def cmd_selftest(args, out):
         if lat.det() == 0:
             continue
         m = rng.randint(1, 60)
-        if _valuation(m, p) > 1:
-            continue
         if hanke_density(p, lat, m) != local_density(p, lat, m):
             failures += 1
             _emit(out, [("check", "hanke"), ("p", p), ("m", m), ("ok", 0)])

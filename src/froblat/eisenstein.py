@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import InvalidParameter
 from .padics import factorint, primefactors
-from .quadforms import kronecker, local_density, sigma_s
+from .quadforms import hanke_density, kronecker, sigma_s
 
 
 def fundamental_part(D):
@@ -254,7 +254,7 @@ def _q_rank4(lattice, m, sign):
     sig = sigma_s(m, -1, lambda d: kronecker(D, d))
     num, den = sign * 8 * m * sig.numerator, sig.denominator
     for ell in primefactors(2 * det):
-        delta = local_density(ell, lattice, m)
+        delta = hanke_density(ell, lattice, m)
         num *= delta.numerator
         den *= delta.denominator
     D0, s = fundamental_part(D)
@@ -280,7 +280,7 @@ def _q_rank5(lattice, m, sign):
     num = sign * 480 * m * f * divisor_sum.numerator
     den = abs(det) * divisor_sum.denominator
     for ell in primefactors(bad):  # delta / (1 - ell^-4)
-        delta = local_density(ell, lattice, m)
+        delta = hanke_density(ell, lattice, m)
         num *= delta.numerator * ell ** 4
         den *= delta.denominator * (ell ** 4 - 1)
     D0, s = fundamental_part(D)

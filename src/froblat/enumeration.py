@@ -22,7 +22,7 @@ from . import linalg
 from .errors import InvalidParameter, NotPositiveDefinite
 from .eisenstein import q_positive_definite
 from .padics import _valuation, factorint, primefactors, primerange
-from .quadforms import IntLattice, _stable_exponent, kronecker
+from .quadforms import IntLattice, kronecker
 
 
 def _descend(lattice, bound, leaf):
@@ -117,6 +117,8 @@ def representation_counts(lattice, bound):
     vectors convolved, so block-diagonal Gram matrices stay cheap even
     when the total vector count is astronomical.
     """
+    if bound < 0:
+        raise InvalidParameter(f"count bound {bound} is negative")
     comps = _components(lattice.gram)
     total = np.zeros(bound + 1, dtype=np.int64)
     total[0] = 1
@@ -279,25 +281,19 @@ def build_T_set(kind, p, params, M):
     raise InvalidParameter(f"unknown T-set kind {kind!r}")
 
 
-MODULUS_CAP = 20000  # largest stable counting modulus cusp_deviation uses
-
-
 def cusp_deviation(lattice, m_lo, m_hi):
     """Per-m exact deviations r(m) - q(m) and the fitted growth exponent.
 
-    m whose stable counting modulus l^(1 + 2 v_l(2m)) at some bad prime
-    exceeds MODULUS_CAP are skipped (the exact convolution length grows
-    with v_l(m)).  The exponent is the least-squares slope of
-    log|deviation| against log m over the nonzero deviations.  Each
+    Every m in [m_lo, m_hi] gets a record: q(m) reads its local
+    densities from Hanke's reduction, which needs tables mod l (mod 8 at
+    l = 2) only, whatever v_l(m).  The exponent is the least-squares
+    slope of log|deviation| against log m over the nonzero deviations.  Each
     record holds m, r(m), the exact coefficient eis = q(m), the deviation
     r(m) - q(m), and a radius, always 0 since q(m) is exact.
     """
     counts = representation_counts(lattice, m_hi)
-    bad = primefactors(2 * lattice.det())
     records = []
     for m in range(max(1, m_lo), m_hi + 1):
-        if any(ell ** _stable_exponent(ell, m) > MODULUS_CAP for ell in bad):
-            continue
         qv = q_positive_definite(lattice, m)
         records.append({"m": m, "r": counts[m], "eis": qv.value,
                         "radius": 0, "deviation": counts[m] - qv.value})

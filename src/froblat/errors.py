@@ -50,10 +50,6 @@ class NotPositiveDefinite(FroblatError):
     """Enumeration requires a positive-definite Gram matrix."""
 
 
-class UnsupportedValuation(FroblatError):
-    """Density shortcut only supports v_p(m) <= 1."""
-
-
 class BadDiscriminant(FroblatError):
     """Kronecker character needs D = 0, 1 mod 4 and D != 0."""
 

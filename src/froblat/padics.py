@@ -558,16 +558,6 @@ class PAdicScalar:
     def is_precision_zero(self):
         return (not self.exact) and all(c == 0 for c in self.coeffs)
 
-    @property
-    def val(self):
-        """Valuation; +inf for exact zero, ZeroPrecision if masked."""
-        if self.is_zero():
-            return INF
-        if self.is_precision_zero():
-            raise ZeroPrecision(
-                f"value vanishes mod p^{self.known_bound()}; valuation unknown")
-        return self.shift
-
     def maybe_val(self):
         """Valuation, or None when only a lower bound is known."""
         if self.is_zero():

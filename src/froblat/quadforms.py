@@ -1,20 +1,21 @@
 """Integral quadratic lattices, Kronecker characters, and local densities.
 
 Lattices carry the Gram matrix of the bilinear form [x, y], so Q(v) =
-v^T G v / 2 and det(L) = det(G).  Local densities are computed two ways:
-a stable-exponent count delta(l, L, m) = l^(a(1-rk)) #{v mod l^a :
-Q(v) = m mod l^a} with a = 1 + 2 v_l(2m) (by convolution of per-block
-value distributions), and for odd p with v_p(m) <= 1 the good/bad-type-I
-decomposition
+v^T G v / 2 and det(L) = det(G).  Local densities are computed two ways.
+The stable count delta(l, L, m) = l^(a(1-rk)) #{v mod l^a : Q(v) = m mod
+l^a} with a = 1 + 2 v_l(2m) (by convolution of per-block value
+distributions) is the oracle.  Hanke's good/bad-type reduction, at every
+prime l and every m >= 1,
 
-    delta = alpha*(p, L, m) + p^(1-s0) alpha(p, L_I, m/p),
+    delta(L, m) = good(L, m) + [l | m] l^(1-s0) delta(L_I, m/l),
 
-where alpha counts solutions mod p, alpha* restricts to solutions with a
-unit-coefficient coordinate not divisible by p, s0 is the number of unit
-diagonal coefficients, and L_I rescales unit slots by p and non-unit
-slots by 1/p.  Both read the Jordan splitting ``lattice.local(l)``: an
-IntLattice builds it once per l, mod l^K from its cached determinant
-(see ``linalg.jordan_split``), and a LocalLattice is its own splitting.
+reads only tables mod l, or mod 8 at l = 2, and is what the Eisenstein
+coefficients use.  Here s0 counts the variables of the unimodular
+constituent, good(L, m) counts the solutions with one of them a unit,
+and L_I scales that constituent by l and the rest by 1/l.  Both read
+the Jordan splitting ``lattice.local(l)``: an IntLattice builds it once
+per l, mod l^K from its cached determinant (see ``linalg.jordan_split``),
+and a LocalLattice is its own splitting.
 """
 
 import math
@@ -24,8 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import linalg
-from .errors import (BadDiscriminant, InvalidParameter,
-                     UnsupportedValuation)
+from .errors import BadDiscriminant, InvalidParameter
 from .padics import _valuation, factorint, isprime, smallest_nonresidue
 
 
@@ -140,10 +140,6 @@ class IntLattice:
                 ell, *linalg.jordan_split(self.gram, ell, self.det()))
         return loc
 
-    def q_matrix(self):
-        """Rational matrix A with Q(v) = v^T A v."""
-        return [[Fraction(x, 2) for x in row] for row in self.gram]
-
     def __repr__(self):
         return f"IntLattice({self.label}, rank={self.rank}, det={self.det()})"
 
@@ -169,6 +165,7 @@ class LocalLattice:
             self.diag = _canonical_symbol(ell, self.diag)
         self.blocks2 = tuple(tuple(b) for b in blocks2)
         self.rank = len(self.diag) + 2 * len(self.blocks2)
+        self._bad_type = None
 
     def local(self, ell):
         """This splitting itself; it holds only at its own prime."""
@@ -177,17 +174,34 @@ class LocalLattice:
                                    f"{self.ell} of this local lattice")
         return self
 
-    def unit_count(self):
-        """Number of diagonal coefficients with v_l = 0 (s_0)."""
-        return sum(1 for a in self.diag if a % self.ell)
+    def _rescaled(self, unit, rest):
+        """(diag, blocks2) with ``unit`` applied to the coefficients of the
+        unimodular constituent and ``rest`` to all others."""
+        ell = self.ell
+        return (tuple(unit(c) if c % ell else rest(c) for c in self.diag),
+                tuple(tuple(map(unit if blk[1] % ell else rest, blk))
+                      for blk in self.blocks2))
 
     def scaled_for_bad_type(self):
-        """L_I: unit slots scaled by l, non-unit slots divided by l."""
-        if self.blocks2:
-            raise UnsupportedValuation("bad-type reduction needs odd l")
-        ell = self.ell
-        return LocalLattice(ell, [a * ell if a % ell else a // ell
-                                  for a in self.diag])
+        """(s0, excluded, L_I) for ``hanke_density``, built on first use.
+
+        The unimodular constituent is the c_i prime to l and the blocks
+        with b odd, and s0 counts its variables.  ``excluded`` is the
+        table key of the form with that constituent scaled by l^2,
+        reduced mod l (mod 8 at l = 2), and L_I scales the constituent by
+        l and divides the rest by l.
+        """
+        if self._bad_type is None:
+            ell = self.ell
+            q = 8 if ell == 2 else ell
+            s0 = sum(1 for c in self.diag if c % ell) \
+                + sum(2 for _, b, _ in self.blocks2 if b % ell)
+            self._bad_type = (
+                s0, self._rescaled(lambda c: c * ell * ell % q,
+                                   lambda c: c % q),
+                LocalLattice(ell, *self._rescaled(lambda c: c * ell,
+                                                  lambda c: c // ell)))
+        return self._bad_type
 
 
 def _canonical_symbol(ell, diag):
@@ -284,7 +298,7 @@ def _residue_table(ell, a_exp, diag, blocks2):
     """#{v mod l^a : Q(v) = r mod l^a} for every r, read-only.
 
     One table per (l, a, local block shape), held in a bounded memo that
-    the stable-exponent counts and Hanke's alpha share.  Once the factors
+    the stable counts and Hanke's reduction share.  Once the factors
     so far cover k variables, every entry of the next convolution is at
     most l^(a k) times the largest entry of the next factor; that bound
     picks int64 or Python-int sums.
@@ -309,44 +323,47 @@ def count_representations_mod(lattice, ell, m, a_exp):
     return int(table[m % ell ** a_exp])
 
 
-def _stable_exponent(ell, m):
-    """a = 1 + 2 v_l(2m); counts mod l^a are stable from there on."""
-    return 1 + 2 * _valuation(2 * m, ell)
-
-
 def local_density(ell, lattice, m, a_exp=None):
-    """delta(l, L, m) at the stable exponent, as an exact Fraction."""
+    """delta(l, L, m) as an exact Fraction, counted mod l^a with a the
+    stable exponent 1 + 2 v_l(2m) unless given."""
     if m < 1:
         raise InvalidParameter("m must be positive")
     loc = lattice.local(ell)
     if a_exp is None:
-        a_exp = _stable_exponent(ell, m)
+        a_exp = 1 + 2 * _valuation(2 * m, ell)
     count = count_representations_mod(loc, ell, m, a_exp)
     return Fraction(count, ell ** (a_exp * (loc.rank - 1)))
 
 
-def _alpha(p, loc, m):
-    """alpha(p, L, m) = p^(1-rk) #{v mod p : Q(v) = m mod p}."""
-    return Fraction(count_representations_mod(loc, p, m, 1),
-                    p ** (loc.rank - 1))
+def hanke_density(ell, lattice, m):
+    """delta(l, L, m) by the good/bad-type reduction, as an exact Fraction.
 
-
-def hanke_density(p, lattice, m):
-    """delta(p, L, m) for odd p and v_p(m) <= 1 via type decomposition."""
-    if p == 2:
-        raise InvalidParameter("p must be odd")
+    delta(L, m) = good(L, m) + [l | m] l^(1-s0) delta(L_I, m/l), iterated
+    until l does not divide m (J. Hanke, Duke Math. J. 124 (2004), sec. 3).
+    good(L, m) is l^(a(1-rk)) times the solutions mod l^a with some
+    unimodular coordinate a unit, which Hensel lifts from a = 1 at odd l
+    and a = 3 at l = 2: the residue table at m less the excluded table at
+    m over l^s0 (see ``LocalLattice.scaled_for_bad_type``).  The excluded
+    count is l^(rk-s0) [l | m] at odd l, and it vanishes whenever l does
+    not divide m.
+    """
     if m < 1:
         raise InvalidParameter("m must be positive")
-    loc = lattice.local(p)
-    vm = _valuation(m, p)
-    if vm == 0:
-        return _alpha(p, loc, m)
-    if vm > 1:
-        raise UnsupportedValuation("only v_p(m) <= 1 is supported")
-    s0 = loc.unit_count()
-    alpha_full = _alpha(p, loc, m)
-    # alpha*: drop solutions whose unit coordinates all vanish mod p;
-    # those contribute only when m = 0 mod p, each non-unit slot free
-    alpha_star = alpha_full - Fraction(p, p ** s0)
-    loc_i = loc.scaled_for_bad_type()
-    return alpha_star + Fraction(p, p ** s0) * _alpha(p, loc_i, m // p)
+    loc = lattice.local(ell)
+    a_exp = 3 if ell == 2 else 1
+    q = ell ** a_exp
+    # level j adds an integer times l^e, e = a(1-rk) + sum (1 - s0) over
+    # the levels before it, so no e is below `low`
+    e = a_exp * (1 - loc.rank)
+    low = e + _valuation(m, ell) * (1 - loc.rank)
+    num = 0
+    while True:
+        count = int(_residue_table(ell, a_exp, loc.diag, loc.blocks2)[m % q])
+        if m % ell:
+            return Fraction(num + count * ell ** (e - low), ell ** -low)
+        s0, excluded, bad = loc.scaled_for_bad_type()
+        count -= int(_residue_table(ell, a_exp, *excluded)[m % q]) \
+            // ell ** s0
+        num += count * ell ** (e - low)
+        e += 1 - s0
+        loc, m = bad, m // ell

@@ -172,10 +172,6 @@ class TruncSeries:
     def constant(cls, params, nt, scalar):
         return cls(params, nt, {0: scalar})
 
-    @classmethod
-    def monomial(cls, params, nt, exponent, scalar):
-        return cls(params, nt, {exponent: scalar})
-
     def _check(self, other):
         if self.params is not other.params or self.nt != other.nt:
             raise InvalidParameter("series contexts differ")
@@ -360,9 +356,6 @@ class DecayProfile:
         self.nt = nt
         self.minvals = minvals
         self.floors = floors
-
-    def min_valuation(self, k):
-        return self.minvals.get(k, INF)
 
     def decay_index(self, n, kmax=None):
         """Least k with min valuation < -n; (index, sound) pair.

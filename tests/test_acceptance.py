@@ -64,8 +64,8 @@ def test_criterion_2_hanke_vs_brute_force():
     rng = random.Random(20260810)
     checked = 0
     while checked < 200:
-        p = rng.choice([3, 5, 7, 11, 13])
-        rk = rng.randint(2, 5)
+        p = rng.choice([2, 3, 5, 7, 11, 13])
+        rk = rng.randint(1, 5)
         G = [[0] * rk for _ in range(rk)]
         for i in range(rk):
             G[i][i] = 2 * rng.choice([1, 2, 3, p, 2 * p, 3 * p]) \
@@ -80,7 +80,7 @@ def test_criterion_2_hanke_vs_brute_force():
         while mm % p == 0:
             mm //= p
             v += 1
-        if v > 1:
+        if v > 3:
             continue
         assert hanke_density(p, lat, m) == local_density(p, lat, m)
         checked += 1
@@ -152,7 +152,7 @@ def test_criterion_7_enumeration_oracle():
         mine = representation_counts(lat, 50)
         # independent box enumeration via the inverse quadratic form
         n = lat.rank
-        A = lat.q_matrix()
+        A = [[Fraction(x, 2) for x in row] for row in lat.gram]
         aug = [[A[r][c] for c in range(n)]
                + [Fraction(int(r == c)) for c in range(n)]
                for r in range(n)]

@@ -36,6 +36,17 @@ def test_density_with_hanke():
             assert "delta=6/5" in line and "hanke=6/5" in line
 
 
+def test_density_hanke_at_two_matches_the_stable_count():
+    code, text = run(["density", "--gram", fx("z4.gram"), "--ell", "2",
+                      "--m-range", "1..16", "--hanke"])
+    assert code == 0
+    lines = text.splitlines()
+    assert len(lines) == 16
+    for line in lines:
+        fields = dict(field.split("=") for field in line.split())
+        assert fields["delta"] == fields["hanke"], line
+
+
 def test_decay_table():
     code, text = run(["decay", "--case", "hilbert-split", "--p", "5",
                       "--curve", fx("xt_yt.curve"), "--nmax", "2"])
@@ -61,6 +72,19 @@ def test_theta_counts():
                       "--squares", "1"])
     assert code == 0
     assert "kind=squares" in text
+
+
+def test_theta_negative_max_exits_one():
+    code, text = run(["theta", "--lattice", fx("z4.gram"), "--max", "-1"])
+    assert code == 1
+    assert text == ("error=InvalidParameter detail=count bound -1 is "
+                    "negative\n")
+
+
+def test_decay_negative_nmax_exits_one():
+    code, text = run(["decay", "--curve", fx("xt_yt.curve"), "--nmax", "-1"])
+    assert code == 1
+    assert text == "error=InvalidParameter detail=--nmax -1 is negative\n"
 
 
 def test_eisenstein_records():
@@ -197,6 +221,23 @@ def test_budget_config_typo_is_one_error_record(tmp_path, key, typo, detail):
     assert out.startswith("error=InvalidParameter detail="
                           + detail.format(cfg=cfg))
     assert out.count("\n") == 1
+
+
+@pytest.mark.parametrize("key, value, detail", [
+    ("depth", "-1", "is negative"),
+    ("M", "-5", "is not positive"),
+    ("p", "4", "is not a prime"),
+])
+def test_budget_config_out_of_range_names_the_key(tmp_path, key, value,
+                                                  detail):
+    with open(fx("budget_p5.cfg")) as fh:
+        text = "".join(f"{key}={value}\n" if ln.startswith(key + "=")
+                       else ln for ln in fh)
+    cfg = _write(tmp_path, "range.cfg", text)
+    code, out = run(["budget", "--config", cfg])
+    assert code == 1
+    assert out == (f"error=InvalidParameter detail={cfg}: "
+                   f"{key}={value!r} {detail}\n")
 
 
 def test_eisenstein_rank_three_exits_one(tmp_path):

@@ -1,12 +1,15 @@
 import hashlib
+import io
 import math
+import os
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from froblat import eisenstein
+from froblat import eisenstein, quadforms
+from froblat.cli import dispatch
 from froblat.eisenstein import (H2_MAX, _chi_table, bernoulli_2, cohen_h2, dirichlet_L2, fundamental_part,
                                 middle_divisor_sum, q_L_hilbert, q_L_siegel,
                                 q_positive_definite, ratio_bound)
@@ -96,10 +99,40 @@ def _digest(pairs):
 
 
 def test_cusp_coefficients_are_pinned():
+    # the m divisible by 64 or 125 have their own digest: they were once
+    # skipped, and the first digest predates them
     records, _ = cusp_deviation(PDET5, 100, 2000)
-    assert len(records) == 1855
-    assert _digest((rec["m"], rec["eis"]) for rec in records) \
+    assert [rec["m"] for rec in records] == list(range(100, 2001))
+    deep = [not (rec["m"] % 64 and rec["m"] % 125) for rec in records]
+    assert _digest((rec["m"], rec["eis"])
+                   for rec, d in zip(records, deep) if not d) \
         == "a9340bb0d219603b25829a5706b3348bfea26fe73b66da241debe99ce67d875c"
+    assert sum(deep) == 46
+    assert _digest((rec["m"], rec["eis"])
+                   for rec, d in zip(records, deep) if d) \
+        == "f4af378e24eba98a17d3d4b7fe63b9af8b96ed558ebd1a9545d57a218ae42e0f"
+
+
+def test_coefficients_read_no_table_beyond_mod_8(monkeypatch):
+    """The coefficient paths read residue tables mod l or mod 8 only;
+    the stable count, with its l^(1 + 2 v_l(2m)) entries, is an oracle."""
+    moduli = []
+    table = quadforms._residue_table
+
+    def spy(ell, a_exp, diag, blocks2):
+        moduli.append((ell, ell ** a_exp))
+        return table(ell, a_exp, diag, blocks2)
+
+    monkeypatch.setattr(quadforms, "_residue_table", spy)
+    monkeypatch.chdir(os.path.join(os.path.dirname(__file__), ".."))
+    cusp_deviation(PDET5, 100, 2000)
+    for m in range(1, 400):
+        q_L_hilbert(LH13, m)
+    out = io.StringIO()
+    assert dispatch(["budget", "--config", "fixtures/budget_p5.cfg"],
+                    out=out) == 0
+    assert {ell for ell, _ in moduli} == {2, 5, 13}
+    assert all(q <= max(ell, 8) for ell, q in moduli)
 
 
 def test_hilbert_coefficients_are_pinned():

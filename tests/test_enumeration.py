@@ -29,7 +29,7 @@ HERMITE_POW = {1: Fraction(1), 2: Fraction(4, 3), 3: Fraction(2),
 def _box_oracle(lattice, bound):
     """Independent brute-force enumeration over the dual-quadratic box."""
     n = lattice.rank
-    A = lattice.q_matrix()
+    A = [[Fraction(x, 2) for x in row] for row in lattice.gram]
     # inverse of A with Fractions
     aug = [[A[r][c] for c in range(n)] + [Fraction(int(r == c))
                                           for c in range(n)]
@@ -304,5 +304,5 @@ def test_ldl_from_pivot_rows_reproduces_q_matrix():
             for a in range(i, n):
                 for b in range(i, n):
                     got[a][b] += q * w[a] * w[b]
-        assert got == IntLattice(gram).q_matrix()
+        assert got == [[Fraction(x, 2) for x in row] for row in gram]
         checked += 1

@@ -9,8 +9,7 @@ from froblat import linalg
 from froblat.crystals import (HILBERT_INERT_SG, HILBERT_INERT_SSP,
                               HILBERT_SPLIT, SIEGEL_SG, SIEGEL_SSP,
                               local_gram)
-from froblat.errors import (BadDiscriminant, InvalidParameter,
-                            UnsupportedValuation)
+from froblat.errors import BadDiscriminant, InvalidParameter
 from froblat.padics import _valuation, smallest_nonresidue
 from froblat.quadforms import (IntLattice, hanke_density, kronecker,
                                local_density, sigma_s, _residue_table,
@@ -103,8 +102,8 @@ def test_hanke_matches_stable_count():
     rng = random.Random(11)
     checked = 0
     while checked < 200:
-        p = rng.choice([3, 5, 7, 11, 13])
-        rk = rng.randint(2, 5)
+        p = rng.choice([2, 3, 5, 7, 11, 13])
+        rk = rng.randint(1, 5)
         G = [[0] * rk for _ in range(rk)]
         for i in range(rk):
             G[i][i] = 2 * rng.choice([1, 2, 3, p, 2 * p, 3 * p]) \
@@ -119,16 +118,10 @@ def test_hanke_matches_stable_count():
         while mm % p == 0:
             mm //= p
             v += 1
-        if v > 1:
+        if v > 3:
             continue
         assert hanke_density(p, lat, m) == local_density(p, lat, m), (G, p, m)
         checked += 1
-
-
-def test_unsupported_valuation():
-    lat = IntLattice(local_gram(SIEGEL_SSP, 5, 2))
-    with pytest.raises(UnsupportedValuation):
-        hanke_density(5, lat, 25)
 
 
 @pytest.mark.parametrize("ell", [0, 1, 4, 6, -3])
@@ -380,9 +373,8 @@ def test_density_memos_match_cold_calls():
     for ell, k, m in calls:
         _clear_density_memos()
         cold.append(local_density(ell, IntLattice(DENSITY_GRAMS[k]), m))
-        if ell != 2 and m % ell ** 2:
-            _clear_density_memos()
-            cold.append(hanke_density(ell, IntLattice(DENSITY_GRAMS[k]), m))
+        _clear_density_memos()
+        cold.append(hanke_density(ell, IntLattice(DENSITY_GRAMS[k]), m))
     _clear_density_memos()
     lats = [IntLattice(g) for g in DENSITY_GRAMS]
     for _ in range(2):  # first with empty memos, then warm
@@ -391,9 +383,8 @@ def test_density_memos_match_cold_calls():
         got = {}
         for i in order:
             ell, k, m = calls[i]
-            got[i] = [local_density(ell, lats[k], m)]
-            if ell != 2 and m % ell ** 2:
-                got[i].append(hanke_density(ell, lats[k], m))
+            got[i] = [local_density(ell, lats[k], m),
+                      hanke_density(ell, lats[k], m)]
         assert [d for i in range(len(calls)) for d in got[i]] == cold
     assert _residue_table.cache_info().hits > len(calls)
 
@@ -421,8 +412,7 @@ def test_one_split_per_prime_and_one_determinant(monkeypatch):
             for ell in (2, 3, 5):
                 for m in (1, 5, 12, 3):
                     local_density(ell, lat, m)
-                    if ell != 2 and m % ell ** 2:
-                        hanke_density(ell, lat, m)
+                    hanke_density(ell, lat, m)
         assert sorted(splits) == [2, 3, 5] and len(pivots) == 1, gram
 
 
