@@ -84,6 +84,7 @@ def _chi_table(D0):
 
 
 H2_MAX = 34887503849  # largest N: (2 sqrt N + 1) 28 N (1 + ln N) < 2^63
+H2_TABLE_MAX = 1 << 22  # entries of the g table: 32 MiB of int64
 _g = np.ones(1, dtype=np.int64)  # g(0 .. X-1)
 
 
@@ -96,13 +97,17 @@ def cohen_h2(N):
     - 32 sigma_1(n/4) it is theta g, g(n) = r_4(n) - 20 [n odd] sigma_1(n),
     g(0) = 1.  |g(n)| <= 28 sigma_1(n) < 28 n (1 + ln n), so the int64 sum
     of the 2 sqrt(N) + 1 terms g(N - k^2) cannot wrap for N <= H2_MAX.  The
-    memoized table of g grows to max(2 X, N + 1) by one sigma_1 sieve.
+    memoized table of g grows to min(max(2 X, N + 1), H2_TABLE_MAX) by one
+    sigma_1 sieve; an N it cannot hold is refused before the sieve runs.
     """
     global _g
     if N > H2_MAX:
         raise InvalidParameter(f"H(2, {N}): above {H2_MAX} int64 could wrap")
+    if N >= H2_TABLE_MAX:
+        raise InvalidParameter(f"H(2, {N}): the g table holds at most "
+                               f"{H2_TABLE_MAX} entries")
     if len(_g) <= N:
-        X = max(2 * len(_g), N + 1)
+        X = min(max(2 * len(_g), N + 1), H2_TABLE_MAX)
         sig = np.zeros(X, dtype=np.int64)
         for d in range(1, math.isqrt(X - 1) + 1):  # n = d e with d <= e
             sig[d * d::d] += np.arange(2 * d, (X - 1) // d + d + 1)

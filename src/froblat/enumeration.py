@@ -4,7 +4,10 @@ Enumeration runs on the LDL^T decomposition Q(v) =
 sum q_i (v_i + sum_{j>i} u_ij v_j)^2, read in integers from the pivot
 rows of one fraction-free Bareiss pass over the Gram matrix, with all
 bounds computed through integer square roots, so no vector is ever
-gained or lost to rounding.
+gained or lost to rounding.  The Fincke-Pohst tree is walked one level
+at a time over numpy arrays of nodes, in chunks of at most CHUNK
+children, in int64 only where a bound on every intermediate proves it
+exact and in Python ints otherwise.
 Vectors come in +/- pairs; the zero vector is counted once.
 
 Derived quantities: representation counts r(m), successive minima
@@ -24,21 +27,54 @@ from .eisenstein import q_positive_definite
 from .padics import _valuation, factorint, primefactors, primerange
 from .quadforms import IntLattice, kronecker
 
+CHUNK = 1 << 12  # children expanded at once, which bounds the working set
+EXACT_FLOAT = 1 << 52  # int64 values below it pass through float64 exactly
 
-def _descend(lattice, bound, leaf):
-    """Depth-first walk over 0 < Q(v) <= bound, one v of each +/- pair.
 
-    Calls leaf(v, norm) with the live coordinate list v (copy it to keep
-    it) and the exact norm Q(v).  The walk runs in integers read from the
-    Bareiss pivot rows r_i of the Gram matrix, with pivots P_i (its
-    leading minors): Q(v) = sum q_i (v_i + sum_{j>i} u_ij v_j)^2 with
-    q_i = P_i / (2 P_(i-1)), and u_ij = w_ij / d_i where (d_i, w_ij) is
-    r_i from the diagonal on, divided by the gcd of those entries.  With
-    the least scale making every c_i = scale q_i / d_i^2 integral, scale
-    Q(v) is sum c_i t_i^2 with t_i = d_i v_i + sum_{j>i} w_ij v_j, and
-    v_i ranges exactly over |t_i| <= isqrt(remaining // c_i).
+def _isqrt(x):
+    """Elementwise floor square root of a nonnegative array.
+
+    int64 arrays hold values below EXACT_FLOAT, which float64 holds
+    exactly; the correctly rounded root is monotone and exact at squares,
+    so its floor is the integer root or one above it, and one step down
+    makes it exact.  object arrays take math.isqrt per element.
     """
-    rows = linalg.pivot_rows(lattice.gram)
+    if x.dtype == object:
+        return np.frompyfunc(math.isqrt, 1, 1)(x)
+    r = np.sqrt(x).astype(np.int64)
+    r -= r * r > x
+    return r
+
+
+def _descend(lattice, bound):
+    """Walk over 0 < Q(v) <= bound, one v of each +/- pair.
+
+    Yields chunks (coords, norms): the vectors as rows and their exact
+    norms Q(v), in the depth-first order, lexicographic from the top
+    coordinate.  The walk runs in integers read from the Bareiss pivot
+    rows r_i of the Gram matrix, with pivots P_i (its leading minors):
+    Q(v) = sum q_i (v_i + sum_{j>i} u_ij v_j)^2 with q_i =
+    P_i / (2 P_(i-1)), and u_ij = w_ij / d_i where (d_i, w_ij) is r_i from
+    the diagonal on, divided by the gcd of those entries.  With the least
+    scale making every c_i = scale q_i / d_i^2 integral, scale Q(v) is
+    sum c_i t_i^2 with t_i = d_i v_i + S_i, S_i = sum_{j>i} w_ij v_j, and
+    v_i ranges exactly over |t_i| <= isqrt(R // c_i) for the budget R
+    left by the levels above.
+
+    A frontier at level i holds per node its budget R, the all-higher-zero
+    flag, and one row whose entries j <= i are the shifts S_j summed so
+    far and whose entries j > i are the coordinates fixed.  Its children,
+    a node's contiguous and increasing, are expanded with np.repeat CHUNK
+    at a time and each chunk is walked to the leaves before the next, so
+    the order is the recursive one and at most CHUNK nodes live per
+    level.  Every node extends to a real vector of norm <= bound, so
+    |v_k| < V_k = isqrt(2 bound adj(G)_kk / det G) + 1; every budget and
+    c_i t_i^2 is at most top = scale bound and every shift and t_i at
+    most max_i sum_k |w_ik| V_k.  int64 is used when these two, scale and
+    every c_i are below EXACT_FLOAT, Python ints (object arrays) otherwise.
+    """
+    gram = lattice.gram
+    rows = linalg.pivot_rows(gram)
     if rows is None:
         raise NotPositiveDefinite(f"{lattice.label}: enumeration needs "
                                   "a positive-definite form")
@@ -51,41 +87,60 @@ def _descend(lattice, bound, leaf):
     scale = math.lcm(*(b // math.gcd(a, b) for a, b in zip(pivots[1:], dq)))
     c = [scale * a // b for a, b in zip(pivots[1:], dq)]
     top = math.floor(scale * Fraction(bound))
-    v = [0] * n
+    if top < 0:
+        return
+    reach = []  # V_k, with adj(G)_kk the minor of G without row/column k
+    for k in range(n):
+        minor = [[x for j, x in enumerate(r) if j != k]
+                 for i, r in enumerate(gram) if i != k]
+        reach.append(math.isqrt(math.floor(
+            2 * Fraction(bound) * linalg.det(minor) / pivots[-1])) + 1)
+    widest = max(sum(abs(x) * V for x, V in zip(r, reach)) for r in w)
+    exact = max(top, widest, scale, *c) < EXACT_FLOAT
+    dtype = np.int64 if exact else object
+    wcol = np.array(w, dtype=dtype).T  # wcol[i, j] = w_ji
 
-    def descend(i, remaining, all_higher_zero):
-        wi, d, ci = w[i], den[i], c[i]
-        shift = 0
-        for j in range(i + 1, n):
-            if v[j]:
-                shift += wi[j] * v[j]
-        root = math.isqrt(remaining // ci)
-        lo = -((root + shift) // d)
-        for cand in range(max(lo, 0) if all_higher_zero else lo,
-                          (root - shift) // d + 1):
-            t = cand * d + shift
-            v[i] = cand
-            if i == 0:
-                if not (all_higher_zero and cand == 0):
-                    leaf(v, (top - remaining + ci * t * t) // scale)
+    def level(i, budget, state, fresh):
+        shift = state[:, i]
+        root = _isqrt(budget // c[i])
+        lo = -((root + shift) // den[i])
+        lo = np.where(fresh, np.maximum(lo, 0), lo)
+        size = np.maximum((root - shift) // den[i] - lo + 1, 0)
+        size = size.astype(np.int64, copy=False)
+        end = np.cumsum(size)
+        start = end - size
+        total = int(end[-1])
+        for a in range(0, total, CHUNK):
+            b = min(a + CHUNK, total)
+            first = int(np.searchsorted(end, a, "right"))
+            last = int(np.searchsorted(end, b, "left"))
+            take = size[first:last + 1].copy()
+            take[0] -= a - start[first]
+            take[-1] -= end[last] - b
+            node = np.repeat(np.arange(first, last + 1), take)
+            cand = lo[node] + (np.arange(a, b) - start[node])
+            t = cand * den[i] + shift[node]
+            left = budget[node] - c[i] * t * t
+            sub = state[node]
+            sub[:, :i] += cand[:, None] * wcol[i, :i]
+            sub[:, i] = cand
+            zero = fresh[node] & (cand == 0)
+            if i:
+                yield from level(i - 1, left, sub, zero)
             else:
-                descend(i - 1, remaining - ci * t * t,
-                        all_higher_zero and cand == 0)
-        v[i] = 0
+                keep = ~zero
+                yield sub[keep], (top - left[keep]) // scale
 
-    if top >= 0:
-        descend(n - 1, top, True)
+    yield from level(n - 1, np.array([top], dtype=dtype),
+                     np.zeros((1, n), dtype=dtype), np.array([True]))
 
 
 def short_vectors(lattice, bound):
     """All v with 0 < Q(v) <= bound, as (+v, -v) pairs; complete and exact."""
     out = []
-
-    def leaf(v, _norm):
-        out.append(tuple(v))
-        out.append(tuple(-x for x in v))
-
-    _descend(lattice, bound, leaf)
+    for coords, _ in _descend(lattice, bound):
+        pairs = np.stack([coords, -coords], axis=1).reshape(-1, lattice.rank)
+        out += map(tuple, pairs.tolist())
     return out
 
 
@@ -125,10 +180,11 @@ def representation_counts(lattice, bound):
     for comp in comps:
         sub = IntLattice([[lattice.gram[i][j] for j in comp] for i in comp],
                          f"{lattice.label}|{comp}")
-        norms = [0]  # the zero vector, counted once below
-        _descend(sub, bound, lambda _v, norm: norms.append(norm))
-        part = 2 * np.bincount(norms, minlength=bound + 1)
-        part[0] = 1
+        part = np.zeros(bound + 1, dtype=np.int64)
+        for _, norms in _descend(sub, bound):
+            hist = np.bincount(norms.astype(np.int64, copy=False))
+            part[:len(hist)] += 2 * hist
+        part[0] = 1  # the zero vector, counted once
         total = _convolve_counts(total, part)
     return [int(x) for x in total]
 

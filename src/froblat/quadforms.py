@@ -293,6 +293,9 @@ def _convolve_mod(d1, d2, reps, orbit, bound):
     return np.array(vals, dtype=d1.dtype)[orbit]
 
 
+TABLE_MAX = 1 << 20  # entries l^a of the largest residue table built
+
+
 @lru_cache(maxsize=512)
 def _residue_table(ell, a_exp, diag, blocks2):
     """#{v mod l^a : Q(v) = r mod l^a} for every r, read-only.
@@ -301,8 +304,12 @@ def _residue_table(ell, a_exp, diag, blocks2):
     the stable counts and Hanke's reduction share.  Once the factors
     so far cover k variables, every entry of the next convolution is at
     most l^(a k) times the largest entry of the next factor; that bound
-    picks int64 or Python-int sums.
+    picks int64 or Python-int sums.  A table of more than TABLE_MAX
+    entries is refused before anything is allocated.
     """
+    if ell ** a_exp > TABLE_MAX:
+        raise InvalidParameter(f"a residue table mod {ell}^{a_exp} has "
+                               f"more than {TABLE_MAX} entries")
     factors = [_distribution_1x1(c, ell, a_exp) for c in diag]
     factors += [_distribution_2x2(b, ell, a_exp) for b in blocks2]
     if not factors:

@@ -36,6 +36,14 @@ def test_density_with_hanke():
             assert "delta=6/5" in line and "hanke=6/5" in line
 
 
+
+def test_density_past_the_table_cap_is_one_error_record():
+    code, text = run(["density", "--gram", fx("z4.gram"), "--ell", "2",
+                      "--m", "512"])
+    assert code == 1
+    assert text.startswith("error=InvalidParameter detail=a residue table")
+    assert len(text.splitlines()) == 1
+
 def test_density_hanke_at_two_matches_the_stable_count():
     code, text = run(["density", "--gram", fx("z4.gram"), "--ell", "2",
                       "--m-range", "1..16", "--hanke"])

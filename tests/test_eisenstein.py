@@ -10,8 +10,9 @@ import pytest
 
 from froblat import eisenstein, quadforms
 from froblat.cli import dispatch
-from froblat.eisenstein import (H2_MAX, _chi_table, bernoulli_2, cohen_h2, dirichlet_L2, fundamental_part,
-                                middle_divisor_sum, q_L_hilbert, q_L_siegel,
+from froblat.eisenstein import (H2_MAX, H2_TABLE_MAX, _chi_table,
+                                bernoulli_2, cohen_h2, dirichlet_L2,
+                                fundamental_part, middle_divisor_sum, q_L_hilbert, q_L_siegel,
                                 q_positive_definite, ratio_bound)
 from froblat.errors import InvalidParameter
 from froblat.enumeration import cusp_deviation, representation_counts
@@ -381,6 +382,24 @@ def test_cohen_h2_raises_above_int64_bound_before_building():
     assert len(eisenstein._g) == size
     assert peak < 1 << 16
 
+
+
+def test_cohen_h2_raises_past_the_table_cap_before_building():
+    import tracemalloc
+    # the largest D0 asked for anywhere is the 2097169 of
+    # test_bernoulli_large_conductor_is_exact
+    assert 2097169 < H2_TABLE_MAX < H2_MAX
+    size = len(eisenstein._g)
+    tracemalloc.start()
+    try:
+        for call in (cohen_h2, bernoulli_2):
+            with pytest.raises(InvalidParameter, match="g table"):
+                call(H2_TABLE_MAX)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(eisenstein._g) == size
+    assert peak < 1 << 16
 
 def test_l_values_contain_mpmath_reference():
     import mpmath

@@ -4,8 +4,10 @@ import os
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from froblat import enumeration
 from froblat.budget import derive_chain
 from froblat.cli import read_gram
 from froblat.enumeration import (binary_prime_density,
@@ -24,6 +26,18 @@ Z5 = IntLattice([[2, 0, 0, 0, 0], [0, 2, 0, 0, 0], [0, 0, 2, 0, 0],
 # Hermite's constants to the power n: gamma_n^n for n <= 5
 HERMITE_POW = {1: Fraction(1), 2: Fraction(4, 3), 3: Fraction(2),
                4: Fraction(4), 5: Fraction(8)}
+HEAD = [[2, 0, -1, -1], [0, 2, -1, 0], [-1, -1, 6, -2], [-1, 0, -2, 18]]
+# L_{2,2} of derive_chain(HEAD, 5, 3): scale * bound passes 2^52 at 500
+L22 = derive_chain(IntLattice(HEAD), 5, 3)[0][2][1]
+
+
+def _lattice(name):
+    """A fixture Gram by file name, or L22 as chain_p5_L22."""
+    if name == "chain_p5_L22":
+        return IntLattice(L22, name)
+    path = os.path.join(os.path.dirname(__file__), "..", "fixtures",
+                        f"{name}.gram")
+    return IntLattice(read_gram(path), name)
 
 
 def _box_oracle(lattice, bound):
@@ -210,8 +224,7 @@ def test_t_sets():
 
 def test_chain_minima_growth():
     """Scaled chains force the later minima up like p^n."""
-    head = [[2, 0, -1, -1], [0, 2, -1, 0], [-1, -1, 6, -2], [-1, 0, -2, 18]]
-    chain, _ = derive_chain(IntLattice(head), 5, 3)
+    chain, _ = derive_chain(IntLattice(HEAD), 5, 3)
     p = 5
     prev = None
     for n, (g1, _) in enumerate(chain):
@@ -248,7 +261,8 @@ def test_cusp_deviation_single_class():
     ([[2, -1, 0, 0, 0], [-1, 2, -1, 0, 0], [0, -1, 2, -1, 0],
       [0, 0, -1, 2, -1], [0, 0, 0, -1, 2]], 12),
     ([[4, 1, -1], [1, 2, 0], [-1, 0, 6]], 40),
-], ids=["D5", "A5", "tern2"])
+    (L22, 5000),  # past the int64 guard: the walk runs in Python ints
+], ids=["D5", "A5", "tern2", "L22"])
 def test_counts_from_descent_match_vector_tally(gram, bound):
     lat = IntLattice(gram)
     tally = [1] + [0] * bound
@@ -258,7 +272,8 @@ def test_counts_from_descent_match_vector_tally(gram, bound):
 
 
 # sha256 of repr(short_vectors(lattice, bound)), order included, as the
-# Fraction LDL^T descent gave them: the integer one walks the same way
+# recursive descents gave them (chain_p5_L22 the integer one, the rest the
+# Fraction one): the level-wise walk keeps their order
 DESCENT_SHA256 = {
     ("d5", 12): "9f570c16fd71754809ed4bcbc18af254"
                 "0ab3b1fd3b981efcb59b5c456d084f25",
@@ -268,16 +283,86 @@ DESCENT_SHA256 = {
                 "8b1934379befb08aea4dfa34b7db9b0a",
     ("chain_head_p5", 40): "fca5121de72619773d2da4c9d79d1cb6"
                            "e993c5215568fbd29e3236222a42d18e",
+    ("chain_p5_L22", 5000): "4ff8d856f7bb3745d2993969e9afb5e0"
+                            "dcfd552ce6637a86ca8b6aa1ca408896",
 }
 
 
 @pytest.mark.parametrize("name,bound", sorted(DESCENT_SHA256))
 def test_descent_order_pinned(name, bound):
-    path = os.path.join(os.path.dirname(__file__), "..", "fixtures",
-                        f"{name}.gram")
-    vecs = short_vectors(IntLattice(read_gram(path), name), bound)
+    vecs = short_vectors(_lattice(name), bound)
     digest = hashlib.sha256(repr(vecs).encode()).hexdigest()
     assert digest == DESCENT_SHA256[name, bound]
+
+
+@pytest.mark.parametrize("name,bound,dtype", [
+    ("chain_head_p5", 500, np.int64), ("d5", 50, np.int64),
+    ("chain_p5_L22", 5000, object)])
+def test_walk_dtype_follows_the_proven_bound(name, bound, dtype):
+    """int64 only where every budget and shift is proven below 2^52."""
+    coords, norms = next(enumeration._descend(_lattice(name), bound))
+    assert coords.dtype == norms.dtype == dtype
+
+
+def test_coefficients_past_int64_take_python_ints():
+    # c_i near 10^20 is no int64 operand, however small the bound
+    assert representation_counts(IntLattice([[2 * 10 ** 20]]), 10) == \
+        [1] + [0] * 10
+    wide = IntLattice([[2, 1], [1, 2 * 10 ** 20]])
+    assert representation_counts(wide, 10) == \
+        representation_counts(IntLattice([[2]]), 10)
+    assert short_vectors(IntLattice([[2 * 10 ** 20]]), 0) == []
+
+
+def test_python_int_walk_equals_the_int64_walk(monkeypatch):
+    lats = [_lattice(name) for name in ("d5", "a5", "z5")]
+    lats += [IntLattice(g) for g in ([[2, 1], [1, 4]],
+                                     [[4, 1, -1], [1, 2, 0], [-1, 0, 6]])]
+    fast = [(short_vectors(lat, 12), representation_counts(lat, 12))
+            for lat in lats]
+    monkeypatch.setattr(enumeration, "EXACT_FLOAT", 0)
+    assert next(enumeration._descend(lats[0], 12))[0].dtype == object
+    assert [(short_vectors(lat, 12), representation_counts(lat, 12))
+            for lat in lats] == fast
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_chunk_size_does_not_change_the_walk(monkeypatch, chunk):
+    """Chunks split a node's children anywhere; the order stays."""
+    lats = [_lattice(name) for name in ("d5", "chain_head_p5")]
+    want = [(short_vectors(lat, 10), representation_counts(lat, 10))
+            for lat in lats]
+    monkeypatch.setattr(enumeration, "CHUNK", chunk)
+    assert [(short_vectors(lat, 10), representation_counts(lat, 10))
+            for lat in lats] == want
+
+
+def test_int64_isqrt_is_exact_below_2_52():
+    rng = random.Random(52)
+    roots = [0, 1, 2, 3, math.isqrt(2 ** 52 - 1)]
+    roots += [rng.randrange(2 ** 26) for _ in range(2000)]
+    x = np.array(sorted({max(r * r + e, 0) for r in roots
+                         for e in (-1, 0, 1)}), dtype=np.int64)
+    assert x.max() < enumeration.EXACT_FLOAT
+    assert enumeration._isqrt(x).tolist() == [math.isqrt(int(v))
+                                              for v in x]
+
+
+@pytest.mark.parametrize("name,bound", [("chain_head_p5", 500), ("d5", 50)])
+def test_enumeration_working_set_is_bounded(name, bound):
+    """Counts are binned chunk by chunk: no list of all the norms.  A
+    recursive descent that kept one did peak at 5.2 MiB on the chain
+    head and 2.1 MiB on D5."""
+    import tracemalloc
+    lat = _lattice(name)
+    representation_counts(lat, bound)
+    tracemalloc.start()
+    try:
+        representation_counts(lat, bound)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
 
 
 def test_ldl_from_pivot_rows_reproduces_q_matrix():

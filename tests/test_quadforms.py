@@ -11,9 +11,10 @@ from froblat.crystals import (HILBERT_INERT_SG, HILBERT_INERT_SSP,
                               local_gram)
 from froblat.errors import BadDiscriminant, InvalidParameter
 from froblat.padics import _valuation, smallest_nonresidue
-from froblat.quadforms import (IntLattice, hanke_density, kronecker,
-                               local_density, sigma_s, _residue_table,
-                               _square_classes, count_representations_mod)
+from froblat.quadforms import (TABLE_MAX, IntLattice, hanke_density,
+                               kronecker, local_density, sigma_s,
+                               _residue_table, _square_classes,
+                               count_representations_mod)
 
 
 def test_kronecker_values():
@@ -353,6 +354,25 @@ def test_i8_densities_do_not_wrap(m):
         got.append(Fraction(count, 2 ** (7 * aa)))
     assert got[0] == got[1] == local_density(2, I8, m) > 0
 
+
+
+def test_residue_table_past_the_cap_is_refused_before_building():
+    import tracemalloc
+    # criterion 2's generator asks for at most 13^5 entries (m = 169),
+    # and `froblat density --ell 2 --m 256` for 2^19; m = 512 needs 2^21
+    assert 13 ** 5 < 2 ** 19 <= TABLE_MAX < 2 ** 21
+    lat = IntLattice([[2 * (i == j) for j in range(4)] for i in range(4)])
+    lat.local(2)  # the Jordan split, before tracing
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidParameter, match="residue table"):
+            local_density(2, lat, 512)
+        with pytest.raises(InvalidParameter, match="residue table"):
+            count_representations_mod(lat, 3, 1, 13)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
 
 def _clear_density_memos():
     for memo in (_residue_table, _square_classes):
