@@ -33,8 +33,8 @@ deep_counts = representation_counts(deep, 500)
 exclude = [m for m in range(1, 501) if deep_counts[m] > 0]
 print("values represented by the deepest member (excluded):", exclude)
 
-inp = BudgetInput(p=5, A=2, case="superspecial", family="hilbert",
-                  global_gram=LH, chain=chain, t_kind="hilbert",
+inp = BudgetInput(p=5, A=2, case="superspecial", global_gram=LH,
+                  chain=chain, t_kind="hilbert",
                   t_params={"N": 0, "C": 1, "disc_F": 13, "det2": 26},
                   M=500, exclude=exclude)
 report = run_budget(inp)

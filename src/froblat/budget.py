@@ -61,32 +61,31 @@ def alpha_variants(p):
 
 
 def _chain_weights(case, A, p):
-    """n -> the weights of the chain's members at level n: two for
-    'superspecial', (A(p+2)/(2p), A/2) at n = 0 and A p^n / 2 after;
-    one for 'supergeneric', A(p+1)/p at n = 0 and A p^n after."""
+    """n -> the weights' numerators over 2p at level n: 'superspecial'
+    has (A(p+2)/(2p), A/2) at n = 0 and A p^n / 2 twice after;
+    'supergeneric' has A(p+1)/p at n = 0 and A p^n after."""
     if case == "superspecial":
-        return lambda n: ((Fraction(A * (p + 2), 2 * p), Fraction(A, 2))
-                          if n == 0 else (Fraction(A * p ** n, 2),) * 2)
+        return lambda n: ((A * (p + 2), A * p) if n == 0
+                          else (A * p ** (n + 1),) * 2)
     if case == "supergeneric":
-        return lambda n: (Fraction(A * (p + 1), p) if n == 0
-                          else Fraction(A * p ** n),)
+        return lambda n: (2 * A * (p + 1) if n == 0
+                          else 2 * A * p ** (n + 1),)
     raise InvalidParameter(f"unknown case {case!r}")
 
 
-def _chain_sum(case, A, p, chain, value):
-    """sum over the chain of weight times value(n, member).
+def _weighted(case, A, p, chain):
+    """(n, w, member) for each member of the chain that carries a weight,
+    w its numerator over 2p.
 
     An entry of the chain is a tuple of members or a single member;
-    members past the case's weights and None members are skipped.
+    members past the case's weights and None members carry none.
     """
     weights = _chain_weights(case, A, p)
-    total = Fraction(0)
     for n, entry in enumerate(chain):
         members = entry if isinstance(entry, tuple) else (entry,)
         for w, x in zip(weights(n), members):
             if x is not None:
-                total += w * value(n, x)
-    return total
+                yield n, w, x
 
 
 def local_bound(case, A, p, r_tables, m):
@@ -95,7 +94,8 @@ def local_bound(case, A, p, r_tables, m):
     Each entry is a tuple (r_n1, r_n2) of count arrays indexed by m, or
     one array; a supergeneric chain reads only r_n1.
     """
-    return _chain_sum(case, A, p, r_tables, lambda n, r: r[m])
+    return Fraction(sum(w * r[m] for _, w, r in
+                        _weighted(case, A, p, r_tables)), 2 * p)
 
 
 def local_bound_telescoped(A, p, a_dvr, r_tables, m):
@@ -137,8 +137,9 @@ def eisenstein_budget(case, A, p, chain="geometric", vp_m=0):
     values are [L' : L'_{n, i}].
     """
     if chain != "geometric":
-        return _chain_sum(case, A, p, chain,
-                          lambda n, idx: _sub_ratio(case, p, n, idx, vp_m))
+        return Fraction(sum(w * _sub_ratio(case, p, n, idx, vp_m)
+                            for n, w, idx in _weighted(case, A, p, chain)),
+                        2 * p)
     if vp_m != 0:
         raise InvalidParameter("closed form assumes p coprime to m")
     if case == "superspecial":
@@ -314,8 +315,7 @@ class BudgetInput:
     p: int
     A: int
     case: str                      # 'superspecial' or 'supergeneric'
-    family: str                    # 'hilbert' or 'siegel' (global q_L shape)
-    global_gram: list              # Gram of the ambient lattice L
+    global_gram: list              # Gram of L: rank 4 Hilbert, 5 Siegel
     chain: list                    # [(gram1, gram2-or-None), ...] per n
     t_kind: str = "square"
     t_params: dict = field(default_factory=dict)
@@ -335,38 +335,28 @@ class BudgetReport:
 
 def run_budget(inp):
     """Full pipeline: T-set, chain counts, local bounds, global sums."""
-    if inp.case not in ("superspecial", "supergeneric"):
-        raise InvalidParameter(f"unknown case {inp.case!r}: expected "
-                               f"superspecial or supergeneric")
-    if inp.family not in ("hilbert", "siegel"):
-        raise InvalidParameter(f"unknown family {inp.family!r}: expected "
-                               f"hilbert or siegel")
     if inp.A < 1:
         raise InvalidParameter("A must be >= 1")
+    glob = IntLattice(inp.global_gram, "global")
+    qfun = {4: q_L_hilbert, 5: q_L_siegel}.get(glob.rank)
+    if qfun is None:
+        raise InvalidParameter(f"global lattice of rank {glob.rank}: q_L "
+                               f"needs rank 4 (Hilbert) or 5 (Siegel)")
     t_set = build_T_set(inp.t_kind, inp.p, inp.t_params, inp.M)
     excluded = sorted(set(inp.exclude) & set(t_set))
     kept = [m for m in t_set if m not in set(excluded)]
-    weights = _chain_weights(inp.case, inp.A, inp.p)
-    r_tables = []  # counts of the members that carry a weight
-    for n, entry in enumerate(inp.chain):
-        members = entry if isinstance(entry, tuple) else (entry,)
-        r_tables.append(tuple(
-            None if g is None else representation_counts(IntLattice(g), inp.M)
-            for _, g in zip(weights(n), members)))
-    glob = IntLattice(inp.global_gram, "global")
-    qfun = q_L_hilbert if inp.family == "hilbert" else q_L_siegel
-    per_m = []
-    local_sum = Fraction(0)
-    global_sum = Fraction(0)
-    for m in kept:
-        lb = local_bound(inp.case, inp.A, inp.p, r_tables, m)
-        g = global_g(inp.A, inp.p, qfun(glob, m))
-        per_m.append({"m": m, "local": lb, "g": g})
-        local_sum += lb
-        global_sum += g
+    local = [0] * (inp.M + 1)  # numerators over 2p
+    for _, w, g in _weighted(inp.case, inp.A, inp.p, inp.chain):
+        counts = representation_counts(IntLattice(g), inp.M)
+        for m, r in enumerate(counts):
+            local[m] += w * r
+    per_m = [{"m": m, "local": Fraction(local[m], 2 * inp.p),
+              "g": global_g(inp.A, inp.p, qfun(glob, m))} for m in kept]
+    global_sum = sum((rec["g"] for rec in per_m), Fraction(0))
     if global_sum == 0:
         raise InvalidParameter("the global coefficients vanish on every "
                                "kept m")
+    local_sum = Fraction(sum(local[m] for m in kept), 2 * inp.p)
     return BudgetReport(T=t_set, excluded=excluded, per_m=per_m,
                         local_sum=local_sum, global_sum=global_sum,
                         ratio=local_sum / global_sum)

@@ -245,7 +245,6 @@ def cmd_budget(args, out):
         raise kv.error("p", "is not a prime")
     A = kv.integer("A")
     case = kv["case"]
-    family = kv["family"]
     glob, head = (IntLattice(read_gram(kv[key]), kv[key])
                   for key in ("global_gram", "chain_head"))
     depth = kv.integer("depth", 3)
@@ -266,9 +265,8 @@ def cmd_budget(args, out):
         deep = IntLattice(chain[-1][1])
         counts = representation_counts(deep, M)
         exclude = [m for m in range(1, M + 1) if counts[m] > 0]
-    inp = BudgetInput(p=p, A=A, case=case, family=family,
-                      global_gram=glob.gram, chain=chain,
-                      t_kind=kv.get("t_kind", "square"),
+    inp = BudgetInput(p=p, A=A, case=case, global_gram=glob.gram,
+                      chain=chain, t_kind=kv.get("t_kind", "square"),
                       t_params=t_params, M=M, exclude=exclude)
     rep = run_budget(inp)
     for rec in rep.per_m:

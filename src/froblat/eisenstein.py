@@ -83,26 +83,24 @@ def _chi_table(D0):
     return table
 
 
-H2_MAX = 34887503849  # largest N: (2 sqrt N + 1) 28 N (1 + ln N) < 2^63
 H2_TABLE_MAX = 1 << 22  # entries of the g table: 32 MiB of int64
 _g = np.ones(1, dtype=np.int64)  # g(0 .. X-1)
 
 
 def cohen_h2(N):
-    """Cohen's H(2, N) = (theta g)(N) / 120 for 1 <= N <= H2_MAX, exact.
+    """Cohen's H(2, N) = (theta g)(N) / 120 for 1 <= N < H2_TABLE_MAX, exact.
 
     120 sum_N H(2, N) q^N = theta^5 - 20 theta sum_{n odd} sigma_1(n) q^n
     spans Kohnen's plus space M^+_{5/2}(Gamma_0(4)) (Cohen, Math. Ann. 217,
     1975; Kohnen, Math. Ann. 248, 1980); by Jacobi's r_4(n) = 8 sigma_1(n)
     - 32 sigma_1(n/4) it is theta g, g(n) = r_4(n) - 20 [n odd] sigma_1(n),
     g(0) = 1.  |g(n)| <= 28 sigma_1(n) < 28 n (1 + ln n), so the int64 sum
-    of the 2 sqrt(N) + 1 terms g(N - k^2) cannot wrap for N <= H2_MAX.  The
-    memoized table of g grows to min(max(2 X, N + 1), H2_TABLE_MAX) by one
-    sigma_1 sieve; an N it cannot hold is refused before the sieve runs.
+    of the 2 sqrt(N) + 1 terms g(N - k^2) cannot wrap for N <= 34887503849,
+    far above the table cap.  The memoized table of g grows to
+    min(max(2 X, N + 1), H2_TABLE_MAX) by one sigma_1 sieve; an N it cannot
+    hold is refused before the sieve runs.
     """
     global _g
-    if N > H2_MAX:
-        raise InvalidParameter(f"H(2, {N}): above {H2_MAX} int64 could wrap")
     if N >= H2_TABLE_MAX:
         raise InvalidParameter(f"H(2, {N}): the g table holds at most "
                                f"{H2_TABLE_MAX} entries")

@@ -29,6 +29,7 @@ from .quadforms import IntLattice, kronecker
 
 CHUNK = 1 << 12  # children expanded at once, which bounds the working set
 EXACT_FLOAT = 1 << 52  # int64 values below it pass through float64 exactly
+COUNTS_MAX = 1 << 20  # entries of a count vector: 8 MiB of int64
 
 
 def _isqrt(x):
@@ -170,10 +171,14 @@ def representation_counts(lattice, bound):
 
     Orthogonal components are enumerated separately and their count
     vectors convolved, so block-diagonal Gram matrices stay cheap even
-    when the total vector count is astronomical.
+    when the total vector count is astronomical.  A bound of COUNTS_MAX
+    or more is refused before anything is allocated.
     """
     if bound < 0:
         raise InvalidParameter(f"count bound {bound} is negative")
+    if bound >= COUNTS_MAX:
+        raise InvalidParameter(f"count bound {bound}: at most {COUNTS_MAX} "
+                               f"counts are held")
     comps = _components(lattice.gram)
     total = np.zeros(bound + 1, dtype=np.int64)
     total[0] = 1

@@ -202,8 +202,8 @@ def test_chain_head_completions():
 
 def test_run_budget_small():
     chain, _ = derive_chain(IntLattice(HEAD), 5, 2)
-    inp = BudgetInput(p=5, A=2, case="superspecial", family="hilbert",
-                      global_gram=LH, chain=chain, t_kind="hilbert",
+    inp = BudgetInput(p=5, A=2, case="superspecial", global_gram=LH,
+                      chain=chain, t_kind="hilbert",
                       t_params={"N": 0, "C": 1, "disc_F": 13, "det2": 26},
                       M=120)
     rep = run_budget(inp)
@@ -212,8 +212,8 @@ def test_run_budget_small():
     assert rep.ratio <= Fraction(11, 12)
     # excluding m only removes local mass
     sm = [rep.per_m[0]["m"]]
-    inp2 = BudgetInput(p=5, A=2, case="superspecial", family="hilbert",
-                       global_gram=LH, chain=chain, t_kind="hilbert",
+    inp2 = BudgetInput(p=5, A=2, case="superspecial", global_gram=LH,
+                       chain=chain, t_kind="hilbert",
                        t_params={"N": 0, "C": 1, "disc_F": 13, "det2": 26},
                        M=120, exclude=sm)
     rep2 = run_budget(inp2)
@@ -223,12 +223,29 @@ def test_run_budget_small():
 
 def test_run_budget_supergeneric_is_pinned():
     chain, _ = derive_chain(IntLattice(HEAD), 5, 2)
-    inp = BudgetInput(p=5, A=2, case="supergeneric", family="hilbert",
-                      global_gram=LH, chain=chain, t_kind="hilbert",
+    inp = BudgetInput(p=5, A=2, case="supergeneric", global_gram=LH,
+                      chain=chain, t_kind="hilbert",
                       t_params={"N": 0, "C": 1, "disc_F": 13, "det2": 26},
                       M=120)
     rep = run_budget(inp)
     assert (rep.local_sum, rep.global_sum, len(rep.T)) == (11280, 15314, 49)
+
+
+@pytest.mark.parametrize("case, weighted", [("supergeneric", 1),
+                                            ("superspecial", 2)])
+def test_run_budget_local_is_local_bound(case, weighted):
+    chain, _ = derive_chain(IntLattice(HEAD), 5, 2)
+    inp = BudgetInput(p=5, A=2, case=case, global_gram=LH,
+                      chain=chain, t_kind="hilbert",
+                      t_params={"N": 0, "C": 1, "disc_F": 13, "det2": 26},
+                      M=120)
+    rep = run_budget(inp)
+    r_tables = [tuple(representation_counts(IntLattice(g), 120)
+                      for g in entry[:weighted]) for entry in chain]
+    assert rep.per_m
+    for rec in rep.per_m:
+        assert rec["local"] == local_bound(case, 2, 5, r_tables, rec["m"])
+    assert rep.local_sum == sum(rec["local"] for rec in rep.per_m)
 
 
 @pytest.mark.parametrize("case, calls", [("supergeneric", 3),
@@ -245,8 +262,8 @@ def test_run_budget_enumerates_only_weighted_members(monkeypatch, case,
 
     monkeypatch.setattr(budget, "representation_counts", counting)
     chain, _ = derive_chain(IntLattice(HEAD), 5, 2)
-    inp = BudgetInput(p=5, A=2, case=case, family="hilbert",
-                      global_gram=LH, chain=chain, t_kind="hilbert",
+    inp = BudgetInput(p=5, A=2, case=case, global_gram=LH,
+                      chain=chain, t_kind="hilbert",
                       t_params={"N": 0, "C": 1, "disc_F": 13, "det2": 26},
                       M=120)
     run_budget(inp)
@@ -257,8 +274,8 @@ def test_run_budget_enumerates_only_weighted_members(monkeypatch, case,
 
 def test_run_budget_square_t_set_and_empty_t_set():
     chain, _ = derive_chain(IntLattice(HEAD), 5, 1)
-    inp = BudgetInput(p=5, A=2, case="superspecial", family="hilbert",
-                      global_gram=LH, chain=chain, t_kind="square",
+    inp = BudgetInput(p=5, A=2, case="superspecial", global_gram=LH,
+                      chain=chain, t_kind="square",
                       t_params={"D": 1}, M=50)
     rep = run_budget(inp)
     assert rep.T == [4, 9, 49]

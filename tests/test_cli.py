@@ -89,6 +89,14 @@ def test_theta_negative_max_exits_one():
                     "negative\n")
 
 
+def test_theta_max_past_the_cap_exits_one():
+    code, text = run(["theta", "--lattice", fx("z4.gram"),
+                      "--max", "1099511627776"])
+    assert code == 1
+    assert text == ("error=InvalidParameter detail=count bound "
+                    "1099511627776: at most 1048576 counts are held\n")
+
+
 def test_decay_negative_nmax_exits_one():
     code, text = run(["decay", "--curve", fx("xt_yt.curve"), "--nmax", "-1"])
     assert code == 1
@@ -214,12 +222,14 @@ def test_budget_config_missing_key_names_the_key(tmp_path, key):
 @pytest.mark.parametrize("key, typo, detail", [
     pytest.param("case", "superspecal", "unknown case 'superspecal'",
                  id="case-superspecal"),
-    pytest.param("family", "hilbret", "unknown family 'hilbret'",
-                 id="family-hilbret"),
+    pytest.param("global_gram", "{tmp}/r3.gram", "global lattice of rank 3",
+                 id="global_gram-rank3"),
     pytest.param("exclude", "dep", "{cfg}: exclude='dep' is not 'deep'",
                  id="exclude-dep"),
 ])
 def test_budget_config_typo_is_one_error_record(tmp_path, key, typo, detail):
+    _write(tmp_path, "r3.gram", "2 1 0\n1 2 0\n0 0 2\n")
+    typo = typo.format(tmp=tmp_path)
     with open(fx("budget_p5.cfg")) as fh:
         text = "".join(f"{key}={typo}\n" if ln.startswith(key + "=")
                        else ln for ln in fh)

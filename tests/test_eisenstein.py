@@ -10,7 +10,7 @@ import pytest
 
 from froblat import eisenstein, quadforms
 from froblat.cli import dispatch
-from froblat.eisenstein import (H2_MAX, H2_TABLE_MAX, _chi_table,
+from froblat.eisenstein import (H2_TABLE_MAX, _chi_table,
                                 bernoulli_2, cohen_h2, dirichlet_L2,
                                 fundamental_part, middle_divisor_sum, q_L_hilbert, q_L_siegel,
                                 q_positive_definite, ratio_bound)
@@ -363,43 +363,30 @@ def test_cohen_h2_at_non_fundamental_discriminants():
     assert checked > 300
 
 
-def test_cohen_h2_raises_above_int64_bound_before_building():
+def test_cohen_h2_raises_past_the_table_cap_before_building():
     import tracemalloc
 
     def bound(N):
         return (2 * math.isqrt(N) + 1) * 28 * N * (1 + math.log(N))
 
-    assert bound(H2_MAX) < 2 ** 63 <= bound(H2_MAX + 1)
-    size = len(eisenstein._g)
-    tracemalloc.start()
-    try:
-        for call in (cohen_h2, bernoulli_2):
-            with pytest.raises(InvalidParameter, match="int64"):
-                call(H2_MAX + 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(eisenstein._g) == size
-    assert peak < 1 << 16
-
-
-
-def test_cohen_h2_raises_past_the_table_cap_before_building():
-    import tracemalloc
-    # the largest D0 asked for anywhere is the 2097169 of
+    # the int64 gather cannot wrap anywhere below the cap, and the largest
+    # D0 asked for anywhere is the 2097169 of
     # test_bernoulli_large_conductor_is_exact
-    assert 2097169 < H2_TABLE_MAX < H2_MAX
+    assert bound(H2_TABLE_MAX) < 2 ** 63
+    assert 2097169 < H2_TABLE_MAX
     size = len(eisenstein._g)
     tracemalloc.start()
     try:
-        for call in (cohen_h2, bernoulli_2):
-            with pytest.raises(InvalidParameter, match="g table"):
-                call(H2_TABLE_MAX)
+        for N in (H2_TABLE_MAX, 34887503850):
+            for call in (cohen_h2, bernoulli_2):
+                with pytest.raises(InvalidParameter, match="g table"):
+                    call(N)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert len(eisenstein._g) == size
     assert peak < 1 << 16
+
 
 def test_l_values_contain_mpmath_reference():
     import mpmath

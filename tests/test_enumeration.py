@@ -15,7 +15,7 @@ from froblat.enumeration import (binary_prime_density,
                                  min_binary_disc, prime_rep_count,
                                  representation_counts, short_vectors,
                                  square_rep_count, successive_minima)
-from froblat.errors import NotPositiveDefinite
+from froblat.errors import InvalidParameter, NotPositiveDefinite
 from froblat.linalg import pivot_rows
 from froblat.quadforms import IntLattice
 
@@ -194,6 +194,23 @@ def test_counts_do_not_wrap_int64():
                  for m in range(bound + 1)]
     assert counts == exact
     assert counts[75] == 9779536667840774848
+
+
+def test_counts_past_the_cap_raise_before_allocating():
+    import tracemalloc
+    # the largest bound asked for anywhere is the 79202 of
+    # test_binary_density_trivial_families
+    assert 79202 < enumeration.COUNTS_MAX
+    z4 = IntLattice([[2 * (i == j) for j in range(4)] for i in range(4)])
+    tracemalloc.start()
+    try:
+        for bound in (enumeration.COUNTS_MAX, 1 << 40):
+            with pytest.raises(InvalidParameter, match="counts are held"):
+                representation_counts(z4, bound)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
 
 
 def test_t_sets():
