@@ -35,7 +35,7 @@ print("values represented by the deepest member (excluded):", exclude)
 
 inp = BudgetInput(p=5, A=2, case="superspecial", global_gram=LH,
                   chain=chain, t_kind="hilbert",
-                  t_params={"N": 0, "C": 1, "disc_F": 13, "det2": 26},
+                  t_params={"N": 0, "C": 1, "disc_F": 13},
                   M=500, exclude=exclude)
 report = run_budget(inp)
 print(f"\nadmissible m up to 500: {len(report.T)}")

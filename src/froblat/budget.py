@@ -17,6 +17,7 @@ p >= 5, which is what the cumulative report checks empirically.
 
 import itertools
 import math
+from collections import ChainMap
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -227,9 +228,6 @@ def _bezout(a, b):
     return old_r, old_s, old_t
 
 
-CHAIN_PREC = 8  # the splitting holds mod p^CHAIN_PREC
-
-
 def derive_chain(head, p, depth):
     """Chain sublattices forced by decay, from the p-adic splitting.
 
@@ -242,22 +240,22 @@ def derive_chain(head, p, depth):
         L_{n,1} = <p^n u1, p^n u2, p^n u3, u4>,
         L_{n,2} = <p^n u1, p^n u2, p^(n+1) u3, u4>,
 
-    whose indices in the head are p^(3n) and p^(3n+1).
+    whose indices in the head are p^(3n) and p^(3n+1).  The splitting
+    holds modulo p^(depth+2), which fixes every member up to n = depth.
     """
     if head.rank != 4:
         raise InvalidParameter("chain derivation implemented for rank 4")
     B = head.bilinear
-    q = p ** CHAIN_PREC
-    u3 = _isotropic_vector(head, p)
+    q = p ** (depth + 2)
+    u3 = _isotropic_vector(head, p, q)
     U = _complete_to_basis(u3)
     b3, *rest = [[row[c] for row in U] for c in range(4)]
     # partner with unit pairing against u3
     b4 = rest.pop(next(i for i, b in enumerate(rest) if B(b3, b) % p))
     inv34 = pow(B(b3, b4) % q, -1, q)
-    # make Q(b4) = 0 mod p^CHAIN_PREC
+    # make Q(b4) = 0 mod q; B(b3, b4) keeps its residue, as Q(b3) = 0
     c = (-head.q_value(b4) * inv34) % q
     b4 = [x + c * y for x, y in zip(b4, b3)]
-    inv34 = pow(B(b3, b4) % q, -1, q)
     # orthogonalize the remaining two against the hyperbolic pair
     out12 = []
     for b in rest:
@@ -290,8 +288,8 @@ def derive_chain(head, p, depth):
     return chain, (u1, u2, b3, b4)
 
 
-def _isotropic_vector(lattice, p):
-    """Primitive v with Q(v) = 0 mod p^CHAIN_PREC and a unit gradient."""
+def _isotropic_vector(lattice, p, q):
+    """Primitive v with Q(v) = 0 mod q, a power of p, and a unit gradient."""
     n = lattice.rank
     units = [[int(i == k) for i in range(n)] for k in range(n)]
     start = next((v for v in itertools.product(range(p), repeat=n)
@@ -300,7 +298,6 @@ def _isotropic_vector(lattice, p):
     if start is None:
         raise InvalidParameter("no smooth isotropic direction mod p")
     v = start
-    q = p ** CHAIN_PREC
     while lattice.q_value(v) % q:
         # the gradient stays a unit mod p: each step moves v by p
         w = next(e for e in units if lattice.bilinear(v, e) % p)
@@ -318,7 +315,7 @@ class BudgetInput:
     global_gram: list              # Gram of L: rank 4 Hilbert, 5 Siegel
     chain: list                    # [(gram1, gram2-or-None), ...] per n
     t_kind: str = "square"
-    t_params: dict = field(default_factory=dict)
+    t_params: dict = field(default_factory=dict)  # det2: from global_gram
     M: int = 500
     exclude: list = field(default_factory=list)   # S_M
 
@@ -342,9 +339,14 @@ def run_budget(inp):
     if qfun is None:
         raise InvalidParameter(f"global lattice of rank {glob.rank}: q_L "
                                f"needs rank 4 (Hilbert) or 5 (Siegel)")
-    t_set = build_T_set(inp.t_kind, inp.p, inp.t_params, inp.M)
+    # det2 = 2 det(L); the ChainMap keeps t_params' own missing-key error
+    t_params = ChainMap({"det2": 2 * glob.det()}, inp.t_params)
+    t_set = build_T_set(inp.t_kind, inp.p, t_params, inp.M)
     excluded = sorted(set(inp.exclude) & set(t_set))
     kept = [m for m in t_set if m not in set(excluded)]
+    if not kept:
+        raise InvalidParameter(f"no m is kept: the T-set has {len(t_set)} "
+                               f"members, {len(excluded)} of them excluded")
     local = [0] * (inp.M + 1)  # numerators over 2p
     for _, w, g in _weighted(inp.case, inp.A, inp.p, inp.chain):
         counts = representation_counts(IntLattice(g), inp.M)

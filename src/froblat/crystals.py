@@ -46,10 +46,11 @@ class FormalCurve:
     Coefficients are residue-field elements; they are lifted to their
     Teichmuller representatives when series are materialized, which makes
     the coefficient Frobenius compatible with substitution of t^p.
-    The z component is absent for Hilbert models.
+    The z component is absent for Hilbert models.  nt is the truncation
+    N_t of every series built from the curve.
     """
 
-    def __init__(self, x=None, y=None, z=None, nt=60):
+    def __init__(self, x=None, y=None, z=None, *, nt):
         self.x = dict(x or {})
         self.y = dict(y or {})
         self.z = dict(z or {})
@@ -383,23 +384,20 @@ def _default_candidates(rank, p):
     return cands
 
 
-def find_decaying_submodule(model, finf, A, n_max=2, candidates=None,
-                            want_witness=None):
+def find_decaying_submodule(model, finf, A, n_max=2, candidates=None):
     """Certify a rank-3 submodule all of whose primitive vectors decay.
 
     Each candidate span, taken in a deterministic order, is certified
     whole by ``_span_certificate``: for every level n the coefficient
     vectors failing it form a submodule, and one elimination over
-    Z/p^E decides whether it holds a primitive vector.  Superspecial
-    models additionally require a very-rapidly-decaying witness inside
-    the span (a = [A/2]).  Returns (basis, witness_or_None).  Raises
-    NotFound with the last falsifying vector, or Indeterminate naming
-    the masked coefficient (n, k, row, bound) when precision blocked
-    the only remaining candidates.
+    Z/p^E decides whether it holds a primitive vector.  A model without
+    ``a_frob`` (superspecial or split) additionally requires a
+    very-rapidly-decaying witness inside the span (a = [A/2]).  Returns
+    (basis, witness_or_None).  Raises NotFound with the last falsifying
+    vector, or Indeterminate naming the masked coefficient (n, k, row,
+    bound) when precision blocked the only remaining candidates.
     """
     p = model.params.p
-    if want_witness is None:
-        want_witness = model.a_frob is None
     if candidates is None:
         candidates = _default_candidates(model.rank, p)
     last_falsifier = None
@@ -413,7 +411,7 @@ def find_decaying_submodule(model, finf, A, n_max=2, candidates=None,
             blocked = detail
             continue
         witness = None
-        if want_witness:
+        if model.a_frob is None:
             a_dvr = A // 2
             for coeffs in _witness_order(p, len(basis)):
                 w = _combine(basis, coeffs)

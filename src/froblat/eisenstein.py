@@ -195,9 +195,11 @@ class EisResult:
     f: int = 1
 
     def midpoint(self):
+        """The value (kept: the cusp_pdet5 benchmark workload reads it)."""
         return self.value
 
     def radius(self):
+        """Always 0 (kept: the cusp_pdet5 benchmark workload reads it)."""
         return 0
 
     def sign(self):

@@ -350,7 +350,8 @@ def cusp_deviation(lattice, m_lo, m_hi):
     l = 2) only, whatever v_l(m).  The exponent is the least-squares
     slope of log|deviation| against log m over the nonzero deviations.  Each
     record holds m, r(m), the exact coefficient eis = q(m), the deviation
-    r(m) - q(m), and a radius, always 0 since q(m) is exact.
+    r(m) - q(m), and a radius, always 0 since q(m) is exact (kept because
+    the cusp_pdet5 benchmark workload reads it).
     """
     counts = representation_counts(lattice, m_hi)
     records = []

@@ -344,7 +344,7 @@ class PAdicParams:
         self.residue_field = ResidueField(p, self.modulus)
         self.rows = self.residue_field.rows
         self.pM = p ** precision_M
-        self._frob_gen_pows = None  # lazy: powers of sigma(g)
+        self._frob_gen_pows = None  # sigma(g)^i, built by frobenius_poly
 
     # -- polynomial arithmetic ------------------------------------------
     def poly_mul(self, a, b, mod_power):
@@ -391,34 +391,25 @@ class PAdicParams:
         return x
 
     # -- Frobenius ------------------------------------------------------
-    def _frobenius_generator_powers(self):
-        if self._frob_gen_pows is not None:
-            return self._frob_gen_pows
-        d, M = self.d, self.precision_M
-        if d == 1:
-            self._frob_gen_pows = [((1,),)]
-            return self._frob_gen_pows
-        # sigma(g) is the root of the modulus congruent to gbar^p
-        gbar_p = self.residue_field.pow((0, 1) + (0,) * (d - 2), self.p)
-        x = self._root(self.modulus + (1,), gbar_p)
-        pows = [(1,) + (0,) * (d - 1), x]
-        for _ in range(d - 2):
-            pows.append(self.poly_mul(pows[-1], x, M))
-        self._frob_gen_pows = pows
-        return pows
-
     def frobenius_poly(self, coeffs, mod_power):
-        """Apply sigma to a coefficient tuple (coefficients are Z_p-fixed)."""
-        if self.d == 1:
-            return (coeffs[0] % (self.p ** mod_power),)
-        pows = self._frobenius_generator_powers()
+        """Apply sigma to a coefficient tuple off Z_p (so d >= 2): the sum
+        of coeffs[i] sigma(g)^i, the coefficients being Z_p-fixed.  The
+        powers sigma(g)^i, i = 1 .. d-1, are built on first use."""
+        d = self.d
+        if self._frob_gen_pows is None:
+            # sigma(g) is the root of the modulus congruent to gbar^p
+            gbar_p = self.residue_field.pow((0, 1) + (0,) * (d - 2), self.p)
+            x = self._root(self.modulus + (1,), gbar_p)
+            pows = [x]
+            for _ in range(d - 2):
+                pows.append(self.poly_mul(pows[-1], x, self.precision_M))
+            self._frob_gen_pows = pows
         q = self.p ** mod_power
-        out = [coeffs[0] % q] + [0] * (self.d - 1)
-        for i in range(1, self.d):
-            ci = coeffs[i]
+        out = [coeffs[0] % q] + [0] * (d - 1)
+        for ci, pow_i in zip(coeffs[1:], self._frob_gen_pows):
             if ci:
-                for t in range(self.d):
-                    out[t] = (out[t] + ci * pows[i][t]) % q
+                for t in range(d):
+                    out[t] = (out[t] + ci * pow_i[t]) % q
         return tuple(out)
 
     # -- distinguished constants ---------------------------------------
@@ -661,7 +652,7 @@ class PAdicScalar:
         """The lift sigma of x -> x^p; fixes Z_p, order d."""
         if self.is_zero():
             return self
-        if self.params.d == 1 or all(c == 0 for c in self.coeffs[1:]):
+        if not any(self.coeffs[1:]):
             return self  # sigma fixes Z_p
         n = self.params.precision_M if self.exact else self.rel_prec
         coeffs = self.params.frobenius_poly(self.coeffs, n)
@@ -669,7 +660,7 @@ class PAdicScalar:
 
     def frobenius_power(self, k):
         x = self
-        for _ in range(k % self.params.d if self.params.d else 0):
+        for _ in range(k % self.params.d):
             x = x.frobenius()
         return x
 

@@ -209,7 +209,7 @@ def test_criterion_9_budget_pipeline():
     exclude = [m for m in range(1, 501) if deep_counts[m] > 0]
     inp = BudgetInput(p=5, A=2, case="superspecial", global_gram=lh,
                       chain=chain, t_kind="hilbert",
-                      t_params={"N": 0, "C": 1, "disc_F": 13, "det2": 26},
+                      t_params={"N": 0, "C": 1, "disc_F": 13},
                       M=500, exclude=exclude)
     rep = run_budget(inp)
     assert len(rep.T) > 100

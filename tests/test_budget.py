@@ -154,6 +154,20 @@ def test_chain_derivation_and_nesting():
                                     [1, 1, 0, 0], [0, 0, 0, 1]])])
 
 
+def test_deep_chain_splits_modulo_its_depth():
+    """At depth 9 the splitting holds modulo 5^10: u3 and u4 are
+    isotropic and orthogonal to u1, u2 there (a fixed modulus 5^8 left
+    Q(u4) = 5^8 times a unit)."""
+    head = IntLattice(HEAD)
+    chain, (u1, u2, u3, u4) = derive_chain(head, 5, 9)
+    assert len(chain) == 10
+    q = 5 ** 10
+    assert head.q_value(u3) % q == 0 and head.q_value(u4) % q == 0
+    for u in (u1, u2):
+        for v in (u3, u4):
+            assert head.bilinear(u, v) % q == 0
+
+
 def test_one_entry_edits_of_the_head_give_a_chain_or_an_error():
     """Every symmetric edit by +-1 or +-2 of one entry of the chain head
     (fixtures/chain_head_p5.gram) derives a chain or raises
@@ -204,7 +218,7 @@ def test_run_budget_small():
     chain, _ = derive_chain(IntLattice(HEAD), 5, 2)
     inp = BudgetInput(p=5, A=2, case="superspecial", global_gram=LH,
                       chain=chain, t_kind="hilbert",
-                      t_params={"N": 0, "C": 1, "disc_F": 13, "det2": 26},
+                      t_params={"N": 0, "C": 1, "disc_F": 13},
                       M=120)
     rep = run_budget(inp)
     assert rep.T
@@ -214,7 +228,7 @@ def test_run_budget_small():
     sm = [rep.per_m[0]["m"]]
     inp2 = BudgetInput(p=5, A=2, case="superspecial", global_gram=LH,
                        chain=chain, t_kind="hilbert",
-                       t_params={"N": 0, "C": 1, "disc_F": 13, "det2": 26},
+                       t_params={"N": 0, "C": 1, "disc_F": 13},
                        M=120, exclude=sm)
     rep2 = run_budget(inp2)
     assert rep2.excluded == sm
@@ -225,7 +239,7 @@ def test_run_budget_supergeneric_is_pinned():
     chain, _ = derive_chain(IntLattice(HEAD), 5, 2)
     inp = BudgetInput(p=5, A=2, case="supergeneric", global_gram=LH,
                       chain=chain, t_kind="hilbert",
-                      t_params={"N": 0, "C": 1, "disc_F": 13, "det2": 26},
+                      t_params={"N": 0, "C": 1, "disc_F": 13},
                       M=120)
     rep = run_budget(inp)
     assert (rep.local_sum, rep.global_sum, len(rep.T)) == (11280, 15314, 49)
@@ -237,7 +251,7 @@ def test_run_budget_local_is_local_bound(case, weighted):
     chain, _ = derive_chain(IntLattice(HEAD), 5, 2)
     inp = BudgetInput(p=5, A=2, case=case, global_gram=LH,
                       chain=chain, t_kind="hilbert",
-                      t_params={"N": 0, "C": 1, "disc_F": 13, "det2": 26},
+                      t_params={"N": 0, "C": 1, "disc_F": 13},
                       M=120)
     rep = run_budget(inp)
     r_tables = [tuple(representation_counts(IntLattice(g), 120)
@@ -264,7 +278,7 @@ def test_run_budget_enumerates_only_weighted_members(monkeypatch, case,
     chain, _ = derive_chain(IntLattice(HEAD), 5, 2)
     inp = BudgetInput(p=5, A=2, case=case, global_gram=LH,
                       chain=chain, t_kind="hilbert",
-                      t_params={"N": 0, "C": 1, "disc_F": 13, "det2": 26},
+                      t_params={"N": 0, "C": 1, "disc_F": 13},
                       M=120)
     run_budget(inp)
     assert len(seen) == calls

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from froblat import cli
 from froblat.cli import dispatch
 
 FIX = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -198,6 +199,8 @@ def test_curve_without_degree_names_the_key(tmp_path):
     ("x=1:1", "x=1:a", "x='1:a' is not integer coefficients"),
     ("x=1:1", "x=1:1.2.3", "x='1:1.2.3' has more than d = 2 coordinates"),
     ("nt=63", "nt=63\nc=1.2.3", "c='1.2.3' has more than d = 2 coordinates"),
+    ("y=1:1", "y=1:1\nz=1:1",
+     "z='1:1' is set, but case hilbert-split has no z component"),
 ])
 def test_curve_non_integer_value_names_the_key(tmp_path, old, new, detail):
     with open(fx("xt_yt.curve")) as fh:
@@ -226,6 +229,8 @@ def test_budget_config_missing_key_names_the_key(tmp_path, key):
                  id="global_gram-rank3"),
     pytest.param("exclude", "dep", "{cfg}: exclude='dep' is not 'deep'",
                  id="exclude-dep"),
+    pytest.param("N", "600", "no m is kept: the T-set has 0 members, 0 of "
+                 "them excluded", id="N-600"),
 ])
 def test_budget_config_typo_is_one_error_record(tmp_path, key, typo, detail):
     _write(tmp_path, "r3.gram", "2 1 0\n1 2 0\n0 0 2\n")
@@ -293,6 +298,20 @@ def test_selftest_quick():
     assert "failures=0" in text
     for p in (5, 7, 11, 13):
         assert f"check=densities p={p} ok=1" in text
+
+
+def test_selftest_reports_each_section_on_its_own(monkeypatch):
+    """A closed form wrong only at p = 7 fails that record alone."""
+    case, vp, expect = cli.LOCAL_DENSITIES[0]
+    wrong = (case, vp, lambda p: expect(p) + (p == 7))
+    monkeypatch.setattr(cli, "LOCAL_DENSITIES",
+                        (wrong,) + cli.LOCAL_DENSITIES[1:])
+    code, text = run(["selftest", "--quick"])
+    assert code == 1
+    for p in (5, 7, 11, 13):
+        assert f"check=densities p={p} ok={int(p != 7)}\n" in text
+    assert "check=hanke-sweep seed=0 instances=40 ok=1\n" in text
+    assert "selftest=quick failures=20\n" in text
 
 
 def test_fixture_root_env(monkeypatch, tmp_path):

@@ -302,7 +302,8 @@ def test_span_certificate_against_definition():
     for name in ("split-equal", "supergeneric-z-dominant", "siegel-3.2"):
         fix = table[name]
         params = PAdicParams(fix["p"], fix["d"], fix["precision"])
-        c_res, curve = fix["make"](params.residue_field, params.eps_int)
+        c_res, curve = fix["make"](params.residue_field, params.eps_int,
+                                   fix["nt"])
         model = CrystalModel(fix["case"], params, c_residue=c_res)
         A = fix["A"]
         finf = f_infinity(model, curve, n_max=2)
@@ -347,7 +348,7 @@ def test_masked_coefficient_blocks_only_when_it_matters():
     """At n = 0 the visible rows leave c = (1, 1, 0) failing, and the
     masked coefficients of row 3 cancel on it to an unknown digit: the
     verdict is indeterminate.  Without the cancelling entry the visible
-    rows decide every level."""
+    rows decide every level and the span certificate holds."""
     model = build_model(HILBERT_SPLIT, 5, 2, 10)
     params = model.params
     nt = 31                                   # thresholds 1, 6, 31 at A = 1
@@ -358,7 +359,7 @@ def test_masked_coefficient_blocks_only_when_it_matters():
     assert masked[0].known_bound() == -1
     basis = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)]
 
-    def search(cancel):
+    def finf_of(cancel):
         finf = MatSeries.identity(params, nt, 4)
         e = finf.entries
         e[0][0] = TruncSeries(params, nt, {0: one, 1: p2})
@@ -371,13 +372,13 @@ def test_masked_coefficient_blocks_only_when_it_matters():
         e[1][0] = TruncSeries(params, nt, {6: p3})
         e[1][1] = TruncSeries(params, nt, {0: one, 5: p3})
         e[1][2] = TruncSeries(params, nt, {4: p3})
-        return find_decaying_submodule(model, finf, 1, n_max=2,
-                                       candidates=[basis],
-                                       want_witness=False)
+        return finf
 
     with pytest.raises(Indeterminate) as info:
-        search(cancel=True)
+        find_decaying_submodule(model, finf_of(cancel=True), 1, n_max=2,
+                                candidates=[basis])
     msg = str(info.value)
     assert "n = 0" in msg and "k = 1" in msg
     assert "row = 3" in msg and "bound = -1" in msg
-    assert search(cancel=False) == ([list(v) for v in basis], None)
+    assert _span_certificate(finf_of(cancel=False), basis, 1, 2) \
+        == (True, None)

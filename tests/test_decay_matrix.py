@@ -85,6 +85,14 @@ FINF_SHA256 = {
 }
 
 
+def built(fix):
+    """The fixture's model and curve, built as run_decay_fixture does."""
+    params = PAdicParams(fix["p"], fix["d"], fix["precision"])
+    c_res, curve = fix["make"](params.residue_field, params.eps_int,
+                               fix["nt"])
+    return CrystalModel(fix["case"], params, c_residue=c_res), curve
+
+
 @lru_cache(maxsize=None)
 def finf_of(name):
     """F_inf at n_max = 2 for a fixture, or for the split x = y = t curve
@@ -93,10 +101,7 @@ def finf_of(name):
         model = build_model(HILBERT_SPLIT, 5, 2, 10)
         curve = FormalCurve(x={1: 1}, y={1: 1}, nt=2 * (1 + 5 + 25) + 1)
         return f_infinity(model, curve, n_max=2)
-    fix = next(f for f in TABLE if f["name"] == name)
-    params = PAdicParams(fix["p"], fix["d"], fix["precision"])
-    c_res, curve = fix["make"](params.residue_field, params.eps_int)
-    model = CrystalModel(fix["case"], params, c_residue=c_res)
+    model, curve = built(next(f for f in TABLE if f["name"] == name))
     return f_infinity(model, curve, n_max=2)
 
 
@@ -124,6 +129,14 @@ def test_named_case(fix):
     assert len(res["basis"]) == 3
     if fix["want_witness"]:
         assert res["witness"] is not None
+
+
+@pytest.mark.parametrize("fix", TABLE, ids=[f["name"] for f in TABLE])
+def test_witness_is_wanted_exactly_without_a_frob(fix):
+    """The expected witness outcome is the model's own rule."""
+    model, curve = built(fix)
+    assert curve.nt == fix["nt"]
+    assert fix["want_witness"] == (model.a_frob is None)
 
 
 def test_split_equal_indices_exact():
