@@ -3,9 +3,9 @@
 Subcommands: density, eisenstein, theta, decay, budget, selftest.
 Output is line-delimited records of named fields with exact rationals
 ("num/den").  Identical inputs produce byte-identical output.  Exit codes: 0 success,
-1 validation failure, 2 indeterminate verdict (precision exhausted).
-Errors are emitted as machine-readable "error code=... detail=..."
-records.
+1 usage or validation failure, 2 indeterminate verdict (precision
+exhausted).  Errors are emitted as machine-readable "error code=...
+detail=..." records.
 """
 
 import argparse
@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import errors
 from .budget import BudgetInput, derive_chain, run_budget
-from .crystals import (CASES, LOCAL_DENSITIES, CrystalModel, FormalCurve,
+from .crystals import (LOCAL_DENSITIES, CrystalModel, FormalCurve,
                        f_infinity, find_decaying_submodule, local_gram)
 from .eisenstein import q_L_hilbert, q_L_siegel, q_positive_definite
 from .enumeration import (prime_rep_count, representation_counts,
@@ -28,14 +28,10 @@ from .regression import decay_fixture_table, run_decay_fixture
 from .series import column_valuation_profile
 
 
-def _fixture_root():
-    return os.environ.get("FROBLAT_FIXTURES", ".")
-
-
 def _resolve(path):
     if os.path.exists(path):
         return path
-    alt = os.path.join(_fixture_root(), path)
+    alt = os.path.join(os.environ.get("FROBLAT_FIXTURES", "."), path)
     if os.path.exists(alt):
         return alt
     raise errors.InvalidParameter(f"no such file: {path}")
@@ -92,7 +88,13 @@ class KeyVals(dict):
             raise self.error(key, "is not an integer") from None
 
 
-def read_keyvals(path):
+CURVE_KEYS = ("case", "p", "d", "precision", "nt", "c", "x", "y", "z")
+BUDGET_KEYS = ("p", "A", "case", "global_gram", "chain_head", "depth", "M",
+               "t_kind", "N", "C", "D", "disc_F", "exclude")
+
+
+def read_keyvals(path, keys):
+    """The key=value lines of one file, each key one of keys, given once."""
     out = KeyVals(path)
     with open(_resolve(path)) as fh:
         for line in fh:
@@ -100,7 +102,13 @@ def read_keyvals(path):
             if not line:
                 continue
             key, _, val = line.partition("=")
-            out[key.strip()] = val.strip()
+            key = key.strip()
+            if key not in keys:
+                raise errors.InvalidParameter(f"{path}: unknown key {key!r}")
+            if key in out:
+                raise errors.InvalidParameter(
+                    f"{path}: key {key!r} is given twice")
+            out[key] = val.strip()
     return out
 
 
@@ -113,15 +121,13 @@ def _parse_coeff(kv, key, tok, d):
 
 
 def read_curve(path):
-    """Curve fixture: case, p, d, precision, nt, c, and coefficient lists.
+    """Curve fixture: the keys of CURVE_KEYS, errors naming the file.
 
     Coefficient lists are space-separated exp:coeff items, with residue
     coefficients as dot-separated F_p coordinates (constant first).
     """
-    kv = read_keyvals(path)
+    kv = read_keyvals(path, CURVE_KEYS)
     case = kv["case"]
-    if case not in CASES:
-        raise errors.InvalidParameter(f"unknown case {case!r}")
     p = kv.integer("p")
     d = kv.integer("d")
     prec = kv.integer("precision")
@@ -138,11 +144,13 @@ def read_curve(path):
             comps[name] = comp
     except ValueError:
         raise kv.error(name, "is not integer coefficients") from None
-    params = PAdicParams(p, d, prec)
-    model = CrystalModel(case, params, c_residue=c_res)
+    try:
+        model = CrystalModel(case, PAdicParams(p, d, prec), c_residue=c_res)
+        curve = FormalCurve(x=comps["x"], y=comps["y"], z=comps["z"], nt=nt)
+    except errors.InvalidParameter as exc:
+        raise errors.InvalidParameter(f"{path}: {exc}") from None
     if model.rank == 4 and comps["z"]:
         raise kv.error("z", f"is set, but case {case} has no z component")
-    curve = FormalCurve(x=comps["x"], y=comps["y"], z=comps["z"], nt=nt)
     return model, curve
 
 
@@ -182,10 +190,13 @@ def _m_range(text):
 
 
 def cmd_eisenstein(args, out):
+    """Theta coefficients of a definite rank-4/5 lattice, else q_L."""
     lat = IntLattice(read_gram(args.lattice), args.lattice)
+    coefficient = q_positive_definite \
+        if lat.rank in (4, 5) and lat.is_positive_definite() \
+        else q_L_hilbert if lat.rank == 4 else q_L_siegel
     for m in _m_range(args.m_range):
-        res = q_positive_definite(lat, m) if args.definite \
-            else q_L_hilbert(lat, m) if lat.rank == 4 else q_L_siegel(lat, m)
+        res = coefficient(lat, m)
         _emit(out, [("m", m), ("m0", res.m0), ("f", res.f),
                     ("sign", res.sign()), ("exact", _frac(res.value))])
     return 0
@@ -211,12 +222,6 @@ def cmd_decay(args, out):
     if args.nmax < 0:
         raise errors.InvalidParameter(f"--nmax {args.nmax} is negative")
     model, curve = read_curve(args.curve)
-    if args.case is not None and args.case != model.case:
-        raise errors.InvalidParameter(
-            f"curve file is case {model.case}, not {args.case}")
-    if args.p is not None and args.p != model.params.p:
-        raise errors.InvalidParameter(
-            f"curve file has p = {model.params.p}, not {args.p}")
     A = model.non_ordinary_valuation(curve)
     finf = f_infinity(model, curve, n_max=args.nmax)
     _emit(out, [("case", model.case), ("A", A), ("nt", curve.nt)])
@@ -242,7 +247,7 @@ def cmd_decay(args, out):
 def cmd_budget(args, out):
     """One record per kept m, then the summary.  g and the global sum are
     exact; the equal lo/hi pairs stay for the budget_p5 benchmark."""
-    kv = read_keyvals(args.config)
+    kv = read_keyvals(args.config, BUDGET_KEYS)
     p = kv.integer("p")
     if not isprime(p):
         raise kv.error("p", "is not a prime")
@@ -351,8 +356,15 @@ def cmd_selftest(args, out):
     return 1 if failures else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors become InvalidParameter records; subparsers inherit."""
+
+    def error(self, message):
+        raise errors.InvalidParameter(f"{self.prog}: {message}")
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="froblat",
         description="exact local densities, Eisenstein coefficients, "
                     "decay tables, and intersection budgets")
@@ -369,8 +381,6 @@ def build_parser():
     e = sub.add_parser("eisenstein", help="Eisenstein Fourier coefficients")
     e.add_argument("--lattice", required=True)
     e.add_argument("--m-range", required=True)
-    e.add_argument("--definite", action="store_true",
-                   help="positive-definite theta normalization")
     e.set_defaults(func=cmd_eisenstein)
 
     t = sub.add_parser("theta", help="representation counts")
@@ -383,10 +393,6 @@ def build_parser():
 
     dc = sub.add_parser("decay", help="decay tables for a formal curve")
     dc.add_argument("--curve", required=True)
-    dc.add_argument("--case", default=None,
-                    help="expected case tag (validated against the file)")
-    dc.add_argument("--p", type=int, default=None,
-                    help="expected prime (validated against the file)")
     dc.add_argument("--nmax", type=int, default=2)
     dc.add_argument("--search", action="store_true",
                     help="also search for a decaying rank-3 submodule")
@@ -407,12 +413,8 @@ def build_parser():
 
 def dispatch(argv, out=None):
     out = out or sys.stdout
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args, out)
     except errors.Indeterminate as exc:
         _emit(out, [("error", "indeterminate"), ("detail", str(exc))])

@@ -613,8 +613,6 @@ class PAdicScalar:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            other = self.params.from_int(other)
         self._check(other)
         a, b = self, other
         if a.is_zero() or b.is_zero():
@@ -634,8 +632,6 @@ class PAdicScalar:
             else min(a.rel_prec, b.rel_prec)
         coeffs = _mulmod(a.coeffs, b.coeffs, params.rows, params.p ** n)
         return PAdicScalar(params, s, coeffs, n)._normalize()
-
-    __rmul__ = __mul__
 
     def inv(self):
         if self.is_zero():

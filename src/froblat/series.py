@@ -196,8 +196,6 @@ class TruncSeries:
         return self + (-other)
 
     def __mul__(self, other):
-        if not isinstance(other, TruncSeries):
-            return self.scale(other)
         self._check(other)
         return _fused(self.params, self.nt, [(self, other)])
 

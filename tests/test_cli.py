@@ -57,8 +57,7 @@ def test_density_hanke_at_two_matches_the_stable_count():
 
 
 def test_decay_table():
-    code, text = run(["decay", "--case", "hilbert-split", "--p", "5",
-                      "--curve", fx("xt_yt.curve"), "--nmax", "2"])
+    code, text = run(["decay", "--curve", fx("xt_yt.curve"), "--nmax", "2"])
     assert code == 0
     lines = text.splitlines()
     assert lines[0] == "case=hilbert-split A=2 nt=63"
@@ -81,6 +80,29 @@ def test_theta_counts():
                       "--squares", "1"])
     assert code == 0
     assert "kind=squares" in text
+
+
+def test_theta_primes_sums_the_prime_counts():
+    code, text = run(["theta", "--lattice", fx("z4.gram"), "--max", "30",
+                      "--primes"])
+    assert code == 0
+    assert text == "kind=primes count=1112\n"
+    _, plain = run(["theta", "--lattice", fx("z4.gram"), "--max", "30"])
+    r = [int(line.split("r=")[1]) for line in plain.splitlines()]
+    assert sum(r[l] for l in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)) == 1112
+
+
+@pytest.mark.parametrize("argv, detail", [
+    (["decay", "--curve", fx("xt_yt.curve"), "--nmax", "x"],
+     "argument --nmax: invalid int value: 'x'"),
+    (["theta", "--lattice", fx("z4.gram")],
+     "the following arguments are required: --max"),
+], ids=["nmax-x", "theta-without-max"])
+def test_usage_error_is_one_error_record(argv, detail):
+    code, text = run(argv)
+    assert code == 1
+    assert text == (f"error=InvalidParameter detail=froblat {argv[0]}: "
+                    f"{detail}\n")
 
 
 def test_theta_negative_max_exits_one():
@@ -201,6 +223,12 @@ def test_curve_without_degree_names_the_key(tmp_path):
     ("nt=63", "nt=63\nc=1.2.3", "c='1.2.3' has more than d = 2 coordinates"),
     ("y=1:1", "y=1:1\nz=1:1",
      "z='1:1' is set, but case hilbert-split has no z component"),
+    ("nt=63", "nt=63\nc=1", "split case carries no parameter c"),
+    ("case=hilbert-split", "case=inert-superspecial",
+     "unknown case 'inert-superspecial'"),
+    ("p=5", "p=9", "p = 9 is not an odd prime"),
+    ("precision=10", "precison=10", "unknown key 'precison'"),
+    ("nt=63", "nt=63\nnt=20", "key 'nt' is given twice"),
 ])
 def test_curve_non_integer_value_names_the_key(tmp_path, old, new, detail):
     with open(fx("xt_yt.curve")) as fh:
@@ -220,6 +248,20 @@ def test_budget_config_missing_key_names_the_key(tmp_path, key):
     assert code == 1
     assert text == (f"error=InvalidParameter detail={cfg}: "
                     f"missing key {key!r}\n")
+
+
+@pytest.mark.parametrize("line, detail", [
+    ("dpeth=5", "unknown key 'dpeth'"),
+    ("det2=26", "unknown key 'det2'"),
+    ("family=hilbert", "unknown key 'family'"),
+    ("M=50", "key 'M' is given twice"),
+])
+def test_budget_config_stray_key_names_the_key(tmp_path, line, detail):
+    with open(fx("budget_p5.cfg")) as fh:
+        cfg = _write(tmp_path, "stray.cfg", fh.read() + line + "\n")
+    code, out = run(["budget", "--config", cfg])
+    assert code == 1
+    assert out == f"error=InvalidParameter detail={cfg}: {detail}\n"
 
 
 @pytest.mark.parametrize("key, typo, detail", [
@@ -261,6 +303,18 @@ def test_budget_config_out_of_range_names_the_key(tmp_path, key, value,
     assert code == 1
     assert out == (f"error=InvalidParameter detail={cfg}: "
                    f"{key}={value!r} {detail}\n")
+
+
+@pytest.mark.parametrize("name", ["z4", "z5", "a5", "d5"])
+def test_eisenstein_on_a_definite_lattice_equals_theta(name):
+    """A one-class genus: the coefficients are the representation counts."""
+    code, eis = run(["eisenstein", "--lattice", fx(f"{name}.gram"),
+                     "--m-range", "1..30"])
+    assert code == 0
+    _, theta = run(["theta", "--lattice", fx(f"{name}.gram"), "--max", "30"])
+    r = [line.split("r=")[1] for line in theta.splitlines()]
+    exact = [line.split("exact=")[1] for line in eis.splitlines()]
+    assert exact == r[1:]
 
 
 def test_eisenstein_rank_three_exits_one(tmp_path):

@@ -10,7 +10,7 @@ from froblat.crystals import (HILBERT_INERT_SG, HILBERT_INERT_SSP,
                               _span_certificate,
                               build_model, check_DR, check_DvR, f_infinity,
                               find_decaying_submodule, local_gram)
-from froblat.errors import (Indeterminate, InvalidParameter,
+from froblat.errors import (Indeterminate, InvalidParameter, NotFound,
                             NotGenericallyOrdinary,
                             ThresholdExceedsTruncation)
 from froblat.linalg import primitive_kernel_vector as _primitive_kernel_vector
@@ -232,6 +232,23 @@ def test_search_returns_asserted_span(split_model, split_xy):
     basis, witness = find_decaying_submodule(split_model, finf, 2, n_max=2)
     assert basis == [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
     assert witness == [0, 0, 1, 0]
+
+
+def test_search_without_a_decaying_candidate_names_the_falsifier(
+        split_model, split_xy):
+    finf = split_xy[1]
+    with pytest.raises(NotFound) as exc:
+        find_decaying_submodule(split_model, finf, 2, n_max=2, candidates=[
+            ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))])
+    assert exc.value.falsifier == [0, 0, 0, 1]
+    assert not check_DR(finf, exc.value.falsifier, 2, 2)
+
+
+def test_search_past_the_truncation_is_refused(split_model, split_xy):
+    finf = split_xy[1]
+    with pytest.raises(ThresholdExceedsTruncation,
+                       match="threshold 312 exceeds truncation 63"):
+        find_decaying_submodule(split_model, finf, 2, n_max=3)
 
 
 def test_precision_budget_enforced(split_model):

@@ -16,9 +16,8 @@ GOLDEN = {
     "selftest": ["selftest"],
     "decay_search": ["decay", "--curve", "fixtures/xt_yt.curve",
                      "--search"],
-    "decay_hilbert_split": ["decay", "--case", "hilbert-split", "--p", "5",
-                            "--curve", "fixtures/xt_yt.curve", "--nmax",
-                            "2"],
+    "decay_hilbert_split": ["decay", "--curve", "fixtures/xt_yt.curve",
+                            "--nmax", "2"],
     "budget_p5": ["budget", "--config", "fixtures/budget_p5.cfg"],
     "eisenstein_ls_global": ["eisenstein", "--lattice",
                              "fixtures/ls_global.gram", "--m-range",
