@@ -12,12 +12,10 @@ from .quadforms import (IntLattice, LocalLattice, hanke_density, kronecker,
                         local_density, sigma_s)
 from .eisenstein import (EisResult, dirichlet_L2, q_L_hilbert, q_L_siegel,
                          q_positive_definite, ratio_bound)
-from .enumeration import (binary_prime_density, build_T_set, cusp_deviation,
-                          min_binary_disc, prime_rep_count,
+from .enumeration import (build_T_set, cusp_deviation, prime_rep_count,
                           representation_counts, short_vectors,
-                          square_rep_count, successive_minima)
+                          square_rep_count)
 from .budget import (BudgetInput, BudgetReport, alpha_const, alpha_variants,
-                     derive_chain, eisenstein_budget, global_g, local_bound,
-                     run_budget, threshold_A_n)
+                     derive_chain, eisenstein_budget, global_g, run_budget)
 
 __version__ = "0.1.0"

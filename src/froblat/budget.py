@@ -12,7 +12,9 @@ global side is g(m) = A/(p-1) |q_L(m)| with q_L the Eisenstein
 coefficient of the ambient lattice.  The Eisenstein-side aggregation of
 the same weights against the coefficient ratio bounds stays below
 alpha(p) A/(p-1) with alpha(p) = (p+2)/(2p) + p/(p^2-1) < 11/12 for
-p >= 5, which is what the cumulative report checks empirically.
+p >= 5; `froblat selftest` checks that bar for each splitting
+behaviour and the closed form against a finite chain, and the cumulative
+report checks the budget empirically.
 """
 
 import itertools
@@ -28,35 +30,26 @@ from .enumeration import build_T_set, representation_counts
 from .quadforms import IntLattice
 
 
-def threshold_A_n(A, p, n):
-    """[A (p^n + ... + p + 1 + 1/p)], with n = -1 giving [A/p]."""
-    if A < 1:
-        raise InvalidParameter("A must be a positive integer")
-    if n < -1:
-        raise InvalidParameter("n >= -1")
-    if n == -1:
-        return A // p
-    s = Fraction(p ** (n + 1) - 1, p - 1) + Fraction(1, p)
-    return int(A * s)  # floor: numerator positive
-
-
 def alpha_const(p):
     """(p+2)/(2p) + p/(p^2-1), the superspecial budget constant."""
     return Fraction(p + 2, 2 * p) + Fraction(p, p * p - 1)
 
 
-def alpha_variants(p):
-    """Budget constants for the remaining splitting behaviours.
+# the least prime p >= 5 from which each budget constant stays below 11/12
+# (`froblat selftest` checks up to 97); 'superspecial_ramified', real
+# multiplication by a field whose discriminant p divides, is 31/30 at 5
+ALPHA_FROM = {"superspecial": 5, "superspecial_ramified": 7,
+              "supergeneric_inert": 5, "supergeneric_ramified": 5}
 
-    'superspecial' needs p >= 5 to clear 11/12; 'superspecial_ramified'
-    needs p >= 7; the supergeneric variants are far below the bar.
-    """
+
+def alpha_variants(p):
+    """Budget constants for each splitting behaviour, keyed as ALPHA_FROM."""
     return {
         "superspecial": alpha_const(p),
-        "supergeneric_inert": Fraction(2, p)
-        + Fraction(2, (p + 1) * (p * p - 1)),
         "superspecial_ramified": Fraction(p + 2, 2 * p)
         + Fraction(p + 3, p * p - 1),
+        "supergeneric_inert": Fraction(2, p)
+        + Fraction(2, (p + 1) * (p * p - 1)),
         "supergeneric_ramified": Fraction(2, p) + Fraction(2, p * p - 1),
     }
 
@@ -89,32 +82,6 @@ def _weighted(case, A, p, chain):
                 yield n, w, x
 
 
-def local_bound(case, A, p, r_tables, m):
-    """Per-m weighted count bound from the chain's r-tables.
-
-    Each entry is a tuple (r_n1, r_n2) of count arrays indexed by m, or
-    one array; a supergeneric chain reads only r_n1.
-    """
-    return Fraction(sum(w * r[m] for _, w, r in
-                        _weighted(case, A, p, r_tables)), 2 * p)
-
-
-def local_bound_telescoped(A, p, a_dvr, r_tables, m):
-    """The sharper telescoping form the weighted bound dominates."""
-    total = Fraction(0)
-    r01 = r_tables[0][0][m]
-    r02 = r_tables[0][1][m] if r_tables[0][1] is not None else r01
-    total += (threshold_A_n(A, p, -1) + a_dvr) * r01
-    total += (threshold_A_n(A, p, 0) - threshold_A_n(A, p, -1) - a_dvr) * r02
-    for n in range(1, len(r_tables)):
-        r1 = r_tables[n][0][m]
-        r2 = r_tables[n][1][m] if r_tables[n][1] is not None else r1
-        total += a_dvr * p ** n * r1
-        total += (threshold_A_n(A, p, n) - threshold_A_n(A, p, n - 1)
-                  - a_dvr * p ** n) * r2
-    return Fraction(total)
-
-
 def global_g(A, p, q_value):
     """g(m) = A/(p-1) |q_L(m)|, exact."""
     if A < 1:
@@ -123,18 +90,12 @@ def global_g(A, p, q_value):
     return Fraction(A, p - 1) * abs(q_value.value)
 
 
-def validate_hasse_budget(A_list, p, omega_C):
-    """Check sum of A_P = (p-1) * (omega . C) for supplied global data."""
-    target = (p - 1) * Fraction(omega_C)
-    return sum(A_list) == target
-
-
 def eisenstein_budget(case, A, p, chain="geometric", vp_m=0):
     """Aggregate coefficient-ratio bounds over a chain, exactly.
 
     chain is either 'geometric' (the closed form of the infinite chain
     with indices p^(3n) and p^(3n+1)) or a list of per-n index data in
-    the entries ``local_bound`` reads, None entries omitted.  Index
+    the entries ``_weighted`` reads, None entries omitted.  Index
     values are [L' : L'_{n, i}].
     """
     if chain != "geometric":

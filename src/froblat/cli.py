@@ -4,8 +4,8 @@ Subcommands: density, eisenstein, theta, decay, budget, selftest.
 Output is line-delimited records of named fields with exact rationals
 ("num/den").  Identical inputs produce byte-identical output.  Exit codes: 0 success,
 1 usage or validation failure, 2 indeterminate verdict (precision
-exhausted).  Errors are emitted as machine-readable "error code=...
-detail=..." records.
+exhausted).  Errors are emitted as machine-readable "error=<exception
+name> detail=..." records, usage errors included.
 """
 
 import argparse
@@ -16,13 +16,15 @@ import sys
 from fractions import Fraction
 
 from . import errors
-from .budget import BudgetInput, derive_chain, run_budget
+from .budget import (ALPHA_FROM, BudgetInput, alpha_variants, derive_chain,
+                     eisenstein_budget, run_budget)
 from .crystals import (LOCAL_DENSITIES, CrystalModel, FormalCurve,
                        f_infinity, find_decaying_submodule, local_gram)
 from .eisenstein import q_L_hilbert, q_L_siegel, q_positive_definite
 from .enumeration import (prime_rep_count, representation_counts,
                           square_rep_count)
-from .padics import PAdicParams, _valuation, isprime, smallest_nonresidue
+from .padics import (PAdicParams, _valuation, isprime, primerange,
+                     smallest_nonresidue)
 from .quadforms import IntLattice, hanke_density, local_density
 from .regression import decay_fixture_table, run_decay_fixture
 from .series import column_valuation_profile
@@ -346,12 +348,31 @@ def cmd_selftest(args, out):
                         ("span", ";".join(",".join(map(str, v))
                                           for v in res["basis"])),
                         ("ok", 1)])
-        except errors.Indeterminate as exc:
+        except errors.Indeterminate:
             raise
         except errors.FroblatError as exc:
             failures += 1
             _emit(out, [("check", "decay"), ("name", fix["name"]),
                         ("ok", 0), ("detail", str(exc))])
+    # budget constants: the least prime from which each stays below 11/12
+    primes = primerange(5, 98)
+    for case, want in ALPHA_FROM.items():
+        last = max((q for q in primes
+                    if alpha_variants(q)[case] >= Fraction(11, 12)), default=0)
+        p_from = next((q for q in primes if q > last), "-")
+        failures += p_from != want
+        _emit(out, [("check", "alpha"), ("case", case), ("p_from", p_from),
+                    ("ok", int(p_from == want))])
+    # the geometric closed form against its 14-level finite chain
+    ok = True
+    for p in (5, 7, 11):
+        chain = [(p ** (3 * n), p ** (3 * n + 1)) for n in range(14)]
+        gap = eisenstein_budget("superspecial", 1, p, "geometric") \
+            - eisenstein_budget("superspecial", 1, p, chain)
+        ok = ok and 0 < gap < Fraction(1, p ** 20)
+    failures += not ok
+    _emit(out, [("check", "budget-chain"), ("case", "superspecial"),
+                ("levels", 14), ("ok", int(ok))])
     _emit(out, [("selftest", "full"), ("failures", failures)])
     return 1 if failures else 0
 
@@ -402,7 +423,8 @@ def build_parser():
     b.add_argument("--config", required=True)
     b.set_defaults(func=cmd_budget)
 
-    s = sub.add_parser("selftest", help="golden densities and decay matrix")
+    s = sub.add_parser("selftest", help="golden densities, decay matrix "
+                                        "and budget constants")
     s.add_argument("--quick", action="store_true",
                    help="densities and the random sweep only")
     s.add_argument("--seed", type=int, default=0,

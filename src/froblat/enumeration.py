@@ -10,10 +10,9 @@ children, in int64 only where a bound on every intermediate proves it
 exact and in Python ints otherwise.
 Vectors come in +/- pairs; the zero vector is counted once.
 
-Derived quantities: representation counts r(m), successive minima
-(returned as exact squared lengths), the minimal discriminant of a rank-2
-sublattice, counts restricted to D l^2 and prime targets, the m-sets used
-by the intersection budgets, and theta-vs-Eisenstein cusp deviations.
+Derived quantities: representation counts r(m), counts restricted to
+D l^2 and prime targets, the m-sets used by the intersection budgets, and
+theta-vs-Eisenstein cusp deviations.
 """
 
 import math
@@ -214,56 +213,6 @@ def _convolve_counts(a, b):
     return out
 
 
-def successive_minima(lattice):
-    """Exact squared successive minima (l_1^2 <= ... <= l_rank^2)."""
-    n = lattice.rank
-    bound = max(lattice.gram[i][i] // 2 for i in range(n))
-    while True:
-        vecs = short_vectors(lattice, bound)
-        vecs = sorted(set(vecs), key=lattice.q_value)
-        minima = []
-        basis = []
-        for v in vecs:
-            if linalg.rank(basis + [v]) > len(basis):
-                basis.append(v)
-                minima.append(lattice.q_value(v))
-                if len(minima) == n:
-                    return tuple(minima)
-        bound *= 2
-
-
-def _pair_disc4(lattice, v, w):
-    """4 * disc of the rank-2 sublattice spanned by v, w (integer)."""
-    b = lattice.bilinear(v, w)
-    return lattice.bilinear(v, v) * lattice.bilinear(w, w) - b * b
-
-
-def min_binary_disc(lattice):
-    """Minimal discriminant of a rank-2 sublattice, as an exact Fraction.
-
-    Returned value is det of the half-Gram of the pair, i.e. the square
-    of the root discriminant d.
-    """
-    def least_disc4(bound):
-        vecs = short_vectors(lattice, bound)
-        return min(d4 for i, v in enumerate(vecs) for w in vecs[i + 1:]
-                   if (d4 := _pair_disc4(lattice, v, w)) > 0)
-
-    minima = successive_minima(lattice)
-    l1 = minima[0]
-    best = least_disc4(minima[1])
-    # optimal pair is reduced: Q(v) Q(w) <= (4/3) disc; sweep that window
-    while True:
-        limit = (4 * best) // (3 * 4 * l1)
-        if limit <= minima[1]:
-            break
-        improved = least_disc4(limit)
-        if improved >= best:
-            break
-        best = improved
-    return Fraction(best, 4)
-
-
 def square_rep_count(lattice, D, bound, counts=None):
     """sum of r(D l^2) over primes l with D l^2 <= bound."""
     if D < 1:
@@ -282,19 +231,6 @@ def prime_rep_count(lattice, bound, counts=None):
     if counts is None:
         counts = representation_counts(lattice, bound)
     return sum(counts[ell] for ell in primerange(2, bound + 1))
-
-
-def binary_prime_density(lattice, D, X):
-    """Share of primes l <= X with D l^2 represented, as an exact Fraction."""
-    if lattice.rank != 2:
-        raise InvalidParameter("density measurement is for binary lattices")
-    primes = primerange(2, X + 1)
-    if not primes:
-        return Fraction(0)
-    bound = D * primes[-1] ** 2
-    counts = representation_counts(lattice, bound)
-    hit = sum(1 for ell in primes if counts[D * ell * ell] > 0)
-    return Fraction(hit, len(primes))
 
 
 def build_T_set(kind, p, params, M):

@@ -51,11 +51,6 @@ def det(m):
     return (-1) ** swaps * rows[-1][-1] if rows else 1
 
 
-def rank(m):
-    """Rank of an integer matrix (a list of rows)."""
-    return len(_bareiss(m)[0])
-
-
 def pivot_rows(m):
     """The Bareiss pivot rows of a symmetric integer matrix m if it is
     positive definite, else None.

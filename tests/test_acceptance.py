@@ -109,9 +109,13 @@ def test_criterion_4_alpha_and_budget_closed_form():
             + Fraction(p, p * p - 1)
         assert alpha_const(p) < Fraction(11, 12)
     for p in (5, 7, 13):
+        # the 14-level chain with indices p^(3n) and p^(3n+1)
+        chain = [(p ** (3 * n), p ** (3 * n + 1)) for n in range(14)]
         for A in (1, 2, 5):
-            assert eisenstein_budget("superspecial", A, p, "geometric") \
-                == Fraction(A, p - 1) * alpha_const(p)
+            closed = eisenstein_budget("superspecial", A, p, "geometric")
+            assert closed == Fraction(A, p - 1) * alpha_const(p)
+            finite = eisenstein_budget("superspecial", A, p, chain)
+            assert 0 < closed - finite < Fraction(1, p ** 20)
     _report("4 alpha-constants", time.time() - start, 1)
 
 

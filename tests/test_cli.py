@@ -368,6 +368,31 @@ def test_selftest_reports_each_section_on_its_own(monkeypatch):
     assert "selftest=quick failures=20\n" in text
 
 
+def test_selftest_budget_constants_count_their_failures(monkeypatch):
+    """A wrong threshold, a constant above the bar up to 97 and a chain
+    sum short of its closed form each fail their record and count."""
+    constants = cli.alpha_variants
+    budget = cli.eisenstein_budget
+
+    def two_levels(case, A, p, chain):
+        return budget(case, A, p, chain if chain == "geometric" else chain[:2])
+
+    monkeypatch.setattr(cli, "ALPHA_FROM",
+                        dict(cli.ALPHA_FROM, superspecial_ramified=5))
+    monkeypatch.setattr(cli, "alpha_variants", lambda p: dict(
+        constants(p), supergeneric_ramified=1))
+    monkeypatch.setattr(cli, "eisenstein_budget", two_levels)
+    code, text = run(["selftest"])
+    assert code == 1
+    for case, p_from, ok in (("superspecial", 5, 1),
+                             ("superspecial_ramified", 7, 0),
+                             ("supergeneric_inert", 5, 1),
+                             ("supergeneric_ramified", "-", 0)):
+        assert f"check=alpha case={case} p_from={p_from} ok={ok}\n" in text
+    assert "check=budget-chain case=superspecial levels=14 ok=0\n" in text
+    assert text.endswith("selftest=full failures=3\n")
+
+
 def test_fixture_root_env(monkeypatch, tmp_path):
     monkeypatch.setenv("FROBLAT_FIXTURES", os.path.abspath(FIX))
     code, text = run(["density", "--gram", "z4.gram", "--ell", "3",

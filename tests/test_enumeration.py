@@ -10,11 +10,9 @@ import pytest
 from froblat import enumeration
 from froblat.budget import derive_chain
 from froblat.cli import read_gram
-from froblat.enumeration import (binary_prime_density,
-                                 build_T_set, cusp_deviation,
-                                 min_binary_disc, prime_rep_count,
-                                 representation_counts, short_vectors,
-                                 square_rep_count, successive_minima)
+from froblat.enumeration import (build_T_set, cusp_deviation,
+                                 prime_rep_count, representation_counts,
+                                 short_vectors, square_rep_count)
 from froblat.errors import InvalidParameter, NotPositiveDefinite
 from froblat.linalg import pivot_rows
 from froblat.quadforms import IntLattice
@@ -23,9 +21,6 @@ Z4 = IntLattice([[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]],
                 "Z4")
 Z5 = IntLattice([[2, 0, 0, 0, 0], [0, 2, 0, 0, 0], [0, 0, 2, 0, 0],
                  [0, 0, 0, 2, 0], [0, 0, 0, 0, 2]], "Z5")
-# Hermite's constants to the power n: gamma_n^n for n <= 5
-HERMITE_POW = {1: Fraction(1), 2: Fraction(4, 3), 3: Fraction(2),
-               4: Fraction(4), 5: Fraction(8)}
 HEAD = [[2, 0, -1, -1], [0, 2, -1, 0], [-1, -1, 6, -2], [-1, 0, -2, 18]]
 # L_{2,2} of derive_chain(HEAD, 5, 3): scale * bound passes 2^52 at 500
 L22 = derive_chain(IntLattice(HEAD), 5, 3)[0][2][1]
@@ -106,29 +101,12 @@ def test_not_positive_definite():
         short_vectors(U, 5)
 
 
-def test_successive_minima():
-    assert successive_minima(Z4) == (1, 1, 1, 1)
-    D14 = IntLattice([[2, 0], [0, 8]])
-    assert successive_minima(D14) == (1, 4)
-    assert min_binary_disc(D14) == 4  # root discriminant 2
-
-
-def test_hermite_bound():
-    for lat in (Z4, Z5, IntLattice([[2, 1], [1, 4]]),
-                IntLattice([[4, 1, -1], [1, 2, 0], [-1, 0, 6]])):
-        m2 = successive_minima(lat)
-        r = lat.rank
-        det_q = Fraction(lat.det(), 2 ** r)
-        assert Fraction(m2[0]) ** r <= HERMITE_POW[r] * det_q
-
-
 def test_sublattice_monotone():
     big = IntLattice([[2, 0], [0, 2]])
     small = IntLattice([[8, 0], [0, 2]])  # first vector doubled
     cb = representation_counts(big, 30)
     cs = representation_counts(small, 30)
     assert all(cs[m] <= cb[m] for m in range(31))
-    assert successive_minima(small) >= successive_minima(big)
 
 
 def test_square_and_prime_counts():
@@ -149,34 +127,6 @@ def test_square_and_prime_counts():
             if m <= 500 and m % 25 == 0:
                 total += cb[m // 25]
         assert s1 >= total  # scaling only reaches multiples of 25
-
-
-def test_binary_density_trivial_families():
-    # D = 1 is always represented through (l, 0)
-    assert binary_prime_density(IntLattice([[2, 0], [0, 2]]), 1, 60) == 1.0
-    assert binary_prime_density(IntLattice([[2, 0], [0, 10]]), 1, 100) == 1.0
-    # diag(D, k) with k beyond the bound: only the first coordinate acts
-    P = IntLattice([[4, 0], [0, 2 * 10 ** 7]])
-    assert binary_prime_density(P, 2, 40) == 1.0
-    # 2 l^2 is never a norm from the disc -20 order: the prime over 2
-    # sits in the nontrivial class of a 2-torsion group, and squares of
-    # ideal classes are trivial, so the measured density is exactly 0
-    d = binary_prime_density(IntLattice([[2, 0], [0, 10]]), 2, 200)
-    assert d == 0.0
-
-
-def test_binary_density_is_an_exact_fraction():
-    # x^2 + xy + 6y^2 has class group Z/3 and the prime over 2 is not
-    # principal, so 2 l^2 is a norm for some primes l and not for others
-    lat = IntLattice([[2, 1], [1, 12]])
-    d = binary_prime_density(lat, 2, 50)
-    assert isinstance(d, Fraction) and d == Fraction(7, 15)
-    hits = [ell for ell in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37,
-                            41, 43, 47)
-            if any(x * x + x * y + 6 * y * y == 2 * ell * ell
-                   for x in range(-2 * ell, 2 * ell + 1)
-                   for y in range(-ell, ell + 1))]
-    assert Fraction(len(hits), 15) == d
 
 
 def test_counts_do_not_wrap_int64():
@@ -237,28 +187,6 @@ def test_t_sets():
                     dd //= ell
                     vD += 1
                 assert v <= 2 + vD
-
-
-def test_chain_minima_growth():
-    """Scaled chains force the later minima up like p^n."""
-    chain, _ = derive_chain(IntLattice(HEAD), 5, 3)
-    p = 5
-    prev = None
-    for n, (g1, _) in enumerate(chain):
-        lat = IntLattice(g1)
-        m2 = successive_minima(lat)
-        # product of all squared minima within the discriminant window
-        prod = Fraction(1)
-        for v in m2:
-            prod *= v
-        det_q = Fraction(lat.det(), 2 ** 4)
-        assert prod <= Fraction(4, 3) ** 6 * det_q  # Minkowski
-        assert det_q <= prod  # Hadamard-type lower bound
-        # minima never exceed C p^n in squared terms (C from the head)
-        assert m2[-1] <= 40 * p ** (2 * n)
-        if prev is not None:
-            assert m2 >= prev
-        prev = m2
 
 
 def test_cusp_deviation_single_class():

@@ -6,7 +6,7 @@ from itertools import combinations
 
 import sympy
 
-from froblat.linalg import det, hnf_basis, is_positive_definite, rank
+from froblat.linalg import det, hnf_basis, is_positive_definite
 
 
 def _random_matrix(rng, rows, cols, lo=-9, hi=9):
@@ -29,23 +29,7 @@ def test_det_and_rank_square():
             m = _rank_deficient(rng, n, n, rng.randint(0, n - 1))
         else:
             m = _random_matrix(rng, n, n)
-        oracle = sympy.Matrix(m)
-        assert det(m) == oracle.det()
-        assert rank(m) == oracle.rank()
-
-
-def test_rank_non_square():
-    rng = random.Random(7)
-    for _ in range(200):
-        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
-        if rng.random() < 0.5:
-            m = _rank_deficient(rng, rows, cols,
-                                rng.randint(0, min(rows, cols)))
-        else:
-            m = _random_matrix(rng, rows, cols, -3, 3)
-        assert rank(m) == sympy.Matrix(m).rank()
-    assert rank([]) == 0
-    assert rank([[0, 0, 0]]) == 0
+        assert det(m) == sympy.Matrix(m).det()
 
 
 def test_row_swaps_and_large_entries():
@@ -53,8 +37,6 @@ def test_row_swaps_and_large_entries():
     assert det([[0, 1], [1, 0]]) == -1
     m = [[0, 2, 1], [1, 1, 0], [3, 0, 1]]
     assert det(m) == sympy.Matrix(m).det() == -5
-    # a zero column between pivots
-    assert rank([[0, 1, 2], [0, 2, 4], [0, 0, 1]]) == 2
     big = [[10 ** 30 + i * j for j in range(4)] for i in range(4)]
     big[3][3] += 1
     assert det(big) == sympy.Matrix(big).det()
