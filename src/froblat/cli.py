@@ -439,7 +439,9 @@ def dispatch(argv, out=None):
         args = build_parser().parse_args(argv)
         return args.func(args, out)
     except errors.Indeterminate as exc:
-        _emit(out, [("error", "indeterminate"), ("detail", str(exc))])
+        where = [(key, getattr(exc, key)) for key in ("n", "k", "row", "bound")
+                 if getattr(exc, key) is not None]
+        _emit(out, [("error", "indeterminate"), *where, ("detail", str(exc))])
         return 2
     except BrokenPipeError:
         raise  # the reader is gone: no record can reach it

@@ -231,8 +231,8 @@ def required_precision(p, nt, n_max):
     return n_max + 2 + k
 
 
-def f_infinity(model, curve, n_max=2):
-    """Truncated infinite product of the twisted factors at the curve.
+def f_infinity(model, curve, n_max=2, columns=None):
+    """F_inf at the curve, or only its ``columns`` (see truncated_product).
 
     The all-zero curve gives the identity matrix (degenerate; callers that
     need generic ordinariness should call non_ordinary_valuation first).
@@ -243,7 +243,7 @@ def f_infinity(model, curve, n_max=2):
             f"precision_M = {model.params.precision_M} below required "
             f"{need} for nt = {curve.nt}, n_max = {n_max}")
     F = model.perturbation_matrix(curve)
-    return truncated_product(F)
+    return truncated_product(F, columns)
 
 
 def decay_thresholds(A, p, n_max):
@@ -283,8 +283,9 @@ def _decays_within(finf, w, thrs):
         idx, sound = profile.decay_index(n, thr)
         if idx == INF:
             if not sound:
+                k = min(j for j, b in profile.floors.items() if b <= -n - 1)
                 raise Indeterminate(
-                    f"precision masks the decay verdict at n = {n}")
+                    f"precision masks the decay verdict at n = {n}", n=n, k=k)
             return False
     return True
 
@@ -429,7 +430,8 @@ def find_decaying_submodule(model, finf, A, n_max=2, candidates=None):
         n, k, row, bound = blocked
         raise Indeterminate(
             f"decay search blocked by precision: coefficient n = {n}, "
-            f"k = {k}, row = {row} is known only to bound = {bound}")
+            f"k = {k}, row = {row} is known only to bound = {bound}",
+            n=n, k=k, row=row, bound=bound)
     raise NotFound("no decaying rank-3 submodule certified",
                    falsifier=last_falsifier)
 

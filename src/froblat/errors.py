@@ -35,7 +35,12 @@ class ThresholdExceedsTruncation(FroblatError):
 
 
 class Indeterminate(FroblatError):
-    """A verdict depends on a coefficient whose precision was exhausted."""
+    """A verdict depends on a coefficient whose precision was exhausted:
+    level n, t^k, row and known bound, each None where not known."""
+
+    def __init__(self, message, n=None, k=None, row=None, bound=None):
+        super().__init__(message)
+        self.n, self.k, self.row, self.bound = n, k, row, bound
 
 
 class NotFound(FroblatError):

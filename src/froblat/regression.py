@@ -177,7 +177,8 @@ def run_decay_fixture(fix, n_max=2, search_depth_B=None):
     if A != fix["A"]:
         raise InvalidParameter(
             f"{fix['name']}: built curve has A = {A}, expected {fix['A']}")
-    finf = f_infinity(model, curve, n_max=n_max)
+    cols = {j for v in sum(fix["asserted"], ()) for j, x in enumerate(v) if x}
+    finf = f_infinity(model, curve, n_max=n_max, columns=cols)
     basis, witness = find_decaying_submodule(
         model, finf, A, n_max=n_max, candidates=fix["asserted"])
     return {"name": fix["name"], "A": A, "basis": basis,
@@ -189,7 +190,7 @@ def split_equal_decay_indices(p=5, n_max=2):
     model = build_model(HILBERT_SPLIT, p, 2, 10)
     curve = FormalCurve(x={1: 1}, y={1: 1}, nt=2 * sum(p ** i
                                                        for i in range(3)) + 1)
-    finf = f_infinity(model, curve, n_max=n_max)
+    finf = f_infinity(model, curve, n_max=n_max, columns=[0])
     profile = column_valuation_profile(finf, [1, 0, 0, 0])
     out = []
     for n in range(n_max + 1):

@@ -3,9 +3,9 @@
 Series are sparse maps from t-exponent to coefficient, truncated at a
 shared order N_t.  The twisted Frobenius sigma_t applies sigma to each
 coefficient and sends t to t^p.  Infinite products prod_i (1 + sigma_t^i F)
-are truncated once further factors are congruent to the identity mod
-t^(N_t + 1), which happens as soon as p^i times the t-adic valuation of F
-exceeds N_t.
+stop before the first factor congruent to the identity mod t^(N_t + 1),
+the first i with p^i v_t(F) > N_t.  They are formed from right to left,
+and only on the columns a caller reads; a column not formed is None.
 
 Every product and sum of series goes through one kernel, ``_fused``: for
 each output exponent it multiplies only the nonzero digits of its terms
@@ -231,7 +231,8 @@ class TruncSeries:
 
 
 class MatSeries:
-    """Rectangular grid of TruncSeries sharing params and N_t."""
+    """Rectangular grid of TruncSeries sharing params and N_t.  An entry
+    is None where its column was not computed; it never reads as zero."""
 
     __slots__ = ("params", "nt", "rows", "cols", "entries")
 
@@ -244,7 +245,7 @@ class MatSeries:
             if len(row) != self.cols:
                 raise InvalidParameter("ragged matrix")
             for e in row:
-                if e.params is not params or e.nt != nt:
+                if e is not None and (e.params is not params or e.nt != nt):
                     raise InvalidParameter("entry context differs")
         self.entries = entries
 
@@ -279,7 +280,8 @@ class MatSeries:
             for j in range(other.cols):
                 pairs = [(a, r[j]) for a, r in zip(row, other.entries)]
                 extra = () if addend is None else (addend.entries[i][j],)
-                out_row.append(_fused(self.params, self.nt, pairs, extra))
+                out_row.append(None if other.entries[0][j] is None else
+                               _fused(self.params, self.nt, pairs, extra))
             out.append(out_row)
         return MatSeries(self.params, self.nt, out)
 
@@ -300,6 +302,8 @@ class MatSeries:
         if len(w) != self.cols:
             raise InvalidParameter("vector length mismatch")
         nonzero = [j for j, x in enumerate(w) if x]
+        if any(self.entries[0][j] is None for j in nonzero):
+            raise InvalidParameter(f"{list(w)} reads a column not computed")
         if len(nonzero) == 1 and w[nonzero[0]] == 1:
             return [row[nonzero[0]] for row in self.entries]
         ws = {j: TruncSeries.constant(self.params, 0,
@@ -310,32 +314,33 @@ class MatSeries:
                 for row in self.entries]
 
 
-def truncated_product(F):
-    """prod_{i=0}^{K} (I + sigma_t^i(F)) truncated at N_t.
+def truncated_product(F, columns=None):
+    """The ``columns`` (all when None) of prod_{i=0}^{K} (I + sigma_t^i(F))
+    truncated at N_t; the other columns are None.
 
     Requires every entry of F to vanish at t = 0; otherwise the
     degree-by-degree stabilization fails.  K is the largest i with
     p^i * v_t(F) <= N_t, so every omitted factor I + sigma_t^i(F) is
     congruent to the identity mod t^(N_t + 1) and the product is exact
-    to that degree.
+    to that degree.  From right to left: W, the requested unit columns,
+    becomes sigma_t^i(F) W + W for i = K down to 0.  A column of W reads
+    only its own start, so it equals that column of the full product,
+    digit for digit and bound for bound.
     """
     if F.rows != F.cols:
         raise InvalidParameter("product needs a square matrix")
     v = F.min_vt()
-    if v == INF:
-        return MatSeries.identity(F.params, F.nt, F.rows)
     if v < 1:
         raise NonConvergent("an entry of F has t-adic valuation 0")
-    p = F.params.p
-    K = 0
-    while v * p ** (K + 1) <= F.nt:
-        K += 1
-    prod = MatSeries.identity(F.params, F.nt, F.rows)
-    factor = F
-    for i in range(K + 1):
-        prod = prod.mul_add(factor, prod)
-        if i < K:
-            factor = factor.frobenius_twist()
+    held = range(F.rows) if columns is None else set(columns)
+    prod = MatSeries(F.params, F.nt, [
+        [e if j in held else None for j, e in enumerate(row)]
+        for row in MatSeries.identity(F.params, F.nt, F.rows).entries])
+    factors = [F] if v < INF else []
+    while factors and v * F.params.p ** len(factors) <= F.nt:
+        factors.append(factors[-1].frobenius_twist())
+    for factor in reversed(factors):
+        prod = factor.mul_add(prod, prod)
     return prod
 
 

@@ -1,9 +1,12 @@
+import io
 import itertools
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 
+from froblat import cli
 from froblat.crystals import (HILBERT_INERT_SG, HILBERT_INERT_SSP,
                               HILBERT_SPLIT, SIEGEL_SG, SIEGEL_SSP,
                               CrystalModel, FormalCurve, _combine,
@@ -17,6 +20,8 @@ from froblat.linalg import primitive_kernel_vector as _primitive_kernel_vector
 from froblat.padics import INF, PAdicParams, PAdicScalar
 from froblat.regression import decay_fixture_table
 from froblat.series import MatSeries, TruncSeries, column_valuation_profile
+
+FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 
 
 @pytest.fixture(scope="module")
@@ -361,41 +366,67 @@ def test_primitive_kernel_vector_against_brute_force():
                        for r in rows), (p, E, rows, c)
 
 
-def test_masked_coefficient_blocks_only_when_it_matters():
-    """At n = 0 the visible rows leave c = (1, 1, 0) failing, and the
-    masked coefficients of row 3 cancel on it to an unknown digit: the
-    verdict is indeterminate.  Without the cancelling entry the visible
-    rows decide every level and the span certificate holds."""
-    model = build_model(HILBERT_SPLIT, 5, 2, 10)
-    params = model.params
-    nt = 31                                   # thresholds 1, 6, 31 at A = 1
+def masked_finf(params, nt, cancel):
+    """A hand-built rank-4 F_inf: row 3 has two masked t^1 coefficients,
+    known only to bound = -1.  With ``cancel`` the visible t^1 entries of
+    row 0 cancel on c = (1, 1, 0), and precision blocks the span
+    (e1, e2, e3) at n = 0."""
     one = params.one()
     p1, p2, p3 = (params.from_rational(Fraction(1, 5 ** e))
                   for e in (1, 2, 3))
     masked = [PAdicScalar(params, -2, (u, 0), 1) for u in (1, 4)]
     assert masked[0].known_bound() == -1
+    finf = MatSeries.identity(params, nt, 4)
+    e = finf.entries
+    e[0][0] = TruncSeries(params, nt, {0: one, 1: p2})
+    if cancel:
+        e[0][1] = TruncSeries(params, nt, {1: -p2})
+    e[2][2] = TruncSeries(params, nt, {0: one, 1: p1})
+    e[3][0] = TruncSeries(params, nt, {1: masked[0]})
+    e[3][1] = TruncSeries(params, nt, {1: masked[1]})
+    # levels 1 and 2: one visible p^-3 coefficient per basis vector
+    e[1][0] = TruncSeries(params, nt, {6: p3})
+    e[1][1] = TruncSeries(params, nt, {0: one, 5: p3})
+    e[1][2] = TruncSeries(params, nt, {4: p3})
+    return finf
+
+
+def test_masked_coefficient_blocks_only_when_it_matters():
+    """At n = 0 the visible rows leave c = (1, 1, 0) failing, and the
+    masked coefficients of row 3 cancel on it to an unknown digit: the
+    verdict is indeterminate, and names that coefficient.  Without the
+    cancelling entry the visible rows decide every level and the span
+    certificate holds."""
+    model = build_model(HILBERT_SPLIT, 5, 2, 10)
+    nt = 31                                   # thresholds 1, 6, 31 at A = 1
     basis = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)]
-
-    def finf_of(cancel):
-        finf = MatSeries.identity(params, nt, 4)
-        e = finf.entries
-        e[0][0] = TruncSeries(params, nt, {0: one, 1: p2})
-        if cancel:
-            e[0][1] = TruncSeries(params, nt, {1: -p2})
-        e[2][2] = TruncSeries(params, nt, {0: one, 1: p1})
-        e[3][0] = TruncSeries(params, nt, {1: masked[0]})
-        e[3][1] = TruncSeries(params, nt, {1: masked[1]})
-        # levels 1 and 2: one visible p^-3 coefficient per basis vector
-        e[1][0] = TruncSeries(params, nt, {6: p3})
-        e[1][1] = TruncSeries(params, nt, {0: one, 5: p3})
-        e[1][2] = TruncSeries(params, nt, {4: p3})
-        return finf
-
+    blocked = masked_finf(model.params, nt, cancel=True)
     with pytest.raises(Indeterminate) as info:
-        find_decaying_submodule(model, finf_of(cancel=True), 1, n_max=2,
+        find_decaying_submodule(model, blocked, 1, n_max=2,
                                 candidates=[basis])
-    msg = str(info.value)
+    exc = info.value
+    assert (exc.n, exc.k, exc.row, exc.bound) == (0, 1, 3, -1)
+    msg = str(exc)
     assert "n = 0" in msg and "k = 1" in msg
     assert "row = 3" in msg and "bound = -1" in msg
-    assert _span_certificate(finf_of(cancel=False), basis, 1, 2) \
-        == (True, None)
+    # one vector: the level and the first masked exponent, no row
+    with pytest.raises(Indeterminate) as info:
+        check_DR(blocked, [1, 1, 0, 0], 1, 2)
+    exc = info.value
+    assert (exc.n, exc.k, exc.row, exc.bound) == (0, 1, None, None)
+    assert _span_certificate(masked_finf(model.params, nt, cancel=False),
+                             basis, 1, 2) == (True, None)
+
+
+def test_indeterminate_record_names_the_coefficient(monkeypatch):
+    """The command line prints the blocking coefficient as fields of the
+    error record, before its detail, and exits 2."""
+    monkeypatch.setattr(cli, "f_infinity", lambda model, curve, n_max:
+                        masked_finf(model.params, curve.nt, cancel=True))
+    out = io.StringIO()
+    code = cli.dispatch(["decay", "--curve", str(FIXTURES / "xt_yt.curve"),
+                         "--search"], out)
+    assert code == 2
+    last = out.getvalue().splitlines()[-1]
+    assert last.startswith("error=indeterminate n=0 k=1 row=3 bound=-1 "
+                           "detail=decay search blocked by precision")

@@ -15,7 +15,9 @@ import pytest
 
 from froblat.crystals import (HILBERT_SPLIT, CrystalModel, FormalCurve,
                               build_model, f_infinity)
+from froblat.errors import InvalidParameter
 from froblat.padics import INF, PAdicParams
+from froblat.series import column_valuation_profile
 from froblat.regression import (decay_fixture_table, run_decay_fixture,
                                 split_equal_decay_indices)
 
@@ -42,7 +44,10 @@ SPLIT_EQUAL_CURVE = "split-equal-indices"
 
 # sha256 over every t^k coefficient of F_inf at n_max = 2, as
 # (row, col, k, shift, coeffs, rel_prec, exact): a change to the series
-# arithmetic must leave every digit and every bound as it is
+# arithmetic must leave every digit and every bound as it is.  The pins
+# are of the product formed from right to left; against the former
+# left-to-right order, test_series.py's
+# test_right_to_left_product_loses_no_digit guards every bound
 FINF_SHA256 = {
     "split-equal":
         "1da2337aab03ac8e05723cecb558fd149bac1fa6491ae4dd46625da823419f57",
@@ -61,15 +66,15 @@ FINF_SHA256 = {
     "siegel-A-below-B":
         "3550deaa0c5394158d1d90022d9213fbdc731711417990e1831807d9aa9cacea",
     "siegel-2.1":
-        "4c3a8442b34c722450b7a4263100edd9a7dd6ecd55c69d3eba40e643c91c9b40",
+        "ee8484e4de3632b6863883ec885599c03650692fef581fefa41edef4e04fee10",
     "siegel-2.2":
-        "42bb3a180cd1eb25bbfb0984448638cac7e6ac0b9aad39bce2e6635adfa990d1",
+        "a3e56dd864a8dc3c7c589a8af292b1617194adb85dfcb59114ea8e1e551a22af",
     "siegel-3.1":
-        "40e3ef80b52f19abae8bf4ba90ab491cb420b3ddd852539a721fe0ed93785314",
+        "f1ab045a110a85442f52a4d10f0f2f14fffa4d6608e08bdd93ceb4e29cac7ba0",
     "siegel-3.1-special":
-        "62bd0cd82c30dc6552e54c580c144062c22c370284e99f4b7f7edbd434c5a660",
+        "0c2b247c046f9055266855f3a37f10b8074ab1e43c7e828ba8a53d535aef5f3e",
     "siegel-3.2":
-        "acbe35417da643f95ca7e63f137801e5a94debbb94f16be6618f449b6f04fce5",
+        "a7d7a4a1d22e3364be905e9d6e642773335068e581e71638fca61dba5e743e44",
     "supergeneric-y-dominant":
         "3ef9850671ced2f76bd31a52782d30ba957c5b79891e8f633c21bf2a7f8ccf4e",
     "supergeneric-z-dominant":
@@ -179,3 +184,46 @@ def test_finf_digest_pinned(name):
 
 def test_finf_digest_table_covers_every_fixture():
     assert set(FINF_SHA256) == {f["name"] for f in TABLE} | {SPLIT_EQUAL_CURVE}
+
+
+def support(fix):
+    """The columns run_decay_fixture asks for: those its spans touch."""
+    return sorted({j for basis in fix["asserted"] for v in basis
+                   for j, x in enumerate(v) if x})
+
+
+def coefficients(series):
+    return [(k, c.shift, c.coeffs, c.rel_prec)
+            for k, c in sorted(series.coeffs.items())]
+
+
+@pytest.mark.parametrize("fix", TABLE, ids=[f["name"] for f in TABLE])
+def test_restricted_product_columns_equal_the_full_product(fix):
+    model, curve = built(fix)
+    cols = support(fix)
+    part = f_infinity(model, curve, n_max=2, columns=cols)
+    full = finf_of(fix["name"])
+    for part_row, full_row in zip(part.entries, full.entries, strict=True):
+        for j, (a, b) in enumerate(zip(part_row, full_row, strict=True)):
+            if j in cols:
+                assert coefficients(a) == coefficients(b)
+            else:
+                assert a is None
+
+
+@pytest.mark.parametrize("fix", TABLE, ids=[f["name"] for f in TABLE])
+def test_a_column_not_computed_is_refused(fix):
+    """A product of one column reads that column and refuses every vector
+    that touches another one; it never reads a missing column as 0."""
+    model, curve = built(fix)
+    first, rank = support(fix)[0], model.rank
+    part = f_infinity(model, curve, n_max=2, columns=[first])
+    held = [int(i == first) for i in range(rank)]
+    assert column_valuation_profile(part, held).minvals
+    with pytest.raises(InvalidParameter):
+        part.apply_int_vector([1] * rank)
+    for j in range(rank):
+        if j != first:
+            with pytest.raises(InvalidParameter):
+                column_valuation_profile(part, [int(i == j)
+                                                for i in range(rank)])

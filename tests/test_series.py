@@ -3,8 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from froblat.crystals import (HILBERT_SPLIT, CrystalModel, FormalCurve,
+                              build_model, f_infinity)
 from froblat.errors import InvalidParameter, NonConvergent
 from froblat.padics import INF, PAdicParams, PAdicScalar
+from froblat.regression import decay_fixture_table
 from froblat.series import (DecayProfile, MatSeries, TruncSeries, _fused,
                             _terms, column_valuation_profile,
                             truncated_product)
@@ -299,3 +302,66 @@ def test_fused_kernel_matches_chained_oracle(p, d):
             visible = [x.shift for x in (c, w) if not x.is_precision_zero()]
             shift = min(visible + [bound])
             assert digits(c, shift, bound) == digits(w, shift, bound)
+
+
+# -- the right-to-left product against the left-to-right one ---------------
+
+def left_to_right(F):
+    """prod = prod (I + sigma_t^i F) for i = 0 .. K: the order F_inf was
+    formed in before, carrying the full n x n product at every step."""
+    v, p = F.min_vt(), F.params.p
+    K = 0
+    while v * p ** (K + 1) <= F.nt:
+        K += 1
+    prod = MatSeries.identity(F.params, F.nt, F.rows)
+    factor = F
+    for i in range(K + 1):
+        prod = prod.mul_add(factor, prod)
+        if i < K:
+            factor = factor.frobenius_twist()
+    return prod
+
+
+def _fixture_model(fix):
+    def make():
+        params = PAdicParams(fix["p"], fix["d"], fix["precision"])
+        c_res, curve = fix["make"](params.residue_field, params.eps_int,
+                                   fix["nt"])
+        return CrystalModel(fix["case"], params, c_residue=c_res), curve
+    return make
+
+
+# every decay fixture, and the split x = y = t curve of the decay indices
+ORDER_CASES = {fix["name"]: _fixture_model(fix)
+               for fix in decay_fixture_table(5)}
+ORDER_CASES["split-equal-indices"] = lambda: (
+    build_model(HILBERT_SPLIT, 5, 2, 10),
+    FormalCurve(x={1: 1}, y={1: 1}, nt=63))
+
+
+@pytest.mark.parametrize("name", sorted(ORDER_CASES))
+def test_right_to_left_product_loses_no_digit(name):
+    """Same exponents in every entry; every coefficient agrees with the
+    left-to-right product modulo that product's known bound, and is known
+    to at least that bound; no more coefficients are masked."""
+    model, curve = ORDER_CASES[name]()
+    new = f_infinity(model, curve, n_max=2)
+    old = left_to_right(model.perturbation_matrix(curve))
+    masked = {"new": 0, "old": 0}
+    for new_row, old_row in zip(new.entries, old.entries, strict=True):
+        for a, b in zip(new_row, old_row, strict=True):
+            assert a.coeffs.keys() == b.coeffs.keys()
+            for k, c in a.coeffs.items():
+                w = b.coeffs[k]
+                bound = w.known_bound()
+                assert c.known_bound() >= bound
+                if bound == INF:
+                    assert (c.shift, c.coeffs) == (w.shift, w.coeffs)
+                    continue
+                visible = [x.shift for x in (c, w)
+                           if not x.is_precision_zero()]
+                shift = min(visible + [bound])
+                assert digits(c, shift, bound) == digits(w, shift, bound)
+                masked["new"] += c.is_precision_zero()
+                masked["old"] += w.is_precision_zero()
+    assert masked["new"] <= masked["old"]
