@@ -12,8 +12,8 @@ sit far below their Eisenstein means on this sparse m-set.
 
 from fractions import Fraction
 
-from froblat import (BudgetInput, IntLattice, alpha_const, derive_chain,
-                     eisenstein_budget, representation_counts, run_budget)
+from froblat import (IntLattice, alpha_const, derive_chain,
+                     eisenstein_budget, run_budget)
 
 HEAD = [[2, 0, -1, -1], [0, 2, -1, 0], [-1, -1, 6, -2], [-1, 0, -2, 18]]
 LH = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 2, 1], [0, 0, 1, -6]]
@@ -24,20 +24,17 @@ print("geometric-chain aggregate =",
       eisenstein_budget("superspecial", 2, 5, "geometric"),
       "= alpha(5) * A/(p-1)")
 
-chain, basis = derive_chain(IntLattice(HEAD), 5, depth=3)
+chain, _ = derive_chain(IntLattice(HEAD), 5, depth=3)
 print("\nchain determinants:",
       [IntLattice(g1).det() for g1, _ in chain])
 
-deep = IntLattice(chain[-1][1])
-deep_counts = representation_counts(deep, 500)
-exclude = [m for m in range(1, 501) if deep_counts[m] > 0]
-print("values represented by the deepest member (excluded):", exclude)
-
-inp = BudgetInput(p=5, A=2, case="superspecial", global_gram=LH,
-                  chain=chain, t_kind="hilbert",
-                  t_params={"N": 0, "C": 1, "disc_F": 13},
-                  M=500, exclude=exclude)
-report = run_budget(inp)
+# the pipeline derives the same chain and excludes the T-set values that
+# the deepest member L_{3,2} represents
+report = run_budget(p=5, A=2, case="superspecial", global_gram=LH,
+                    chain_head=HEAD, depth=3, M=500, t_kind="hilbert",
+                    t_params={"N": 0, "C": 1, "disc_F": 13},
+                    exclude_deep=True)
+print("T-set values L_{3,2} represents (excluded):", report.excluded)
 print(f"\nadmissible m up to 500: {len(report.T)}")
 print(f"cumulative local bound: {float(report.local_sum):.1f}")
 print(f"cumulative global term: {report.global_sum}")

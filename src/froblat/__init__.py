@@ -15,7 +15,7 @@ from .eisenstein import (EisResult, dirichlet_L2, q_L_hilbert, q_L_siegel,
 from .enumeration import (build_T_set, cusp_deviation, prime_rep_count,
                           representation_counts, short_vectors,
                           square_rep_count)
-from .budget import (BudgetInput, BudgetReport, alpha_const, alpha_variants,
-                     derive_chain, eisenstein_budget, global_g, run_budget)
+from .budget import (BudgetReport, alpha_const, alpha_variants, derive_chain,
+                     eisenstein_budget, global_g, run_budget)
 
 __version__ = "0.1.0"

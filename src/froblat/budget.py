@@ -20,7 +20,7 @@ report checks the budget empirically.
 import itertools
 import math
 from collections import ChainMap
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -269,19 +269,6 @@ def _isotropic_vector(lattice, p, q):
 
 
 @dataclass
-class BudgetInput:
-    p: int
-    A: int
-    case: str                      # 'superspecial' or 'supergeneric'
-    global_gram: list              # Gram of L: rank 4 Hilbert, 5 Siegel
-    chain: list                    # [(gram1, gram2-or-None), ...] per n
-    t_kind: str = "square"
-    t_params: dict = field(default_factory=dict)  # det2: from global_gram
-    M: int = 500
-    exclude: list = field(default_factory=list)   # S_M
-
-
-@dataclass
 class BudgetReport:
     T: list
     excluded: list
@@ -291,35 +278,50 @@ class BudgetReport:
     ratio: Fraction                # local_sum / global_sum
 
 
-def run_budget(inp):
-    """Full pipeline: T-set, chain counts, local bounds, global sums."""
-    if inp.A < 1:
+def run_budget(*, p, A, case, global_gram, chain_head, depth, M, t_kind,
+               t_params, exclude_deep=False):
+    """Full pipeline: chain, T-set, chain counts, S_M, local and global sums.
+
+    The chain is ``derive_chain`` of the chain head's Gram to depth.  With
+    exclude_deep, S_M is the m of the T-set that the deepest member
+    L_{depth,2} represents; each member is enumerated at most once.
+    """
+    if A < 1:
         raise InvalidParameter("A must be >= 1")
-    glob = IntLattice(inp.global_gram, "global")
+    glob = IntLattice(global_gram, "global")
     qfun = {4: q_L_hilbert, 5: q_L_siegel}.get(glob.rank)
     if qfun is None:
         raise InvalidParameter(f"global lattice of rank {glob.rank}: q_L "
                                f"needs rank 4 (Hilbert) or 5 (Siegel)")
+    chain, _ = derive_chain(IntLattice(chain_head, "chain head"), p, depth)
+    deep = chain[-1][1]
     # det2 = 2 det(L); the ChainMap keeps t_params' own missing-key error
-    t_params = ChainMap({"det2": 2 * glob.det()}, inp.t_params)
-    t_set = build_T_set(inp.t_kind, inp.p, t_params, inp.M)
-    excluded = sorted(set(inp.exclude) & set(t_set))
-    kept = [m for m in t_set if m not in set(excluded)]
+    t_params = ChainMap({"det2": 2 * glob.det()}, t_params)
+    t_set = build_T_set(t_kind, p, t_params, M)
+    local = [0] * (M + 1)  # numerators over 2p
+    deep_counts = None
+    for _, w, g in _weighted(case, A, p, chain):
+        counts = representation_counts(IntLattice(g), M)
+        if g is deep:
+            deep_counts = counts
+        for m, r in enumerate(counts):
+            local[m] += w * r
+    excluded = []
+    if exclude_deep:
+        if deep_counts is None:    # L_{depth,2} carries no weight
+            deep_counts = representation_counts(IntLattice(deep), M)
+        excluded = [m for m in t_set if deep_counts[m]]
+    kept = [m for m in t_set if m not in excluded]
     if not kept:
         raise InvalidParameter(f"no m is kept: the T-set has {len(t_set)} "
                                f"members, {len(excluded)} of them excluded")
-    local = [0] * (inp.M + 1)  # numerators over 2p
-    for _, w, g in _weighted(inp.case, inp.A, inp.p, inp.chain):
-        counts = representation_counts(IntLattice(g), inp.M)
-        for m, r in enumerate(counts):
-            local[m] += w * r
-    per_m = [{"m": m, "local": Fraction(local[m], 2 * inp.p),
-              "g": global_g(inp.A, inp.p, qfun(glob, m))} for m in kept]
+    per_m = [{"m": m, "local": Fraction(local[m], 2 * p),
+              "g": global_g(A, p, qfun(glob, m))} for m in kept]
     global_sum = sum((rec["g"] for rec in per_m), Fraction(0))
     if global_sum == 0:
         raise InvalidParameter("the global coefficients vanish on every "
                                "kept m")
-    local_sum = Fraction(sum(local[m] for m in kept), 2 * inp.p)
+    local_sum = Fraction(sum(local[m] for m in kept), 2 * p)
     return BudgetReport(T=t_set, excluded=excluded, per_m=per_m,
                         local_sum=local_sum, global_sum=global_sum,
                         ratio=local_sum / global_sum)

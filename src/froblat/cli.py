@@ -16,8 +16,8 @@ import sys
 from fractions import Fraction
 
 from . import errors
-from .budget import (ALPHA_FROM, BudgetInput, alpha_variants, derive_chain,
-                     eisenstein_budget, run_budget)
+from .budget import (ALPHA_FROM, alpha_variants, eisenstein_budget,
+                     run_budget)
 from .crystals import (LOCAL_DENSITIES, CrystalModel, FormalCurve,
                        f_infinity, find_decaying_submodule, local_gram)
 from .eisenstein import q_L_hilbert, q_L_siegel, q_positive_definite
@@ -170,7 +170,7 @@ def _emit(out, fields):
 
 def cmd_density(args, out):
     lat = IntLattice(read_gram(args.gram), args.gram)
-    for m in [args.m] if args.m is not None else _m_range(args.m_range):
+    for m in _m_range(args.m_range):
         delta = local_density(args.ell, lat, m)
         fields = [("m", m), ("ell", args.ell), ("delta", _frac(delta))]
         if args.hanke:
@@ -208,11 +208,11 @@ def cmd_theta(args, out):
     lat = IntLattice(read_gram(args.lattice), args.lattice)
     counts = representation_counts(lat, args.max)
     if args.squares is not None:
-        total = square_rep_count(lat, args.squares, args.max, counts)
+        total = square_rep_count(counts, args.squares)
         _emit(out, [("kind", "squares"), ("D", args.squares),
                     ("count", total)])
     elif args.primes:
-        total = prime_rep_count(lat, args.max, counts)
+        total = prime_rep_count(counts)
         _emit(out, [("kind", "primes"), ("count", total)])
     else:
         for m, r in enumerate(counts):
@@ -253,9 +253,8 @@ def cmd_budget(args, out):
     p = kv.integer("p")
     if not isprime(p):
         raise kv.error("p", "is not a prime")
-    A = kv.integer("A")
-    case = kv["case"]
-    glob, head = (IntLattice(read_gram(kv[key]), kv[key])
+    # read here so that a malformed Gram names its file
+    glob, head = (IntLattice(read_gram(kv[key]), kv[key]).gram
                   for key in ("global_gram", "chain_head"))
     depth = kv.integer("depth", 3)
     if depth < 0:
@@ -263,22 +262,16 @@ def cmd_budget(args, out):
     M = kv.integer("M", 500)
     if M < 1:
         raise kv.error("M", "is not positive")
-    chain, _ = derive_chain(head, p, depth)
     t_params = KeyVals(kv.path)    # so a missing T-set key names the file
     for key in ("N", "C", "D", "disc_F"):
         if key in kv:
             t_params[key] = kv.integer(key)
-    exclude = []
     if kv.get("exclude", "deep") != "deep":
         raise kv.error("exclude", "is not 'deep'")
-    if "exclude" in kv:
-        deep = IntLattice(chain[-1][1])
-        counts = representation_counts(deep, M)
-        exclude = [m for m in range(1, M + 1) if counts[m] > 0]
-    inp = BudgetInput(p=p, A=A, case=case, global_gram=glob.gram,
-                      chain=chain, t_kind=kv.get("t_kind", "square"),
-                      t_params=t_params, M=M, exclude=exclude)
-    rep = run_budget(inp)
+    rep = run_budget(p=p, A=kv.integer("A"), case=kv["case"],
+                     global_gram=glob, chain_head=head, depth=depth, M=M,
+                     t_kind=kv.get("t_kind", "square"), t_params=t_params,
+                     exclude_deep="exclude" in kv)
     for rec in rep.per_m:
         g = _frac(rec["g"])
         _emit(out, [("m", rec["m"]), ("local", _frac(rec["local"])),
@@ -394,7 +387,6 @@ def build_parser():
     d = sub.add_parser("density", help="local representation densities")
     d.add_argument("--gram", required=True)
     d.add_argument("--ell", type=int, required=True)
-    d.add_argument("--m", type=int)
     d.add_argument("--m-range", default="1..20")
     d.add_argument("--hanke", action="store_true")
     d.set_defaults(func=cmd_density)
@@ -407,9 +399,10 @@ def build_parser():
     t = sub.add_parser("theta", help="representation counts")
     t.add_argument("--lattice", required=True)
     t.add_argument("--max", type=int, required=True)
-    t.add_argument("--squares", type=int, default=None,
-                   help="sum r(D l^2) over primes l")
-    t.add_argument("--primes", action="store_true")
+    kind = t.add_mutually_exclusive_group()
+    kind.add_argument("--squares", type=int, default=None,
+                      help="sum r(D l^2) over primes l")
+    kind.add_argument("--primes", action="store_true")
     t.set_defaults(func=cmd_theta)
 
     dc = sub.add_parser("decay", help="decay tables for a formal curve")

@@ -395,14 +395,17 @@ def find_decaying_submodule(model, finf, A, n_max=2, candidates=None):
     ``a_frob`` (superspecial or split) additionally requires a
     very-rapidly-decaying witness inside the span (a = [A/2]).  Returns
     (basis, witness_or_None).  Raises NotFound with the last falsifying
-    vector, or Indeterminate naming the masked coefficient (n, k, row,
-    bound) when precision blocked the only remaining candidates.
+    vector (None if no span had one) and the number of certified spans
+    without a witness, or Indeterminate naming the masked coefficient
+    (n, k, row, bound) when precision blocked the only remaining
+    candidates.
     """
     p = model.params.p
     if candidates is None:
         candidates = _default_candidates(model.rank, p)
     last_falsifier = None
     blocked = None
+    no_witness = 0
     for basis in candidates:
         verdict, detail = _span_certificate(finf, basis, A, n_max)
         if verdict is False:
@@ -423,7 +426,7 @@ def find_decaying_submodule(model, finf, A, n_max=2, candidates=None):
                 except Indeterminate:
                     continue
             if witness is None:
-                last_falsifier = list(basis[0])
+                no_witness += 1
                 continue
         return [list(v) for v in basis], witness
     if blocked is not None:
@@ -432,8 +435,9 @@ def find_decaying_submodule(model, finf, A, n_max=2, candidates=None):
             f"decay search blocked by precision: coefficient n = {n}, "
             f"k = {k}, row = {row} is known only to bound = {bound}",
             n=n, k=k, row=row, bound=bound)
-    raise NotFound("no decaying rank-3 submodule certified",
-                   falsifier=last_falsifier)
+    raise NotFound("no decaying rank-3 submodule certified" + (
+        f" with a very-rapid witness: {no_witness} certified span(s) had "
+        f"none" if no_witness else ""), falsifier=last_falsifier)
 
 
 def _witness_order(p, k):

@@ -213,24 +213,18 @@ def _convolve_counts(a, b):
     return out
 
 
-def square_rep_count(lattice, D, bound, counts=None):
-    """sum of r(D l^2) over primes l with D l^2 <= bound."""
+def square_rep_count(counts, D):
+    """sum of r(D l^2) over primes l, for the counts r(0 .. bound)."""
     if D < 1:
         raise InvalidParameter("D must be positive")
-    if counts is None:
-        counts = representation_counts(lattice, bound)
-    total = 0
-    for ell in primerange(2, math.isqrt(bound // D) + 1):
-        m = D * ell * ell
-        if m <= bound:
-            total += counts[m]
-    return total
+    bound = len(counts) - 1
+    return sum(counts[D * ell * ell]
+               for ell in primerange(2, math.isqrt(bound // D) + 1))
 
 
-def prime_rep_count(lattice, bound, counts=None):
-    if counts is None:
-        counts = representation_counts(lattice, bound)
-    return sum(counts[ell] for ell in primerange(2, bound + 1))
+def prime_rep_count(counts):
+    """sum of r(l) over primes l, for the counts r(0 .. bound)."""
+    return sum(counts[ell] for ell in primerange(2, len(counts)))
 
 
 def build_T_set(kind, p, params, M):

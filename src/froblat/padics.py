@@ -5,9 +5,10 @@ polynomial of degree < d in a fixed generator g, with integer
 coefficients.  The modulus is a fixed monic lift of an irreducible
 polynomial over F_p, chosen deterministically per (p, d).  Every value
 carries the number of p-adic digits of u that are guaranteed; values
-built from integers or rationals with p-unit denominator times a p-power
-carry None there (exact) and are kept unreduced, so that genuine
-cancellations produce an exact zero instead of a precision artifact.
+built from integers or rationals whose denominator is +-1 times a
+p-power carry None there (exact) and are kept unreduced, so that genuine
+cancellations produce an exact zero instead of a precision artifact.  A
+rational with any other denominator, such as 1/2, carries M digits.
 
 The Frobenius sigma is the unique lift of x -> x^p; sigma(g) and lambda
 (lambda^2 = eps) are roots of integer polynomials, Newton-lifted from

@@ -12,8 +12,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from froblat.budget import (BudgetInput, alpha_const, derive_chain,
-                            eisenstein_budget, run_budget)
+from froblat.budget import alpha_const, eisenstein_budget, run_budget
 from froblat.crystals import LOCAL_DENSITIES, SIEGEL_SG, local_gram
 from froblat.eisenstein import dirichlet_L2, q_L_siegel, q_positive_definite
 from froblat.enumeration import (build_T_set, cusp_deviation,
@@ -207,15 +206,10 @@ def test_criterion_9_budget_pipeline():
     head = [[2, 0, -1, -1], [0, 2, -1, 0], [-1, -1, 6, -2],
             [-1, 0, -2, 18]]
     lh = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 2, 1], [0, 0, 1, -6]]
-    chain, _ = derive_chain(IntLattice(head), 5, 3)
-    deep = IntLattice(chain[-1][1])
-    deep_counts = representation_counts(deep, 500)
-    exclude = [m for m in range(1, 501) if deep_counts[m] > 0]
-    inp = BudgetInput(p=5, A=2, case="superspecial", global_gram=lh,
-                      chain=chain, t_kind="hilbert",
-                      t_params={"N": 0, "C": 1, "disc_F": 13},
-                      M=500, exclude=exclude)
-    rep = run_budget(inp)
+    rep = run_budget(p=5, A=2, case="superspecial", global_gram=lh,
+                     chain_head=head, depth=3, M=500, t_kind="hilbert",
+                     t_params={"N": 0, "C": 1, "disc_F": 13},
+                     exclude_deep=True)
     assert len(rep.T) > 100
     assert rep.global_sum == 282196
     assert rep.ratio <= Fraction(11, 12)

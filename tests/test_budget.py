@@ -1,12 +1,14 @@
+import io
 import math
+import os
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
 
-from froblat import budget
-from froblat.budget import (BudgetInput, _complete_to_basis, alpha_const,
+from froblat import budget, cli
+from froblat.budget import (_complete_to_basis, alpha_const,
                             alpha_variants, check_chain_nested, derive_chain,
                             eisenstein_budget, global_g, run_budget)
 from froblat.crystals import HILBERT_INERT_SSP, local_gram
@@ -204,47 +206,60 @@ def test_chain_head_completions():
     assert head.det() == 325 and head.is_positive_definite()
 
 
+HILBERT = {"t_kind": "hilbert", "t_params": {"N": 0, "C": 1, "disc_F": 13}}
+SQUARE_D5 = {"t_kind": "square", "t_params": {"D": 5}}
+
+
+def budget_of(**facts):
+    """run_budget on HEAD and LH at p = 5, A = 2; facts override the
+    superspecial case, depth 2, M = 120 and the hilbert T-set."""
+    return run_budget(**dict(p=5, A=2, case="superspecial", global_gram=LH,
+                             chain_head=HEAD, depth=2, M=120, **HILBERT)
+                      | facts)
+
+
 def test_run_budget_small():
-    chain, _ = derive_chain(IntLattice(HEAD), 5, 2)
-    inp = BudgetInput(p=5, A=2, case="superspecial", global_gram=LH,
-                      chain=chain, t_kind="hilbert",
-                      t_params={"N": 0, "C": 1, "disc_F": 13},
-                      M=120)
-    rep = run_budget(inp)
+    rep = budget_of()
     assert rep.T
     assert rep.ratio == rep.local_sum / rep.global_sum
     assert rep.ratio <= Fraction(11, 12)
-    # excluding m only removes local mass
-    sm = [rep.per_m[0]["m"]]
-    inp2 = BudgetInput(p=5, A=2, case="superspecial", global_gram=LH,
-                       chain=chain, t_kind="hilbert",
-                       t_params={"N": 0, "C": 1, "disc_F": 13},
-                       M=120, exclude=sm)
-    rep2 = run_budget(inp2)
-    assert rep2.excluded == sm
-    assert rep2.local_sum <= rep.local_sum
+
+
+def test_run_budget_excludes_what_the_deepest_member_represents():
+    """At depth 0 on T = {5 q^2}, L_{0,2} represents every m of T, so
+    exclude_deep leaves nothing to compare."""
+    rep = budget_of(depth=0, M=300, **SQUARE_D5)
+    assert rep.T == [20, 45, 245] and rep.excluded == []
+    chain, _ = derive_chain(IntLattice(HEAD), 5, 0)
+    deep = representation_counts(IntLattice(chain[0][1]), 300)
+    assert all(deep[m] for m in rep.T)
+    for case in ("superspecial", "supergeneric"):
+        with pytest.raises(InvalidParameter, match="no m is kept: the T-set "
+                           "has 3 members, 3 of them excluded"):
+            budget_of(case=case, depth=0, M=300, exclude_deep=True,
+                      **SQUARE_D5)
 
 
 def test_run_budget_supergeneric_is_pinned():
-    chain, _ = derive_chain(IntLattice(HEAD), 5, 2)
-    inp = BudgetInput(p=5, A=2, case="supergeneric", global_gram=LH,
-                      chain=chain, t_kind="hilbert",
-                      t_params={"N": 0, "C": 1, "disc_F": 13},
-                      M=120)
-    rep = run_budget(inp)
+    rep = budget_of(case="supergeneric")
     assert (rep.local_sum, rep.global_sum, len(rep.T)) == (11280, 15314, 49)
 
 
-@pytest.mark.parametrize("case, weighted", [("supergeneric", 1),
-                                            ("superspecial", 2)])
-def test_run_budget_local_is_local_bound(case, weighted):
+@pytest.mark.parametrize("case, weighted, facts", [
+    pytest.param("supergeneric", 1, HILBERT, id="supergeneric-1"),
+    pytest.param("superspecial", 2, HILBERT, id="superspecial-2"),
+    # T = [20, 45, 245]: L_{0,2} and L_{1,1} reach it, so the deep weights
+    # count here, where on the hilbert T-set only L_{0,1} does
+    pytest.param("supergeneric", 1, dict(SQUARE_D5, M=300),
+                 id="supergeneric-1-square-D5"),
+    pytest.param("superspecial", 2, dict(SQUARE_D5, M=300),
+                 id="superspecial-2-square-D5"),
+])
+def test_run_budget_local_is_local_bound(case, weighted, facts):
+    rep = budget_of(case=case, **facts)
+    M = facts.get("M", 120)
     chain, _ = derive_chain(IntLattice(HEAD), 5, 2)
-    inp = BudgetInput(p=5, A=2, case=case, global_gram=LH,
-                      chain=chain, t_kind="hilbert",
-                      t_params={"N": 0, "C": 1, "disc_F": 13},
-                      M=120)
-    rep = run_budget(inp)
-    r_tables = [tuple(representation_counts(IntLattice(g), 120)
+    r_tables = [tuple(representation_counts(IntLattice(g), M)
                       for g in entry[:weighted]) for entry in chain]
     assert rep.per_m
     for rec in rep.per_m:
@@ -252,12 +267,17 @@ def test_run_budget_local_is_local_bound(case, weighted):
     assert rep.local_sum == sum(rec["local"] for rec in rep.per_m)
 
 
-@pytest.mark.parametrize("case, calls", [("supergeneric", 3),
-                                         ("superspecial", 6)])
+@pytest.mark.parametrize("case, exclude_deep, calls", [
+    pytest.param("supergeneric", False, 3, id="supergeneric-3"),
+    pytest.param("superspecial", False, 6, id="superspecial-6"),
+    pytest.param("supergeneric", True, 4, id="supergeneric-deep-4"),
+    pytest.param("superspecial", True, 6, id="superspecial-deep-6"),
+])
 def test_run_budget_enumerates_only_weighted_members(monkeypatch, case,
-                                                     calls):
+                                                     exclude_deep, calls):
     # a supergeneric chain weighs one member per level, so its second
-    # member is never enumerated
+    # member is enumerated only as the deepest one, for S_M; a
+    # superspecial chain reuses L_{2,2}'s weighted counts for S_M
     seen = []
 
     def counting(lattice, bound):
@@ -265,24 +285,36 @@ def test_run_budget_enumerates_only_weighted_members(monkeypatch, case,
         return representation_counts(lattice, bound)
 
     monkeypatch.setattr(budget, "representation_counts", counting)
-    chain, _ = derive_chain(IntLattice(HEAD), 5, 2)
-    inp = BudgetInput(p=5, A=2, case=case, global_gram=LH,
-                      chain=chain, t_kind="hilbert",
-                      t_params={"N": 0, "C": 1, "disc_F": 13},
-                      M=120)
-    run_budget(inp)
+    budget_of(case=case, exclude_deep=exclude_deep)
     assert len(seen) == calls
+    chain, _ = derive_chain(IntLattice(HEAD), 5, 2)
     if case == "supergeneric":
-        assert seen == [IntLattice(g1).det() for g1, _ in chain]
+        assert seen == [IntLattice(g).det() for g, _ in chain] \
+            + [IntLattice(chain[-1][1]).det()] * exclude_deep
+
+
+def test_budget_command_enumerates_each_weighted_member_once(monkeypatch):
+    """fixtures/budget_p5.cfg weighs 8 members to depth 3 and excludes
+    by L_{3,2}, one of them: 8 enumerations."""
+    dets = []
+
+    def counting(lattice, bound):
+        dets.append(lattice.det())
+        return representation_counts(lattice, bound)
+
+    for module in (budget, cli):
+        monkeypatch.setattr(module, "representation_counts", counting)
+    root = os.path.join(os.path.dirname(__file__), "..")
+    monkeypatch.chdir(root)
+    out = io.StringIO()
+    assert cli.dispatch(["budget", "--config", "fixtures/budget_p5.cfg"],
+                        out=out) == 0
+    assert len(dets) == len(set(dets)) == 8
 
 
 def test_run_budget_square_t_set_and_empty_t_set():
-    chain, _ = derive_chain(IntLattice(HEAD), 5, 1)
-    inp = BudgetInput(p=5, A=2, case="superspecial", global_gram=LH,
-                      chain=chain, t_kind="square",
-                      t_params={"D": 1}, M=50)
-    rep = run_budget(inp)
+    rep = budget_of(depth=1, M=50, t_kind="square", t_params={"D": 1})
     assert rep.T == [4, 9, 49]
-    inp.M = 3  # empty T-set: no global mass to compare against
+    # empty T-set: no global mass to compare against
     with pytest.raises(InvalidParameter):
-        run_budget(inp)
+        budget_of(depth=1, M=3, t_kind="square", t_params={"D": 1})

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from froblat import cli
+from froblat import cli, errors
 from froblat.cli import dispatch
 
 FIX = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -23,7 +23,7 @@ def fx(name):
 
 def test_density_golden():
     code, text = run(["density", "--gram", fx("siegel_ssp_p5.gram"),
-                      "--ell", "5", "--m", "5"])
+                      "--ell", "5", "--m-range", "5..5"])
     assert code == 0
     assert "delta=126/125" in text
 
@@ -40,7 +40,7 @@ def test_density_with_hanke():
 
 def test_density_past_the_table_cap_is_one_error_record():
     code, text = run(["density", "--gram", fx("z4.gram"), "--ell", "2",
-                      "--m", "512"])
+                      "--m-range", "512..512"])
     assert code == 1
     assert text.startswith("error=InvalidParameter detail=a residue table")
     assert len(text.splitlines()) == 1
@@ -82,6 +82,16 @@ def test_theta_counts():
     assert "kind=squares" in text
 
 
+def test_density_m_alone_is_read_as_m_range():
+    """--m is gone; argparse reads the prefix --m 5 as --m-range 5, which
+    is one error record, not a run at m = 5."""
+    code, text = run(["density", "--gram", fx("siegel_ssp_p5.gram"),
+                      "--ell", "5", "--m", "5"])
+    assert code == 1
+    assert text == ("error=InvalidParameter detail=--m-range '5' is not a "
+                    "non-empty range lo..hi\n")
+
+
 def test_theta_primes_sums_the_prime_counts():
     code, text = run(["theta", "--lattice", fx("z4.gram"), "--max", "30",
                       "--primes"])
@@ -97,7 +107,9 @@ def test_theta_primes_sums_the_prime_counts():
      "argument --nmax: invalid int value: 'x'"),
     (["theta", "--lattice", fx("z4.gram")],
      "the following arguments are required: --max"),
-], ids=["nmax-x", "theta-without-max"])
+    (["theta", "--lattice", fx("z5.gram"), "--max", "10", "--squares", "1",
+      "--primes"], "argument --primes: not allowed with argument --squares"),
+], ids=["nmax-x", "theta-without-max", "theta-squares-and-primes"])
 def test_usage_error_is_one_error_record(argv, detail):
     code, text = run(argv)
     assert code == 1
@@ -135,14 +147,14 @@ def test_eisenstein_records():
 
 def test_missing_file_exits_one():
     code, text = run(["density", "--gram", "no_such_file.gram",
-                      "--ell", "5", "--m", "1"])
+                      "--ell", "5", "--m-range", "1..1"])
     assert code == 1
     assert "error=" in text
 
 
 def test_non_prime_ell_exits_one():
     code, text = run(["density", "--gram", fx("z4.gram"), "--ell", "4",
-                      "--m", "5"])
+                      "--m-range", "5..5"])
     assert code == 1
     assert text == "error=InvalidParameter detail=ell = 4 is not a prime\n"
 
@@ -155,7 +167,8 @@ def _write(tmp_path, name, text):
 
 def test_non_integer_gram_entry_names_the_line(tmp_path):
     gram = _write(tmp_path, "bad.gram", "# header\n2 0\n0 x\n")
-    code, text = run(["density", "--gram", gram, "--ell", "5", "--m", "1"])
+    code, text = run(["density", "--gram", gram, "--ell", "5",
+                      "--m-range", "1..1"])
     assert code == 1
     assert text.startswith("error=InvalidParameter")
     assert f"{gram} line 3: non-integer Gram entry" in text
@@ -393,10 +406,42 @@ def test_selftest_budget_constants_count_their_failures(monkeypatch):
     assert text.endswith("selftest=full failures=3\n")
 
 
+def test_selftest_sweep_and_decay_failures_are_recorded(monkeypatch):
+    """A density wrong on the sweep's first instance and a decay fixture
+    with no certified span each fail their section and count once."""
+    hanke = cli.hanke_density
+    calls = []
+
+    def wrong_once(p, lat, m):
+        calls.append(m)
+        return hanke(p, lat, m) + (len(calls) == 1)
+
+    run_fixture = cli.run_decay_fixture
+
+    def not_found(fix, **kwargs):
+        if fix["name"] == "split-generic":
+            raise errors.NotFound("no decaying rank-3 submodule certified")
+        return run_fixture(fix, **kwargs)
+
+    monkeypatch.setattr(cli, "hanke_density", wrong_once)
+    monkeypatch.setattr(cli, "run_decay_fixture", not_found)
+    code, text = run(["selftest"])
+    assert code == 1
+    lines = text.splitlines()
+    hanke_failures = [ln for ln in lines if ln.startswith("check=hanke ")]
+    assert len(hanke_failures) == 1
+    assert hanke_failures[0].endswith(f" m={calls[0]} ok=0")
+    assert "check=hanke-sweep seed=0 instances=40 ok=0" in lines
+    assert ("check=decay name=split-generic ok=0 detail=no decaying rank-3 "
+            "submodule certified") in lines
+    assert sum(ln.startswith("check=decay ") for ln in lines) == 18
+    assert lines[-1] == "selftest=full failures=2"
+
+
 def test_fixture_root_env(monkeypatch, tmp_path):
     monkeypatch.setenv("FROBLAT_FIXTURES", os.path.abspath(FIX))
     code, text = run(["density", "--gram", "z4.gram", "--ell", "3",
-                      "--m", "1"])
+                      "--m-range", "1..1"])
     assert code == 0
 
 

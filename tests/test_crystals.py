@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from froblat import cli
+from froblat import cli, crystals
 from froblat.crystals import (HILBERT_INERT_SG, HILBERT_INERT_SSP,
                               HILBERT_SPLIT, SIEGEL_SG, SIEGEL_SSP,
                               CrystalModel, FormalCurve, _combine,
@@ -247,6 +247,49 @@ def test_search_without_a_decaying_candidate_names_the_falsifier(
             ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))])
     assert exc.value.falsifier == [0, 0, 0, 1]
     assert not check_DR(finf, exc.value.falsifier, 2, 2)
+
+
+SPLIT_SPAN = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
+
+
+def test_span_without_a_witness_blames_no_decaying_vector(
+        monkeypatch, split_model, split_xy):
+    """A certified span with no very-rapid witness has no falsifier: the
+    error keeps the last real one and counts the spans left witnessless."""
+    finf = split_xy[1]
+    monkeypatch.setattr(crystals, "check_DvR", lambda *args: False)
+    with pytest.raises(NotFound, match="1 certified span") as exc:
+        find_decaying_submodule(split_model, finf, 2, n_max=2,
+                                candidates=[SPLIT_SPAN])
+    assert exc.value.falsifier is None
+    falsified = ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    with pytest.raises(NotFound, match="1 certified span") as exc:
+        find_decaying_submodule(split_model, finf, 2, n_max=2,
+                                candidates=[falsified, SPLIT_SPAN])
+    assert exc.value.falsifier == [0, 0, 0, 1]
+    assert not check_DR(finf, exc.value.falsifier, 2, 2)
+
+
+@pytest.mark.parametrize("refusal", ["false", "indeterminate"])
+def test_witness_search_goes_on_to_mod_p_combinations(
+        monkeypatch, split_model, split_xy, refusal):
+    """With every single basis vector refused, by a False verdict or by
+    Indeterminate, the first mod-p combination e_2 + e_3 is the witness."""
+    finf = split_xy[1]
+
+    def refusing(finf, w, A, a_dvr, n_max):
+        if tuple(w) in SPLIT_SPAN:
+            if refusal == "false":
+                return False
+            raise Indeterminate("refused", n=0)
+        return check_DvR(finf, w, A, a_dvr, n_max)
+
+    monkeypatch.setattr(crystals, "check_DvR", refusing)
+    basis, witness = find_decaying_submodule(split_model, finf, 2, n_max=2,
+                                             candidates=[SPLIT_SPAN])
+    assert basis == [list(v) for v in SPLIT_SPAN]
+    assert witness == [0, 1, 1, 0]
+    assert check_DvR(finf, witness, 2, 1, 2)
 
 
 def test_search_past_the_truncation_is_refused(split_model, split_xy):

@@ -111,13 +111,13 @@ def test_sublattice_monotone():
 
 def test_square_and_prime_counts():
     counts = representation_counts(Z5, 10)
-    assert square_rep_count(Z5, 1, 10, counts) == counts[4] + counts[9]
-    assert prime_rep_count(Z5, 10, counts) == sum(
+    assert square_rep_count(counts, 1) == counts[4] + counts[9]
+    assert prime_rep_count(counts) == sum(
         counts[q] for q in (2, 3, 5, 7))
     scaled = IntLattice([[50, 0], [0, 50]])  # 25 * (x^2 + y^2)
     base = IntLattice([[2, 0], [0, 2]])
     for D in (1, 2):
-        s1 = square_rep_count(scaled, D, 500)
+        s1 = square_rep_count(representation_counts(scaled, 500), D)
         # counts of D l^2 <= 500 with 25 | D l^2 match base at D l^2/25
         total = 0
         cb = representation_counts(base, 20)

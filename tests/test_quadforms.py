@@ -359,7 +359,8 @@ def test_i8_densities_do_not_wrap(m):
 def test_residue_table_past_the_cap_is_refused_before_building():
     import tracemalloc
     # criterion 2's generator asks for at most 13^5 entries (m = 169),
-    # and `froblat density --ell 2 --m 256` for 2^19; m = 512 needs 2^21
+    # and `froblat density --ell 2 --m-range 256..256` for 2^19; m = 512
+    # needs 2^21
     assert 13 ** 5 < 2 ** 19 <= TABLE_MAX < 2 ** 21
     lat = IntLattice([[2 * (i == j) for j in range(4)] for i in range(4)])
     lat.local(2)  # the Jordan split, before tracing
