@@ -371,7 +371,11 @@ def cmd_selftest(args, out):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors become InvalidParameter records; subparsers inherit."""
+    """Usage errors become InvalidParameter records and options are never
+    abbreviated; subparsers inherit both."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise errors.InvalidParameter(f"{self.prog}: {message}")

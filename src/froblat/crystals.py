@@ -285,7 +285,8 @@ def _decays_within(finf, w, thrs):
             if not sound:
                 k = min(j for j, b in profile.floors.items() if b <= -n - 1)
                 raise Indeterminate(
-                    f"precision masks the decay verdict at n = {n}", n=n, k=k)
+                    f"precision masks the decay verdict at n = {n}, k = {k}",
+                    n=n, k=k)
             return False
     return True
 
@@ -398,7 +399,7 @@ def find_decaying_submodule(model, finf, A, n_max=2, candidates=None):
     vector (None if no span had one) and the number of certified spans
     without a witness, or Indeterminate naming the masked coefficient
     (n, k, row, bound) when precision blocked the only remaining
-    candidates.
+    candidates: a span's certificate, or else the first witness check.
     """
     p = model.params.p
     if candidates is None:
@@ -412,7 +413,11 @@ def find_decaying_submodule(model, finf, A, n_max=2, candidates=None):
             last_falsifier = detail
             continue
         if verdict is None:
-            blocked = detail
+            n, k, row, bound = detail
+            blocked = Indeterminate(
+                f"decay search blocked by precision: coefficient n = {n}, "
+                f"k = {k}, row = {row} is known only to bound = {bound}",
+                n=n, k=k, row=row, bound=bound)
             continue
         witness = None
         if model.a_frob is None:
@@ -423,18 +428,14 @@ def find_decaying_submodule(model, finf, A, n_max=2, candidates=None):
                     if check_DvR(finf, w, A, a_dvr, n_max):
                         witness = w
                         break
-                except Indeterminate:
-                    continue
+                except Indeterminate as exc:
+                    blocked = blocked or exc
             if witness is None:
                 no_witness += 1
                 continue
         return [list(v) for v in basis], witness
     if blocked is not None:
-        n, k, row, bound = blocked
-        raise Indeterminate(
-            f"decay search blocked by precision: coefficient n = {n}, "
-            f"k = {k}, row = {row} is known only to bound = {bound}",
-            n=n, k=k, row=row, bound=bound)
+        raise blocked
     raise NotFound("no decaying rank-3 submodule certified" + (
         f" with a very-rapid witness: {no_witness} certified span(s) had "
         f"none" if no_witness else ""), falsifier=last_falsifier)

@@ -9,8 +9,6 @@ Cohen, GTM 138, section 2.4.  The Jordan splitting and the kernel vector
 work modulo p^E and pivot on an entry of least p-adic valuation.
 """
 
-from itertools import chain
-
 from .errors import InvalidParameter
 from .padics import _valuation
 
@@ -102,22 +100,6 @@ def hnf_basis(gens):
     return basis
 
 
-def _least_valuation(entries, p):
-    """(v, key) for the first nonzero value of least p-valuation, or None.
-
-    ``entries`` yields (value, key) pairs; a tie goes to the earlier pair.
-    """
-    best = None
-    for x, key in entries:
-        if x:
-            v = _valuation(x, p)
-            if best is None or v < best[0]:
-                best = (v, key)
-                if v == 0:
-                    break
-    return best
-
-
 def jordan_split(gram, ell, d):
     """Jordan splitting over Z_l of the form Q(v) = v^T G v / 2.
 
@@ -126,13 +108,16 @@ def jordan_split(gram, ell, d):
     with K = v_l(d) + 1 at odd l and v_l(d) + 3 at l = 2, which fixes
     the Z_l-class (Cassels, Rational Quadratic Forms, ch. 8; Conway and
     Sloane, SPLAG, ch. 15).  Each step pivots on an entry of least
-    valuation, a diagonal one if it can.  At odd l an off-diagonal pivot
-    (i, j) is first moved onto the diagonal by v_i <- v_i + v_j.  With u
-    the pivot's unit part, each other row is cleared by row_r <- u row_r -
-    x row_i, and each column the same way, so every step is a change of
-    basis in GL_n(Z_l).  At l = 2 an off-diagonal pivot keeps its 2x2
-    block and clears row_r <- d row_r - x row_i - y row_j, with d the
-    unit part of the block's determinant and (x, y) from its adjugate.
+    valuation k, a diagonal one if it can, the earlier one on a tie: the
+    remaining block is kept over l^k, mod l^(K-k), so the pivot is its
+    first diagonal unit, else its first unit, and a block with no unit is
+    divided by l.  At odd l an off-diagonal pivot (i, j) is first moved
+    onto the diagonal by v_i <- v_i + v_j.  With u the pivot's unit part,
+    each other row is cleared by row_r <- u row_r - x row_i, and each
+    column the same way, so every step is a change of basis in GL_n(Z_l).
+    At l = 2 an off-diagonal pivot keeps its 2x2 block and clears row_r
+    <- d row_r - x row_i - y row_j, with d the unit part of the block's
+    determinant and (x, y) from its adjugate.
 
     Returns (diag, blocks) of integer Q-coefficients mod l^K: diag entries
     c for c x^2, and blocks (a, b, c) for a x^2 + b xy + c y^2.
@@ -140,42 +125,50 @@ def jordan_split(gram, ell, d):
     q = ell ** (_valuation(d, ell) + (3 if ell == 2 else 1))
     g = [[x % q for x in row] for row in gram]
     idx = list(range(len(g)))
+    s = 1  # g holds the remaining block over s = l^k, mod q = l^(K-k)
     diag, blocks = [], []
     while idx:
-        v, (i, j) = _least_valuation(chain(
-            ((g[i][i], (i, i)) for i in idx),
-            ((g[i][j], (i, j)) for i in idx for j in idx if i < j)), ell)
-        if i != j and ell != 2:
-            # g_ij has less valuation than g_ii and g_jj, so the new
-            # g_ii = g_ii + 2 g_ij + g_jj has valuation v
-            for col in idx:
-                g[i][col] = (g[i][col] + g[j][col]) % q
-            for r in idx:
-                g[r][i] = (g[r][i] + g[r][j]) % q
-            j = i
-        if i == j:
-            piv, s = (i,), ell ** v
-            u = g[i][i] // s
-            # the c with 2c = g_ii mod l^K (g_ii is even at l = 2)
-            diag.append((g[i][i] + q * (g[i][i] % 2)) // 2)
+        for i in idx:
+            if g[i][i] % ell:
+                j = i
+                break
         else:
-            piv, s = (i, j), ell ** (2 * v)
-            a, b, c = g[i][i], g[i][j], g[j][j]
-            u = (a * c - b * b) // s
-            blocks.append((a // 2, b, c // 2))
-        idx = [r for r in idx if r not in piv]
+            i, j = next(((i, j) for i in idx for j in idx
+                         if i < j and g[i][j] % ell), (None, None))
+            if i is None:
+                if q == ell:
+                    raise InvalidParameter(f"d = {d} is not the determinant")
+                q //= ell
+                s *= ell
+                for r in idx:
+                    g[r] = [x // ell for x in g[r]]
+                continue
+            if ell != 2:
+                # g_ij is a unit and g_ii, g_jj are not, so the new
+                # g_ii = g_ii + 2 g_ij + g_jj is a unit
+                g[i] = [(x + y) % q for x, y in zip(g[i], g[j])]
+                for r in idx:
+                    g[r][i] = (g[r][i] + g[r][j]) % q
+                j = i
+        idx.remove(i)
+        pi, pj = g[i], g[j]
+        if i == j:
+            u = pi[i]
+            # the c with 2c = s g_ii mod l^K (s g_ii is even at l = 2)
+            diag.append((s * u + s * q * (s * u % 2)) // 2)
+            for r in idx:
+                x = g[r][i]
+                g[r] = [u * (u * y - x * z) % q for y, z in zip(g[r], pi)]
+            continue
+        idx.remove(j)
+        a, b, c = pi[i], pi[j], pj[j]
+        u = a * c - b * b
+        blocks.append((s * a // 2, s * b, s * c // 2))
         for r in idx:
-            if i == j:
-                xs = (g[r][i] // s,)
-            else:
-                xs = ((g[r][i] * c - g[r][j] * b) // s,
-                      (g[r][j] * a - g[r][i] * b) // s)
             row = g[r]
-            for col in idx:
-                t = u * row[col]
-                for x, k in zip(xs, piv):
-                    t -= x * g[k][col]
-                row[col] = u * t % q
+            x, y = row[i] * c - row[j] * b, row[j] * a - row[i] * b
+            g[r] = [u * (u * t - x * z - y * w) % q
+                    for t, z, w in zip(row, pi, pj)]
     return diag, blocks
 
 
@@ -193,11 +186,11 @@ def primitive_kernel_vector(rows, k, p, E):
     rows = [r for r in ([x % q for x in row] for row in rows) if any(r)]
     V = [[int(i == j) for i in range(k)] for j in range(k)]   # columns
     for step in range(k):
-        best = _least_valuation(((r[j], (ri, j)) for ri, r in enumerate(rows)
-                                 for j in range(step, k)), p)
-        if best is None:
+        nonzero = [(_valuation(r[j], p), ri, j) for ri, r in enumerate(rows)
+                   for j in range(step, k) if r[j]]
+        if not nonzero:
             return V[step]
-        v, (ri, j) = best
+        v, ri, j = min(nonzero)    # a tie goes to the earlier entry
         for r in rows:
             r[step], r[j] = r[j], r[step]
         V[step], V[j] = V[j], V[step]

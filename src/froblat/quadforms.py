@@ -301,26 +301,33 @@ def _residue_table(ell, a_exp, diag, blocks2):
     """#{v mod l^a : Q(v) = r mod l^a} for every r, read-only.
 
     One table per (l, a, local block shape), held in a bounded memo that
-    the stable counts and Hanke's reduction share.  Once the factors
-    so far cover k variables, every entry of the next convolution is at
-    most l^(a k) times the largest entry of the next factor; that bound
-    picks int64 or Python-int sums.  A table of more than TABLE_MAX
-    entries is refused before anything is allocated.
+    the stable counts and Hanke's reduction share.  A table is its last
+    factor (the last block, else the last diagonal entry) convolved onto
+    the memoized table of the prefix before it, so shapes that share a
+    prefix, as canonical symbols do, share its convolutions.  The prefix
+    covers k variables, so every entry of the convolution is at most
+    l^(a k) times the largest entry of the last factor; that bound picks
+    int64 or Python-int sums.  A table of more than TABLE_MAX entries is
+    refused before anything is allocated.
     """
     if ell ** a_exp > TABLE_MAX:
         raise InvalidParameter(f"a residue table mod {ell}^{a_exp} has "
                                f"more than {TABLE_MAX} entries")
-    factors = [_distribution_1x1(c, ell, a_exp) for c in diag]
-    factors += [_distribution_2x2(b, ell, a_exp) for b in blocks2]
-    if not factors:
+    if blocks2:
+        prefix = diag, blocks2[:-1]
+        last = _distribution_2x2(blocks2[-1], ell, a_exp)
+    elif diag:
+        prefix = diag[:-1], ()
+        last = _distribution_1x1(diag[-1], ell, a_exp)
+    else:
         raise InvalidParameter("empty lattice")
-    reps, orbit = _square_classes(ell, a_exp)
-    dist, total = factors[0], int(factors[0].sum())
-    for d in factors[1:]:
-        dist = _convolve_mod(dist, d, reps, orbit, total * int(d.max()))
-        total *= int(d.sum())
-    dist.flags.writeable = False
-    return dist
+    k = len(prefix[0]) + 2 * len(prefix[1])
+    if k:
+        last = _convolve_mod(_residue_table(ell, a_exp, *prefix), last,
+                             *_square_classes(ell, a_exp),
+                             ell ** (a_exp * k) * int(last.max()))
+    last.flags.writeable = False
+    return last
 
 
 def count_representations_mod(lattice, ell, m, a_exp):

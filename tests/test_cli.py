@@ -82,14 +82,16 @@ def test_theta_counts():
     assert "kind=squares" in text
 
 
-def test_density_m_alone_is_read_as_m_range():
-    """--m is gone; argparse reads the prefix --m 5 as --m-range 5, which
-    is one error record, not a run at m = 5."""
+@pytest.mark.parametrize("extra", [[], ["--m-range", "1..2"]],
+                         ids=["alone", "beside-m-range"])
+def test_density_options_are_not_abbreviated(extra):
+    """--m is no prefix of --m-range: alone or beside it, it is one error
+    record, not a run at m = 5 or m = 1..2."""
     code, text = run(["density", "--gram", fx("siegel_ssp_p5.gram"),
-                      "--ell", "5", "--m", "5"])
+                      "--ell", "5", "--m", "5"] + extra)
     assert code == 1
-    assert text == ("error=InvalidParameter detail=--m-range '5' is not a "
-                    "non-empty range lo..hi\n")
+    assert text == ("error=InvalidParameter detail=froblat: unrecognized "
+                    "arguments: --m 5\n")
 
 
 def test_theta_primes_sums_the_prime_counts():

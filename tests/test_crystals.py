@@ -292,6 +292,31 @@ def test_witness_search_goes_on_to_mod_p_combinations(
     assert check_DvR(finf, witness, 2, 1, 2)
 
 
+def test_witness_checks_all_masked_make_the_search_indeterminate(
+        monkeypatch, split_model, split_xy):
+    """When every very-rapid check raises Indeterminate, no span has a
+    witness only because of masked digits: the search raises the first
+    such Indeterminate, and the command line exits 2 with its n and k."""
+    finf = split_xy[1]
+    calls = []
+
+    def masked(finf, w, A, a_dvr, n_max):
+        calls.append(w)
+        raise Indeterminate("masked", n=len(calls), k=7)
+
+    monkeypatch.setattr(crystals, "check_DvR", masked)
+    with pytest.raises(Indeterminate) as info:
+        find_decaying_submodule(split_model, finf, 2, n_max=2)
+    assert (info.value.n, info.value.k) == (1, 7) and len(calls) > 1
+    calls.clear()
+    out = io.StringIO()
+    code = cli.dispatch(["decay", "--curve", str(FIXTURES / "xt_yt.curve"),
+                         "--search"], out)
+    assert code == 2
+    assert out.getvalue().splitlines()[-1] \
+        == "error=indeterminate n=1 k=7 detail=masked"
+
+
 def test_search_past_the_truncation_is_refused(split_model, split_xy):
     finf = split_xy[1]
     with pytest.raises(ThresholdExceedsTruncation,

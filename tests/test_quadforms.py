@@ -1,11 +1,12 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from froblat import linalg
+from froblat import linalg, quadforms
 from froblat.crystals import (HILBERT_INERT_SG, HILBERT_INERT_SSP,
                               HILBERT_SPLIT, SIEGEL_SG, SIEGEL_SSP,
                               local_gram)
@@ -13,6 +14,7 @@ from froblat.errors import BadDiscriminant, InvalidParameter
 from froblat.padics import _valuation, smallest_nonresidue
 from froblat.quadforms import (TABLE_MAX, IntLattice, hanke_density,
                                kronecker, local_density, sigma_s,
+                               _distribution_1x1, _distribution_2x2,
                                _residue_table, _square_classes,
                                count_representations_mod)
 
@@ -201,6 +203,56 @@ def _random_gram(rng, rk, ell):
             return lat
 
 
+def _branch_gram(rng, rk, ell):
+    """A random Gram for the rarer pivot branches of the split: maybe the
+    diagonal times l (a first pivot off the diagonal), and basis vector i
+    scaled by l^e_i, e_i <= 2 (a block divided by l, at times twice)."""
+    while True:
+        G, t = _random_gram(rng, rk, ell).gram, rng.choice([1, ell])
+        e = [rng.randint(0, 2) for _ in range(rk)]
+        lat = IntLattice([[G[i][j] * t ** (i == j) * ell ** (e[i] + e[j])
+                           for j in range(rk)] for i in range(rk)])
+        if lat.det():
+            return lat
+
+
+def _pivot_branches(lat, ell):
+    """The pivot branches a split of lat at l is seen to take: "unit" (a
+    diagonal unit), "off" (only an off-diagonal unit) and "divided twice"
+    (the block divided by l at least twice).  At odd l the first two are
+    read off the first step, from the Gram; at l = 2 every diagonal entry
+    of the split is a diagonal unit and every block an off-diagonal one.
+    A split pivots at valuation k on c = l^k u (2^(k-1) u at l = 2) and
+    on blocks with b = 2^k u."""
+    loc, g = lat.local(ell), lat.gram
+    ks = [_valuation(c, ell) + (ell == 2) for c in loc.diag] \
+        + [_valuation(b, ell) for _, b, _ in loc.blocks2]
+    if ell == 2:
+        unit, off = bool(loc.diag), bool(loc.blocks2)
+    else:
+        unit = any(g[i][i] % ell for i in range(lat.rank))
+        off = not unit and any(x % ell for row in g for x in row)
+    return {name for name, seen in (("unit", unit), ("off", off),
+                                    ("divided twice", max(ks) >= 2)) if seen}
+
+
+def test_split_coefficients_are_reduced_mod_l_to_the_k():
+    """jordan_split works mod l^K, K = v_l(det) + 1 (+ 3 at l = 2), and
+    returns coefficients in [0, l^K) that cover the rank; a wrong
+    determinant, which leaves a zero block mod l^K, is refused."""
+    rng = random.Random(5)
+    for trial in range(300):
+        ell = rng.choice([2, 3, 5, 7])
+        rk = rng.randint(1, 5)
+        lat = (_random_gram if trial % 2 else _branch_gram)(rng, rk, ell)
+        q = ell ** (_valuation(lat.det(), ell) + (3 if ell == 2 else 1))
+        diag, blocks = linalg.jordan_split(lat.gram, ell, lat.det())
+        assert len(diag) + 2 * len(blocks) == rk
+        assert all(0 <= x < q for x in diag + [x for b in blocks for x in b])
+    with pytest.raises(InvalidParameter, match="not the determinant"):
+        linalg.jordan_split([[6]], 3, 1)
+
+
 def _brute_counts(gram, ell, a):
     """#{v mod l^a : Q(v) = r mod l^a} for every r, by enumerating v."""
     q = ell ** a
@@ -218,12 +270,16 @@ def test_counts_match_brute_force():
     """
     rng = random.Random(31)
     blocks = deep = 0
+    branches = Counter()
     for ell in (2, 3, 5):
         for rk in (1, 2, 3):
             a_max = max(a for a in range(1, 20)
                         if ell ** (a * rk) <= 10 ** 5)
-            for _ in range(16):
-                lat = _random_gram(rng, rk, ell)
+            for trial in range(24):
+                make = _random_gram if trial < 16 else _branch_gram
+                lat = make(rng, rk, ell)
+                branches.update((ell == 2, b)
+                                for b in _pivot_branches(lat, ell))
                 if ell == 2:
                     blocks += bool(lat.local(2).blocks2)
                     deep += _valuation(lat.det(), 2) >= 3
@@ -235,6 +291,7 @@ def test_counts_match_brute_force():
                         assert count_representations_mod(lat, ell, m, a) \
                             == brute[m], (lat.gram, ell, a, m)
     assert blocks >= 10 and deep >= 5
+    assert len(branches) == 6 and min(branches.values()) >= 5, branches
 
 
 def _unimodular(rng, n):
@@ -253,10 +310,12 @@ def _unimodular(rng, n):
 def test_local_shape_is_a_class_invariant():
     """U G U^T gives the same LocalLattice at odd p, the same tables at 2."""
     rng = random.Random(77)
-    for _ in range(150):
+    branches = Counter()
+    for trial in range(200):
         ell = rng.choice([2, 3, 5, 7])
-        rk = rng.randint(1, 4)
-        lat = _random_gram(rng, rk, ell)
+        rk = rng.randint(1, 4 if ell == 2 else 5)
+        lat = (_random_gram if trial % 4 else _branch_gram)(rng, rk, ell)
+        branches.update((ell == 2, b) for b in _pivot_branches(lat, ell))
         U = _unimodular(rng, rk)
         moved = [[sum(U[i][k] * lat.gram[k][l] * U[j][l]
                       for k in range(rk) for l in range(rk))
@@ -271,6 +330,7 @@ def test_local_shape_is_a_class_invariant():
                 _residue_table(2, a, loc.diag, loc.blocks2),
                 _residue_table(2, a, loc2.diag, loc2.blocks2)), \
                 (lat.gram, moved, a)
+    assert len(branches) == 6 and min(branches.values()) >= 5, branches
 
 
 def _index_p_sublattice(gram, p, k):
@@ -408,6 +468,52 @@ def test_density_memos_match_cold_calls():
                       hanke_density(ell, lats[k], m)]
         assert [d for i in range(len(calls)) for d in got[i]] == cold
     assert _residue_table.cache_info().hits > len(calls)
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5])
+def test_tables_built_on_prefixes_match_the_full_convolution(ell):
+    """Each cold table, built through the memoized tables of its
+    prefixes, is the left-to-right convolution of all its factors."""
+    rng = random.Random(ell)
+    for _ in range(12):
+        diag = tuple(rng.choice([1, 2, 3, 6, ell, 2 * ell, ell * ell])
+                     for _ in range(rng.randint(0, 3)))
+        blocks = tuple(tuple(rng.randint(0, 4) for _ in range(3))
+                       for _ in range(rng.randint(0 if diag else 1, 2)))
+        for a in (1, 2, 3):
+            q = ell ** a
+            full = [1] + [0] * (q - 1)
+            for f in [_distribution_1x1(c, ell, a) for c in diag] \
+                    + [_distribution_2x2(b, ell, a) for b in blocks]:
+                full = [sum(full[t] * int(f[(r - t) % q]) for t in range(q))
+                        for r in range(q)]
+            _clear_density_memos()
+            assert _residue_table(ell, a, diag, blocks).tolist() == full, \
+                (diag, blocks, a)
+
+
+def test_a_new_table_is_one_convolution_onto_its_prefix(monkeypatch):
+    """Canonical symbols share prefixes: once the table of (1, 1, 1) is
+    built, the table of (1, 1, 1, eps) needs one convolution, not three."""
+    calls = []
+    convolve = quadforms._convolve_mod
+
+    def counting(*args):
+        calls.append(args)
+        return convolve(*args)
+
+    monkeypatch.setattr(quadforms, "_convolve_mod", counting)
+    eps = smallest_nonresidue(5)
+    _clear_density_memos()
+    _residue_table(5, 2, (1, 1, 1), ())
+    assert len(calls) == 2
+    calls.clear()
+    _residue_table(5, 2, (1, 1, 1, eps), ())
+    assert len(calls) == 1
+    _clear_density_memos()
+    calls.clear()
+    _residue_table(5, 2, (1, 1, 1, eps), ())
+    assert len(calls) == 3
 
 
 def test_one_split_per_prime_and_one_determinant(monkeypatch):
