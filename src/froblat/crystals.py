@@ -28,8 +28,8 @@ from . import linalg
 from .errors import (Indeterminate, InvalidParameter, NotFound,
                      NotGenericallyOrdinary, ThresholdExceedsTruncation)
 from .padics import INF, PAdicParams
-from .series import (MatSeries, TruncSeries, column_valuation_profile,
-                     truncated_product)
+from .series import (MatSeries, TruncSeries, _fused, _terms,
+                     column_valuation_profile, truncated_product)
 
 HILBERT_INERT_SSP = "hilbert-inert-superspecial"
 HILBERT_INERT_SG = "hilbert-inert-supergeneric"
@@ -194,13 +194,13 @@ class CrystalModel:
 
     def perturbation_matrix(self, curve):
         """The matrix F with Frob = (I + F) o sigma, specialized at the curve."""
-        n, nt = self.rank, curve.nt
-        zero = TruncSeries.zero(self.params, nt)
-        entries = [[zero] * n for _ in range(n)]
+        P, n, nt = self.params, self.rank, curve.nt
+        pairs = [[[] for _ in range(n)] for _ in range(n)]
         for series, scalars in self._terms(curve):
             for (i, j), a in scalars.items():
-                entries[i][j] = entries[i][j] + series.scale(a)
-        return MatSeries(self.params, nt, entries)
+                pairs[i][j].append((series, TruncSeries.constant(P, 0, a)))
+        return MatSeries(P, nt, [[_fused(P, nt, e) for e in row]
+                                 for row in pairs])
 
     # -- non-ordinary locus ----------------------------------------------
     def non_ordinary_valuation(self, curve):
@@ -315,25 +315,7 @@ def _span_certificate(finf, basis, A, n_max):
     if thrs[-1] > finf.nt:
         raise ThresholdExceedsTruncation(
             f"threshold {thrs[-1]} exceeds truncation {finf.nt}")
-    cols = [finf.apply_int_vector(list(v)) for v in basis]
-    cells = sorted({(k, i) for col in cols for i, series in enumerate(col)
-                    for k in series.coeffs if k <= thrs[-1]})
-    s_min = min((c.shift for col in cols for series in col
-                 for k, c in series.coeffs.items() if k <= thrs[-1]),
-                default=0)
-    # per (k, row): known bound and the distinct nonzero integer rows, one
-    # per W-coordinate, scaled by p^(-s_min) so that level n reads them
-    # modulo p^(-n - s_min)
-    q0 = p ** max(-s_min, 0)
-    zero = (0,) * finf.params.d
-    table = []
-    for k, i in cells:
-        cs = [col[i].coeffs.get(k) for col in cols]
-        bound = min(c.known_bound() for c in cs if c is not None)
-        scaled = [zero if c is None else
-                  [x * p ** (c.shift - s_min) % q0 for x in c.coeffs]
-                  for c in cs]
-        table.append((k, i, bound, {r for r in zip(*scaled) if any(r)}))
+    s_min, table = _certificate_table(finf, basis, thrs[-1])
     blocked = None
     for n, thr in enumerate(thrs):
         q = p ** max(-n - s_min, 0)
@@ -356,6 +338,35 @@ def _span_certificate(finf, basis, A, n_max):
     if blocked is not None:
         return None, blocked
     return True, None
+
+
+def _certificate_table(finf, basis, kmax):
+    """(s_min, table) of the span certificate: s_min the least shift of a
+    t^k coefficient, k <= kmax, of a basis column, and per such (k, row)
+    its least known bound and the distinct nonzero integer rows, one per
+    W-coordinate, scaled by p^(-s_min) so that level n reads them modulo
+    p^(-n - s_min).  It reads each column's kernel view."""
+    p = finf.params.p
+    cells = {}  # (k, row) -> [(column, view), ...]
+    for b, v in enumerate(basis):
+        for i, series in enumerate(finf.apply_int_vector(list(v))):
+            for term in _terms(series):
+                if term[0] <= kmax:
+                    cells.setdefault((term[0], i), []).append((b, term))
+    # a masked view's shift is its bound, one above the masked scalar's
+    s_min = min((s - (c is None) for views in cells.values()
+                 for _, (_, s, c, _) in views), default=0)
+    q0 = p ** max(-s_min, 0)
+    table = []
+    for (k, i), views in sorted(cells.items()):
+        coords = {}
+        for b, (_, s, c, _) in views:
+            for u, x in c or ():
+                coords.setdefault(u, [0] * len(basis))[b] = \
+                    x * p ** (s - s_min) % q0
+        table.append((k, i, min(t[3] for _, t in views),
+                      {tuple(r) for r in coords.values() if any(r)}))
+    return s_min, table
 
 
 def _e(i, rank):

@@ -490,6 +490,28 @@ class PAdicParams:
                 f"M={self.precision_M})")
 
 
+def _normal_digits(params, shift, digits, n):
+    """The normal form of p^shift * sum(x g^i for (i, x) in digits) known
+    mod p^(shift + n): digits reduced mod p^n, their common power of p
+    moved into the shift, at most M digits kept.  Returns (shift, nonzero
+    digits ((i, x), ...), n), or None if it vanishes mod p^(shift + n)."""
+    p = params.p
+    q = p ** n
+    digits = [(i, r) for i, x in digits if (r := x % q)]
+    if not digits:
+        return None
+    v = _valuation(math.gcd(*[x for _, x in digits]), p)
+    if v:
+        q = p ** v
+        digits = [(i, x // q) for i, x in digits]
+        shift, n = shift + v, n - v
+    if n > params.precision_M:
+        n = params.precision_M
+        q = p ** n
+        digits = [(i, r) for i, x in digits if (r := x % q)]
+    return shift, tuple(digits), n
+
+
 class PAdicScalar:
     """p^shift * u with u a degree-<d polynomial in the generator.
 
@@ -520,27 +542,20 @@ class PAdicScalar:
     @classmethod
     def from_digits(cls, params, shift, digits, n):
         """p^shift * sum(x g^i for (i, x) in digits) known mod
-        p^(shift + n), normalized: digits reduced mod p^n, their common
-        power of p moved into the shift, at most M digits kept.  Returns
-        it with its nonzero digits ((i, x), ...), () if it is masked."""
-        p = params.p
-        q = p ** n
-        digits = [(i, r) for i, x in digits if (r := x % q)]
-        if not digits:
-            return cls.masked(params, shift + n), ()
-        v = _valuation(math.gcd(*[x for _, x in digits]), p)
-        if v:
-            q = p ** v
-            digits = [(i, x // q) for i, x in digits]
-            shift, n = shift + v, n - v
-        if n > params.precision_M:
-            n = params.precision_M
-            q = p ** n
-            digits = [(i, r) for i, x in digits if (r := x % q)]
+        p^(shift + n), in the normal form of ``_normal_digits``; masked
+        if it vanishes there."""
+        norm = _normal_digits(params, shift, digits, n)
+        if norm is None:
+            return cls.masked(params, shift + n)
+        return cls.from_normal(params, *norm)
+
+    @classmethod
+    def from_normal(cls, params, shift, digits, n):
+        """Normal digits ((i, x), ...) as a value known to n (None: exact)."""
         coeffs = [0] * params.d
         for i, x in digits:
             coeffs[i] = x
-        return cls(params, shift, tuple(coeffs), n), tuple(digits)
+        return cls(params, shift, tuple(coeffs), n)
 
     # -- state ----------------------------------------------------------
     def is_zero(self):
@@ -581,7 +596,7 @@ class PAdicScalar:
         if n < 1:
             raise ZeroPrecision("no retained digits after operation")
         return PAdicScalar.from_digits(self.params, self.shift,
-                                       enumerate(self.coeffs), n)[0]
+                                       enumerate(self.coeffs), n)
 
     # -- ring operations -------------------------------------------------
     def _check(self, other):

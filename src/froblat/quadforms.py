@@ -18,7 +18,6 @@ per l, mod l^K from its cached determinant (see ``linalg.jordan_split``),
 and a LocalLattice is its own splitting.
 """
 
-import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -152,17 +151,12 @@ class LocalLattice:
     odd l the diagonal is stored as the canonical symbol, units 1, ..., 1,
     eps in each constituent l^k (eps = 1 or the least non-residue as the
     product of the units is a square or not), which fixes the Z_l-class.
+    Both builders, the split and L_I, pass nonzero integers only.
     """
 
     def __init__(self, ell, diag, blocks2=()):
-        if any(int(a) != a for a in diag):
-            raise InvalidParameter("coefficients must be integers")
-        if any(a == 0 for a in diag):
-            raise InvalidParameter("degenerate diagonal coefficient")
         self.ell = ell
-        self.diag = tuple(int(a) for a in diag)
-        if ell != 2:
-            self.diag = _canonical_symbol(ell, self.diag)
+        self.diag = tuple(diag) if ell == 2 else _canonical_symbol(ell, diag)
         self.blocks2 = tuple(tuple(b) for b in blocks2)
         self.rank = len(self.diag) + 2 * len(self.blocks2)
         self._bad_type = None
@@ -205,16 +199,19 @@ class LocalLattice:
 
 
 def _canonical_symbol(ell, diag):
-    """Units 1, ..., 1, eps in each constituent l^k, by increasing k."""
-    units = {}
+    """Units 1, ..., 1, eps in each constituent l^k, by increasing k; eps
+    is 1 if its units multiply to a square mod l, by Euler's criterion."""
+    units = {}  # k -> (product of the units mod l, their count)
     for a in diag:
         k = _valuation(a, ell)
-        units.setdefault(k, []).append(a // ell ** k)
+        u, count = units.get(k, (1, 0))
+        units[k] = (u * (a // ell ** k) % ell, count + 1)
     out = []
     for k in sorted(units):
-        square = _kronecker_symbol(math.prod(units[k]), ell) == 1
+        u, count = units[k]
+        square = pow(u, (ell - 1) // 2, ell) == 1
         eps = 1 if square else smallest_nonresidue(ell)
-        out += [ell ** k] * (len(units[k]) - 1) + [ell ** k * eps]
+        out += [ell ** k] * (count - 1) + [ell ** k * eps]
     return tuple(out)
 
 

@@ -11,32 +11,41 @@ Every product and sum of series goes through one kernel, ``_fused``: for
 each output exponent it multiplies only the nonzero digits of its terms
 into unfolded integer accumulators, folds them by the modulus once,
 keeps the least known bound among the terms, and reduces and normalizes
-the coefficient once.
+the coefficient once.  Its output holds only its view of each
+coefficient (``_term``), and builds its scalars when ``coeffs`` is first
+read: the products forming F_inf and the decay checks build none.
 """
 
 from .errors import InvalidParameter, NonConvergent
-from .padics import INF, PAdicScalar, _fold
+from .padics import INF, PAdicScalar, _fold, _normal_digits
 
 
-def _term(k, c, digits=None):
+def _term(k, c):
     """Kernel view of the t^k coefficient c: (k, valuation bound, nonzero
     digits ((i, x), ...) of its integer coefficients, known bound).  A
     masked c, known only to vanish mod p^bound, has no digits and bound
-    as its valuation bound.  ``digits``, when given, are c's nonzero
-    digits as ``PAdicScalar.from_digits`` returns them."""
-    if digits is None:
-        digits = tuple([(i, x) for i, x in enumerate(c.coeffs) if x])
+    as its valuation bound."""
+    digits = tuple([(i, x) for i, x in enumerate(c.coeffs) if x])
     if c.rel_prec is None:  # exact
         return k, c.shift, digits, INF
     bound = c.shift + c.rel_prec
     return (k, c.shift, digits, bound) if digits else (k, bound, None, bound)
 
 
+def _scalar(params, term):
+    """The coefficient a kernel view stands for; ``_term`` inverts it."""
+    _, shift, digits, bound = term
+    if digits is None:
+        return PAdicScalar.masked(params, bound)
+    return PAdicScalar.from_normal(params, shift, digits,
+                                   None if bound == INF else bound - shift)
+
+
 def _terms(series):
     """Kernel view of a series by exponent, made once and kept with it."""
     if series._view is None:
-        series._view = [_term(k, series.coeffs[k])
-                        for k in sorted(series.coeffs)]
+        series._view = [_term(k, series._coeffs[k])
+                        for k in sorted(series._coeffs)]
     return series._view
 
 
@@ -48,20 +57,20 @@ def _fused(params, nt, pairs, addends=()):
     integer slots.  A product adds x * y into slot i + j for each nonzero
     digit x g^i of a and y g^j of b, and its bound is
     min(v(a) + bound(b), v(b) + bound(a)), as in ``PAdicScalar.__mul__``,
-    so a masked factor contributes only a bound.  Each coefficient is
-    then built once (``_build``).  A coefficient that only one addend
-    supplies is that addend's scalar, untouched.
+    so a masked factor contributes only a bound.  Each coefficient's view
+    is then made once (``_build``); a coefficient that only one addend
+    supplies is that addend's view, untouched.
     """
     p, width = params.p, 2 * params.d - 1
     acc = {}   # k -> [least bound, least shift, slots at that shift]
-    kept = {}  # k -> the first addend scalar with digits there, its view
+    kept = {}  # k -> the view of the first addend with digits there
     for series in addends:
         for term in _terms(series):
             k = term[0]
             if k in kept or term[2] is None:
                 _add(acc.setdefault(k, [INF, INF, None]), term, p, width)
             else:
-                kept[k] = series.coeffs[k], term
+                kept[k] = term
     for a, b in pairs:
         right = _terms(b)
         for i, sa, ca, ba in _terms(a):
@@ -86,22 +95,20 @@ def _fused(params, nt, pairs, addends=()):
                         for v, y in cb:
                             slots[u + v] += x * y
 
-    out, view = {}, []
+    view = []
     for k in sorted(acc.keys() | kept.keys()):
         rec = acc.get(k)
         if rec is None:
-            out[k], term = kept[k]
+            term = kept[k]
         else:
             if k in kept:
-                _add(rec, kept[k][1], p, width)
-            built = _build(params, k, *rec)
-            if built is None:
+                _add(rec, kept[k], p, width)
+            term = _build(params, k, *rec)
+            if term is None:
                 continue
-            out[k], term = built
         view.append(term)
     series = TruncSeries(params, nt)
-    series.coeffs = out
-    series._view = view
+    series._coeffs, series._view = None, view
     return series
 
 
@@ -129,40 +136,50 @@ def _align(rec, s, p, width):
 
 
 def _build(params, k, bound, shift, slots):
-    """The t^k coefficient from its record, with its view; None if it is
+    """The view of the t^k coefficient from its record; None if it is
     exactly 0.  Slots d .. 2d - 2 are folded once by the rows of the
-    modulus, then the coefficient is reduced mod p^(bound - shift) and
-    normalized once.  Folding is linear, so it has the digits of the
-    folded products summed term by term."""
+    modulus, then the digits are reduced mod p^(bound - shift) and
+    normalized once, as ``PAdicScalar.from_digits`` does.  Folding is
+    linear, so it has the digits of the folded products summed term by
+    term."""
     if bound <= shift:
-        return PAdicScalar.masked(params, bound), (k, bound, None, bound)
+        return k, bound, None, bound
     folded = _fold(slots, params.rows)
     if bound == INF:
         c = PAdicScalar(params, shift, tuple(folded), None)._normalize()
-        return None if c.is_zero() else (c, _term(k, c))
-    c, digits = PAdicScalar.from_digits(params, shift, enumerate(folded),
-                                        bound - shift)
-    return c, _term(k, c, digits)
+        return None if c.is_zero() else _term(k, c)
+    norm = _normal_digits(params, shift, enumerate(folded), bound - shift)
+    if norm is None:
+        return k, bound, None, bound
+    shift, digits, n = norm
+    return k, shift, digits, shift + n
 
 
 class TruncSeries:
     """Sparse truncated series; absent exponents are zero up to N_t.
 
     A series is not changed once built: the kernel keeps its view of the
-    coefficients with it.
+    coefficients with it, and a series it made builds ``coeffs`` from that.
     """
 
-    __slots__ = ("params", "nt", "coeffs", "_view")
+    __slots__ = ("params", "nt", "_coeffs", "_view")
 
     def __init__(self, params, nt, coeffs=None):
         self.params = params
         self.nt = nt
-        self.coeffs = {}
+        self._coeffs = {}
         self._view = None
         if coeffs:
             for k, c in coeffs.items():
                 if k <= nt and not c.is_zero():
-                    self.coeffs[k] = c
+                    self._coeffs[k] = c
+
+    @property
+    def coeffs(self):
+        """The coefficients by exponent, built from the view on first read."""
+        if self._coeffs is None:
+            self._coeffs = {t[0]: _scalar(self.params, t) for t in self._view}
+        return self._coeffs
 
     @classmethod
     def zero(cls, params, nt):
@@ -182,7 +199,8 @@ class TruncSeries:
         Coefficients that vanish only up to tracked precision still count
         as present; this keeps convergence checks conservative.
         """
-        return min(self.coeffs, default=INF)
+        terms = _terms(self)
+        return terms[0][0] if terms else INF
 
     def __add__(self, other):
         self._check(other)
@@ -385,13 +403,10 @@ def column_valuation_profile(mat, w):
     minvals = {}
     floors = {}
     for s in series:
-        for k, c in s.coeffs.items():
-            mv = c.maybe_val()
-            if mv is None:
-                b = c.known_bound()
-                if floors.get(k, INF) > b:
-                    floors[k] = b
-            elif mv is not INF:
-                if minvals.get(k, INF) > mv:
-                    minvals[k] = mv
+        for k, shift, digits, bound in _terms(s):
+            if digits is None:
+                if floors.get(k, INF) > bound:
+                    floors[k] = bound
+            elif minvals.get(k, INF) > shift:
+                minvals[k] = shift
     return DecayProfile(mat.nt, minvals, floors)

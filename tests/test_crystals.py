@@ -19,7 +19,8 @@ from froblat.errors import (Indeterminate, InvalidParameter, NotFound,
 from froblat.linalg import primitive_kernel_vector as _primitive_kernel_vector
 from froblat.padics import INF, PAdicParams, PAdicScalar
 from froblat.regression import decay_fixture_table
-from froblat.series import MatSeries, TruncSeries, column_valuation_profile
+from froblat.series import (MatSeries, TruncSeries, _terms,
+                            column_valuation_profile)
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -498,3 +499,84 @@ def test_indeterminate_record_names_the_coefficient(monkeypatch):
     last = out.getvalue().splitlines()[-1]
     assert last.startswith("error=indeterminate n=0 k=1 row=3 bound=-1 "
                            "detail=decay search blocked by precision")
+
+
+# -- the certificate table reads the kernel views ---------------------------
+
+def _coefficient_table(finf, basis, kmax):
+    """The certificate table as it was built from the dense coefficients
+    and their known bounds: the oracle of ``_certificate_table``."""
+    p = finf.params.p
+    cols = [finf.apply_int_vector(list(v)) for v in basis]
+    cells = sorted({(k, i) for col in cols for i, series in enumerate(col)
+                    for k in series.coeffs if k <= kmax})
+    s_min = min((c.shift for col in cols for series in col
+                 for k, c in series.coeffs.items() if k <= kmax), default=0)
+    q0 = p ** max(-s_min, 0)
+    zero = (0,) * finf.params.d
+    table = []
+    for k, i in cells:
+        cs = [col[i].coeffs.get(k) for col in cols]
+        bound = min(c.known_bound() for c in cs if c is not None)
+        scaled = [zero if c is None else
+                  [x * p ** (c.shift - s_min) % q0 for x in c.coeffs]
+                  for c in cs]
+        table.append((k, i, bound, {r for r in zip(*scaled) if any(r)}))
+    return s_min, table
+
+
+def _assert_same_certificates(finf, spans, A, monkeypatch):
+    """The view-read table equals the oracle's on every span, and so do
+    the verdicts and details of ``_span_certificate`` with either one."""
+    kmax = crystals.decay_thresholds(A, finf.params.p, 2)[-1]
+    got = [_span_certificate(finf, basis, A, 2) for basis in spans]
+    for basis in spans:
+        assert crystals._certificate_table(finf, basis, kmax) \
+            == _coefficient_table(finf, basis, kmax), basis
+    monkeypatch.setattr(crystals, "_certificate_table", _coefficient_table)
+    assert [_span_certificate(finf, basis, A, 2) for basis in spans] == got
+    monkeypatch.undo()
+    return got
+
+
+@pytest.mark.parametrize("fix", decay_fixture_table(5),
+                         ids=lambda fix: fix["name"])
+def test_certificate_table_reads_views_as_coefficients(fix, monkeypatch):
+    """Every asserted candidate of every fixture, and the default
+    candidates of two, get the oracle's verdict and detail."""
+    params = PAdicParams(fix["p"], fix["d"], fix["precision"])
+    c_res, curve = fix["make"](params.residue_field, params.eps_int,
+                               fix["nt"])
+    model = CrystalModel(fix["case"], params, c_residue=c_res)
+    finf = f_infinity(model, curve, n_max=2)
+    spans = list(fix["asserted"])
+    if fix["name"] in ("split-equal", "supergeneric-z-dominant"):
+        spans += crystals._default_candidates(model.rank, params.p)
+    got = _assert_same_certificates(finf, spans, fix["A"], monkeypatch)
+    assert got[0][0] is True
+
+
+def test_certificate_table_reads_masked_views(monkeypatch):
+    """The hand-built matrices of ``masked_finf``, and one with a masked
+    coefficient below every visible one: a masked view's shift is its
+    bound, and the table reads it one lower, as the masked scalar's."""
+    params = build_model(HILBERT_SPLIT, 5, 2, 10).params
+    nt = 31
+    e = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+    spans = [(e[0], e[1], e[2]), ((1, 1, 0, 0), e[2], e[3]),
+             ((1, 4, 0, 0), (0, 1, 1, 0), e[3]), (e[1], e[2], e[3])]
+    verdicts = set()
+    for cancel in (True, False):
+        finf = masked_finf(params, nt, cancel)
+        verdicts.update(v for v, _ in
+                        _assert_same_certificates(finf, spans, 1,
+                                                  monkeypatch))
+    deep = masked_finf(params, nt, cancel=True)
+    deep.entries[3][3] = TruncSeries(params, nt,
+                                     {2: PAdicScalar.masked(params, -4)})
+    _assert_same_certificates(deep, spans, 1, monkeypatch)
+    assert crystals._certificate_table(deep, spans[1], nt)[0] == -5
+    # the sum (1, 1, 0, 0) makes row 3's t^1 a masked view in the kernel
+    row3 = deep.apply_int_vector([1, 1, 0, 0])[3]
+    assert _terms(row3)[0] == (1, -1, None, -1)
+    assert verdicts == {None, False, True}

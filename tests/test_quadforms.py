@@ -1,4 +1,5 @@
 import math
+import pathlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from froblat import linalg, quadforms
+from froblat.cli import read_gram
 from froblat.crystals import (HILBERT_INERT_SG, HILBERT_INERT_SSP,
                               HILBERT_SPLIT, SIEGEL_SG, SIEGEL_SSP,
                               local_gram)
@@ -550,3 +552,55 @@ def test_local_lattice_is_its_own_splitting():
     assert local_density(5, loc, 10) == local_density(5, lat, 10)
     with pytest.raises(InvalidParameter):
         loc.local(3)
+
+
+def _kronecker_canonical_symbol(ell, diag):
+    """The canonical symbol as it was first built: the units of each
+    constituent listed, their product's Kronecker symbol taken."""
+    units = {}
+    for a in diag:
+        k = _valuation(a, ell)
+        units.setdefault(k, []).append(a // ell ** k)
+    out = []
+    for k in sorted(units):
+        square = quadforms._kronecker_symbol(math.prod(units[k]), ell) == 1
+        eps = 1 if square else smallest_nonresidue(ell)
+        out += [ell ** k] * (len(units[k]) - 1) + [ell ** k * eps]
+    return tuple(out)
+
+
+def test_canonical_symbol_matches_the_kronecker_oracle():
+    """Euler's criterion on the unit product mod l decides eps as the
+    Kronecker symbol of the full product did."""
+    rng = random.Random(2510)
+    for _ in range(5000):
+        ell = rng.choice([3, 5, 7, 11, 13])
+        diag = []
+        for _ in range(rng.randint(1, 6)):
+            unit = rng.choice([u for u in range(1, 4 * ell) if u % ell])
+            diag.append(rng.choice([1, -1]) * unit
+                        * ell ** rng.randint(0, 3))
+        assert quadforms._canonical_symbol(ell, diag) \
+            == _kronecker_canonical_symbol(ell, diag), (ell, diag)
+
+
+def test_canonical_symbol_of_every_fixture_lattice_and_its_L_I():
+    """The splitting at each odd l <= 13 of every fixture Gram, and its
+    L_I, carry the symbol the Kronecker oracle gives."""
+    fixtures = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
+    paths = sorted(fixtures.glob("*.gram"))
+    seen = deep = 0
+    for path in paths:
+        lat = IntLattice(read_gram(str(path)))
+        for ell in (3, 5, 7, 11, 13):
+            diag, _ = linalg.jordan_split(lat.gram, ell, lat.det())
+            loc = lat.local(ell)
+            assert loc.diag == _kronecker_canonical_symbol(ell, diag), \
+                (path.name, ell)
+            scaled = loc._rescaled(lambda c: c * ell, lambda c: c // ell)[0]
+            L_I = loc.scaled_for_bad_type()[2]
+            assert L_I.diag == _kronecker_canonical_symbol(ell, scaled), \
+                (path.name, ell)
+            seen += 1
+            deep += any(c % ell == 0 for c in loc.diag)
+    assert seen == 5 * len(paths) and deep >= 10, (seen, deep)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -6,11 +7,11 @@ import pytest
 from froblat.crystals import (HILBERT_SPLIT, CrystalModel, FormalCurve,
                               build_model, f_infinity)
 from froblat.errors import InvalidParameter, NonConvergent
-from froblat.padics import INF, PAdicParams, PAdicScalar
+from froblat.padics import INF, PAdicParams, PAdicScalar, _fold
 from froblat.regression import decay_fixture_table
-from froblat.series import (DecayProfile, MatSeries, TruncSeries, _fused,
-                            _terms, column_valuation_profile,
-                            truncated_product)
+from froblat.series import (DecayProfile, MatSeries, TruncSeries, _build,
+                            _fused, _scalar, _terms,
+                            column_valuation_profile, truncated_product)
 
 
 @pytest.fixture(scope="module")
@@ -365,3 +366,75 @@ def test_right_to_left_product_loses_no_digit(name):
                 masked["new"] += c.is_precision_zero()
                 masked["old"] += w.is_precision_zero()
     assert masked["new"] <= masked["old"]
+
+
+# -- the kernel's view: scalars are built where they are read ---------------
+
+def test_truncated_product_builds_no_intermediate_scalar(monkeypatch):
+    """The K intermediate products build no PAdicScalar: the scalars built
+    while F_inf is formed are at most twice the coefficients of F and of
+    its twists, which the Frobenius builds (once, and once normalized)."""
+    model, curve = ORDER_CASES["supergeneric-deep-cancel-strict"]()
+    factor = model.perturbation_matrix(curve)
+    v = factor.min_vt()
+    assert v * 5 ** 4 <= curve.nt < v * 5 ** 5  # F and four twists
+    held = 0
+    for _ in range(5):
+        held += sum(len(e.coeffs) for row in factor.entries for e in row)
+        factor = factor.frobenius_twist()
+    assert held == 207
+    F = model.perturbation_matrix(curve)
+    built = 0
+    init = PAdicScalar.__init__
+
+    def counting(self, *args):
+        nonlocal built
+        built += 1
+        init(self, *args)
+
+    monkeypatch.setattr(PAdicScalar, "__init__", counting)
+    finf = truncated_product(F)
+    monkeypatch.undo()
+    assert built <= 2 * held, built
+    # the product's coefficients are built on first read, and kept
+    entry = finf.entries[0][0]
+    assert entry._coeffs is None
+    assert entry.coeffs is entry.coeffs
+
+
+@pytest.mark.parametrize("p, d", [(5, 1), (5, 2), (3, 4), (7, 3)])
+def test_scalar_from_a_view_is_the_eager_scalar(p, d):
+    """A coefficient built from the view ``_build`` makes equals the one
+    ``PAdicScalar.from_digits`` (or, exact, ``_normalize``) makes from the
+    same folded digits: masked, capped at M digits, exact or neither."""
+    params = PAdicParams(p, d, 4)
+    rng = random.Random(97 * p + d)
+    kinds = Counter()
+    for _ in range(600):
+        shift, n = rng.randint(-4, 4), rng.randint(1, 9)
+        scale = p ** rng.choice([0, 0, 1, 3, n])
+        slots = [rng.choice([0, rng.randint(-p ** 6, p ** 6)]) * scale
+                 for _ in range(2 * d - 1)]
+        bound = INF if rng.random() < 0.2 else shift + n
+        view = _build(params, 7, bound, shift, slots)
+        folded = _fold(slots, params.rows)
+        if bound == INF:
+            eager = PAdicScalar(params, shift, tuple(folded),
+                                None)._normalize()
+            if eager.is_zero():
+                assert view is None
+                kinds["zero"] += 1
+                continue
+        else:
+            eager = PAdicScalar.from_digits(params, shift,
+                                            enumerate(folded), n)
+        assert view[0] == 7
+        lazy = _scalar(params, view)
+        assert (lazy.shift, lazy.coeffs, lazy.rel_prec) \
+            == (eager.shift, eager.coeffs, eager.rel_prec), (slots, view)
+        assert _terms(TruncSeries(params, 9, {7: eager})) == [view]
+        kinds["exact" if bound == INF else "masked" if view[2] is None
+              else "capped" if n - (view[1] - shift) > params.precision_M
+              else "plain"] += 1
+    assert min(kinds[k] for k in ("exact", "masked", "capped", "plain")) \
+        >= 10, kinds
