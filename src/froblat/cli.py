@@ -19,7 +19,8 @@ from . import errors
 from .budget import (ALPHA_FROM, alpha_variants, eisenstein_budget,
                      run_budget)
 from .crystals import (LOCAL_DENSITIES, CrystalModel, FormalCurve,
-                       f_infinity, find_decaying_submodule, local_gram)
+                       check_truncation, decay_thresholds, f_infinity,
+                       find_decaying_submodule, local_gram)
 from .eisenstein import q_L_hilbert, q_L_siegel, q_positive_definite
 from .enumeration import (prime_rep_count, representation_counts,
                           square_rep_count)
@@ -225,6 +226,9 @@ def cmd_decay(args, out):
         raise errors.InvalidParameter(f"--nmax {args.nmax} is negative")
     model, curve = read_curve(args.curve)
     A = model.non_ordinary_valuation(curve)
+    # before any row: an index past nt would read inf unsoundly
+    check_truncation(decay_thresholds(A, model.params.p, args.nmax)[-1],
+                     curve.nt)
     finf = f_infinity(model, curve, n_max=args.nmax)
     _emit(out, [("case", model.case), ("A", A), ("nt", curve.nt)])
     rank = model.rank

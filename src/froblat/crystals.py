@@ -28,7 +28,7 @@ from . import linalg
 from .errors import (Indeterminate, InvalidParameter, NotFound,
                      NotGenericallyOrdinary, ThresholdExceedsTruncation)
 from .padics import INF, PAdicParams
-from .series import (MatSeries, TruncSeries, _fused, _terms,
+from .series import (MatSeries, TruncSeries, _fused,
                      column_valuation_profile, truncated_product)
 
 HILBERT_INERT_SSP = "hilbert-inert-superspecial"
@@ -210,8 +210,8 @@ class CrystalModel:
         _, Y, _, eq = self._series(curve)
         if self.a_frob is not None:
             eq = Y if self.rank == 4 else eq + Y.scale(self.a_frob)
-        A = next((k for k in sorted(eq.coeffs)
-                  if eq.coeffs[k].maybe_val() == 0), None)
+        A = next((k for k, shift, digits, _ in eq.terms
+                  if digits is not None and shift == 0), None)
         if A is None:
             raise NotGenericallyOrdinary(
                 "non-ordinary equation vanishes up to t^nt")
@@ -250,6 +250,13 @@ def decay_thresholds(A, p, n_max):
     return [A * sum(p ** i for i in range(n + 1)) for n in range(n_max + 1)]
 
 
+def check_truncation(thr, nt):
+    """Refuse a threshold past nt, where a coefficient is unknown, not 0."""
+    if thr > nt:
+        raise ThresholdExceedsTruncation(
+            f"threshold {thr} exceeds truncation {nt}")
+
+
 def dvr_thresholds(A, p, a_dvr, n_max):
     out = []
     for n in range(n_max + 1):
@@ -275,9 +282,7 @@ def check_DvR(finf, w, A, a_dvr, n_max):
 def _decays_within(finf, w, thrs):
     """True iff for every n some t^k coefficient of F_inf w with
     k <= thrs[n] has valuation < -n; Indeterminate when masked."""
-    if max(thrs) > finf.nt:
-        raise ThresholdExceedsTruncation(
-            f"threshold {max(thrs)} exceeds truncation {finf.nt}")
+    check_truncation(max(thrs), finf.nt)
     profile = column_valuation_profile(finf, w)
     for n, thr in enumerate(thrs):
         idx, sound = profile.decay_index(n, thr)
@@ -312,9 +317,7 @@ def _span_certificate(finf, basis, A, n_max):
     """
     p = finf.params.p
     thrs = decay_thresholds(A, p, n_max)
-    if thrs[-1] > finf.nt:
-        raise ThresholdExceedsTruncation(
-            f"threshold {thrs[-1]} exceeds truncation {finf.nt}")
+    check_truncation(thrs[-1], finf.nt)
     s_min, table = _certificate_table(finf, basis, thrs[-1])
     blocked = None
     for n, thr in enumerate(thrs):
@@ -350,7 +353,7 @@ def _certificate_table(finf, basis, kmax):
     cells = {}  # (k, row) -> [(column, view), ...]
     for b, v in enumerate(basis):
         for i, series in enumerate(finf.apply_int_vector(list(v))):
-            for term in _terms(series):
+            for term in series.terms:
                 if term[0] <= kmax:
                     cells.setdefault((term[0], i), []).append((b, term))
     # a masked view's shift is its bound, one above the masked scalar's

@@ -485,10 +485,6 @@ class PAdicParams:
             raise InvalidParameter("constructed lambda is not sign-flipped by sigma")
         return lam
 
-    def __repr__(self):
-        return (f"PAdicParams(p={self.p}, d={self.d}, "
-                f"M={self.precision_M})")
-
 
 def _normal_digits(params, shift, digits, n):
     """The normal form of p^shift * sum(x g^i for (i, x) in digits) known
@@ -547,11 +543,7 @@ class PAdicScalar:
         norm = _normal_digits(params, shift, digits, n)
         if norm is None:
             return cls.masked(params, shift + n)
-        return cls.from_normal(params, *norm)
-
-    @classmethod
-    def from_normal(cls, params, shift, digits, n):
-        """Normal digits ((i, x), ...) as a value known to n (None: exact)."""
+        shift, digits, n = norm
         coeffs = [0] * params.d
         for i, x in digits:
             coeffs[i] = x

@@ -139,9 +139,6 @@ class IntLattice:
                 ell, *linalg.jordan_split(self.gram, ell, self.det()))
         return loc
 
-    def __repr__(self):
-        return f"IntLattice({self.label}, rank={self.rank}, det={self.det()})"
-
 
 class LocalLattice:
     """l-adic Jordan splitting: integer Q-coefficients of 1x1 and 2x2 blocks.

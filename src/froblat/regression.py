@@ -17,8 +17,9 @@ F_{p^4}.
 
 from .crystals import (HILBERT_INERT_SG, HILBERT_INERT_SSP, HILBERT_SPLIT,
                        SIEGEL_SG, SIEGEL_SSP, CrystalModel, FormalCurve,
-                       _combos, _triples, build_model, f_infinity,
-                       find_decaying_submodule)
+                       _combos, _triples, build_model, decay_thresholds,
+                       f_infinity, find_decaying_submodule,
+                       required_precision)
 from .errors import InvalidParameter
 from .padics import PAdicParams
 from .series import column_valuation_profile
@@ -186,10 +187,13 @@ def run_decay_fixture(fix, n_max=2, search_depth_B=None):
 
 
 def split_equal_decay_indices(p=5, n_max=2):
-    """Decay indices of w_1 for the split x = y = t curve, for each n."""
-    model = build_model(HILBERT_SPLIT, p, 2, 10)
-    curve = FormalCurve(x={1: 1}, y={1: 1}, nt=2 * sum(p ** i
-                                                       for i in range(3)) + 1)
+    """Decay indices of w_1 for the split x = y = t curve (A = 2), for
+    each n <= n_max: nt is the last threshold plus one, so an inf is
+    sound, and M is at least 10 and the precision floor."""
+    nt = decay_thresholds(2, p, n_max)[-1] + 1
+    model = build_model(HILBERT_SPLIT, p, 2,
+                        max(10, required_precision(p, nt, n_max)))
+    curve = FormalCurve(x={1: 1}, y={1: 1}, nt=nt)
     finf = f_infinity(model, curve, n_max=n_max, columns=[0])
     profile = column_valuation_profile(finf, [1, 0, 0, 0])
     out = []

@@ -11,13 +11,15 @@ Every product and sum of series goes through one kernel, ``_fused``: for
 each output exponent it multiplies only the nonzero digits of its terms
 into unfolded integer accumulators, folds them by the modulus once,
 keeps the least known bound among the terms, and reduces and normalizes
-the coefficient once.  Its output holds only its view of each
-coefficient (``_term``), and builds its scalars when ``coeffs`` is first
-read: the products forming F_inf and the decay checks build none.
+the coefficient once.  A series holds only the kernel's view of each
+coefficient (``_term``): a scalar given to the constructor is read into
+a view once, and no series operation builds a scalar.
 """
 
+import math
+
 from .errors import InvalidParameter, NonConvergent
-from .padics import INF, PAdicScalar, _fold, _normal_digits
+from .padics import INF, _fold, _normal_digits, _valuation
 
 
 def _term(k, c):
@@ -32,21 +34,11 @@ def _term(k, c):
     return (k, c.shift, digits, bound) if digits else (k, bound, None, bound)
 
 
-def _scalar(params, term):
-    """The coefficient a kernel view stands for; ``_term`` inverts it."""
-    _, shift, digits, bound = term
-    if digits is None:
-        return PAdicScalar.masked(params, bound)
-    return PAdicScalar.from_normal(params, shift, digits,
-                                   None if bound == INF else bound - shift)
-
-
-def _terms(series):
-    """Kernel view of a series by exponent, made once and kept with it."""
-    if series._view is None:
-        series._view = [_term(k, series._coeffs[k])
-                        for k in sorted(series._coeffs)]
-    return series._view
+def _series(params, nt, terms):
+    """The series whose views by exponent are ``terms``."""
+    series = TruncSeries(params, nt)
+    series.terms = terms
+    return series
 
 
 def _fused(params, nt, pairs, addends=()):
@@ -65,15 +57,15 @@ def _fused(params, nt, pairs, addends=()):
     acc = {}   # k -> [least bound, least shift, slots at that shift]
     kept = {}  # k -> the view of the first addend with digits there
     for series in addends:
-        for term in _terms(series):
+        for term in series.terms:
             k = term[0]
             if k in kept or term[2] is None:
                 _add(acc.setdefault(k, [INF, INF, None]), term, p, width)
             else:
                 kept[k] = term
     for a, b in pairs:
-        right = _terms(b)
-        for i, sa, ca, ba in _terms(a):
+        right = b.terms
+        for i, sa, ca, ba in a.terms:
             for j, sb, cb, bb in right:
                 k = i + j
                 if k > nt:
@@ -107,9 +99,7 @@ def _fused(params, nt, pairs, addends=()):
             if term is None:
                 continue
         view.append(term)
-    series = TruncSeries(params, nt)
-    series._coeffs, series._view = None, view
-    return series
+    return _series(params, nt, view)
 
 
 def _add(rec, term, p, width):
@@ -138,19 +128,31 @@ def _align(rec, s, p, width):
 def _build(params, k, bound, shift, slots):
     """The view of the t^k coefficient from its record; None if it is
     exactly 0.  Slots d .. 2d - 2 are folded once by the rows of the
-    modulus, then the digits are reduced mod p^(bound - shift) and
-    normalized once, as ``PAdicScalar.from_digits`` does.  Folding is
+    modulus; exact digits give up their common power of p, and others
+    are reduced mod p^(bound - shift) and normalized once.  Folding is
     linear, so it has the digits of the folded products summed term by
     term."""
     if bound <= shift:
         return k, bound, None, bound
     folded = _fold(slots, params.rows)
     if bound == INF:
-        c = PAdicScalar(params, shift, tuple(folded), None)._normalize()
-        return None if c.is_zero() else _term(k, c)
-    norm = _normal_digits(params, shift, enumerate(folded), bound - shift)
+        g = math.gcd(*folded)
+        if not g:
+            return None
+        v = _valuation(g, params.p)
+        q = params.p ** v
+        return (k, shift + v,
+                tuple([(i, x // q) for i, x in enumerate(folded) if x]), INF)
+    return _normal_term(params, k, shift, enumerate(folded), bound - shift)
+
+
+def _normal_term(params, k, shift, digits, n):
+    """The view of the t^k coefficient p^shift * sum(x g^i) known mod
+    p^(shift + n), in the normal form of ``_normal_digits``; masked if it
+    vanishes there."""
+    norm = _normal_digits(params, shift, digits, n)
     if norm is None:
-        return k, bound, None, bound
+        return k, shift + n, None, shift + n
     shift, digits, n = norm
     return k, shift, digits, shift + n
 
@@ -158,28 +160,19 @@ def _build(params, k, bound, shift, slots):
 class TruncSeries:
     """Sparse truncated series; absent exponents are zero up to N_t.
 
-    A series is not changed once built: the kernel keeps its view of the
-    coefficients with it, and a series it made builds ``coeffs`` from that.
+    ``terms`` lists the kernel's view of each coefficient by exponent.  A
+    series is not changed once built.
     """
 
-    __slots__ = ("params", "nt", "_coeffs", "_view")
+    __slots__ = ("params", "nt", "terms")
 
     def __init__(self, params, nt, coeffs=None):
+        """The series of ``coeffs``, {k: PAdicScalar}; exact zeros and
+        exponents beyond N_t drop."""
         self.params = params
         self.nt = nt
-        self._coeffs = {}
-        self._view = None
-        if coeffs:
-            for k, c in coeffs.items():
-                if k <= nt and not c.is_zero():
-                    self._coeffs[k] = c
-
-    @property
-    def coeffs(self):
-        """The coefficients by exponent, built from the view on first read."""
-        if self._coeffs is None:
-            self._coeffs = {t[0]: _scalar(self.params, t) for t in self._view}
-        return self._coeffs
+        self.terms = [_term(k, c) for k, c in sorted((coeffs or {}).items())
+                      if k <= nt and not c.is_zero()]
 
     @classmethod
     def zero(cls, params, nt):
@@ -199,16 +192,16 @@ class TruncSeries:
         Coefficients that vanish only up to tracked precision still count
         as present; this keeps convergence checks conservative.
         """
-        terms = _terms(self)
-        return terms[0][0] if terms else INF
+        return self.terms[0][0] if self.terms else INF
 
     def __add__(self, other):
         self._check(other)
         return _fused(self.params, self.nt, (), (self, other))
 
     def __neg__(self):
-        return TruncSeries(self.params, self.nt,
-                           {k: -c for k, c in self.coeffs.items()})
+        return _series(self.params, self.nt, [
+            (k, s, c and tuple([(i, -x) for i, x in c]), b)
+            for k, s, c, b in self.terms])
 
     def __sub__(self, other):
         return self + (-other)
@@ -224,28 +217,28 @@ class TruncSeries:
                       [(self, TruncSeries.constant(self.params, 0, scalar))])
 
     def frobenius_twist(self):
-        """sigma on coefficients, t -> t^p; exponents beyond N_t drop."""
-        p = self.params.p
-        out = {}
-        for k, c in self.coeffs.items():
-            kp = k * p
-            if kp <= self.nt:
-                out[kp] = c.frobenius()
-        return TruncSeries(self.params, self.nt, out)
+        """sigma on coefficients, t -> t^p; exponents beyond N_t drop.
 
-    def coefficient(self, k):
-        c = self.coeffs.get(k)
-        if c is None:
-            return self.params.zero()
-        return c
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        terms = [f"({self.coeffs[k]})*t^{k}" for k in sorted(self.coeffs)]
-        return " + ".join(terms)
-
-    __repr__ = __str__
+        sigma fixes Z_p, so a masked view and one with digits only at g^0
+        move to k p as they are.  Any other goes through ``frobenius_poly``
+        mod p^n, n its known digits (M when exact), and is normalized.
+        """
+        params, terms = self.params, []
+        for k, shift, digits, bound in self.terms:
+            k *= params.p
+            if k > self.nt:
+                break
+            if digits is None or digits[-1][0] == 0:
+                terms.append((k, shift, digits, bound))
+                continue
+            n = params.precision_M if bound == INF else bound - shift
+            coeffs = [0] * params.d
+            for i, x in digits:
+                coeffs[i] = x
+            terms.append(_normal_term(
+                params, k, shift,
+                enumerate(params.frobenius_poly(coeffs, n)), n))
+        return _series(params, self.nt, terms)
 
 
 class MatSeries:
@@ -280,9 +273,6 @@ class MatSeries:
         for i in range(n):
             m.entries[i][i] = TruncSeries.constant(params, nt, one)
         return m
-
-    def __mul__(self, other):
-        return self.mul_add(other)
 
     def mul_add(self, other, addend=None):
         """self * other (+ addend), each entry one ``_fused`` call."""
@@ -403,7 +393,7 @@ def column_valuation_profile(mat, w):
     minvals = {}
     floors = {}
     for s in series:
-        for k, shift, digits, bound in _terms(s):
+        for k, shift, digits, bound in s.terms:
             if digits is None:
                 if floors.get(k, INF) > bound:
                     floors[k] = bound

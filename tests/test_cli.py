@@ -65,6 +65,19 @@ def test_decay_table():
     assert "vector=w4 n0=inf n1=inf n2=inf" in lines
 
 
+@pytest.mark.parametrize("search", [[], ["--search"]],
+                         ids=["table", "search"])
+def test_decay_past_the_truncation_is_refused(search):
+    """At --nmax 3 the last threshold, 312, lies past nt = 63, and w1's
+    true index there is 312: the command prints no row, so no index
+    reads inf where the truncation cannot support it."""
+    code, text = run(["decay", "--curve", fx("xt_yt.curve"), "--nmax", "3"]
+                     + search)
+    assert code == 1
+    assert text == ("error=ThresholdExceedsTruncation detail=threshold 312 "
+                    "exceeds truncation 63\n")
+
+
 def test_decay_case_mismatch():
     code, text = run(["decay", "--case", "siegel-superspecial",
                       "--curve", fx("xt_yt.curve")])

@@ -19,8 +19,8 @@ from froblat.errors import (Indeterminate, InvalidParameter, NotFound,
 from froblat.linalg import primitive_kernel_vector as _primitive_kernel_vector
 from froblat.padics import INF, PAdicParams, PAdicScalar
 from froblat.regression import decay_fixture_table
-from froblat.series import (MatSeries, TruncSeries, _terms,
-                            column_valuation_profile)
+from froblat.series import MatSeries, TruncSeries, column_valuation_profile
+from series_oracle import coeffs
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -56,15 +56,15 @@ def test_siegel_template_entries():
     curve = FormalCurve(x={1: 1}, y={1: 1}, z={1: 1}, nt=20)
     F = model.perturbation_matrix(curve)
     # top-left entry is (x y + z^2 / 4 eps) / 2p: t-adic order 2, val -1
-    e00 = F.entries[0][0]
-    assert min(e00.coeffs) == 2
-    assert e00.coeffs[2].maybe_val() == -1
+    e00 = coeffs(F.entries[0][0])
+    assert min(e00) == 2
+    assert e00[2].maybe_val() == -1
     # split case: entry (1,3) is (x + y)/2p
     sp = build_model(HILBERT_SPLIT, 5, 2, 8)
     Fs = sp.perturbation_matrix(FormalCurve(x={1: 1}, y={2: 1}, nt=20))
-    e02 = Fs.entries[0][2]
-    assert sorted(e02.coeffs) == [1, 2]
-    assert e02.coeffs[1].maybe_val() == -1
+    e02 = coeffs(Fs.entries[0][2])
+    assert sorted(e02) == [1, 2]
+    assert e02[1].maybe_val() == -1
 
 
 def test_non_ordinary_valuations():
@@ -87,7 +87,7 @@ def test_cancellation_raises_when_total():
     A = m.non_ordinary_valuation(curve)
     assert A == 8 > 2
     # the W-coefficient of t^2 is not 0, only divisible by p
-    q = m._series(curve)[3].coeffs[2]
+    q = coeffs(m._series(curve)[3])[2]
     assert not q.is_zero() and q.maybe_val() >= 1
 
 
@@ -98,10 +98,8 @@ def test_degenerate_curve():
     finf = f_infinity(m, FormalCurve(nt=20))
     for i in range(5):
         for j in range(5):
-            if i == j:
-                assert list(finf.entries[i][j].coeffs) == [0]
-            else:
-                assert finf.entries[i][j].coeffs == {}
+            ks = [t[0] for t in finf.entries[i][j].terms]
+            assert ks == ([0] if i == j else [])
 
 
 def _reference_valuation(model, curve):
@@ -507,16 +505,17 @@ def _coefficient_table(finf, basis, kmax):
     """The certificate table as it was built from the dense coefficients
     and their known bounds: the oracle of ``_certificate_table``."""
     p = finf.params.p
-    cols = [finf.apply_int_vector(list(v)) for v in basis]
-    cells = sorted({(k, i) for col in cols for i, series in enumerate(col)
-                    for k in series.coeffs if k <= kmax})
-    s_min = min((c.shift for col in cols for series in col
-                 for k, c in series.coeffs.items() if k <= kmax), default=0)
+    cols = [[coeffs(series) for series in finf.apply_int_vector(list(v))]
+            for v in basis]
+    cells = sorted({(k, i) for col in cols for i, cs in enumerate(col)
+                    for k in cs if k <= kmax})
+    s_min = min((c.shift for col in cols for cs in col
+                 for k, c in cs.items() if k <= kmax), default=0)
     q0 = p ** max(-s_min, 0)
     zero = (0,) * finf.params.d
     table = []
     for k, i in cells:
-        cs = [col[i].coeffs.get(k) for col in cols]
+        cs = [col[i].get(k) for col in cols]
         bound = min(c.known_bound() for c in cs if c is not None)
         scaled = [zero if c is None else
                   [x * p ** (c.shift - s_min) % q0 for x in c.coeffs]
@@ -578,5 +577,5 @@ def test_certificate_table_reads_masked_views(monkeypatch):
     assert crystals._certificate_table(deep, spans[1], nt)[0] == -5
     # the sum (1, 1, 0, 0) makes row 3's t^1 a masked view in the kernel
     row3 = deep.apply_int_vector([1, 1, 0, 0])[3]
-    assert _terms(row3)[0] == (1, -1, None, -1)
+    assert row3.terms[0] == (1, -1, None, -1)
     assert verdicts == {None, False, True}

@@ -9,6 +9,7 @@ n_max = 2.
 """
 
 import hashlib
+import time
 from functools import lru_cache
 
 import pytest
@@ -20,6 +21,7 @@ from froblat.padics import INF, PAdicParams
 from froblat.series import column_valuation_profile
 from froblat.regression import (decay_fixture_table, run_decay_fixture,
                                 split_equal_decay_indices)
+from series_oracle import coeffs
 
 TABLE = decay_fixture_table(5)
 
@@ -114,8 +116,7 @@ def finf_digest(name):
     h = hashlib.sha256()
     for r, row in enumerate(finf_of(name).entries):
         for col, e in enumerate(row):
-            for k in sorted(e.coeffs):
-                c = e.coeffs[k]
+            for k, c in sorted(coeffs(e).items()):
                 h.update(repr((r, col, k, c.shift, c.coeffs, c.rel_prec,
                                c.exact)).encode())
     return h.hexdigest()
@@ -124,7 +125,7 @@ def finf_digest(name):
 def inexact_finf_coefficients(name):
     """Every inexact t^k coefficient of the fixture's F_inf at n_max = 2."""
     return [c for row in finf_of(name).entries for e in row
-            for c in e.coeffs.values() if not c.exact]
+            for c in coeffs(e).values() if not c.exact]
 
 
 @pytest.mark.parametrize("fix", TABLE, ids=[f["name"] for f in TABLE])
@@ -146,6 +147,17 @@ def test_witness_is_wanted_exactly_without_a_frob(fix):
 
 def test_split_equal_indices_exact():
     assert split_equal_decay_indices(5, 2) == [2, 12, 62]
+
+
+def test_split_equal_indices_through_depth_four():
+    """w1's index at level n is (p^(n+1) - 1)/2 at p = 5, n <= 4, with nt
+    derived from n_max so that no index rests on the truncation.  Runtime
+    bound: 5 s."""
+    start = time.time()
+    assert split_equal_decay_indices(5, 4) \
+        == [(5 ** (n + 1) - 1) // 2 for n in range(5)] \
+        == [2, 12, 62, 312, 1562]
+    assert time.time() - start < 5
 
 
 def test_mirror_branch_changes_the_third_vector():
@@ -194,7 +206,7 @@ def support(fix):
 
 def coefficients(series):
     return [(k, c.shift, c.coeffs, c.rel_prec)
-            for k, c in sorted(series.coeffs.items())]
+            for k, c in sorted(coeffs(series).items())]
 
 
 @pytest.mark.parametrize("fix", TABLE, ids=[f["name"] for f in TABLE])

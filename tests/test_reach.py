@@ -1,11 +1,12 @@
-"""Every module-level function of froblat is reached by a command.
+"""Every function and method of froblat is reached by a command.
 
 A profile hook records each call while the golden argv lists, the
 README's command examples (plus ``theta --primes``) and the demos run
 in one fresh interpreter, so no cache filled by another test hides a
-call.  The functions it never sees are exactly the names of UNREACHED,
-each kept for the reason given.  Run ``python tests/test_reach.py`` to
-print them.
+call.  The module-level functions and class methods it never sees are
+exactly the names of UNREACHED, each kept for the reason given; the
+dunders a dataclass generates are not counted.  Run
+``python tests/test_reach.py`` to print them.
 """
 
 import contextlib
@@ -31,6 +32,20 @@ UNREACHED = {
     "regression.split_equal_decay_indices": "the decay_matrix benchmark "
                                             "workload calls it",
     "cli.main": "the console entry point",
+    "cli.KeyVals.__missing__": "error path: a config without a key",
+    "cli.KeyVals.error": "error path: a bad config value",
+    "cli._Parser.error": "error path: a usage error as one record",
+    "errors.Indeterminate.__init__": "error path: precision blocks a "
+                                     "verdict",
+    "errors.NotFound.__init__": "error path: no span is certified",
+    "eisenstein.EisResult.midpoint": "the cusp_pdet5 benchmark workload "
+                                     "reads it",
+    "eisenstein.EisResult.radius": "the cusp_pdet5 benchmark workload "
+                                   "reads it",
+    "padics.PAdicParams.zero": "the exact zero of from_int(0) and of a "
+                               "product with 0; no command makes one",
+    "padics.PAdicScalar.residue": "a test oracle of teichmuller and "
+                                  "frobenius",
 }
 
 
@@ -47,8 +62,17 @@ def _argv_lists():
     return [list(a) for a in dict.fromkeys(map(tuple, argvs))]
 
 
+def _function_of(member):
+    """The function a class attribute holds: a method, a class or static
+    method's function, or a property's getter; None for anything else."""
+    fn = member.fget if isinstance(member, property) \
+        else getattr(member, "__func__", member)
+    return fn if inspect.isfunction(fn) else None
+
+
 def unreached():
-    """Names module.function of froblat that no command calls."""
+    """Names module.function and module.Class.method of froblat that no
+    command calls."""
     import froblat
     from froblat.cli import dispatch
     functions = {}
@@ -58,6 +82,12 @@ def unreached():
             fn = inspect.unwrap(obj) if callable(obj) else None
             if inspect.isfunction(fn) and fn.__module__ == module.__name__:
                 functions[fn.__code__] = f"{info.name}.{name}"
+            if inspect.isclass(obj) and obj.__module__ == module.__name__:
+                for attr, member in vars(obj).items():
+                    fn = _function_of(member)
+                    # a generated dunder has no code in the module
+                    if fn and fn.__code__.co_filename == module.__file__:
+                        functions[fn.__code__] = f"{info.name}.{name}.{attr}"
     seen = set()
 
     def hook(frame, event, arg):
