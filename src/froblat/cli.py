@@ -237,8 +237,8 @@ def cmd_decay(args, out):
         row = [("vector", "w" + str(i + 1))]
         profile = column_valuation_profile(finf, w)
         for n in range(args.nmax + 1):
-            idx, sound = profile.decay_index(n)
-            row.append((f"n{n}", idx if sound else f"{idx}?"))
+            idx, masked = profile.decay_index(n)
+            row.append((f"n{n}", f"{idx}?" if masked else idx))
         _emit(out, row)
     if args.search:
         basis, witness = find_decaying_submodule(model, finf, A,

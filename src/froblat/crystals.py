@@ -258,11 +258,8 @@ def check_truncation(thr, nt):
 
 
 def dvr_thresholds(A, p, a_dvr, n_max):
-    out = []
-    for n in range(n_max + 1):
-        base = A * sum(p ** i for i in range(n)) if n >= 1 else A // p
-        out.append(base + a_dvr * p ** n)
-    return out
+    base = [A // p] + decay_thresholds(A, p, n_max - 1)
+    return [b + a_dvr * p ** n for n, b in enumerate(base)]
 
 
 def check_DR(finf, w, A, n_max):
@@ -285,15 +282,20 @@ def _decays_within(finf, w, thrs):
     check_truncation(max(thrs), finf.nt)
     profile = column_valuation_profile(finf, w)
     for n, thr in enumerate(thrs):
-        idx, sound = profile.decay_index(n, thr)
+        idx, masked = profile.decay_index(n, thr)
         if idx == INF:
-            if not sound:
-                k = min(j for j, b in profile.floors.items() if b <= -n - 1)
-                raise Indeterminate(
-                    f"precision masks the decay verdict at n = {n}, k = {k}",
-                    n=n, k=k)
+            if masked:
+                raise _blocked("decay verdict", n, *masked)
             return False
     return True
+
+
+def _blocked(what, n, k, row, bound):
+    """Indeterminate naming the masked coefficient ``what`` rests on."""
+    return Indeterminate(
+        f"{what} blocked by precision: coefficient n = {n}, k = {k}, "
+        f"row = {row} is known only to bound = {bound}",
+        n=n, k=k, row=row, bound=bound)
 
 
 # -- submodule search ------------------------------------------------------
@@ -356,9 +358,8 @@ def _certificate_table(finf, basis, kmax):
             for term in series.terms:
                 if term[0] <= kmax:
                     cells.setdefault((term[0], i), []).append((b, term))
-    # a masked view's shift is its bound, one above the masked scalar's
-    s_min = min((s - (c is None) for views in cells.values()
-                 for _, (_, s, c, _) in views), default=0)
+    s_min = min((s for views in cells.values()
+                 for _, (_, s, _, _) in views), default=0)
     q0 = p ** max(-s_min, 0)
     table = []
     for (k, i), views in sorted(cells.items()):
@@ -427,11 +428,7 @@ def find_decaying_submodule(model, finf, A, n_max=2, candidates=None):
             last_falsifier = detail
             continue
         if verdict is None:
-            n, k, row, bound = detail
-            blocked = Indeterminate(
-                f"decay search blocked by precision: coefficient n = {n}, "
-                f"k = {k}, row = {row} is known only to bound = {bound}",
-                n=n, k=k, row=row, bound=bound)
+            blocked = _blocked("decay search", *detail)
             continue
         witness = None
         if model.a_frob is None:
@@ -457,10 +454,7 @@ def find_decaying_submodule(model, finf, A, n_max=2, candidates=None):
 
 def _witness_order(p, k):
     """Single basis vectors first, then mod-p combinations."""
-    for i in range(k):
-        v = [0] * k
-        v[i] = 1
-        yield tuple(v)
+    yield from (_e(i, k) for i in range(k))
     for coeffs in itertools.product(range(p), repeat=k):
         if sum(c > 0 for c in coeffs) >= 2:
             yield coeffs

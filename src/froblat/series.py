@@ -175,10 +175,6 @@ class TruncSeries:
                       if k <= nt and not c.is_zero()]
 
     @classmethod
-    def zero(cls, params, nt):
-        return cls(params, nt)
-
-    @classmethod
     def constant(cls, params, nt, scalar):
         return cls(params, nt, {0: scalar})
 
@@ -263,7 +259,7 @@ class MatSeries:
     @classmethod
     def zero(cls, params, nt, rows, cols):
         return cls(params, nt,
-                   [[TruncSeries.zero(params, nt) for _ in range(cols)]
+                   [[TruncSeries(params, nt) for _ in range(cols)]
                     for _ in range(rows)])
 
     @classmethod
@@ -357,8 +353,9 @@ class DecayProfile:
 
     ``minvals`` maps each exponent with a visible coefficient to the
     minimum valuation over coordinates; ``floors`` maps exponents whose
-    coefficients are masked by precision to the exhaustion bound (the
-    true valuation is >= the bound but otherwise unknown).
+    coefficients are masked by precision to (bound, row): the least
+    exhaustion bound (the true valuation is >= the bound but otherwise
+    unknown) and the first row that has it.
     """
 
     __slots__ = ("nt", "minvals", "floors")
@@ -369,22 +366,18 @@ class DecayProfile:
         self.floors = floors
 
     def decay_index(self, n, kmax=None):
-        """Least k with min valuation < -n; (index, sound) pair.
-
-        ``sound`` is False when a precision-masked coefficient below the
-        query depth occurs before the reported index, i.e. the true index
-        could be smaller than reported (never larger).
+        """Least k <= kmax with min valuation < -n (INF if none), and the
+        first coefficient (k, row, bound) masked at level n up to it, or
+        None: where there is one, the true index could be smaller than
+        reported (never larger).
         """
         if kmax is None:
             kmax = self.nt
-        sound = True
-        for k in range(0, kmax + 1):
-            if self.floors.get(k, INF) <= -(n + 1):
-                sound = False
-            v = self.minvals.get(k)
-            if v is not None and v < -n:
-                return k, sound
-        return INF, sound
+        idx = min((k for k, v in self.minvals.items() if k <= kmax and v < -n),
+                  default=INF)
+        masked = [(k, row, bound) for k, (bound, row) in self.floors.items()
+                  if k <= min(idx, kmax) and bound <= -(n + 1)]
+        return idx, min(masked, default=None)
 
 
 def column_valuation_profile(mat, w):
@@ -392,11 +385,11 @@ def column_valuation_profile(mat, w):
     series = mat.apply_int_vector(w)
     minvals = {}
     floors = {}
-    for s in series:
+    for row, s in enumerate(series):
         for k, shift, digits, bound in s.terms:
             if digits is None:
-                if floors.get(k, INF) > bound:
-                    floors[k] = bound
+                if floors.get(k, (INF,))[0] > bound:
+                    floors[k] = bound, row
             elif minvals.get(k, INF) > shift:
                 minvals[k] = shift
     return DecayProfile(mat.nt, minvals, floors)

@@ -91,8 +91,8 @@ def test_criterion_3_decay_regression_matrix():
     table = decay_fixture_table(5)
     assert len(table) >= 15
     for fix in table:
-        assert fix["nt"] >= fix["A"] * (1 + 5 + 25) + 1
         res = run_decay_fixture(fix, n_max=2)
+        assert res["nt"] >= fix["A"] * (1 + 5 + 25) + 1
         assert res["A"] == fix["A"]
         assert len(res["basis"]) == 3
         if fix["want_witness"]:

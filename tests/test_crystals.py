@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from froblat import cli, crystals
+from froblat import cli, crystals, regression
 from froblat.crystals import (HILBERT_INERT_SG, HILBERT_INERT_SSP,
                               HILBERT_SPLIT, SIEGEL_SG, SIEGEL_SSP,
                               CrystalModel, FormalCurve, _combine,
@@ -18,7 +18,7 @@ from froblat.errors import (Indeterminate, InvalidParameter, NotFound,
                             ThresholdExceedsTruncation)
 from froblat.linalg import primitive_kernel_vector as _primitive_kernel_vector
 from froblat.padics import INF, PAdicParams, PAdicScalar
-from froblat.regression import decay_fixture_table
+from froblat.regression import build_fixture, decay_fixture_table
 from froblat.series import MatSeries, TruncSeries, column_valuation_profile
 from series_oracle import coeffs
 
@@ -197,8 +197,8 @@ def test_split_decay_indices(split_xy):
     curve, finf = split_xy
     w1 = column_valuation_profile(finf, [1, 0, 0, 0])
     for n, expect in [(0, 2), (1, 12), (2, 62)]:
-        idx, sound = w1.decay_index(n)
-        assert sound and idx == expect
+        idx, masked = w1.decay_index(n)
+        assert masked is None and idx == expect
     w3 = column_valuation_profile(finf, [0, 0, 1, 0])
     for n, expect in [(0, 1), (1, 7), (2, 37)]:
         idx, _ = w3.decay_index(n)
@@ -207,8 +207,8 @@ def test_split_decay_indices(split_xy):
 
 def test_fourth_vector_is_killed_when_x_equals_y(split_xy):
     _, finf = split_xy
-    idx, sound = column_valuation_profile(finf, [0, 0, 0, 1]).decay_index(0)
-    assert idx == INF and sound
+    idx, masked = column_valuation_profile(finf, [0, 0, 0, 1]).decay_index(0)
+    assert idx == INF and masked is None
 
 
 def test_scaling_shifts_depth(split_xy):
@@ -390,10 +390,7 @@ def test_span_certificate_against_definition():
     seen = set()
     for name in ("split-equal", "supergeneric-z-dominant", "siegel-3.2"):
         fix = table[name]
-        params = PAdicParams(fix["p"], fix["d"], fix["precision"])
-        c_res, curve = fix["make"](params.residue_field, params.eps_int,
-                                   fix["nt"])
-        model = CrystalModel(fix["case"], params, c_residue=c_res)
+        model, curve = build_fixture(fix)
         A = fix["A"]
         finf = f_infinity(model, curve, n_max=2)
         spans = fix["asserted"][:8]
@@ -476,13 +473,32 @@ def test_masked_coefficient_blocks_only_when_it_matters():
     msg = str(exc)
     assert "n = 0" in msg and "k = 1" in msg
     assert "row = 3" in msg and "bound = -1" in msg
-    # one vector: the level and the first masked exponent, no row
+    # one vector: the same coefficient, in the same message form
     with pytest.raises(Indeterminate) as info:
         check_DR(blocked, [1, 1, 0, 0], 1, 2)
     exc = info.value
-    assert (exc.n, exc.k, exc.row, exc.bound) == (0, 1, None, None)
+    assert (exc.n, exc.k, exc.row, exc.bound) == (0, 1, 3, -1)
+    assert str(exc) == msg.replace("decay search", "decay verdict")
     assert _span_certificate(masked_finf(model.params, nt, cancel=False),
                              basis, 1, 2) == (True, None)
+
+
+def test_masked_split_equal_index_is_indeterminate(monkeypatch):
+    """A decay index that a masked coefficient may undercut is
+    Indeterminate, naming that coefficient, not a parameter error."""
+    def finf(model, curve, n_max, columns):
+        params, nt = model.params, curve.nt
+        out = masked_finf(params, nt, cancel=True)
+        out.entries[3][0] = TruncSeries(
+            params, nt, {1: PAdicScalar.masked(params, -1)})
+        return out
+
+    monkeypatch.setattr(regression, "f_infinity", finf)
+    with pytest.raises(Indeterminate) as info:
+        regression.split_equal_decay_indices(5, 2)
+    exc = info.value
+    assert (exc.n, exc.k, exc.row, exc.bound) == (0, 1, 3, -1)
+    assert str(exc).startswith("decay index blocked by precision")
 
 
 def test_indeterminate_record_names_the_coefficient(monkeypatch):
@@ -503,13 +519,15 @@ def test_indeterminate_record_names_the_coefficient(monkeypatch):
 
 def _coefficient_table(finf, basis, kmax):
     """The certificate table as it was built from the dense coefficients
-    and their known bounds: the oracle of ``_certificate_table``."""
+    and their known bounds, a precision-zero coefficient read at its
+    bound: the oracle of ``_certificate_table``."""
     p = finf.params.p
     cols = [[coeffs(series) for series in finf.apply_int_vector(list(v))]
             for v in basis]
     cells = sorted({(k, i) for col in cols for i, cs in enumerate(col)
                     for k in cs if k <= kmax})
-    s_min = min((c.shift for col in cols for cs in col
+    s_min = min((c.known_bound() if c.is_precision_zero() else c.shift
+                 for col in cols for cs in col
                  for k, c in cs.items() if k <= kmax), default=0)
     q0 = p ** max(-s_min, 0)
     zero = (0,) * finf.params.d
@@ -543,14 +561,11 @@ def _assert_same_certificates(finf, spans, A, monkeypatch):
 def test_certificate_table_reads_views_as_coefficients(fix, monkeypatch):
     """Every asserted candidate of every fixture, and the default
     candidates of two, get the oracle's verdict and detail."""
-    params = PAdicParams(fix["p"], fix["d"], fix["precision"])
-    c_res, curve = fix["make"](params.residue_field, params.eps_int,
-                               fix["nt"])
-    model = CrystalModel(fix["case"], params, c_residue=c_res)
+    model, curve = build_fixture(fix)
     finf = f_infinity(model, curve, n_max=2)
     spans = list(fix["asserted"])
     if fix["name"] in ("split-equal", "supergeneric-z-dominant"):
-        spans += crystals._default_candidates(model.rank, params.p)
+        spans += crystals._default_candidates(model.rank, fix["p"])
     got = _assert_same_certificates(finf, spans, fix["A"], monkeypatch)
     assert got[0][0] is True
 
@@ -558,7 +573,7 @@ def test_certificate_table_reads_views_as_coefficients(fix, monkeypatch):
 def test_certificate_table_reads_masked_views(monkeypatch):
     """The hand-built matrices of ``masked_finf``, and one with a masked
     coefficient below every visible one: a masked view's shift is its
-    bound, and the table reads it one lower, as the masked scalar's."""
+    bound, and the table reads it there."""
     params = build_model(HILBERT_SPLIT, 5, 2, 10).params
     nt = 31
     e = [tuple(int(i == j) for j in range(4)) for i in range(4)]
@@ -574,7 +589,7 @@ def test_certificate_table_reads_masked_views(monkeypatch):
     deep.entries[3][3] = TruncSeries(params, nt,
                                      {2: PAdicScalar.masked(params, -4)})
     _assert_same_certificates(deep, spans, 1, monkeypatch)
-    assert crystals._certificate_table(deep, spans[1], nt)[0] == -5
+    assert crystals._certificate_table(deep, spans[1], nt)[0] == -4
     # the sum (1, 1, 0, 0) makes row 3's t^1 a masked view in the kernel
     row3 = deep.apply_int_vector([1, 1, 0, 0])[3]
     assert row3.terms[0] == (1, -1, None, -1)

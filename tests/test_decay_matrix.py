@@ -5,7 +5,7 @@ relation of a, b for split curves; the interplay of the non-ordinary
 order A with its Frobenius companion B for the rank-5 family; the
 valuation pattern of y and z in the supergeneric family).  Verification
 certifies that every primitive vector of the asserted span decays at
-n_max = 2.
+n_max = 2 and at n_max = 3.
 """
 
 import hashlib
@@ -14,13 +14,12 @@ from functools import lru_cache
 
 import pytest
 
-from froblat.crystals import (HILBERT_SPLIT, CrystalModel, FormalCurve,
-                              build_model, f_infinity)
+from froblat.crystals import decay_thresholds, f_infinity
 from froblat.errors import InvalidParameter
-from froblat.padics import INF, PAdicParams
+from froblat.padics import INF
 from froblat.series import column_valuation_profile
-from froblat.regression import (decay_fixture_table, run_decay_fixture,
-                                split_equal_decay_indices)
+from froblat.regression import (build_fixture, decay_fixture_table,
+                                run_decay_fixture, split_equal_decay_indices)
 from series_oracle import coeffs
 
 TABLE = decay_fixture_table(5)
@@ -92,23 +91,13 @@ FINF_SHA256 = {
 }
 
 
-def built(fix):
-    """The fixture's model and curve, built as run_decay_fixture does."""
-    params = PAdicParams(fix["p"], fix["d"], fix["precision"])
-    c_res, curve = fix["make"](params.residue_field, params.eps_int,
-                               fix["nt"])
-    return CrystalModel(fix["case"], params, c_residue=c_res), curve
-
-
 @lru_cache(maxsize=None)
 def finf_of(name):
-    """F_inf at n_max = 2 for a fixture, or for the split x = y = t curve
-    of ``split_equal_decay_indices`` under SPLIT_EQUAL_CURVE."""
+    """F_inf at n_max = 2 for a fixture; under SPLIT_EQUAL_CURVE, for the
+    split-equal fixture that ``split_equal_decay_indices`` reads."""
     if name == SPLIT_EQUAL_CURVE:
-        model = build_model(HILBERT_SPLIT, 5, 2, 10)
-        curve = FormalCurve(x={1: 1}, y={1: 1}, nt=2 * (1 + 5 + 25) + 1)
-        return f_infinity(model, curve, n_max=2)
-    model, curve = built(next(f for f in TABLE if f["name"] == name))
+        name = "split-equal"
+    model, curve = build_fixture(next(f for f in TABLE if f["name"] == name))
     return f_infinity(model, curve, n_max=2)
 
 
@@ -139,10 +128,24 @@ def test_named_case(fix):
 
 @pytest.mark.parametrize("fix", TABLE, ids=[f["name"] for f in TABLE])
 def test_witness_is_wanted_exactly_without_a_frob(fix):
-    """The expected witness outcome is the model's own rule."""
-    model, curve = built(fix)
-    assert curve.nt == fix["nt"]
+    """The expected witness outcome is the model's own rule; the curve is
+    truncated just past the last threshold, or at the stated floor."""
+    model, curve = build_fixture(fix)
+    assert curve.nt == max(fix["nt_floor"],
+                           decay_thresholds(fix["A"], 5, 2)[-1] + 1)
     assert fix["want_witness"] == (model.a_frob is None)
+
+
+def test_every_fixture_certifies_at_depth_three():
+    """Each fixture, built for n_max = 3, certifies one of its asserted
+    spans, with a witness where one is wanted.  Runtime bound: 30 s."""
+    start = time.time()
+    for fix in TABLE:
+        res = run_decay_fixture(fix, n_max=3)
+        assert res["nt"] == decay_thresholds(fix["A"], 5, 3)[-1] + 1
+        assert tuple(map(tuple, res["basis"])) in fix["asserted"]
+        assert (res["witness"] is not None) == fix["want_witness"]
+    assert time.time() - start < 30
 
 
 def test_split_equal_indices_exact():
@@ -211,7 +214,7 @@ def coefficients(series):
 
 @pytest.mark.parametrize("fix", TABLE, ids=[f["name"] for f in TABLE])
 def test_restricted_product_columns_equal_the_full_product(fix):
-    model, curve = built(fix)
+    model, curve = build_fixture(fix)
     cols = support(fix)
     part = f_infinity(model, curve, n_max=2, columns=cols)
     full = finf_of(fix["name"])
@@ -227,7 +230,7 @@ def test_restricted_product_columns_equal_the_full_product(fix):
 def test_a_column_not_computed_is_refused(fix):
     """A product of one column reads that column and refuses every vector
     that touches another one; it never reads a missing column as 0."""
-    model, curve = built(fix)
+    model, curve = build_fixture(fix)
     first, rank = support(fix)[0], model.rank
     part = f_infinity(model, curve, n_max=2, columns=[first])
     held = [int(i == first) for i in range(rank)]

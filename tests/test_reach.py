@@ -29,6 +29,7 @@ UNREACHED = {
                                  "of the walk's order pins",
     "budget.check_chain_nested": "to certify derive_chain's chains once "
                                  "the Siegel budget runs",
+    "crystals._blocked": "error path: precision blocks a verdict",
     "regression.split_equal_decay_indices": "the decay_matrix benchmark "
                                             "workload calls it",
     "cli.main": "the console entry point",

@@ -4,11 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from froblat.crystals import (HILBERT_SPLIT, CrystalModel, FormalCurve,
-                              build_model, f_infinity)
+from froblat.crystals import f_infinity
 from froblat.errors import InvalidParameter, NonConvergent
 from froblat.padics import INF, PAdicParams, PAdicScalar, _fold
-from froblat.regression import decay_fixture_table
+from froblat.regression import build_fixture, decay_fixture_table
 from froblat.series import (DecayProfile, MatSeries, TruncSeries, _build,
                             _fused, _term, column_valuation_profile,
                             truncated_product)
@@ -185,10 +184,13 @@ def test_profile_trivial_cases(P):
 
 
 def test_decay_index_hit_after_a_masked_floor_is_unsound():
-    profile = DecayProfile(10, minvals={5: -1}, floors={3: -2})
-    assert profile.decay_index(0) == (5, False)
-    assert profile.decay_index(0, kmax=2) == (INF, True)
-    assert DecayProfile(10, {5: -1}, {}).decay_index(0) == (5, True)
+    """A hit after a masked floor names that floor's (k, row, bound)."""
+    profile = DecayProfile(10, minvals={5: -1}, floors={3: (-2, 1)})
+    assert profile.decay_index(0) == (5, (3, 1, -2))
+    assert profile.decay_index(0, kmax=2) == (INF, None)
+    assert profile.decay_index(1) == (INF, (3, 1, -2))
+    assert profile.decay_index(2) == (INF, None)
+    assert DecayProfile(10, {5: -1}, {}).decay_index(0) == (5, None)
 
 
 # -- the fused kernel against chained scalar arithmetic ---------------------
@@ -306,21 +308,10 @@ def left_to_right(F):
     return prod
 
 
-def _fixture_model(fix):
-    def make():
-        params = PAdicParams(fix["p"], fix["d"], fix["precision"])
-        c_res, curve = fix["make"](params.residue_field, params.eps_int,
-                                   fix["nt"])
-        return CrystalModel(fix["case"], params, c_residue=c_res), curve
-    return make
-
-
-# every decay fixture, and the split x = y = t curve of the decay indices
-ORDER_CASES = {fix["name"]: _fixture_model(fix)
-               for fix in decay_fixture_table(5)}
-ORDER_CASES["split-equal-indices"] = lambda: (
-    build_model(HILBERT_SPLIT, 5, 2, 10),
-    FormalCurve(x={1: 1}, y={1: 1}, nt=63))
+# every decay fixture, and the split-equal one under the name of the
+# decay indices that read it
+ORDER_CASES = {fix["name"]: fix for fix in decay_fixture_table(5)}
+ORDER_CASES["split-equal-indices"] = ORDER_CASES["split-equal"]
 
 
 @pytest.mark.parametrize("name", sorted(ORDER_CASES))
@@ -328,7 +319,7 @@ def test_right_to_left_product_loses_no_digit(name):
     """Same exponents in every entry; every coefficient agrees with the
     left-to-right product modulo that product's known bound, and is known
     to at least that bound; no more coefficients are masked."""
-    model, curve = ORDER_CASES[name]()
+    model, curve = build_fixture(ORDER_CASES[name])
     new = f_infinity(model, curve, n_max=2)
     old = left_to_right(model.perturbation_matrix(curve))
     masked = {"new": 0, "old": 0}
@@ -357,7 +348,8 @@ def test_right_to_left_product_loses_no_digit(name):
 def test_truncated_product_builds_no_intermediate_scalar(monkeypatch):
     """Forming F_inf builds one PAdicScalar, the identity's ``one``: the
     K intermediate products and the four twists of F build none."""
-    model, curve = ORDER_CASES["supergeneric-deep-cancel-strict"]()
+    model, curve = build_fixture(
+        ORDER_CASES["supergeneric-deep-cancel-strict"])
     factor = model.perturbation_matrix(curve)
     v = factor.min_vt()
     assert v * 5 ** 4 <= curve.nt < v * 5 ** 5  # F and four twists
