@@ -11,9 +11,12 @@ exactly on the thresholds A(1 + p + ... + p^n) = 2, 12, 62.
 from froblat import (HILBERT_SPLIT, FormalCurve, build_model, check_DvR,
                      column_valuation_profile, f_infinity,
                      find_decaying_submodule)
+from froblat.crystals import truncation
 
-model = build_model(HILBERT_SPLIT, p=5, d=2, precision_M=10)
-curve = FormalCurve(x={1: 1}, y={1: 1}, nt=63)
+# the truncation and precision that verdicts up to n = 2 need at A = 2
+nt, M = truncation(2, 5, 2)
+model = build_model(HILBERT_SPLIT, p=5, d=2, precision_M=M)
+curve = FormalCurve(x={1: 1}, y={1: 1}, nt=nt)
 
 A = model.non_ordinary_valuation(curve)
 print("order of the non-ordinary equation along the curve: A =", A)
@@ -33,7 +36,7 @@ print("certified decaying rank-3 span:", basis)
 print("very-rapid witness:", witness)
 
 # the mirrored curve y = -x swaps the surviving direction
-mirror = FormalCurve(x={1: 1}, y={1: 4}, nt=63)
+mirror = FormalCurve(x={1: 1}, y={1: 4}, nt=nt)
 finf2 = f_infinity(model, mirror, n_max=2)
 basis2, witness2 = find_decaying_submodule(model, finf2,
                                            model.non_ordinary_valuation(mirror),

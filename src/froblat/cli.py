@@ -19,8 +19,8 @@ from . import errors
 from .budget import (ALPHA_FROM, alpha_variants, eisenstein_budget,
                      run_budget)
 from .crystals import (LOCAL_DENSITIES, CrystalModel, FormalCurve,
-                       check_truncation, decay_thresholds, f_infinity,
-                       find_decaying_submodule, local_gram)
+                       f_infinity, find_decaying_submodule, local_gram,
+                       truncation)
 from .eisenstein import q_L_hilbert, q_L_siegel, q_positive_definite
 from .enumeration import (prime_rep_count, representation_counts,
                           square_rep_count)
@@ -91,7 +91,7 @@ class KeyVals(dict):
             raise self.error(key, "is not an integer") from None
 
 
-CURVE_KEYS = ("case", "p", "d", "precision", "nt", "c", "x", "y", "z")
+CURVE_KEYS = ("case", "p", "d", "c", "x", "y", "z")
 BUDGET_KEYS = ("p", "A", "case", "global_gram", "chain_head", "depth", "M",
                "t_kind", "N", "C", "D", "disc_F", "exclude")
 
@@ -128,13 +128,13 @@ def read_curve(path):
 
     Coefficient lists are space-separated exp:coeff items, with residue
     coefficients as dot-separated F_p coordinates (constant first).
+    Returns the model at M = 1 and the curve to twice its top exponent,
+    where every product of two components ends, then build(M, nt).
     """
     kv = read_keyvals(path, CURVE_KEYS)
     case = kv["case"]
     p = kv.integer("p")
     d = kv.integer("d")
-    prec = kv.integer("precision")
-    nt = kv.integer("nt")
     comps = {}
     name = "c"
     try:
@@ -147,14 +147,18 @@ def read_curve(path):
             comps[name] = comp
     except ValueError:
         raise kv.error(name, "is not integer coefficients") from None
-    try:
-        model = CrystalModel(case, PAdicParams(p, d, prec), c_residue=c_res)
-        curve = FormalCurve(x=comps["x"], y=comps["y"], z=comps["z"], nt=nt)
-    except errors.InvalidParameter as exc:
-        raise errors.InvalidParameter(f"{path}: {exc}") from None
+
+    def build(M, nt):
+        try:
+            return (CrystalModel(case, PAdicParams(p, d, M), c_residue=c_res),
+                    FormalCurve(nt=nt, **comps))
+        except errors.InvalidParameter as exc:
+            raise errors.InvalidParameter(f"{path}: {exc}") from None
+
+    model, curve = build(1, 2 * max(max(c, default=0) for c in comps.values()))
     if model.rank == 4 and comps["z"]:
         raise kv.error("z", f"is set, but case {case} has no z component")
-    return model, curve
+    return model, curve, build
 
 
 def _frac(x):
@@ -221,14 +225,20 @@ def cmd_theta(args, out):
     return 0
 
 
+# the largest nt decay derives from --nmax (xt_yt.curve: 39063 at 6)
+NT_MAX = 1 << 20
+
+
 def cmd_decay(args, out):
     if args.nmax < 0:
         raise errors.InvalidParameter(f"--nmax {args.nmax} is negative")
-    model, curve = read_curve(args.curve)
+    model, curve, build = read_curve(args.curve)
     A = model.non_ordinary_valuation(curve)
-    # before any row: an index past nt would read inf unsoundly
-    check_truncation(decay_thresholds(A, model.params.p, args.nmax)[-1],
-                     curve.nt)
+    nt, M = truncation(A, model.params.p, args.nmax)
+    if nt > NT_MAX:
+        raise errors.InvalidParameter(
+            f"--nmax {args.nmax} needs nt = {nt}, past NT_MAX = {NT_MAX}")
+    model, curve = build(M, nt)
     finf = f_infinity(model, curve, n_max=args.nmax)
     _emit(out, [("case", model.case), ("A", A), ("nt", curve.nt)])
     rank = model.rank

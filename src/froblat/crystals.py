@@ -63,13 +63,8 @@ class FormalCurve:
 
     def component_series(self, params, which):
         comp = {"x": self.x, "y": self.y, "z": self.z}[which]
-        coeffs = {}
-        for e, r in comp.items():
-            if e <= self.nt:
-                lift = params.teichmuller(r)
-                if not lift.is_zero():
-                    coeffs[e] = lift
-        return TruncSeries(params, self.nt, coeffs)
+        return TruncSeries(params, self.nt, {e: params.teichmuller(r)
+                                             for e, r in comp.items()})
 
 
 class CrystalModel:
@@ -229,6 +224,12 @@ def required_precision(p, nt, n_max):
     while p ** k < nt:
         k += 1
     return n_max + 2 + k
+
+
+def truncation(A, p, n_max, nt_floor=0):
+    """(nt, M): nt past n_max's last threshold (or nt_floor), M its floor."""
+    nt = max(nt_floor, decay_thresholds(A, p, n_max)[-1] + 1)
+    return nt, required_precision(p, nt, n_max)
 
 
 def f_infinity(model, curve, n_max=2, columns=None):

@@ -16,9 +16,8 @@ provably does not exist in F_{p^4}.
 
 from .crystals import (HILBERT_INERT_SG, HILBERT_INERT_SSP, HILBERT_SPLIT,
                        SIEGEL_SG, SIEGEL_SSP, CrystalModel, FormalCurve,
-                       _blocked, _combos, _triples, decay_thresholds,
-                       f_infinity, find_decaying_submodule,
-                       required_precision)
+                       _blocked, _combos, _triples, f_infinity,
+                       find_decaying_submodule, truncation)
 from .errors import InvalidParameter
 from .padics import PAdicParams
 from .series import column_valuation_profile
@@ -164,13 +163,10 @@ def decay_fixture_table(p=5):
 
 
 def build_fixture(fix, n_max=2):
-    """The fixture's (model, curve) for verdicts up to n_max: nt past the
-    last threshold (or at the stated floor), so an inf is sound at every
-    level, and M covering nt and n_max (or the stated precision)."""
-    p = fix["p"]
-    nt = max(fix["nt_floor"], decay_thresholds(fix["A"], p, n_max)[-1] + 1)
-    M = max(fix["precision"], required_precision(p, nt, n_max))
-    params = PAdicParams(p, fix["d"], M)
+    """The fixture's (model, curve) for verdicts up to n_max, by
+    ``truncation`` and at least at the stated floor and precision."""
+    nt, M = truncation(fix["A"], fix["p"], n_max, fix["nt_floor"])
+    params = PAdicParams(fix["p"], fix["d"], max(fix["precision"], M))
     c_res, comps = fix["make"](params.residue_field, params.eps_int)
     curve = FormalCurve(nt=nt, **comps)
     model = CrystalModel(fix["case"], params, c_residue=c_res)

@@ -2,6 +2,7 @@ import io
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -67,15 +68,31 @@ def test_decay_table():
 
 @pytest.mark.parametrize("search", [[], ["--search"]],
                          ids=["table", "search"])
-def test_decay_past_the_truncation_is_refused(search):
-    """At --nmax 3 the last threshold, 312, lies past nt = 63, and w1's
-    true index there is 312: the command prints no row, so no index
-    reads inf where the truncation cannot support it."""
-    code, text = run(["decay", "--curve", fx("xt_yt.curve"), "--nmax", "3"]
+def test_decay_through_depth_four(search):
+    """nt and M follow from A and --nmax: at --nmax 4, nt = 1563 lies
+    past the last threshold, 1562, so every index is the true one."""
+    code, text = run(["decay", "--curve", fx("xt_yt.curve"), "--nmax", "4"]
                      + search)
+    assert code == 0
+    lines = text.splitlines()
+    assert lines[0] == "case=hilbert-split A=2 nt=1563"
+    for w, idx in (("w1", [2, 12, 62, 312, 1562]),
+                   ("w2", [2, 12, 62, 312, 1562]),
+                   ("w3", [1, 7, 37, 187, 937]), ("w4", ["inf"] * 5)):
+        assert f"vector={w} " + " ".join(
+            f"n{n}={i}" for n, i in enumerate(idx)) in lines
+    assert len(lines) == 5 + bool(search)
+
+
+def test_decay_past_the_truncation_bound_returns_at_once():
+    """--nmax 30 asks for nt = 2 (5^31 - 1) / 4 + 1: refused before any
+    series is built.  Runtime bound: 2 s."""
+    start = time.time()
+    code, text = run(["decay", "--curve", fx("xt_yt.curve"), "--nmax", "30"])
+    assert time.time() - start < 2
     assert code == 1
-    assert text == ("error=ThresholdExceedsTruncation detail=threshold 312 "
-                    "exceeds truncation 63\n")
+    assert text == ("error=InvalidParameter detail=--nmax 30 needs nt = "
+                    f"{2 * (5 ** 31 - 1) // 4 + 1}, past NT_MAX = {1 << 20}\n")
 
 
 def test_decay_case_mismatch():
@@ -248,15 +265,17 @@ def test_curve_without_degree_names_the_key(tmp_path):
     ("p=5", "p=five", "p='five' is not an integer"),
     ("x=1:1", "x=1:a", "x='1:a' is not integer coefficients"),
     ("x=1:1", "x=1:1.2.3", "x='1:1.2.3' has more than d = 2 coordinates"),
-    ("nt=63", "nt=63\nc=1.2.3", "c='1.2.3' has more than d = 2 coordinates"),
+    ("d=2", "d=2\nc=1.2.3", "c='1.2.3' has more than d = 2 coordinates"),
     ("y=1:1", "y=1:1\nz=1:1",
      "z='1:1' is set, but case hilbert-split has no z component"),
-    ("nt=63", "nt=63\nc=1", "split case carries no parameter c"),
+    ("d=2", "d=2\nc=1", "split case carries no parameter c"),
     ("case=hilbert-split", "case=inert-superspecial",
      "unknown case 'inert-superspecial'"),
     ("p=5", "p=9", "p = 9 is not an odd prime"),
-    ("precision=10", "precison=10", "unknown key 'precison'"),
-    ("nt=63", "nt=63\nnt=20", "key 'nt' is given twice"),
+    ("d=2", "d=2\nprecison=10", "unknown key 'precison'"),
+    ("d=2", "d=2\nnt=63", "unknown key 'nt'"),
+    ("d=2", "d=2\nprecision=10", "unknown key 'precision'"),
+    ("d=2", "d=2\nd=4", "key 'd' is given twice"),
 ])
 def test_curve_non_integer_value_names_the_key(tmp_path, old, new, detail):
     with open(fx("xt_yt.curve")) as fh:

@@ -9,14 +9,17 @@ n_max = 2 and at n_max = 3.
 """
 
 import hashlib
+import io
 import time
 from functools import lru_cache
 
 import pytest
 
-from froblat.crystals import decay_thresholds, f_infinity
+from froblat.cli import dispatch
+from froblat.crystals import (decay_thresholds, f_infinity,
+                              find_decaying_submodule)
 from froblat.errors import InvalidParameter
-from froblat.padics import INF
+from froblat.padics import INF, PAdicParams
 from froblat.series import column_valuation_profile
 from froblat.regression import (build_fixture, decay_fixture_table,
                                 run_decay_fixture, split_equal_decay_indices)
@@ -40,8 +43,6 @@ HEADROOM = {
     "supergeneric-deep-cancel-equal": (4, 519),
 }
 
-
-SPLIT_EQUAL_CURVE = "split-equal-indices"
 
 # sha256 over every t^k coefficient of F_inf at n_max = 2, as
 # (row, col, k, shift, coeffs, rel_prec, exact): a change to the series
@@ -86,17 +87,12 @@ FINF_SHA256 = {
         "235b23438a595b6e76019075b2ccc3d419222c3033d86c5253529af4428c7f30",
     "supergeneric-deep-cancel-equal":
         "f35eab4bb48e0f16f040820e51687ba83ad98e8202f2994f61d0d4d4b35e59e5",
-    "split-equal-indices":
-        "1da2337aab03ac8e05723cecb558fd149bac1fa6491ae4dd46625da823419f57",
 }
 
 
 @lru_cache(maxsize=None)
 def finf_of(name):
-    """F_inf at n_max = 2 for a fixture; under SPLIT_EQUAL_CURVE, for the
-    split-equal fixture that ``split_equal_decay_indices`` reads."""
-    if name == SPLIT_EQUAL_CURVE:
-        name = "split-equal"
+    """F_inf at n_max = 2 for a fixture."""
     model, curve = build_fixture(next(f for f in TABLE if f["name"] == name))
     return f_infinity(model, curve, n_max=2)
 
@@ -198,7 +194,7 @@ def test_finf_digest_pinned(name):
 
 
 def test_finf_digest_table_covers_every_fixture():
-    assert set(FINF_SHA256) == {f["name"] for f in TABLE} | {SPLIT_EQUAL_CURVE}
+    assert set(FINF_SHA256) == {f["name"] for f in TABLE}
 
 
 def support(fix):
@@ -242,3 +238,62 @@ def test_a_column_not_computed_is_refused(fix):
             with pytest.raises(InvalidParameter):
                 column_valuation_profile(part, [int(i == j)
                                                 for i in range(rank)])
+
+
+def write_curve_file(fix, path):
+    """The fixture as a curve file: its case, p, d, c and components,
+    with no truncation and no precision."""
+    params = PAdicParams(fix["p"], fix["d"], 1)
+    rf = params.residue_field
+    c_res, comps = fix["make"](rf, params.eps_int)
+
+    def coeff(r):
+        return ".".join(map(str, rf.element(r)))
+    lines = [f"case={fix['case']}", f"p={fix['p']}", f"d={fix['d']}"]
+    if c_res is not None:
+        lines.append(f"c={coeff(c_res)}")
+    lines += [f"{w}=" + " ".join(f"{e}:{coeff(r)}" for e, r in comp.items())
+              for w, comp in comps.items()]
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def _number(token):
+    return INF if token == "inf" else int(token.rstrip("?"))
+
+
+def test_every_fixture_as_a_curve_file_matches_its_build(tmp_path):
+    """``decay --search`` on each fixture written as a curve file, at
+    --nmax 2 and 3, derives nt and M from the A it reads: it prints the
+    fixture's A, the span and witness that the default search finds on
+    ``build_fixture``'s model, and every index at or below its level's
+    threshold as ``build_fixture``'s F_inf gives it.  Runtime bound:
+    60 s."""
+    start = time.time()
+    for fix in TABLE:
+        path = write_curve_file(fix, tmp_path / f"{fix['name']}.curve")
+        for n_max in (2, 3):
+            out = io.StringIO()
+            assert dispatch(["decay", "--curve", path, "--nmax", str(n_max),
+                             "--search"], out=out) == 0
+            head, *rows, search = out.getvalue().splitlines()
+            assert head.split()[1] == f"A={fix['A']}"
+            model, curve = build_fixture(fix, n_max)
+            finf = f_infinity(model, curve, n_max=n_max)
+            basis, witness = find_decaying_submodule(model, finf, fix["A"],
+                                                     n_max=n_max)
+            assert search == "span={} witness={}".format(
+                ";".join(",".join(map(str, v)) for v in basis),
+                ",".join(map(str, witness)) if witness else "-")
+            thrs = decay_thresholds(fix["A"], fix["p"], n_max)
+            assert len(rows) == model.rank
+            for i, row in enumerate(rows):
+                e_i = [int(j == i) for j in range(model.rank)]
+                profile = column_valuation_profile(finf, e_i)
+                for n, field in enumerate(row.split()[1:]):
+                    token = field.split("=")[1]
+                    idx, masked = profile.decay_index(n)
+                    want = f"{idx}?" if masked else str(idx)
+                    if min(_number(token), _number(want)) <= thrs[n]:
+                        assert token == want, (fix["name"], n_max, row)
+    assert time.time() - start < 60

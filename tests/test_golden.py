@@ -18,6 +18,8 @@ GOLDEN = {
                      "--search"],
     "decay_hilbert_split": ["decay", "--curve", "fixtures/xt_yt.curve",
                             "--nmax", "2"],
+    "decay_depth_four": ["decay", "--curve", "fixtures/xt_yt.curve",
+                         "--nmax", "4", "--search"],
     "budget_p5": ["budget", "--config", "fixtures/budget_p5.cfg"],
     "eisenstein_ls_global": ["eisenstein", "--lattice",
                              "fixtures/ls_global.gram", "--m-range",

@@ -308,10 +308,8 @@ def left_to_right(F):
     return prod
 
 
-# every decay fixture, and the split-equal one under the name of the
-# decay indices that read it
+# every decay fixture
 ORDER_CASES = {fix["name"]: fix for fix in decay_fixture_table(5)}
-ORDER_CASES["split-equal-indices"] = ORDER_CASES["split-equal"]
 
 
 @pytest.mark.parametrize("name", sorted(ORDER_CASES))
