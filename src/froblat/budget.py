@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import ChainNotNested, InvalidParameter
-from .eisenstein import q_L_hilbert, q_L_siegel, ratio_bound
+from .eisenstein import coefficients, ratio_bound
 from .enumeration import build_T_set, representation_counts
 from .quadforms import IntLattice
 
@@ -289,8 +289,7 @@ def run_budget(*, p, A, case, global_gram, chain_head, depth, M, t_kind,
     if A < 1:
         raise InvalidParameter("A must be >= 1")
     glob = IntLattice(global_gram, "global")
-    qfun = {4: q_L_hilbert, 5: q_L_siegel}.get(glob.rank)
-    if qfun is None:
+    if glob.rank not in (4, 5):
         raise InvalidParameter(f"global lattice of rank {glob.rank}: q_L "
                                f"needs rank 4 (Hilbert) or 5 (Siegel)")
     chain, _ = derive_chain(IntLattice(chain_head, "chain head"), p, depth)
@@ -315,8 +314,8 @@ def run_budget(*, p, A, case, global_gram, chain_head, depth, M, t_kind,
     if not kept:
         raise InvalidParameter(f"no m is kept: the T-set has {len(t_set)} "
                                f"members, {len(excluded)} of them excluded")
-    per_m = [{"m": m, "local": Fraction(local[m], 2 * p),
-              "g": global_g(A, p, qfun(glob, m))} for m in kept]
+    per_m = [{"m": q.m, "local": Fraction(local[q.m], 2 * p),
+              "g": global_g(A, p, q)} for q in coefficients(glob, kept, -1)]
     global_sum = sum((rec["g"] for rec in per_m), Fraction(0))
     if global_sum == 0:
         raise InvalidParameter("the global coefficients vanish on every "

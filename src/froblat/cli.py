@@ -21,7 +21,7 @@ from .budget import (ALPHA_FROM, alpha_variants, eisenstein_budget,
 from .crystals import (LOCAL_DENSITIES, CrystalModel, FormalCurve,
                        f_infinity, find_decaying_submodule, local_gram,
                        truncation)
-from .eisenstein import q_L_hilbert, q_L_siegel, q_positive_definite
+from .eisenstein import coefficients
 from .enumeration import (prime_rep_count, representation_counts,
                           square_rep_count)
 from .padics import (PAdicParams, _valuation, isprime, primerange,
@@ -199,12 +199,9 @@ def _m_range(text):
 def cmd_eisenstein(args, out):
     """Theta coefficients of a definite rank-4/5 lattice, else q_L."""
     lat = IntLattice(read_gram(args.lattice), args.lattice)
-    coefficient = q_positive_definite \
-        if lat.rank in (4, 5) and lat.is_positive_definite() \
-        else q_L_hilbert if lat.rank == 4 else q_L_siegel
-    for m in _m_range(args.m_range):
-        res = coefficient(lat, m)
-        _emit(out, [("m", m), ("m0", res.m0), ("f", res.f),
+    sign = 1 if lat.rank in (4, 5) and lat.is_positive_definite() else -1
+    for res in coefficients(lat, _m_range(args.m_range), sign):
+        _emit(out, [("m", res.m), ("m0", res.m0), ("f", res.f),
                     ("sign", res.sign()), ("exact", _frac(res.value))])
     return 0
 

@@ -1,9 +1,11 @@
 """Dirichlet L-values and exact Eisenstein Fourier coefficients.
 
 Every Eisenstein coefficient is one exact Fraction, built from an integer
-numerator and denominator multiplied factor by factor.  Its character
-discriminant D is positive (4|det| in rank 4, 2 m0 |det| in rank 5), and
-for D = D0 s^2 > 0 with D0 fundamental (or 1) and conductor f = D0,
+numerator and denominator multiplied factor by factor, and a range of m
+is one batch (``coefficients``) that does once what every m shares.
+Its character discriminant D is positive (4|det| in rank 4, 2 m0 |det|
+in rank 5), and for D = D0 s^2 > 0 with D0 fundamental (or 1) and
+conductor f = D0,
 
     L(2, chi_D) = E pi^2 B_{2,chi} / f^(3/2)
 
@@ -16,23 +18,24 @@ D < 0 branch sums the series in floats with a proven rounding bound.
 """
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import partial
 
 import numpy as np
 
 from .errors import InvalidParameter
-from .padics import factorint, primefactors
-from .quadforms import hanke_density, kronecker, sigma_s
+from .padics import _valuation, factorint, primefactors
+from .quadforms import divisor_sum, hanke_density, kronecker
 
 
-def fundamental_part(D):
-    """(D0, s) with D = D0 s^2 and D0 a fundamental discriminant (or 1)."""
+def fundamental_part(D, factors=None):
+    """(D0, s), D = D0 s^2, D0 fundamental or 1; factors: |D|'s, if known."""
     if D == 0 or D % 4 not in (0, 1):
         raise InvalidParameter(f"{D} is not a discriminant")
     kernel = 1 if D > 0 else -1
-    for q, e in factorint(abs(D)):
+    for q, e in factorint(abs(D)) if factors is None else factors:
         if e % 2:
             kernel *= q
     D0 = kernel if kernel % 4 == 1 else 4 * kernel
@@ -45,13 +48,13 @@ def fundamental_part(D):
 
 
 def euler_correction(D0, s):
-    """E = prod_{q | s} (q^2 - chi_{D0}(q)) / q^2, the exact factor with
-    L(2, chi_{D0 s^2}) = E * L(2, chi_{D0})."""
+    """(numerator, denominator) of E = prod_{q | s} (q^2 - chi_{D0}(q)) / q^2,
+    the exact factor with L(2, chi_{D0 s^2}) = E * L(2, chi_{D0})."""
     num = den = 1
     for q in primefactors(s):
         num *= q * q - kronecker(D0, q)
         den *= q * q
-    return Fraction(num, den)
+    return num, den
 
 
 # chi_{-4}, chi_8 and chi_{-8} on n mod 8
@@ -100,12 +103,26 @@ def cohen_h2(N):
     min(max(2 X, N + 1), H2_TABLE_MAX) by one sigma_1 sieve; an N it cannot
     hold is refused before the sieve runs.
     """
+    return Fraction(h2_numerators([N])[N], 120)
+
+
+_h2 = {}  # N -> 120 H(2, N)
+
+
+def h2_numerators(Ns):
+    """The memo {N: 120 H(2, N)}, filled for every N of Ns: one gather per
+    new N if they are fewer than the k <= isqrt(max N), else one numpy op
+    per k over the sorted suffix N >= k^2, so no temporary exceeds
+    max(#N, isqrt(max N)) entries.  The cap is checked before building."""
     global _g
-    if N >= H2_TABLE_MAX:
-        raise InvalidParameter(f"H(2, {N}): the g table holds at most "
+    N = sorted({n for n in Ns if n not in _h2})
+    if not N:
+        return _h2
+    if N[-1] >= H2_TABLE_MAX:
+        raise InvalidParameter(f"H(2, {N[-1]}): the g table holds at most "
                                f"{H2_TABLE_MAX} entries")
-    if len(_g) <= N:
-        X = min(max(2 * len(_g), N + 1), H2_TABLE_MAX)
+    if len(_g) <= N[-1]:
+        X = min(max(2 * len(_g), N[-1] + 1), H2_TABLE_MAX)
         sig = np.zeros(X, dtype=np.int64)
         for d in range(1, math.isqrt(X - 1) + 1):  # n = d e with d <= e
             sig[d * d::d] += np.arange(2 * d, (X - 1) // d + d + 1)
@@ -115,17 +132,27 @@ def cohen_h2(N):
         g[::4] -= 32 * sig[:(X + 3) // 4]
         g[0] = 1
         _g = g
-    k = np.arange(1, math.isqrt(N) + 1)
-    return Fraction(int(_g[N]) + 2 * int(_g[N - k * k].sum()), 120)
+    K = math.isqrt(N[-1])
+    if len(N) < K:
+        kk = np.arange(1, K + 1) ** 2
+        total = [int(_g[n]) + 2 * int(_g[n - kk[:math.isqrt(n)]].sum())
+                 for n in N]
+    else:
+        sorted_N, terms = np.array(N), np.zeros(len(N), dtype=np.int64)
+        for k in range(1, K + 1):
+            i = bisect_left(N, k * k)
+            terms[i:] += _g[sorted_N[i:] - k * k]
+        total = (_g[sorted_N] + 2 * terms).tolist()
+    _h2.update(zip(N, total))
+    return _h2
 
 
-@lru_cache(maxsize=None)
 def bernoulli_2(D0):
     """B_{2,chi} = -2 L(-1, chi) = -2 H(2, D0) for chi = chi_{D0}, exact.
 
     D0 > 0 is fundamental or 1; D0 = 1 gives 1/6.
     """
-    return -2 * cohen_h2(D0)
+    return Fraction(-h2_numerators([D0])[D0], 60)
 
 
 L2_TOL = 1e-10  # the Abel tail bound the D < 0 sum is truncated at
@@ -171,7 +198,7 @@ def dirichlet_L2(D):
     D < 0: the direct sum truncated where the tail bound reaches L2_TOL.
     """
     D0, s = fundamental_part(D)
-    E = euler_correction(D0, s)
+    E = Fraction(*euler_correction(D0, s))
     if D > 0:
         x = E * bernoulli_2(D0) * 10 ** 20 / D0
         r = math.isqrt(D0 * 10 ** 40)
@@ -184,7 +211,7 @@ def dirichlet_L2(D):
             math.nextafter(float(hi), math.inf))
 
 
-@dataclass
+@dataclass(slots=True)
 class EisResult:
     """One Eisenstein Fourier coefficient, as an exact rational value."""
 
@@ -206,16 +233,15 @@ class EisResult:
         return (self.value > 0) - (self.value < 0)
 
 
-def _split_square_part(m, bad):
-    """m = m0 f^2 with gcd(f, bad) = 1 and v_q(m0) <= 1 off bad."""
-    f = 1
-    m0 = m
-    for q, e in factorint(m):
-        if bad % q != 0 and e >= 2:
-            k = e // 2
-            f *= q ** k
-            m0 //= q ** (2 * k)
-    return m0, f
+def coefficients(lattice, ms, sign):
+    """One EisResult per m of ms, as one batch: sign -1 gives q_L
+    (``q_L_hilbert`` at rank 4, ``q_L_siegel`` at rank 5), +1 the theta
+    coefficients of a definite lattice (``q_positive_definite``)."""
+    if lattice.rank not in (4, 5):  # q_L off rank 4 is the Siegel shape's
+        raise InvalidParameter("only rank 4 and 5 coefficient formulas"
+                               if sign > 0 else f"q_L_siegel needs rank 5, "
+                               f"got {lattice.rank}")
+    return (_q_rank4 if lattice.rank == 4 else _q_rank5)(lattice, ms, sign)
 
 
 def q_L_hilbert(lattice, m):
@@ -227,49 +253,61 @@ def q_L_hilbert(lattice, m):
     """
     if lattice.rank != 4:
         raise InvalidParameter(f"q_L_hilbert needs rank 4, got {lattice.rank}")
-    return _q_rank4(lattice, m, sign=-1)
+    return _q_rank4(lattice, [m], sign=-1)[0]
 
 
 def q_L_siegel(lattice, m):
     """Eisenstein coefficient for the rank-5 family (negative sign)."""
     if lattice.rank != 5:
         raise InvalidParameter(f"q_L_siegel needs rank 5, got {lattice.rank}")
-    return _q_rank5(lattice, m, sign=-1)
+    return _q_rank5(lattice, [m], sign=-1)[0]
 
 
 def q_positive_definite(lattice, m, tol=None):
-    """Eisenstein coefficient of the theta series of a definite lattice.
-
-    Depends only on the genus; positive sign.  Rank 4 uses the
-    signature-(2,2) shape, rank 5 the Siegel shape.  tol is accepted and
-    ignored, for callers written when the L-value was an interval.
+    """Eisenstein coefficient of the theta series of a definite lattice of
+    rank 4 or 5: it depends only on the genus, and its sign is positive.
+    tol is ignored, for callers written when the L-value was an interval.
     """
-    if lattice.rank == 4:
-        return _q_rank4(lattice, m, sign=+1)
-    if lattice.rank == 5:
-        return _q_rank5(lattice, m, sign=+1)
-    raise InvalidParameter("only rank 4 and 5 coefficient formulas")
+    return coefficients(lattice, [m], +1)[0]
 
 
-def _q_rank4(lattice, m, sign):
+def _densities(lattice, bad, ms):
+    """(m, num, den) per m of ms: num / den = prod_{l in bad} of
+    ``hanke_density(l, lattice, m)``, computed once per key (l, v_l(m),
+    m / l^v mod l, or mod 8 at l = 2), all that its levels read."""
+    memo = {}
+    for m in ms:
+        if m < 1:
+            raise InvalidParameter("m must be positive")
+        num = den = 1
+        for ell in bad:
+            v = _valuation(m, ell)
+            key = ell, v, m // ell ** v % (8 if ell == 2 else ell)
+            delta = memo.get(key)
+            if delta is None:
+                delta = memo[key] = hanke_density(ell, lattice, m)
+            num *= delta.numerator
+            den *= delta.denominator
+        yield m, num, den
+
+
+def _q_rank4(lattice, ms, sign):
     # D = 4|det| = D0 s^2, so sqrt|det| = s sqrt(D0) / 2 and
-    # pi^2 / (sqrt|det| L(2, chi_D)) = 2 D0 / (s E B_{2,chi_{D0}})
+    # pi^2 / (sqrt|det| L(2, chi_D)) = 2 D0 / (s E B_{2,chi_{D0}}), and
+    # m cancels the denominator m of sigma_{-1}
     det = lattice.det()
     D = 4 * abs(det)
-    sig = sigma_s(m, -1, lambda d: kronecker(D, d))
-    num, den = sign * 8 * m * sig.numerator, sig.denominator
-    for ell in primefactors(2 * det):
-        delta = hanke_density(ell, lattice, m)
-        num *= delta.numerator
-        den *= delta.denominator
     D0, s = fundamental_part(D)
-    E, B = euler_correction(D0, s), bernoulli_2(D0)
-    num *= D0 * E.denominator * B.denominator
-    den *= s * E.numerator * B.numerator
-    return EisResult(m=m, value=Fraction(num, den), l_fund=D0, m0=m, f=1)
+    (E_num, E_den), B = euler_correction(D0, s), bernoulli_2(D0)
+    num = sign * 8 * D0 * E_den * B.denominator
+    den = s * E_num * B.numerator
+    chi = partial(kronecker, D)
+    return [EisResult(m=m, value=Fraction(num * divisor_sum(m, -1, chi) * dn,
+                                          den * dd), l_fund=D0, m0=m, f=1)
+            for m, dn, dd in _densities(lattice, primefactors(2 * det), ms)]
 
 
-def _q_rank5(lattice, m, sign):
+def _q_rank5(lattice, ms, sign):
     # The character discriminant is 2 m0 |det|; calibration against the
     # one-class genera D5 and A5 (theta = Eisenstein exactly) pins the
     # positive sign.  Sources that work with (L, -Q) print the same
@@ -277,37 +315,47 @@ def _q_rank5(lattice, m, sign):
     # sign (16/3) pi^2 / zeta(4) m S prod sqrt(2m/|det|) L(2, chi_D), and
     # with m = m0 f^2, D = D0 s^2 the root is f s sqrt(D0) / |det|, so
     # pi^-2 sqrt(2m/|det|) L(2, chi_D) = f s E B_{2,chi_{D0}} / (D0 |det|).
+    # m0 and f come from factorint(m), D's factors from m0's and 2|det|'s.
     det = lattice.det()
-    bad = 2 * abs(det)
-    m0, f = _split_square_part(m, bad)
-    D = 2 * m0 * abs(det)
-    divisor_sum = middle_divisor_sum(m0, f, det)
-    num = sign * 480 * m * f * divisor_sum.numerator
-    den = abs(det) * divisor_sum.denominator
-    for ell in primefactors(bad):  # delta / (1 - ell^-4)
-        delta = hanke_density(ell, lattice, m)
-        num *= delta.numerator * ell ** 4
-        den *= delta.denominator * (ell ** 4 - 1)
-    D0, s = fundamental_part(D)
-    E, B = euler_correction(D0, s), bernoulli_2(D0)
-    num *= s * E.numerator * B.numerator
-    den *= D0 * E.denominator * B.denominator
-    return EisResult(m=m, value=Fraction(num, den), l_fund=D0, m0=m0, f=f)
+    bad = dict(factorint(2 * abs(det)))
+    num0, den0 = sign * -8, abs(det)  # 480 B = -8 H
+    for ell in bad:  # each density comes as delta / (1 - ell^-4)
+        num0 *= ell ** 4
+        den0 *= ell ** 4 - 1
+    rows = []
+    for m, dn, dd in _densities(lattice, bad, ms):
+        D_factors, fm = dict(bad), factorint(m)
+        for q, e in fm:  # a prime of 2 det stays in m0
+            D_factors[q] = D_factors.get(q, 0) + (e if q in bad else e % 2)
+        f_factors = [(q, e // 2) for q, e in fm if e > 1 and q not in bad]
+        f = math.prod(q ** k for q, k in f_factors)
+        m0 = m // (f * f)
+        D = 2 * m0 * abs(det)
+        D0, s = fundamental_part(D, D_factors.items())
+        E_num, E_den = euler_correction(D0, s)
+        rows.append((m, m0, f, D0, num0 * m * f * _middle_sum(D, f_factors)
+                     * dn * s * E_num, den0 * f ** 3 * dd * D0 * E_den))
+    H = h2_numerators({row[3] for row in rows})
+    # in place, so each row's integers are freed as its result is built
+    for i, (m, m0, f, D0, num, den) in enumerate(rows):
+        rows[i] = EisResult(m=m, value=Fraction(num * H[D0], den),
+                            l_fund=D0, m0=m0, f=f)
+    return rows
 
 
 def middle_divisor_sum(m0, f, det):
-    """sum_{d | f} mu(d) chi_D(d) d^-2 sigma_{-3}(f/d), exact.
+    """sum_{d | f} mu(d) chi_D(d) d^-2 sigma_{-3}(f/d), D = 2 m0 |det|."""
+    return Fraction(_middle_sum(2 * m0 * abs(det), factorint(f)), f ** 3)
 
-    That is sum mu(d) chi(d) d sigma_3(f/d) / f^3, and since chi_D is
-    completely multiplicative it is the product over q^e || f of
-    sigma_3(q^e) - chi(q) q sigma_3(q^(e-1)), over f^3.
-    """
-    D = 2 * m0 * abs(det)
+
+def _middle_sum(D, f_factors):
+    """f^3 ``middle_divisor_sum`` from f's (q, e) pairs: chi_D is completely
+    multiplicative, so it is prod sigma_3(q^e) - chi(q) q sigma_3(q^(e-1))."""
     total = 1
-    for q, e in factorint(f):
+    for q, e in f_factors:
         lower = sum(q ** (3 * i) for i in range(e))  # sigma_3(q^(e-1))
         total *= lower + q ** (3 * e) - kronecker(D, q) * q * lower
-    return Fraction(total, f ** 3)
+    return total
 
 
 def ratio_bound(case, p, idx_sqrt=None, vp_m=0, index_is_p=False):

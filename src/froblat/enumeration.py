@@ -22,7 +22,7 @@ import numpy as np
 
 from . import linalg
 from .errors import InvalidParameter, NotPositiveDefinite
-from .eisenstein import q_positive_definite
+from .eisenstein import coefficients
 from .padics import _valuation, factorint, primefactors, primerange
 from .quadforms import IntLattice, kronecker
 
@@ -250,52 +250,31 @@ def build_T_set(kind, p, params, M):
                 out.append(q)
         return out
     if kind == "hilbert":
-        N = params.get("N", 0)
-        C = params.get("C", 2)
-        disc_F = params["disc_F"]
-        det2 = params["det2"]
-        bad = primefactors(det2)
-        out = []
-        for m in range(max(N, 1) + 1, M + 1):
-            if m % p == 0:
-                continue
-            if any(_valuation(m, ell) > C for ell in bad):
-                continue
-            has_inert = False
-            for q, e in factorint(m):
-                if e == 1 and kronecker(disc_F, q) == -1:
-                    has_inert = True
-                    break
-            if has_inert:
-                out.append(m)
-        return out
+        N, C, disc_F = params.get("N", 0), params.get("C", 2), params["disc_F"]
+        bad = primefactors(params["det2"])
+        return [m for m in range(max(N, 1) + 1, M + 1)
+                if m % p and all(_valuation(m, ell) <= C for ell in bad)
+                and any(e == 1 and kronecker(disc_F, q) == -1
+                        for q, e in factorint(m))]
     raise InvalidParameter(f"unknown T-set kind {kind!r}")
 
 
 def cusp_deviation(lattice, m_lo, m_hi):
     """Per-m exact deviations r(m) - q(m) and the fitted growth exponent.
 
-    Every m in [m_lo, m_hi] gets a record: q(m) reads its local
-    densities from Hanke's reduction, which needs tables mod l (mod 8 at
-    l = 2) only, whatever v_l(m).  The exponent is the least-squares
-    slope of log|deviation| against log m over the nonzero deviations.  Each
-    record holds m, r(m), the exact coefficient eis = q(m), the deviation
-    r(m) - q(m), and a radius, always 0 since q(m) is exact (kept because
-    the cusp_pdet5 benchmark workload reads it).
+    Every m in [m_lo, m_hi] gets a record of m, r(m), the exact q(m) as
+    eis (the whole range is one ``coefficients`` batch), the deviation
+    and a radius, always 0 (the cusp_pdet5 benchmark workload reads it).
+    The exponent is the least-squares slope of log|deviation| against
+    log m over the nonzero deviations.
     """
     counts = representation_counts(lattice, m_hi)
-    records = []
-    for m in range(max(1, m_lo), m_hi + 1):
-        qv = q_positive_definite(lattice, m)
-        records.append({"m": m, "r": counts[m], "eis": qv.value,
-                        "radius": 0, "deviation": counts[m] - qv.value})
-    xs = []
-    ys = []
-    for rec in records:
-        if rec["deviation"] != 0:
-            xs.append(math.log(rec["m"]))
-            ys.append(math.log(abs(rec["deviation"])))
-    slope = float("nan")
-    if len(xs) >= 2:
-        slope = float(np.polyfit(np.array(xs), np.array(ys), 1)[0])
+    records = [{"m": q.m, "r": counts[q.m], "eis": q.value, "radius": 0,
+                "deviation": counts[q.m] - q.value}
+               for q in coefficients(lattice, range(max(1, m_lo), m_hi + 1),
+                                     +1)]
+    points = np.array([(math.log(rec["m"]), math.log(abs(rec["deviation"])))
+                       for rec in records if rec["deviation"]])
+    slope = float(np.polyfit(*points.T, 1)[0]) if len(points) >= 2 \
+        else float("nan")
     return records, slope

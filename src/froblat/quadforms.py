@@ -69,18 +69,23 @@ def _kronecker_symbol(a, n):
 
 
 def sigma_s(m, s, chi=None):
-    """sum_{d | m} chi(d) d^s as an exact Fraction (chi defaults trivial),
-    over the divisors from ``factorint``; for s < 0 as one integer sum
-    of chi(d) (m/d)^(-s) over m^(-s)."""
+    """sum_{d | m} chi(d) d^s as an exact Fraction (chi defaults trivial):
+    ``divisor_sum`` over m^|s| for s < 0."""
+    return Fraction(divisor_sum(m, s, chi), m ** -s if s < 0 else 1)
+
+
+def divisor_sum(m, s, chi=None):
+    """sum_{d | m} chi(d) (m/d)^|s| for s < 0, else sigma_s(m, s, chi),
+    as prod_{q^e || m} sum_i chi(q)^i q^(|s| j), j = e - i for s < 0 and
+    i otherwise: chi, read once per prime, is completely multiplicative."""
     if m < 1:
         raise InvalidParameter("m must be positive")
-    divisors = [1]
+    total = 1
     for q, e in factorint(m):
-        divisors = [d * q ** i for d in divisors for i in range(e + 1)]
-    e = abs(s)
-    total = sum((1 if chi is None else chi(d)) * (m // d if s < 0 else d) ** e
-                for d in divisors)
-    return Fraction(total, m ** e if s < 0 else 1)
+        c = 1 if chi is None else chi(q)
+        total *= sum(c ** i * q ** (abs(s) * (e - i if s < 0 else i))
+                     for i in range(e + 1))
+    return total
 
 
 class IntLattice:

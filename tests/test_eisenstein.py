@@ -15,6 +15,7 @@ from froblat.eisenstein import (H2_TABLE_MAX, _chi_table,
                                 fundamental_part, middle_divisor_sum, q_L_hilbert, q_L_siegel,
                                 q_positive_definite, ratio_bound)
 from froblat.errors import InvalidParameter
+from froblat.padics import primefactors
 from froblat.enumeration import cusp_deviation, representation_counts
 from froblat.quadforms import IntLattice, kronecker, sigma_s
 
@@ -421,3 +422,88 @@ def test_every_coefficient_is_a_fraction():
 def test_coefficient_formulas_check_the_rank(qfun, lat):
     with pytest.raises(InvalidParameter, match="rank"):
         qfun(lat, 3)
+
+
+# -- the batch against the per-m oracle ---------------------------------
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+
+
+def _fixture(name):
+    from froblat.cli import read_gram
+    return IntLattice(read_gram(os.path.join(FIXTURES, name + ".gram")),
+                      name)
+
+
+def _fields(res):
+    return res.m, res.value, type(res.value), res.l_fund, res.m0, res.f
+
+
+@pytest.mark.parametrize("name, m_hi, sign", [
+    ("rank5_pdet5", 2000, 1), ("ls_global", 3000, -1), ("lh_f13", 3000, -1),
+    ("d5", 60, 1), ("a5", 60, 1), ("z4", 60, 1), ("z5", 60, 1)])
+def test_batch_equals_the_per_m_oracle(name, m_hi, sign):
+    import eisenstein_oracle
+    got = eisenstein.coefficients(_fixture(name), range(1, m_hi + 1), sign)
+    assert len(got) == m_hi
+    oracle = _fixture(name)
+    for m, res in zip(range(1, m_hi + 1), got):
+        want = eisenstein_oracle.coefficient(oracle, m, sign)
+        assert _fields(res) == _fields(want), (name, m)
+
+
+def test_batch_of_a_shuffled_list_with_repeats():
+    import eisenstein_oracle
+    rng = random.Random(29)
+    for name, sign in (("rank5_pdet5", 1), ("lh_f13", -1)):
+        ms = [rng.randint(1, 400) for _ in range(300)] + [7, 7, 1]
+        rng.shuffle(ms)
+        lat = _fixture(name)
+        got = eisenstein.coefficients(lat, ms, sign)
+        assert [_fields(r) for r in got] == [
+            _fields(eisenstein_oracle.coefficient(lat, m, sign)) for m in ms]
+
+
+def test_single_m_forms_are_the_one_element_batch():
+    for m in (1, 9, 250):
+        assert q_L_siegel(LS, m) == eisenstein.coefficients(LS, [m], -1)[0]
+        assert q_L_hilbert(LH13, m) \
+            == eisenstein.coefficients(LH13, [m], -1)[0]
+        assert q_positive_definite(D5, m, tol=1e-10) \
+            == eisenstein.coefficients(D5, [m], 1)[0]
+
+
+def test_h2_numerators_match_cohen_h2_below_20000(monkeypatch):
+    import eisenstein_oracle
+    # an empty memo each time, so every N is computed by the path named
+    monkeypatch.setattr(eisenstein, "_h2", {})
+    everything = dict(eisenstein.h2_numerators(range(1, 20000)))  # per k
+    for N in range(1, 20000):
+        monkeypatch.setattr(eisenstein, "_h2", {})
+        assert Fraction(everything[N], 120) == cohen_h2(N), N  # one gather
+    rng = random.Random(2)
+    for size in (2, 5, 40):  # fewer N than k: one gather per N
+        Ns = rng.sample(range(1, 20000), size)
+        monkeypatch.setattr(eisenstein, "_h2", {})
+        assert eisenstein.h2_numerators(Ns) \
+            == {N: everything[N] for N in Ns}
+    for N in (1, 4, 5, 19999):
+        assert cohen_h2(N) == eisenstein_oracle.h2(N), N
+
+
+RANK_45 = ["a5", "chain_head_p5", "d5", "hilbert_inert_sg_p5",
+           "hilbert_inert_ssp_p5", "hilbert_split_p5", "lh_f13", "ls_global",
+           "rank5_pdet5", "siegel_sg_p5", "siegel_ssp_p5", "z4", "z5"]
+
+
+@pytest.mark.parametrize("name", RANK_45)
+def test_density_key_reproduces_hanke_density(name):
+    # a batch reads each density from a memo keyed by (l, v_l(m), unit
+    # part mod l or mod 8); a key that merged two densities shows here
+    lat, plain = _fixture(name), _fixture(name)
+    for ell in primefactors(2 * lat.det()):
+        ms = range(1, 2001)
+        for m, num, den in eisenstein._densities(lat, [ell], ms):
+            delta = quadforms.hanke_density(ell, plain, m)
+            assert (num, den) == (delta.numerator, delta.denominator), \
+                (name, ell, m)
