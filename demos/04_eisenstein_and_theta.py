@@ -7,14 +7,13 @@ the square roots cancel.  For a one-class genus the theta series has no
 cuspidal part, so the coefficient equals r(m) exactly; that calibration
 pinned the character convention for definite rank-5 lattices.  For a
 multi-class lattice the difference r(m) - q(m) is a cusp form whose
-coefficients grow strictly slower than m^(3/2).  The one interval left
+coefficients grow strictly slower than m^(3/2).  For the indefinite
+global lattices of the budget q_L(m) is negative.  The one interval left
 is L(2, chi_D) itself for D < 0, printed below.
 """
 
 from froblat import (IntLattice, cusp_deviation, dirichlet_L2, q_L_hilbert,
-                     q_L_siegel, q_positive_definite, representation_counts,
-                     sigma_s)
-from froblat.eisenstein import cohen_h2, middle_divisor_sum
+                     q_L_siegel, q_positive_definite, representation_counts)
 
 D5 = IntLattice([[2, -1, 0, 0, 0], [-1, 2, -1, 0, 0], [0, -1, 2, -1, -1],
                  [0, 0, -1, 2, 0], [0, 0, -1, 0, 2]], "D5")
@@ -25,30 +24,15 @@ for m in range(1, 13):
     print(f"  m={m:2d}  r(m)={counts[m]:5d}  eisenstein={str(q.value):>5s}"
           f"  equal={q.value == counts[m]}")
 
-# D5 at m = 9 = 1 * 3^2: the square part f = 3 enters through
-# sum_{d | f} mu(d) chi(d) d^-2 sigma_{-3}(f / d) with chi of D = 2 m0 det
-print("  f-part sum at m = 9:", middle_divisor_sum(1, 3, D5.det()))
-
-# Z^4 is a one-class genus too: Jacobi's four-square theorem
-Z4 = IntLattice([[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]])
-jacobi = all(q_positive_definite(Z4, m).value == 8 * sigma_s(m, 1)
-             - (32 * sigma_s(m // 4, 1) if m % 4 == 0 else 0)
-             for m in range(1, 13))
-print("\nZ4: q(m) = 8 sigma_1(m) - 32 sigma_1(m/4) for m <= 12:", jacobi)
-
-# q_L of an indefinite lattice is negative where every density is
-LH13 = IntLattice([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 2, 1], [0, 0, 1, -6]])
 LS = IntLattice([[2, 0, 0, 0, 0], [0, 0, 1, 0, 0], [0, 1, 0, 0, 0],
-                 [0, 0, 0, 0, -1], [0, 0, 0, -1, 0]])
-print("q_L, signature (2,2), det 13:",
-      [str(q_L_hilbert(LH13, m).value) for m in range(1, 5)])
-print("q_L, signature (3,2), det 2: ",
+                 [0, 0, 0, 0, -1], [0, 0, 0, -1, 0]], "ls_global")
+LH = IntLattice([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 2, 1], [0, 0, 1, -6]])
+print("\nq_L(1..4), signature (3,2):",
       [str(q_L_siegel(LS, m).value) for m in range(1, 5)])
+print("q_L(1..4), signature (2,2):",
+      [str(q_L_hilbert(LH, m).value) for m in range(1, 5)])
 
-# B_{2,chi} = -2 H(2, D0) (Cohen) makes L(2, chi_D0) exact for D0 > 0
-print("\nB_2 of chi_D0 for D0 = 5, 8, 12, 13:",
-      [str(-2 * cohen_h2(D0)) for D0 in (5, 8, 12, 13)])
-print("L(2, chi_-4) interval:", dirichlet_L2(-4))
+print("\nL(2, chi_-4) interval:", dirichlet_L2(-4))
 
 # a lattice with 5 | det: the deviation is a weight-5/2 cusp form
 L5 = IntLattice([[2, 0, 0, 0, 0], [0, 2, 0, 0, 0], [0, 0, 2, 0, 0],

@@ -2,7 +2,7 @@
 
 Every Eisenstein coefficient is one exact Fraction, built from an integer
 numerator and denominator multiplied factor by factor, and a range of m
-is one batch (``coefficients``) that does once what every m shares.
+is one ``coefficients`` pass that does once what every m shares.
 Its character discriminant D is positive (4|det| in rank 4, 2 m0 |det|
 in rank 5), and for D = D0 s^2 > 0 with D0 fundamental (or 1) and
 conductor f = D0,
@@ -18,16 +18,15 @@ D < 0 branch sums the series in floats with a proven rounding bound.
 """
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .errors import InvalidParameter
 from .padics import _valuation, factorint, primefactors
-from .quadforms import divisor_sum, hanke_density, kronecker
+from .quadforms import hanke_density, kronecker, sigma_s
 
 
 def fundamental_part(D, factors=None):
@@ -90,6 +89,7 @@ H2_TABLE_MAX = 1 << 22  # entries of the g table: 32 MiB of int64
 _g = np.ones(1, dtype=np.int64)  # g(0 .. X-1)
 
 
+@lru_cache(maxsize=None)
 def cohen_h2(N):
     """Cohen's H(2, N) = (theta g)(N) / 120 for 1 <= N < H2_TABLE_MAX, exact.
 
@@ -99,30 +99,16 @@ def cohen_h2(N):
     - 32 sigma_1(n/4) it is theta g, g(n) = r_4(n) - 20 [n odd] sigma_1(n),
     g(0) = 1.  |g(n)| <= 28 sigma_1(n) < 28 n (1 + ln n), so the int64 sum
     of the 2 sqrt(N) + 1 terms g(N - k^2) cannot wrap for N <= 34887503849,
-    far above the table cap.  The memoized table of g grows to
-    min(max(2 X, N + 1), H2_TABLE_MAX) by one sigma_1 sieve; an N it cannot
-    hold is refused before the sieve runs.
+    far above the table cap.  Values are memoized, and the table of g grows
+    to min(max(2 X, N + 1), H2_TABLE_MAX) by one sigma_1 sieve; an N it
+    cannot hold is refused before the sieve runs.
     """
-    return Fraction(h2_numerators([N])[N], 120)
-
-
-_h2 = {}  # N -> 120 H(2, N)
-
-
-def h2_numerators(Ns):
-    """The memo {N: 120 H(2, N)}, filled for every N of Ns: one gather per
-    new N if they are fewer than the k <= isqrt(max N), else one numpy op
-    per k over the sorted suffix N >= k^2, so no temporary exceeds
-    max(#N, isqrt(max N)) entries.  The cap is checked before building."""
     global _g
-    N = sorted({n for n in Ns if n not in _h2})
-    if not N:
-        return _h2
-    if N[-1] >= H2_TABLE_MAX:
-        raise InvalidParameter(f"H(2, {N[-1]}): the g table holds at most "
+    if N >= H2_TABLE_MAX:
+        raise InvalidParameter(f"H(2, {N}): the g table holds at most "
                                f"{H2_TABLE_MAX} entries")
-    if len(_g) <= N[-1]:
-        X = min(max(2 * len(_g), N[-1] + 1), H2_TABLE_MAX)
+    if len(_g) <= N:
+        X = min(max(2 * len(_g), N + 1), H2_TABLE_MAX)
         sig = np.zeros(X, dtype=np.int64)
         for d in range(1, math.isqrt(X - 1) + 1):  # n = d e with d <= e
             sig[d * d::d] += np.arange(2 * d, (X - 1) // d + d + 1)
@@ -132,19 +118,8 @@ def h2_numerators(Ns):
         g[::4] -= 32 * sig[:(X + 3) // 4]
         g[0] = 1
         _g = g
-    K = math.isqrt(N[-1])
-    if len(N) < K:
-        kk = np.arange(1, K + 1) ** 2
-        total = [int(_g[n]) + 2 * int(_g[n - kk[:math.isqrt(n)]].sum())
-                 for n in N]
-    else:
-        sorted_N, terms = np.array(N), np.zeros(len(N), dtype=np.int64)
-        for k in range(1, K + 1):
-            i = bisect_left(N, k * k)
-            terms[i:] += _g[sorted_N[i:] - k * k]
-        total = (_g[sorted_N] + 2 * terms).tolist()
-    _h2.update(zip(N, total))
-    return _h2
+    k = np.arange(1, math.isqrt(N) + 1)
+    return Fraction(int(_g[N]) + 2 * int(_g[N - k * k].sum()), 120)
 
 
 def bernoulli_2(D0):
@@ -152,7 +127,7 @@ def bernoulli_2(D0):
 
     D0 > 0 is fundamental or 1; D0 = 1 gives 1/6.
     """
-    return Fraction(-h2_numerators([D0])[D0], 60)
+    return -2 * cohen_h2(D0)
 
 
 L2_TOL = 1e-10  # the Abel tail bound the D < 0 sum is truncated at
@@ -234,9 +209,10 @@ class EisResult:
 
 
 def coefficients(lattice, ms, sign):
-    """One EisResult per m of ms, as one batch: sign -1 gives q_L
-    (``q_L_hilbert`` at rank 4, ``q_L_siegel`` at rank 5), +1 the theta
-    coefficients of a definite lattice (``q_positive_definite``)."""
+    """An iterator of one EisResult per m of ms, each built as it is read,
+    so a range streams: sign -1 gives q_L (``q_L_hilbert`` at rank 4,
+    ``q_L_siegel`` at rank 5), +1 the theta coefficients of a definite
+    lattice (``q_positive_definite``)."""
     if lattice.rank not in (4, 5):  # q_L off rank 4 is the Siegel shape's
         raise InvalidParameter("only rank 4 and 5 coefficient formulas"
                                if sign > 0 else f"q_L_siegel needs rank 5, "
@@ -253,14 +229,14 @@ def q_L_hilbert(lattice, m):
     """
     if lattice.rank != 4:
         raise InvalidParameter(f"q_L_hilbert needs rank 4, got {lattice.rank}")
-    return _q_rank4(lattice, [m], sign=-1)[0]
+    return next(_q_rank4(lattice, [m], sign=-1))
 
 
 def q_L_siegel(lattice, m):
     """Eisenstein coefficient for the rank-5 family (negative sign)."""
     if lattice.rank != 5:
         raise InvalidParameter(f"q_L_siegel needs rank 5, got {lattice.rank}")
-    return _q_rank5(lattice, [m], sign=-1)[0]
+    return next(_q_rank5(lattice, [m], sign=-1))
 
 
 def q_positive_definite(lattice, m, tol=None):
@@ -268,7 +244,7 @@ def q_positive_definite(lattice, m, tol=None):
     rank 4 or 5: it depends only on the genus, and its sign is positive.
     tol is ignored, for callers written when the L-value was an interval.
     """
-    return coefficients(lattice, [m], +1)[0]
+    return next(coefficients(lattice, [m], +1))
 
 
 def _densities(lattice, bad, ms):
@@ -293,8 +269,7 @@ def _densities(lattice, bad, ms):
 
 def _q_rank4(lattice, ms, sign):
     # D = 4|det| = D0 s^2, so sqrt|det| = s sqrt(D0) / 2 and
-    # pi^2 / (sqrt|det| L(2, chi_D)) = 2 D0 / (s E B_{2,chi_{D0}}), and
-    # m cancels the denominator m of sigma_{-1}
+    # pi^2 / (sqrt|det| L(2, chi_D)) = 2 D0 / (s E B_{2,chi_{D0}})
     det = lattice.det()
     D = 4 * abs(det)
     D0, s = fundamental_part(D)
@@ -302,9 +277,11 @@ def _q_rank4(lattice, ms, sign):
     num = sign * 8 * D0 * E_den * B.denominator
     den = s * E_num * B.numerator
     chi = partial(kronecker, D)
-    return [EisResult(m=m, value=Fraction(num * divisor_sum(m, -1, chi) * dn,
-                                          den * dd), l_fund=D0, m0=m, f=1)
-            for m, dn, dd in _densities(lattice, primefactors(2 * det), ms)]
+    for m, dn, dd in _densities(lattice, primefactors(2 * det), ms):
+        sig = sigma_s(m, -1, chi)
+        yield EisResult(m=m, value=Fraction(num * m * sig.numerator * dn,
+                                            den * sig.denominator * dd),
+                        l_fund=D0, m0=m, f=1)
 
 
 def _q_rank5(lattice, ms, sign):
@@ -314,48 +291,43 @@ def _q_rank5(lattice, ms, sign):
     # discriminant with a minus sign.  The coefficient is
     # sign (16/3) pi^2 / zeta(4) m S prod sqrt(2m/|det|) L(2, chi_D), and
     # with m = m0 f^2, D = D0 s^2 the root is f s sqrt(D0) / |det|, so
-    # pi^-2 sqrt(2m/|det|) L(2, chi_D) = f s E B_{2,chi_{D0}} / (D0 |det|).
-    # m0 and f come from factorint(m), D's factors from m0's and 2|det|'s.
+    # pi^-2 sqrt(2m/|det|) L(2, chi_D) = f s E B_{2,chi_{D0}} / (D0 |det|),
+    # and B_{2,chi_{D0}} = -2 H(2, D0).  m0 and f come from factorint(m),
+    # D's factors from m0's and 2|det|'s.
     det = lattice.det()
     bad = dict(factorint(2 * abs(det)))
-    num0, den0 = sign * -8, abs(det)  # 480 B = -8 H
+    num0, den0 = sign * -960, abs(det)
     for ell in bad:  # each density comes as delta / (1 - ell^-4)
         num0 *= ell ** 4
         den0 *= ell ** 4 - 1
-    rows = []
     for m, dn, dd in _densities(lattice, bad, ms):
         D_factors, fm = dict(bad), factorint(m)
         for q, e in fm:  # a prime of 2 det stays in m0
             D_factors[q] = D_factors.get(q, 0) + (e if q in bad else e % 2)
-        f_factors = [(q, e // 2) for q, e in fm if e > 1 and q not in bad]
-        f = math.prod(q ** k for q, k in f_factors)
+        f = math.prod(q ** (e // 2) for q, e in fm if q not in bad)
         m0 = m // (f * f)
-        D = 2 * m0 * abs(det)
-        D0, s = fundamental_part(D, D_factors.items())
-        E_num, E_den = euler_correction(D0, s)
-        rows.append((m, m0, f, D0, num0 * m * f * _middle_sum(D, f_factors)
-                     * dn * s * E_num, den0 * f ** 3 * dd * D0 * E_den))
-    H = h2_numerators({row[3] for row in rows})
-    # in place, so each row's integers are freed as its result is built
-    for i, (m, m0, f, D0, num, den) in enumerate(rows):
-        rows[i] = EisResult(m=m, value=Fraction(num * H[D0], den),
-                            l_fund=D0, m0=m0, f=f)
-    return rows
+        D0, s = fundamental_part(2 * m0 * abs(det), D_factors.items())
+        (E_num, E_den), H = euler_correction(D0, s), cohen_h2(D0)
+        mid = middle_divisor_sum(m0, f, det) if f > 1 else 1
+        yield EisResult(m=m, value=Fraction(
+            num0 * m * f * mid.numerator * dn * s * E_num * H.numerator,
+            den0 * mid.denominator * dd * D0 * E_den * H.denominator),
+            l_fund=D0, m0=m0, f=f)
 
 
 def middle_divisor_sum(m0, f, det):
-    """sum_{d | f} mu(d) chi_D(d) d^-2 sigma_{-3}(f/d), D = 2 m0 |det|."""
-    return Fraction(_middle_sum(2 * m0 * abs(det), factorint(f)), f ** 3)
+    """sum_{d | f} mu(d) chi_D(d) d^-2 sigma_{-3}(f/d), exact.
 
-
-def _middle_sum(D, f_factors):
-    """f^3 ``middle_divisor_sum`` from f's (q, e) pairs: chi_D is completely
-    multiplicative, so it is prod sigma_3(q^e) - chi(q) q sigma_3(q^(e-1))."""
+    That is sum mu(d) chi(d) d sigma_3(f/d) / f^3, and since chi_D is
+    completely multiplicative it is the product over q^e || f of
+    sigma_3(q^e) - chi(q) q sigma_3(q^(e-1)), over f^3.
+    """
+    D = 2 * m0 * abs(det)
     total = 1
-    for q, e in f_factors:
+    for q, e in factorint(f):
         lower = sum(q ** (3 * i) for i in range(e))  # sigma_3(q^(e-1))
         total *= lower + q ** (3 * e) - kronecker(D, q) * q * lower
-    return total
+    return Fraction(total, f ** 3)
 
 
 def ratio_bound(case, p, idx_sqrt=None, vp_m=0, index_is_p=False):

@@ -263,7 +263,7 @@ def cusp_deviation(lattice, m_lo, m_hi):
     """Per-m exact deviations r(m) - q(m) and the fitted growth exponent.
 
     Every m in [m_lo, m_hi] gets a record of m, r(m), the exact q(m) as
-    eis (the whole range is one ``coefficients`` batch), the deviation
+    eis (the whole range is one ``coefficients`` pass), the deviation
     and a radius, always 0 (the cusp_pdet5 benchmark workload reads it).
     The exponent is the least-squares slope of log|deviation| against
     log m over the nonzero deviations.
@@ -273,8 +273,13 @@ def cusp_deviation(lattice, m_lo, m_hi):
                 "deviation": counts[q.m] - q.value}
                for q in coefficients(lattice, range(max(1, m_lo), m_hi + 1),
                                      +1)]
-    points = np.array([(math.log(rec["m"]), math.log(abs(rec["deviation"])))
-                       for rec in records if rec["deviation"]])
-    slope = float(np.polyfit(*points.T, 1)[0]) if len(points) >= 2 \
-        else float("nan")
+    xs = []
+    ys = []
+    for rec in records:
+        if rec["deviation"] != 0:
+            xs.append(math.log(rec["m"]))
+            ys.append(math.log(abs(rec["deviation"])))
+    slope = float("nan")
+    if len(xs) >= 2:
+        slope = float(np.polyfit(np.array(xs), np.array(ys), 1)[0])
     return records, slope

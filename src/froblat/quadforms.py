@@ -69,15 +69,12 @@ def _kronecker_symbol(a, n):
 
 
 def sigma_s(m, s, chi=None):
-    """sum_{d | m} chi(d) d^s as an exact Fraction (chi defaults trivial):
-    ``divisor_sum`` over m^|s| for s < 0."""
-    return Fraction(divisor_sum(m, s, chi), m ** -s if s < 0 else 1)
+    """sum_{d | m} chi(d) d^s as an exact Fraction (chi defaults trivial).
 
-
-def divisor_sum(m, s, chi=None):
-    """sum_{d | m} chi(d) (m/d)^|s| for s < 0, else sigma_s(m, s, chi),
-    as prod_{q^e || m} sum_i chi(q)^i q^(|s| j), j = e - i for s < 0 and
-    i otherwise: chi, read once per prime, is completely multiplicative."""
+    chi must be completely multiplicative, as (D/.) is: the sum is then
+    prod_{q^e || m} sum_i chi(q)^i q^(|s| j), j = e - i for s < 0 (over
+    m^|s|) and i otherwise, with chi read once per prime.
+    """
     if m < 1:
         raise InvalidParameter("m must be positive")
     total = 1
@@ -85,7 +82,7 @@ def divisor_sum(m, s, chi=None):
         c = 1 if chi is None else chi(q)
         total *= sum(c ** i * q ** (abs(s) * (e - i if s < 0 else i))
                      for i in range(e + 1))
-    return total
+    return Fraction(total, m ** -s if s < 0 else 1)
 
 
 class IntLattice:

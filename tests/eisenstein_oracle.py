@@ -5,8 +5,8 @@ trial-divides its own discriminant, walks Hanke's reduction for every
 bad prime, sums its own H(2, D0) and builds the value from Fractions.
 ``sigma_s`` and the middle divisor sum run over the divisors one by one,
 and H(2, N) is summed in Python from the g table, so none of the
-batch's shortcuts (merged factorizations, the density memo, the pass
-over many N) is in the oracle.
+range pass's shortcuts (merged factorizations, the density memo) is in
+the oracle.
 """
 
 import math

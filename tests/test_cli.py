@@ -177,6 +177,19 @@ def test_eisenstein_records():
     assert "m=4" in text and "sign=-1" in text
 
 
+def test_eisenstein_streams_the_records_before_a_refused_m():
+    # H(2, D0) at m = 1048578 is past the g table: the two m before it
+    # are written before its error record
+    code, text = run(["eisenstein", "--lattice", fx("ls_global.gram"),
+                      "--m-range", "1048576..1048578"])
+    assert code == 1
+    assert text == (
+        "m=1048576 m0=1048576 f=1 sign=-1 exact=-73628010790\n"
+        "m=1048577 m0=1048577 f=1 sign=-1 exact=-51833295360\n"
+        "error=InvalidParameter detail=H(2, 4194312): the g table holds "
+        "at most 4194304 entries\n")
+
+
 def test_missing_file_exits_one():
     code, text = run(["density", "--gram", "no_such_file.gram",
                       "--ell", "5", "--m-range", "1..1"])

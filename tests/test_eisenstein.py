@@ -444,7 +444,8 @@ def _fields(res):
     ("d5", 60, 1), ("a5", 60, 1), ("z4", 60, 1), ("z5", 60, 1)])
 def test_batch_equals_the_per_m_oracle(name, m_hi, sign):
     import eisenstein_oracle
-    got = eisenstein.coefficients(_fixture(name), range(1, m_hi + 1), sign)
+    got = list(eisenstein.coefficients(_fixture(name), range(1, m_hi + 1),
+                                       sign))
     assert len(got) == m_hi
     oracle = _fixture(name)
     for m, res in zip(range(1, m_hi + 1), got):
@@ -466,29 +467,18 @@ def test_batch_of_a_shuffled_list_with_repeats():
 
 def test_single_m_forms_are_the_one_element_batch():
     for m in (1, 9, 250):
-        assert q_L_siegel(LS, m) == eisenstein.coefficients(LS, [m], -1)[0]
+        assert q_L_siegel(LS, m) == next(eisenstein.coefficients(LS, [m], -1))
         assert q_L_hilbert(LH13, m) \
-            == eisenstein.coefficients(LH13, [m], -1)[0]
+            == next(eisenstein.coefficients(LH13, [m], -1))
         assert q_positive_definite(D5, m, tol=1e-10) \
-            == eisenstein.coefficients(D5, [m], 1)[0]
+            == next(eisenstein.coefficients(D5, [m], 1))
 
 
-def test_h2_numerators_match_cohen_h2_below_20000(monkeypatch):
-    import eisenstein_oracle
-    # an empty memo each time, so every N is computed by the path named
-    monkeypatch.setattr(eisenstein, "_h2", {})
-    everything = dict(eisenstein.h2_numerators(range(1, 20000)))  # per k
-    for N in range(1, 20000):
-        monkeypatch.setattr(eisenstein, "_h2", {})
-        assert Fraction(everything[N], 120) == cohen_h2(N), N  # one gather
-    rng = random.Random(2)
-    for size in (2, 5, 40):  # fewer N than k: one gather per N
-        Ns = rng.sample(range(1, 20000), size)
-        monkeypatch.setattr(eisenstein, "_h2", {})
-        assert eisenstein.h2_numerators(Ns) \
-            == {N: everything[N] for N in Ns}
-    for N in (1, 4, 5, 19999):
-        assert cohen_h2(N) == eisenstein_oracle.h2(N), N
+def test_a_range_is_read_as_it_streams():
+    # nothing past the m read so far is computed, however long the range
+    for lat, sign in ((LS, -1), (LH13, -1), (D5, 1)):
+        it = eisenstein.coefficients(lat, range(1, 10 ** 15), sign)
+        assert [next(it).m for _ in range(3)] == [1, 2, 3]
 
 
 RANK_45 = ["a5", "chain_head_p5", "d5", "hilbert_inert_sg_p5",
