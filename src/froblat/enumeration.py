@@ -269,10 +269,11 @@ def cusp_deviation(lattice, m_lo, m_hi):
     log m over the nonzero deviations.
     """
     counts = representation_counts(lattice, m_hi)
-    records = [{"m": q.m, "r": counts[q.m], "eis": q.value, "radius": 0,
-                "deviation": counts[q.m] - q.value}
-               for q in coefficients(lattice, range(max(1, m_lo), m_hi + 1),
-                                     +1)]
+    records = []
+    for qv in coefficients(lattice, range(max(1, m_lo), m_hi + 1), +1):
+        m = qv.m
+        records.append({"m": m, "r": counts[m], "eis": qv.value,
+                        "radius": 0, "deviation": counts[m] - qv.value})
     xs = []
     ys = []
     for rec in records:
