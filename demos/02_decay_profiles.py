@@ -8,14 +8,14 @@ meets this curve to order A = 2, and the decay indices of w_1 land
 exactly on the thresholds A(1 + p + ... + p^n) = 2, 12, 62.
 """
 
-from froblat import (HILBERT_SPLIT, FormalCurve, build_model, check_DvR,
-                     column_valuation_profile, f_infinity,
+from froblat import (HILBERT_SPLIT, CrystalModel, FormalCurve, PAdicParams,
+                     check_DvR, column_valuation_profile, f_infinity,
                      find_decaying_submodule)
 from froblat.crystals import truncation
 
 # the truncation and precision that verdicts up to n = 2 need at A = 2
 nt, M = truncation(2, 5, 2)
-model = build_model(HILBERT_SPLIT, p=5, d=2, precision_M=M)
+model = CrystalModel(HILBERT_SPLIT, PAdicParams(p=5, d=2, precision_M=M))
 curve = FormalCurve(x={1: 1}, y={1: 1}, nt=nt)
 
 A = model.non_ordinary_valuation(curve)

@@ -6,8 +6,8 @@ from .series import (DecayProfile, MatSeries, TruncSeries,
                      column_valuation_profile, truncated_product)
 from .crystals import (CASES, HILBERT_INERT_SG, HILBERT_INERT_SSP,
                        HILBERT_SPLIT, SIEGEL_SG, SIEGEL_SSP, CrystalModel,
-                       FormalCurve, build_model, check_DR, check_DvR,
-                       f_infinity, find_decaying_submodule, local_gram)
+                       FormalCurve, check_DR, check_DvR, f_infinity,
+                       find_decaying_submodule, local_gram)
 from .quadforms import (IntLattice, hanke_density, kronecker, local_density,
                         sigma_s)
 from .eisenstein import (EisResult, coefficients, dirichlet_L2, q_L_hilbert,

@@ -222,8 +222,10 @@ def cmd_theta(args, out):
     return 0
 
 
-# the largest nt decay derives from --nmax (xt_yt.curve: 39063 at 6)
-NT_MAX = 1 << 20
+# the most digit cells of F_inf's entries, nt * d * rank^2, that decay
+# builds: the heaviest fixture it admits, siegel-2.2 at --nmax 6 (7.8e6
+# cells), peaks near 250 MiB
+CELLS_MAX = 1 << 23
 
 
 def cmd_decay(args, out):
@@ -232,9 +234,11 @@ def cmd_decay(args, out):
     model, curve, build = read_curve(args.curve)
     A = model.non_ordinary_valuation(curve)
     nt, M = truncation(A, model.params.p, args.nmax)
-    if nt > NT_MAX:
+    cells = nt * model.params.d * model.rank ** 2
+    if cells > CELLS_MAX:
         raise errors.InvalidParameter(
-            f"--nmax {args.nmax} needs nt = {nt}, past NT_MAX = {NT_MAX}")
+            f"--nmax {args.nmax} needs nt = {nt}, {cells} cells of "
+            f"nt * d * rank^2, past CELLS_MAX = {CELLS_MAX}")
     model, curve = build(M, nt)
     finf = f_infinity(model, curve, n_max=args.nmax)
     _emit(out, [("case", model.case), ("A", A), ("nt", curve.nt)])

@@ -27,7 +27,7 @@ from fractions import Fraction
 from . import linalg
 from .errors import (Indeterminate, InvalidParameter, NotFound,
                      NotGenericallyOrdinary, ThresholdExceedsTruncation)
-from .padics import INF, PAdicParams
+from .padics import INF
 from .series import (MatSeries, TruncSeries, _fused,
                      column_valuation_profile, truncated_product)
 
@@ -84,8 +84,9 @@ class CrystalModel:
         if params.d % 2 != 0:
             raise InvalidParameter(
                 "models need lambda in W(F_{p^2}); use even degree d")
-        self.eps = params.eps()
-        self.inv2eps = (self.eps * params.from_int(2)).inv()
+        self.inv2eps, self.inv4eps, self.inveps = (
+            params.from_rational(Fraction(1, k * params.eps_int))
+            for k in (2, 4, 1))
         self.lam = params.lam()
         self.c = None
         self.a_frob = None
@@ -105,8 +106,10 @@ class CrystalModel:
                 else "superspecial case needs sigma^2(c) = c")
         self.c = params.teichmuller(cbar)
         if supergeneric:
-            cm1 = self.c.frobenius_power(params.d - 1)
-            self.a_frob = self.c.frobenius() - cm1
+            # sigma of a Teichmuller lift is the lift of the p-th power
+            p, d = params.p, params.d
+            self.a_frob = (params.teichmuller(rf.pow(cbar, p))
+                           - params.teichmuller(rf.pow(cbar, p ** (d - 1))))
             if self.a_frob.maybe_val() != 0:
                 raise InvalidParameter(
                     "supergeneric parameter must have unit a = "
@@ -118,8 +121,7 @@ class CrystalModel:
         X, Y, Z = (curve.component_series(self.params, w) for w in "xyz")
         Q = X * Y
         if self.rank == 5:
-            half = self.params.from_rational(Fraction(1, 2))
-            Q = Q + (Z * Z).scale(self.inv2eps * half)
+            Q = Q + (Z * Z).scale(self.inv4eps)
         return X, Y, Z, Q
 
     def _terms(self, curve):
@@ -127,7 +129,8 @@ class CrystalModel:
         entries of M_j left out; an entry sums its terms in list order."""
         P = self.params
         X, Y, Z, Q = self._series(curve)
-        one, lam, li = P.one(), self.lam, self.lam.inv()
+        # lambda^-1 = lambda / eps, since lambda^2 = eps
+        one, lam, li = P.one(), self.lam, self.lam * self.inveps
         h = P.from_rational(Fraction(1, 2))
         hp = P.from_rational(Fraction(1, 2 * P.p))
         pinv = P.from_rational(Fraction(1, P.p))
@@ -173,7 +176,7 @@ class CrystalModel:
                       (1, 1): -h, (1, 2): h * lam, (1, 3): h * c,
                       (2, 1): -(h * li), (2, 2): h, (2, 3): h * c * li})]
         # SIEGEL_SG: F = (y/p) A + (Q/p) B + x C + z D
-        ei = self.eps.inv()
+        ei = self.inveps
         return [
             (Yp, {(0, 1): c * lam, (0, 2): h, (0, 3): h * c2,
                   (1, 0): c * li, (1, 2): h * li, (1, 3): -(h * c2 * li),
@@ -213,11 +216,6 @@ class CrystalModel:
         return A
 
 
-def build_model(case, p, d, precision_M, c_residue=None):
-    params = PAdicParams(p, d, precision_M)
-    return CrystalModel(case, params, c_residue)
-
-
 def required_precision(p, nt, n_max):
     """Precision floor: the deepest queried digit plus product losses."""
     k = 0
@@ -226,9 +224,9 @@ def required_precision(p, nt, n_max):
     return n_max + 2 + k
 
 
-def truncation(A, p, n_max, nt_floor=0):
-    """(nt, M): nt past n_max's last threshold (or nt_floor), M its floor."""
-    nt = max(nt_floor, decay_thresholds(A, p, n_max)[-1] + 1)
+def truncation(A, p, n_max):
+    """(nt, M): nt just past n_max's last threshold, M its floor."""
+    nt = decay_thresholds(A, p, n_max)[-1] + 1
     return nt, required_precision(p, nt, n_max)
 
 

@@ -662,12 +662,6 @@ class PAdicScalar:
         coeffs = self.params.frobenius_poly(self.coeffs, n)
         return PAdicScalar(self.params, self.shift, coeffs, n)._normalize()
 
-    def frobenius_power(self, k):
-        x = self
-        for _ in range(k % self.params.d):
-            x = x.frobenius()
-        return x
-
     def residue(self):
         """Image in F_{p^d} of a value with shift 0 (0 for positive shift)."""
         if self.is_zero():

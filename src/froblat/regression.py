@@ -4,9 +4,10 @@ Each fixture realizes one branch of the case analysis (split Hilbert by
 the relation of a = v_t(x) and b = v_t(y); Siegel by the interplay of
 A = v_t of the non-ordinary equation and B = v_t of its Frobenius
 companion x y^p + x^p y + z^(1+p)/(2 eps); supergeneric by the relation
-of v_y and 2 v_z).  It states its curve, A, precision and ``asserted``,
-the candidate spans the analysis proves to decay; ``build_fixture``
-alone makes its model and its curve, truncated for any depth.  Its
+of v_y and 2 v_z).  It states its curve, d, A and ``asserted``, the
+candidate spans the analysis proves to decay, and no precision:
+``build_fixture`` alone makes its model and its curve, at the nt and
+precision ``truncation`` derives for any depth.  Its
 ``make(residue_field, eps_int)`` gives the parameter c (or None) and the
 curve's components, solving in the residue field for leading
 coefficients that must cancel, including the degree-8 subcase where the
@@ -66,76 +67,73 @@ def _siegel_cancel(y, z):
 
 def decay_fixture_table(p=5):
     """The regression matrix at the given prime (fixtures assume p >= 5);
-    ``want_witness`` expects a witness, as a model without ``a_frob`` must."""
+    ``want_witness`` is read from the case: every model but a supergeneric
+    one, which has ``a_frob``, must give a very-rapid witness."""
     fixtures = []
 
-    def add(name, case, d, M, A, make, asserted, witness, nt_floor=0):
+    def add(name, case, d, A, make, asserted):
         fixtures.append({
-            "name": name, "case": case, "p": p, "d": d, "precision": M,
-            "nt_floor": nt_floor, "A": A, "make": make,
-            "asserted": asserted, "want_witness": witness})
+            "name": name, "case": case, "p": p, "d": d, "A": A,
+            "make": make, "asserted": asserted,
+            "want_witness": not case.endswith("supergeneric")})
 
     rk4, rk5 = 4, 5
 
     # ---- split Hilbert: four branches of (a, b) --------------------------
-    add("split-equal", HILBERT_SPLIT, 2, 10, 2,
-        _curve(x={1: 1}, y={1: 1}), _triples(rk4, (0, 1, 2)), True)
-    add("split-equal-mirror", HILBERT_SPLIT, 2, 10, 2,
-        _curve(x={1: 1}, y={1: p - 1}), _triples(rk4, (0, 1, 3)), True)
-    add("split-even-power", HILBERT_SPLIT, 2, 12, 1 + p * p,
+    add("split-equal", HILBERT_SPLIT, 2, 2,
+        _curve(x={1: 1}, y={1: 1}), _triples(rk4, (0, 1, 2)))
+    add("split-equal-mirror", HILBERT_SPLIT, 2, 2,
+        _curve(x={1: 1}, y={1: p - 1}), _triples(rk4, (0, 1, 3)))
+    add("split-even-power", HILBERT_SPLIT, 2, 1 + p * p,
         _curve(x={1: 1}, y={p * p: 1}),
-        _pair_plus_span(rk4, (0, 1), (2, 3), p), True)
-    add("split-odd-power", HILBERT_SPLIT, 2, 11, 1 + p,
+        _pair_plus_span(rk4, (0, 1), (2, 3), p))
+    add("split-odd-power", HILBERT_SPLIT, 2, 1 + p,
         _curve(x={1: 1}, y={p: 1}),
-        _pair_plus_span(rk4, (2, 3), (0, 1), p), True)
-    add("split-generic", HILBERT_SPLIT, 2, 10, 3,
-        _curve(x={1: 1}, y={2: 1}),
-        _triples(rk4, (0, 1, 2), (0, 1, 3)), True)
+        _pair_plus_span(rk4, (2, 3), (0, 1), p))
+    add("split-generic", HILBERT_SPLIT, 2, 3, _curve(x={1: 1}, y={2: 1}),
+        _triples(rk4, (0, 1, 2), (0, 1, 3)))
 
     # ---- inert Hilbert --------------------------------------------------
-    add("inert-superspecial", HILBERT_INERT_SSP, 2, 10, 2,
-        _curve((2, 1), x={1: 1}, y={1: 1}), _triples(rk4, (0, 1, 2)), True)
-    add("inert-supergeneric", HILBERT_INERT_SG, 4, 10, 1,
+    add("inert-superspecial", HILBERT_INERT_SSP, 2, 2,
+        _curve((2, 1), x={1: 1}, y={1: 1}), _triples(rk4, (0, 1, 2)))
+    add("inert-supergeneric", HILBERT_INERT_SG, 4, 1,
         _curve(_first_quartic, x={1: 1}, y={1: 1}),
-        _triples(rk4, (0, 1, 2)), False)
+        _triples(rk4, (0, 1, 2)))
 
     # ---- Siegel superspecial --------------------------------------------
-    add("siegel-A-below-B", SIEGEL_SSP, 2, 10, 3,
-        _curve(3, x={1: 1}, y={2: 1}, z={3: 1}),
-        _triples(rk5, (0, 1, 2)), True)
+    add("siegel-A-below-B", SIEGEL_SSP, 2, 3,
+        _curve(3, x={1: 1}, y={2: 1}, z={3: 1}), _triples(rk5, (0, 1, 2)))
 
-    add("siegel-2.1", SIEGEL_SSP, 2, 11, 2 * p,
+    add("siegel-2.1", SIEGEL_SSP, 2, 2 * p,
         _siegel_cancel((3,), (2, 8)),
-        _triples(rk5, (0, 1, 2), (0, 1, 3), (0, 1, 4)), True)
-    add("siegel-2.2", SIEGEL_SSP, 2, 11, 8,
-        _siegel_cancel((3,), (2, 6)), _triples(rk5, (2, 3, 4)), True)
+        _triples(rk5, (0, 1, 2), (0, 1, 3), (0, 1, 4)))
+    add("siegel-2.2", SIEGEL_SSP, 2, 8,
+        _siegel_cancel((3,), (2, 6)), _triples(rk5, (2, 3, 4)))
     # gamma is not in F_p, so B = a(1+p)
-    add("siegel-3.1", SIEGEL_SSP, 2, 11, 8,
+    add("siegel-3.1", SIEGEL_SSP, 2, 8,
         _siegel_cancel((1, 7), (1,)),
-        _triples(rk5, (0, 1, 2), (0, 1, 4)), True)
-    add("siegel-3.1-special", SIEGEL_SSP, 2, 12, 1 + p * p,
+        _triples(rk5, (0, 1, 2), (0, 1, 4)))
+    add("siegel-3.1-special", SIEGEL_SSP, 2, 1 + p * p,
         _siegel_cancel((1, p * p), (1,)),
-        _triples(rk5, (0, 1, 2), (0, 1, 4)), True)
-    add("siegel-3.2", SIEGEL_SSP, 2, 11, 6,
+        _triples(rk5, (0, 1, 2), (0, 1, 4)))
+    add("siegel-3.2", SIEGEL_SSP, 2, 6,
         _siegel_cancel((1, p), (1,)),
         _pair_plus_span(rk5, (2, 3), (0, 1), p)
         + _pair_plus_span(rk5, (2, 4), (0, 1), p)
-        + _pair_plus_span(rk5, (3, 4), (0, 1), p), True)
+        + _pair_plus_span(rk5, (3, 4), (0, 1), p))
 
     # ---- Siegel supergeneric (d = 4, and d = 8 where forced) -------------
-    # the rule gives nt = 63, but this fixture's FINF_SHA256 pin and
-    # HEADROOM entry (tests/test_decay_matrix.py) were taken at nt = 94
-    add("supergeneric-y-dominant", SIEGEL_SG, 4, 10, 2,
+    add("supergeneric-y-dominant", SIEGEL_SG, 4, 2,
         _curve(_first_quartic, x={5: 1}, y={3: 1}, z={1: 1}),
-        _triples(rk5, (0, 1, 3)), False, nt_floor=94)
-    add("supergeneric-z-dominant", SIEGEL_SG, 4, 10, 1,
+        _triples(rk5, (0, 1, 3)))
+    add("supergeneric-z-dominant", SIEGEL_SG, 4, 1,
         _curve(_first_quartic, x={1: 1}, y={1: 1}, z={2: 1}),
-        _triples(rk5, (0, 1, 2)), False)
+        _triples(rk5, (0, 1, 2)))
     # alpha = gamma^2/(4 eps) with gamma = 1 differs from
     # sigma^{-1}(c) - sigma(c) for this c; checked by the A value
-    add("supergeneric-balanced", SIEGEL_SG, 4, 10, 2,
+    add("supergeneric-balanced", SIEGEL_SG, 4, 2,
         _curve(_first_quartic, x={3: 1}, y={2: 1}, z={1: 1}),
-        _triples(rk5, (0, 2, 4), (1, 2, 4)), False)
+        _triples(rk5, (0, 2, 4), (1, 2, 4)))
 
     def _deg8_cancel(tail_exp, x_exp):
         def make(rf, eps_int):
@@ -150,23 +148,23 @@ def decay_fixture_table(p=5):
             return c, dict(x={x_exp: 1}, y={2: 1}, z={1: gamma, tail_exp: 1})
         return make
 
-    add("supergeneric-deep-cancel-strict", SIEGEL_SG, 8, 9,
+    add("supergeneric-deep-cancel-strict", SIEGEL_SG, 8,
         2 * p ** 2 - p + 2, _deg8_cancel(46, 46),
-        _triples(rk5, (0, 1, 2)), False)
-    add("supergeneric-deep-cancel-equal", SIEGEL_SG, 8, 9,
+        _triples(rk5, (0, 1, 2)))
+    add("supergeneric-deep-cancel-equal", SIEGEL_SG, 8,
         2 * p ** 2 - p + 1, _deg8_cancel(45, 46),
         _pair_plus_span(rk5, (0, 4), (1, 2), p)
         + _pair_plus_span(rk5, (1, 4), (0, 2), p)
-        + _pair_plus_span(rk5, (2, 4), (0, 1), p), False)
+        + _pair_plus_span(rk5, (2, 4), (0, 1), p))
 
     return fixtures
 
 
 def build_fixture(fix, n_max=2):
-    """The fixture's (model, curve) for verdicts up to n_max, by
-    ``truncation`` and at least at the stated floor and precision."""
-    nt, M = truncation(fix["A"], fix["p"], n_max, fix["nt_floor"])
-    params = PAdicParams(fix["p"], fix["d"], max(fix["precision"], M))
+    """The fixture's (model, curve) for verdicts up to n_max, at the nt
+    and precision that ``truncation`` derives from its A."""
+    nt, M = truncation(fix["A"], fix["p"], n_max)
+    params = PAdicParams(fix["p"], fix["d"], M)
     c_res, comps = fix["make"](params.residue_field, params.eps_int)
     curve = FormalCurve(nt=nt, **comps)
     model = CrystalModel(fix["case"], params, c_residue=c_res)

@@ -85,14 +85,17 @@ def test_decay_through_depth_four(search):
 
 
 def test_decay_past_the_truncation_bound_returns_at_once():
-    """--nmax 30 asks for nt = 2 (5^31 - 1) / 4 + 1: refused before any
-    series is built.  Runtime bound: 2 s."""
+    """--nmax 30 asks for nt = 2 (5^31 - 1) / 4 + 1, and nt * d * rank^2
+    = 32 nt digit cells at d = 2, rank 4: refused before any series is
+    built.  Runtime bound: 2 s."""
     start = time.time()
     code, text = run(["decay", "--curve", fx("xt_yt.curve"), "--nmax", "30"])
     assert time.time() - start < 2
     assert code == 1
+    nt = 2 * (5 ** 31 - 1) // 4 + 1
     assert text == ("error=InvalidParameter detail=--nmax 30 needs nt = "
-                    f"{2 * (5 ** 31 - 1) // 4 + 1}, past NT_MAX = {1 << 20}\n")
+                    f"{nt}, {32 * nt} cells of nt * d * rank^2, past "
+                    f"CELLS_MAX = {1 << 23}\n")
 
 
 def test_decay_case_mismatch():

@@ -10,9 +10,8 @@ from froblat import cli, crystals, regression
 from froblat.crystals import (HILBERT_INERT_SG, HILBERT_INERT_SSP,
                               HILBERT_SPLIT, SIEGEL_SG, SIEGEL_SSP,
                               CrystalModel, FormalCurve, _combine,
-                              _span_certificate,
-                              build_model, check_DR, check_DvR, f_infinity,
-                              find_decaying_submodule, local_gram)
+                              _span_certificate, check_DR, check_DvR,
+                              f_infinity, find_decaying_submodule, local_gram)
 from froblat.errors import (Indeterminate, InvalidParameter, NotFound,
                             NotGenericallyOrdinary,
                             ThresholdExceedsTruncation)
@@ -27,7 +26,7 @@ FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 
 @pytest.fixture(scope="module")
 def split_model():
-    return build_model(HILBERT_SPLIT, 5, 2, 10)
+    return CrystalModel(HILBERT_SPLIT, PAdicParams(5, 2, 10))
 
 
 @pytest.fixture(scope="module")
@@ -39,7 +38,8 @@ def split_xy(split_model):
 def test_case_parameter_dichotomy():
     # superspecial requires sigma^2(c) = c; supergeneric the opposite
     with pytest.raises(InvalidParameter):
-        build_model(SIEGEL_SG, 5, 2, 8, c_residue=(2, 1))  # c in F_25
+        # c in F_25
+        CrystalModel(SIEGEL_SG, PAdicParams(5, 2, 8), c_residue=(2, 1))
     P4 = PAdicParams(5, 4, 8)
     rf = P4.residue_field
     quartic = next(e for e in rf.elements()
@@ -48,11 +48,11 @@ def test_case_parameter_dichotomy():
         CrystalModel(SIEGEL_SSP, P4, c_residue=quartic)
     CrystalModel(SIEGEL_SG, P4, c_residue=quartic)  # accepted
     with pytest.raises(InvalidParameter):
-        build_model(HILBERT_SPLIT, 5, 2, 8, c_residue=3)
+        CrystalModel(HILBERT_SPLIT, PAdicParams(5, 2, 8), c_residue=3)
 
 
 def test_siegel_template_entries():
-    model = build_model(SIEGEL_SSP, 5, 2, 8, c_residue=2)
+    model = CrystalModel(SIEGEL_SSP, PAdicParams(5, 2, 8), c_residue=2)
     curve = FormalCurve(x={1: 1}, y={1: 1}, z={1: 1}, nt=20)
     F = model.perturbation_matrix(curve)
     # top-left entry is (x y + z^2 / 4 eps) / 2p: t-adic order 2, val -1
@@ -60,7 +60,7 @@ def test_siegel_template_entries():
     assert min(e00) == 2
     assert e00[2].maybe_val() == -1
     # split case: entry (1,3) is (x + y)/2p
-    sp = build_model(HILBERT_SPLIT, 5, 2, 8)
+    sp = CrystalModel(HILBERT_SPLIT, PAdicParams(5, 2, 8))
     Fs = sp.perturbation_matrix(FormalCurve(x={1: 1}, y={2: 1}, nt=20))
     e02 = coeffs(Fs.entries[0][2])
     assert sorted(e02) == [1, 2]
@@ -68,16 +68,16 @@ def test_siegel_template_entries():
 
 
 def test_non_ordinary_valuations():
-    m = build_model(SIEGEL_SSP, 5, 2, 8, c_residue=2)
+    m = CrystalModel(SIEGEL_SSP, PAdicParams(5, 2, 8), c_residue=2)
     assert m.non_ordinary_valuation(
         FormalCurve(x={1: 1}, y={2: 1}, nt=30)) == 3
-    hs = build_model(HILBERT_SPLIT, 5, 2, 8)
+    hs = CrystalModel(HILBERT_SPLIT, PAdicParams(5, 2, 8))
     assert hs.non_ordinary_valuation(
         FormalCurve(x={1: 1}, y={1: 1}, nt=30)) == 2
 
 
 def test_cancellation_raises_when_total():
-    m = build_model(SIEGEL_SSP, 5, 2, 8, c_residue=2)
+    m = CrystalModel(SIEGEL_SSP, PAdicParams(5, 2, 8), c_residue=2)
     beta = _beta(m)
     with pytest.raises(NotGenericallyOrdinary):
         m.non_ordinary_valuation(
@@ -92,7 +92,7 @@ def test_cancellation_raises_when_total():
 
 
 def test_degenerate_curve():
-    m = build_model(SIEGEL_SSP, 5, 2, 8, c_residue=2)
+    m = CrystalModel(SIEGEL_SSP, PAdicParams(5, 2, 8), c_residue=2)
     with pytest.raises(NotGenericallyOrdinary):
         m.non_ordinary_valuation(FormalCurve(nt=20))
     finf = f_infinity(m, FormalCurve(nt=20))
@@ -325,7 +325,7 @@ def test_search_past_the_truncation_is_refused(split_model, split_xy):
 
 def test_precision_budget_enforced(split_model):
     curve = FormalCurve(x={1: 1}, y={1: 1}, nt=63)
-    small = build_model(HILBERT_SPLIT, 5, 2, 4)
+    small = CrystalModel(HILBERT_SPLIT, PAdicParams(5, 2, 4))
     with pytest.raises(InvalidParameter):
         f_infinity(small, curve, n_max=2)
 
@@ -348,6 +348,23 @@ def test_supergeneric_unit_a():
                    if not rf.is_zero(e) and rf.pow(e, 25) != e)
     m = CrystalModel(SIEGEL_SG, P4, c_residue=quartic)
     assert m.a_frob.maybe_val() == 0
+
+
+@pytest.mark.parametrize("fix", [f for f in decay_fixture_table(5)
+                                 if f["case"].endswith("supergeneric")],
+                         ids=lambda f: f["name"])
+def test_a_frob_is_sigma_minus_sigma_inverse_of_c(fix):
+    """The model lifts a = sigma(c) - sigma^(-1)(c) in closed form, from
+    the p-th powers of c's residue; it equals sigma(c) - sigma^(d-1)(c)
+    by the scalar Frobenius, digit for digit."""
+    model, _ = build_fixture(fix)
+    powers = [model.c]
+    for _ in range(model.params.d - 1):
+        powers.append(powers[-1].frobenius())
+    want = powers[1] - powers[-1]
+    got = model.a_frob
+    assert (got.shift, got.coeffs, got.rel_prec) \
+        == (want.shift, want.coeffs, want.rel_prec)
 
 
 def test_column_valuations_bounded_by_factor_count(split_xy):
@@ -461,7 +478,7 @@ def test_masked_coefficient_blocks_only_when_it_matters():
     verdict is indeterminate, and names that coefficient.  Without the
     cancelling entry the visible rows decide every level and the span
     certificate holds."""
-    model = build_model(HILBERT_SPLIT, 5, 2, 10)
+    model = CrystalModel(HILBERT_SPLIT, PAdicParams(5, 2, 10))
     nt = 31                                   # thresholds 1, 6, 31 at A = 1
     basis = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)]
     blocked = masked_finf(model.params, nt, cancel=True)
@@ -574,7 +591,7 @@ def test_certificate_table_reads_masked_views(monkeypatch):
     """The hand-built matrices of ``masked_finf``, and one with a masked
     coefficient below every visible one: a masked view's shift is its
     bound, and the table reads it there."""
-    params = build_model(HILBERT_SPLIT, 5, 2, 10).params
+    params = PAdicParams(5, 2, 10)
     nt = 31
     e = [tuple(int(i == j) for j in range(4)) for i in range(4)]
     spans = [(e[0], e[1], e[2]), ((1, 1, 0, 0), e[2], e[3]),

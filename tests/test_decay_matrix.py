@@ -15,9 +15,10 @@ from functools import lru_cache
 
 import pytest
 
-from froblat.cli import dispatch
-from froblat.crystals import (decay_thresholds, f_infinity,
-                              find_decaying_submodule)
+from froblat.cli import CELLS_MAX, dispatch
+from froblat.crystals import (CrystalModel, FormalCurve, decay_thresholds,
+                              f_infinity, find_decaying_submodule,
+                              truncation)
 from froblat.errors import InvalidParameter
 from froblat.padics import INF, PAdicParams
 from froblat.series import column_valuation_profile
@@ -26,6 +27,24 @@ from froblat.regression import (build_fixture, decay_fixture_table,
 from series_oracle import coeffs
 
 TABLE = decay_fixture_table(5)
+
+# (nt, M) at which the F_inf behind each HEADROOM entry and FINF_SHA256
+# digest was taken, and is built here: nt = A(1 + 5 + 25) + 1, the rule
+# at n_max = 2, but 94 for supergeneric-y-dominant (63 by the rule), and
+# M the floor, 9, for the two deep-cancel fixtures and 3 above it on the
+# rest, where build_fixture works at the floor
+PINNED_AT = {
+    "split-equal": (63, 10), "split-equal-mirror": (63, 10),
+    "split-even-power": (807, 12), "split-odd-power": (187, 11),
+    "split-generic": (94, 10), "inert-superspecial": (63, 10),
+    "inert-supergeneric": (32, 10), "siegel-A-below-B": (94, 10),
+    "siegel-2.1": (311, 11), "siegel-2.2": (249, 11),
+    "siegel-3.1": (249, 11), "siegel-3.1-special": (807, 12),
+    "siegel-3.2": (187, 11), "supergeneric-y-dominant": (94, 10),
+    "supergeneric-z-dominant": (32, 10), "supergeneric-balanced": (63, 10),
+    "supergeneric-deep-cancel-strict": (1458, 9),
+    "supergeneric-deep-cancel-equal": (1427, 9),
+}
 
 # (least known bound, number of masked coefficients) over the inexact
 # coefficients of F_inf: a change to the series arithmetic may raise a
@@ -92,9 +111,13 @@ FINF_SHA256 = {
 
 @lru_cache(maxsize=None)
 def finf_of(name):
-    """F_inf at n_max = 2 for a fixture."""
-    model, curve = build_fixture(next(f for f in TABLE if f["name"] == name))
-    return f_infinity(model, curve, n_max=2)
+    """F_inf at n_max = 2 for a fixture, built at its PINNED_AT (nt, M)."""
+    fix = next(f for f in TABLE if f["name"] == name)
+    nt, M = PINNED_AT[name]
+    params = PAdicParams(fix["p"], fix["d"], M)
+    c_res, comps = fix["make"](params.residue_field, params.eps_int)
+    model = CrystalModel(fix["case"], params, c_residue=c_res)
+    return f_infinity(model, FormalCurve(nt=nt, **comps), n_max=2)
 
 
 def finf_digest(name):
@@ -108,7 +131,7 @@ def finf_digest(name):
 
 
 def inexact_finf_coefficients(name):
-    """Every inexact t^k coefficient of the fixture's F_inf at n_max = 2."""
+    """Every inexact t^k coefficient of the fixture's pinned F_inf."""
     return [c for row in finf_of(name).entries for e in row
             for c in coeffs(e).values() if not c.exact]
 
@@ -124,12 +147,18 @@ def test_named_case(fix):
 
 @pytest.mark.parametrize("fix", TABLE, ids=[f["name"] for f in TABLE])
 def test_witness_is_wanted_exactly_without_a_frob(fix):
-    """The expected witness outcome is the model's own rule; the curve is
-    truncated just past the last threshold, or at the stated floor."""
+    """The expected witness outcome is the model's own rule.  A fixture
+    states no nt and no precision: at every depth it is built at the
+    (nt, M) that ``froblat decay`` derives from its A, the curve
+    truncated just past the last threshold."""
     model, curve = build_fixture(fix)
-    assert curve.nt == max(fix["nt_floor"],
-                           decay_thresholds(fix["A"], 5, 2)[-1] + 1)
+    assert curve.nt == decay_thresholds(fix["A"], 5, 2)[-1] + 1
     assert fix["want_witness"] == (model.a_frob is None)
+    assert not {"precision", "nt_floor"} & set(fix)
+    for n_max in range(5):
+        model, curve = build_fixture(fix, n_max)
+        assert (curve.nt, model.params.precision_M) \
+            == truncation(fix["A"], 5, n_max)
 
 
 def test_every_fixture_certifies_at_depth_three():
@@ -194,7 +223,7 @@ def test_finf_digest_pinned(name):
 
 
 def test_finf_digest_table_covers_every_fixture():
-    assert set(FINF_SHA256) == {f["name"] for f in TABLE}
+    assert set(FINF_SHA256) == set(PINNED_AT) == {f["name"] for f in TABLE}
 
 
 def support(fix):
@@ -213,7 +242,7 @@ def test_restricted_product_columns_equal_the_full_product(fix):
     model, curve = build_fixture(fix)
     cols = support(fix)
     part = f_infinity(model, curve, n_max=2, columns=cols)
-    full = finf_of(fix["name"])
+    full = f_infinity(model, curve, n_max=2)
     for part_row, full_row in zip(part.entries, full.entries, strict=True):
         for j, (a, b) in enumerate(zip(part_row, full_row, strict=True)):
             if j in cols:
@@ -297,3 +326,24 @@ def test_every_fixture_as_a_curve_file_matches_its_build(tmp_path):
                     if min(_number(token), _number(want)) <= thrs[n]:
                         assert token == want, (fix["name"], n_max, row)
     assert time.time() - start < 60
+
+
+def test_a_decay_past_the_cell_cap_is_refused_at_once(tmp_path):
+    """supergeneric-deep-cancel-equal as a curve file needs more than
+    CELLS_MAX digit cells, nt * d * rank^2, at --nmax 5 and 6 (nt = 179677
+    and 898427, d = 8, rank 5): refused before any series is built.  At
+    --nmax 4 (7185400 cells) it runs.  Runtime bound: 2 s."""
+    fix = next(f for f in TABLE
+               if f["name"] == "supergeneric-deep-cancel-equal")
+    path = write_curve_file(fix, tmp_path / "deep-cancel-equal.curve")
+    assert 35927 * 8 * 25 <= CELLS_MAX
+    start = time.time()
+    for n_max, nt in ((5, 179677), (6, 898427)):
+        out = io.StringIO()
+        assert dispatch(["decay", "--curve", path, "--nmax", str(n_max)],
+                        out=out) == 1
+        assert out.getvalue() == (
+            f"error=InvalidParameter detail=--nmax {n_max} needs nt = {nt}, "
+            f"{nt * 8 * 25} cells of nt * d * rank^2, past CELLS_MAX = "
+            f"{CELLS_MAX}\n")
+    assert time.time() - start < 2
