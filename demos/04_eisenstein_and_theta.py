@@ -8,12 +8,14 @@ cuspidal part, so the coefficient equals r(m) exactly; that calibration
 pinned the character convention for definite rank-5 lattices.  For a
 multi-class lattice the difference r(m) - q(m) is a cusp form whose
 coefficients grow strictly slower than m^(3/2).  For the indefinite
-global lattices of the budget q_L(m) is negative.  The one interval left
-is L(2, chi_D) itself for D < 0, printed below.
+global lattices of the budget q_L(m) is negative.  Every L-value they
+read is exact, L(2, chi_D) = pi^2 B_{2,chi} / D^(3/2) for D fundamental
+and positive; one is printed below.
 """
 
-from froblat import (IntLattice, cusp_deviation, dirichlet_L2, q_L_hilbert,
-                     q_L_siegel, q_positive_definite, representation_counts)
+from froblat import (IntLattice, cusp_deviation, q_L_hilbert, q_L_siegel,
+                     q_positive_definite, representation_counts)
+from froblat.eisenstein import bernoulli_2
 
 D5 = IntLattice([[2, -1, 0, 0, 0], [-1, 2, -1, 0, 0], [0, -1, 2, -1, -1],
                  [0, 0, -1, 2, 0], [0, 0, -1, 0, 2]], "D5")
@@ -32,7 +34,7 @@ print("\nq_L(1..4), signature (3,2):",
 print("q_L(1..4), signature (2,2):",
       [str(q_L_hilbert(LH, m).value) for m in range(1, 5)])
 
-print("\nL(2, chi_-4) interval:", dirichlet_L2(-4))
+print(f"\nL(2, chi_5) = pi^2 ({bernoulli_2(5)}) / 5^(3/2)")
 
 # a lattice with 5 | det: the deviation is a weight-5/2 cusp form
 L5 = IntLattice([[2, 0, 0, 0, 0], [0, 2, 0, 0, 0], [0, 0, 2, 0, 0],

@@ -10,8 +10,8 @@ from .crystals import (CASES, HILBERT_INERT_SG, HILBERT_INERT_SSP,
                        find_decaying_submodule, local_gram)
 from .quadforms import (IntLattice, hanke_density, kronecker, local_density,
                         sigma_s)
-from .eisenstein import (EisResult, coefficients, dirichlet_L2, q_L_hilbert,
-                         q_L_siegel, q_positive_definite, ratio_bound)
+from .eisenstein import (EisResult, coefficients, q_L_hilbert, q_L_siegel,
+                         q_positive_definite, ratio_bound)
 from .enumeration import (build_T_set, cusp_deviation, prime_rep_count,
                           representation_counts, short_vectors,
                           square_rep_count)

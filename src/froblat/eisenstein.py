@@ -1,4 +1,4 @@
-"""Dirichlet L-values and exact Eisenstein Fourier coefficients.
+"""Generalized Bernoulli numbers and exact Eisenstein Fourier coefficients.
 
 Every Eisenstein coefficient is one exact Fraction, built from an integer
 numerator and denominator multiplied factor by factor, and a range of m
@@ -13,8 +13,7 @@ conductor f = D0,
 correction E and the generalized Bernoulli number B_{2,chi} of
 chi = chi_{D0} exact; B_{2,chi} = -2 H(2, D0) is read from Cohen's
 numbers H(2, N).  So pi and every square root cancel from the
-coefficient formulas.  The only interval left is dirichlet_L2, whose
-D < 0 branch sums the series in floats with a proven rounding bound.
+coefficient formulas, and L(2, chi) itself is never evaluated.
 """
 
 import math
@@ -54,35 +53,6 @@ def euler_correction(D0, s):
         num *= q * q - kronecker(D0, q)
         den *= q * q
     return num, den
-
-
-# chi_{-4}, chi_8 and chi_{-8} on n mod 8
-_CHI_2 = {-4: [0, 1, 0, -1, 0, 1, 0, -1], 8: [0, 1, 0, -1, 0, -1, 0, 1],
-          -8: [0, 1, 0, 1, 0, -1, 0, -1]}
-
-
-def _chi_table(D0):
-    """chi_{D0}(n) for 0 <= n < |D0|, D0 fundamental, as an int8 vector.
-
-    chi_{D0} is the product of the prime-discriminant characters of D0:
-    the Legendre symbol mod q for each odd q | D0, times chi_{-4},
-    chi_8 or chi_{-8} on n mod 8 for the part D0 / prod q* (q* = +-q,
-    q* = 1 mod 4).
-    """
-    n = np.arange(abs(D0))
-    table = np.ones(abs(D0), dtype=np.int8)
-    odd = 1
-    for q in primefactors(D0):
-        if q == 2:
-            continue
-        legendre = -np.ones(q, dtype=np.int8)
-        legendre[np.arange(1, q) ** 2 % q] = 1
-        legendre[0] = 0
-        table *= legendre[n % q]
-        odd *= q if q % 4 == 1 else -q
-    if D0 != odd:
-        table *= np.array(_CHI_2[D0 // odd], dtype=np.int8)[n % 8]
-    return table
 
 
 H2_TABLE_MAX = 1 << 22  # entries of the g table: 32 MiB of int64
@@ -128,62 +98,6 @@ def bernoulli_2(D0):
     D0 > 0 is fundamental or 1; D0 = 1 gives 1/6.
     """
     return -2 * cohen_h2(D0)
-
-
-L2_TOL = 1e-10  # the Abel tail bound the D < 0 sum is truncated at
-
-
-def _odd_l_value(D0):
-    """Exact bounds (lo, hi) on L(2, chi_{D0}), D0 < 0 fundamental.
-
-    Sums N >= 1000 terms chi(n)/n^2 in float64, with N large enough that
-    the Abel tail bound 2|D0| / (N+1)^2 (partial sums of chi are bounded
-    by |D0|) is below L2_TOL, and widens by that bound plus the
-    rounding bound: each term is within relative 2u of chi(n)/n^2 and
-    any order of the N-1 additions errs by at most gamma_{N-1} sum|terms|
-    <= gamma_{N-1} zeta(2) (Higham, Accuracy and Stability of Numerical
-    Algorithms, sec. 4.2); together at most gamma_{N+1} zeta(2), with
-    gamma_k = k u / (1 - k u) and u = 2^-53.
-    """
-    aD = abs(D0)
-    N = max(1000, math.isqrt(int(2 * aD / L2_TOL)) + 1)
-    table = _chi_table(D0).astype(np.float64)
-    total = 0.0
-    chunk = 1 << 18
-    for start in range(1, N + 1, chunk):
-        stop = min(N, start + chunk - 1)
-        n = np.arange(start, stop + 1, dtype=np.float64)
-        chi = np.resize(np.roll(table, -(start % aD)), stop - start + 1)
-        total += float(np.sum(chi / (n * n)))
-    gamma = Fraction(N + 1, 2 ** 53 - (N + 1))
-    radius = Fraction(2 * aD, (N + 1) ** 2) + gamma * Fraction(1645, 1000)
-    return Fraction(total) - radius, Fraction(total) + radius
-
-
-# pi lies strictly between PI_LO and PI_LO + 10^-20
-PI_LO = Fraction(314159265358979323846, 10 ** 20)
-
-
-def dirichlet_L2(D):
-    """Float interval (lo, hi) enclosing L(2, chi_D), rounded outward.
-
-    D > 0: E pi^2 B_{2,chi} / (D0 sqrt D0) enclosed in Fractions, from
-    PI_LO < pi < PI_LO + 10^-20 and r <= 10^20 sqrt D0 < r + 1 for
-    r = isqrt(D0 10^40).
-    D < 0: the direct sum truncated where the tail bound reaches L2_TOL.
-    """
-    D0, s = fundamental_part(D)
-    E = Fraction(*euler_correction(D0, s))
-    if D > 0:
-        x = E * bernoulli_2(D0) * 10 ** 20 / D0
-        r = math.isqrt(D0 * 10 ** 40)
-        lo, hi = sorted((x * PI_LO ** 2 / (r + 1),
-                         x * (PI_LO + Fraction(1, 10 ** 20)) ** 2 / r))
-    else:
-        lo, hi = _odd_l_value(D0)
-        lo, hi = lo * E, hi * E
-    return (math.nextafter(float(lo), -math.inf),
-            math.nextafter(float(hi), math.inf))
 
 
 @dataclass(slots=True)

@@ -6,11 +6,16 @@ bad prime, sums its own H(2, D0) and builds the value from Fractions.
 ``sigma_s`` and the middle divisor sum run over the divisors one by one,
 and H(2, N) is summed in Python from the g table, so none of the
 range pass's shortcuts (merged factorizations, the density memo) is in
-the oracle.
+the oracle.  ``l_value`` is the reference L(2, chi_D), and ``_chi_table``
+sieves the character table chi_{D0} that the tests' direct sum for
+B_{2,chi} reads.
 """
 
 import math
 from fractions import Fraction
+
+import mpmath
+import numpy as np
 
 from froblat import eisenstein
 from froblat.eisenstein import EisResult, fundamental_part
@@ -48,6 +53,25 @@ def euler_correction(D0, s):
 
 def bernoulli_2(D0):
     return -2 * h2(D0)
+
+
+def l2_over_pi2(D):
+    """(r, D0) with L(2, chi_D) = pi^2 r / D0^(3/2) exactly, D > 0:
+    r = E B_{2,chi_{D0}} from the package's own fundamental_part,
+    euler_correction and bernoulli_2."""
+    D0, s = fundamental_part(D)
+    E = Fraction(*eisenstein.euler_correction(D0, s))
+    return E * eisenstein.bernoulli_2(D0), D0
+
+
+def l_value(D):
+    """L(2, chi_D) at mpmath's working precision: the exact value for
+    D > 0, and for D < 0, where the package computes none, mpmath's sum."""
+    if D < 0:
+        return mpmath.dirichlet(2, [kronecker(D, n) for n in range(-D)])
+    r, D0 = l2_over_pi2(D)
+    return mpmath.pi ** 2 * r.numerator / (r.denominator * D0
+                                           * mpmath.sqrt(D0))
 
 
 def split_square_part(m, bad):
@@ -109,3 +133,32 @@ def q_rank5(lattice, m, sign):
 def coefficient(lattice, m, sign):
     """The oracle's EisResult for one m."""
     return (q_rank4 if lattice.rank == 4 else q_rank5)(lattice, m, sign)
+
+
+# chi_{-4}, chi_8 and chi_{-8} on n mod 8
+_CHI_2 = {-4: [0, 1, 0, -1, 0, 1, 0, -1], 8: [0, 1, 0, -1, 0, -1, 0, 1],
+          -8: [0, 1, 0, 1, 0, -1, 0, -1]}
+
+
+def _chi_table(D0):
+    """chi_{D0}(n) for 0 <= n < |D0|, D0 fundamental, as an int8 vector.
+
+    chi_{D0} is the product of the prime-discriminant characters of D0:
+    the Legendre symbol mod q for each odd q | D0, times chi_{-4},
+    chi_8 or chi_{-8} on n mod 8 for the part D0 / prod q* (q* = +-q,
+    q* = 1 mod 4).
+    """
+    n = np.arange(abs(D0))
+    table = np.ones(abs(D0), dtype=np.int8)
+    odd = 1
+    for q in primefactors(D0):
+        if q == 2:
+            continue
+        legendre = -np.ones(q, dtype=np.int8)
+        legendre[np.arange(1, q) ** 2 % q] = 1
+        legendre[0] = 0
+        table *= legendre[n % q]
+        odd *= q if q % 4 == 1 else -q
+    if D0 != odd:
+        table *= np.array(_CHI_2[D0 // odd], dtype=np.int8)[n % 8]
+    return table

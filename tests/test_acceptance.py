@@ -9,12 +9,14 @@ import math
 import time
 from fractions import Fraction
 
+import mpmath
 import pytest
 import sympy
 
+from eisenstein_oracle import l2_over_pi2, l_value
 from froblat.budget import alpha_const, eisenstein_budget, run_budget
 from froblat.crystals import LOCAL_DENSITIES, SIEGEL_SG, local_gram
-from froblat.eisenstein import dirichlet_L2, q_L_siegel, q_positive_definite
+from froblat.eisenstein import q_L_siegel, q_positive_definite
 from froblat.enumeration import (build_T_set, cusp_deviation,
                                  representation_counts)
 from froblat.padics import smallest_nonresidue
@@ -23,7 +25,6 @@ from froblat.regression import (decay_fixture_table, run_decay_fixture,
                                 split_equal_decay_indices)
 
 ZETA2 = math.pi ** 2 / 6
-ZETA4 = math.pi ** 4 / 90
 ZETA3 = 1.2020569031595942854
 
 
@@ -119,14 +120,17 @@ def test_criterion_4_alpha_and_budget_closed_form():
 
 
 def test_criterion_5_l_value_sanity():
+    # for D > 0 the exact pi^2 E B_{2,chi} / D0^(3/2) the package computes,
+    # for D < 0 (the package computes none) mpmath's sum, at 30 digits
     start = time.time()
-    lo, hi = dirichlet_L2(1)
-    assert abs((lo + hi) / 2 - ZETA2) < 1e-10
-    for D in range(-100, 101):
-        if D == 0 or D % 4 not in (0, 1):
-            continue
-        lo, hi = dirichlet_L2(D)
-        assert ZETA4 / ZETA2 - 1e-9 <= lo and hi <= ZETA2 + 1e-9
+    assert l2_over_pi2(1) == (Fraction(1, 6), 1)  # zeta(2) = pi^2 / 6
+    with mpmath.workdps(30):
+        eps = mpmath.mpf(10) ** -25
+        lo, hi = mpmath.zeta(4) / mpmath.zeta(2), mpmath.zeta(2)
+        for D in range(-100, 101):
+            if D == 0 or D % 4 not in (0, 1):
+                continue
+            assert lo - eps <= l_value(D) <= hi + eps, D
     _report("5 l-values", time.time() - start, 10)
 
 

@@ -1,17 +1,20 @@
+import ast
 import hashlib
 import io
 import math
 import os
 import random
 from fractions import Fraction
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
+from eisenstein_oracle import _chi_table, l2_over_pi2, l_value
 from froblat import eisenstein, quadforms
 from froblat.cli import dispatch
-from froblat.eisenstein import (H2_TABLE_MAX, _chi_table,
-                                bernoulli_2, cohen_h2, dirichlet_L2,
+from froblat.eisenstein import (H2_TABLE_MAX, bernoulli_2, cohen_h2,
                                 fundamental_part, middle_divisor_sum, q_L_hilbert, q_L_siegel,
                                 q_positive_definite, ratio_bound)
 from froblat.errors import InvalidParameter
@@ -20,7 +23,6 @@ from froblat.enumeration import cusp_deviation, representation_counts
 from froblat.quadforms import IntLattice, kronecker, sigma_s
 
 ZETA2 = math.pi ** 2 / 6
-ZETA4 = math.pi ** 4 / 90
 ZETA3 = 1.2020569031595942854
 
 LS = IntLattice([[2, 0, 0, 0, 0], [0, 0, 1, 0, 0], [0, 1, 0, 0, 0],
@@ -34,23 +36,21 @@ A5 = IntLattice([[2, -1, 0, 0, 0], [-1, 2, -1, 0, 0], [0, -1, 2, -1, 0],
 
 
 def test_trivial_character_is_zeta2():
-    lo, hi = dirichlet_L2(1)
-    assert abs((lo + hi) / 2 - ZETA2) < 1e-10
-
-
-def test_catalan():
-    lo, hi = dirichlet_L2(-4)
-    catalan = 0.9159655941772190151
-    assert lo <= catalan <= hi
-    assert hi - lo < 1e-9
+    assert l2_over_pi2(1) == (Fraction(1, 6), 1)
+    with mpmath.workdps(30):
+        assert abs(l_value(1) - mpmath.zeta(2)) < mpmath.mpf(10) ** -25
 
 
 def test_l_values_in_window():
-    for D in range(-100, 101):
-        if D == 0 or D % 4 not in (0, 1):
-            continue
-        lo, hi = dirichlet_L2(D)
-        assert ZETA4 / ZETA2 - 1e-9 <= lo and hi <= ZETA2 + 1e-9
+    # zeta(4)/zeta(2) <= L(2, chi_D) <= zeta(2): the exact value for D > 0,
+    # mpmath's for D < 0
+    with mpmath.workdps(30):
+        eps = mpmath.mpf(10) ** -25
+        lo, hi = mpmath.zeta(4) / mpmath.zeta(2), mpmath.zeta(2)
+        for D in range(-100, 101):
+            if D == 0 or D % 4 not in (0, 1):
+                continue
+            assert lo - eps <= l_value(D) <= hi + eps, D
 
 
 def test_fundamental_part():
@@ -63,9 +63,7 @@ def test_fundamental_part():
 
 def test_euler_correction_square_character():
     # chi_9 is principal away from 3: L = zeta(2)(1 - 1/9)
-    lo, hi = dirichlet_L2(9)
-    want = ZETA2 * (1 - Fraction(1, 9))
-    assert lo <= float(want) <= hi
+    assert l2_over_pi2(9) == (Fraction(1, 6) * Fraction(8, 9), 1)
 
 
 def test_hilbert_sign_and_vanishing():
@@ -390,16 +388,26 @@ def test_cohen_h2_raises_past_the_table_cap_before_building():
 
 
 def test_l_values_contain_mpmath_reference():
-    import mpmath
+    # every discriminant 0 < D <= 100, fundamental or not
     with mpmath.workdps(30):
-        for D in range(-100, 101):
-            if not _fundamental(D):
+        for D in range(1, 101):
+            if D % 4 not in (0, 1):
                 continue
-            chi = [kronecker(D, n) for n in range(abs(D))]
+            chi = [kronecker(D, n) for n in range(D)]
             ref = mpmath.dirichlet(2, chi)
-            lo, hi = dirichlet_L2(D)
-            assert lo <= ref <= hi, D
-            assert hi - lo < 1e-9, D
+            assert abs(l_value(D) - ref) < mpmath.mpf(10) ** -25, D
+
+
+def test_eisenstein_module_has_no_float():
+    # everything the module computes is exact: no float literal, no float
+    # name, no nextafter and no numpy float type
+    tree = ast.parse(Path(eisenstein.__file__).read_text())
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and isinstance(node.value, float)
+             or isinstance(node, ast.Name) and node.id == "float"
+             or isinstance(node, ast.Attribute)
+             and (node.attr == "nextafter" or node.attr.startswith("float"))]
+    assert found == []
 
 
 def test_every_coefficient_is_a_fraction():
