@@ -32,7 +32,7 @@ print("\nchain determinants:",
 # the deepest member L_{3,2} represents
 report = run_budget(p=5, A=2, case="superspecial", global_gram=LH,
                     chain_head=HEAD, depth=3, M=500, t_kind="hilbert",
-                    t_params={"N": 0, "C": 1, "disc_F": 13},
+                    t_params={"N": 0, "C": 1},
                     exclude_deep=True)
 print("T-set values L_{3,2} represents (excluded):", report.excluded)
 print(f"\nadmissible m up to 500: {len(report.T)}")

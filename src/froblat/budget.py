@@ -19,7 +19,6 @@ report checks the budget empirically.
 
 import itertools
 import math
-from collections import ChainMap
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -203,6 +202,7 @@ def derive_chain(head, p, depth):
 
     whose indices in the head are p^(3n) and p^(3n+1).  The splitting
     holds modulo p^(depth+2), which fixes every member up to n = depth.
+    ``check_chain_nested`` certifies the members' bases, from the head's.
     """
     if head.rank != 4:
         raise InvalidParameter("chain derivation implemented for rank 4")
@@ -231,6 +231,8 @@ def derive_chain(head, p, depth):
         if head.q_value(u) % p != 0:
             raise InvalidParameter("p-part direction has unit norm")
     chain = []
+    members = [(head.gram, [[int(i == j) for j in range(4)]
+                            for i in range(4)])]
     for nn in range(depth + 1):
         # L_{n,1} = p^n Z^4 + Z u4;  L_{n,2} adds only p^n u1, p^n u2 and
         # p^(n+1) Z^4, so small generator representatives suffice
@@ -246,6 +248,8 @@ def derive_chain(head, p, depth):
         basis2 = linalg.hnf_basis(gens2)
         chain.append(tuple([[B(a, b) for b in basis] for a in basis]
                            for basis in (basis1, basis2)))
+        members += zip(chain[-1], (basis1, basis2))
+    check_chain_nested(members)
     return chain, (u1, u2, b3, b4)
 
 
@@ -294,9 +298,7 @@ def run_budget(*, p, A, case, global_gram, chain_head, depth, M, t_kind,
                                f"needs rank 4 (Hilbert) or 5 (Siegel)")
     chain, _ = derive_chain(IntLattice(chain_head, "chain head"), p, depth)
     deep = chain[-1][1]
-    # det2 = 2 det(L); the ChainMap keeps t_params' own missing-key error
-    t_params = ChainMap({"det2": 2 * glob.det()}, t_params)
-    t_set = build_T_set(t_kind, p, t_params, M)
+    t_set = build_T_set(t_kind, p, t_params | {"det2": 2 * glob.det()}, M)
     local = [0] * (M + 1)  # numerators over 2p
     deep_counts = None
     for _, w, g in _weighted(case, A, p, chain):
@@ -315,7 +317,7 @@ def run_budget(*, p, A, case, global_gram, chain_head, depth, M, t_kind,
         raise InvalidParameter(f"no m is kept: the T-set has {len(t_set)} "
                                f"members, {len(excluded)} of them excluded")
     per_m = [{"m": q.m, "local": Fraction(local[q.m], 2 * p),
-              "g": global_g(A, p, q)} for q in coefficients(glob, kept, -1)]
+              "g": global_g(A, p, q)} for q in coefficients(glob, kept)]
     global_sum = sum((rec["g"] for rec in per_m), Fraction(0))
     if global_sum == 0:
         raise InvalidParameter("the global coefficients vanish on every "

@@ -93,7 +93,7 @@ class KeyVals(dict):
 
 CURVE_KEYS = ("case", "p", "d", "c", "x", "y", "z")
 BUDGET_KEYS = ("p", "A", "case", "global_gram", "chain_head", "depth", "M",
-               "t_kind", "N", "C", "D", "disc_F", "exclude")
+               "t_kind", "N", "C", "D", "exclude")
 
 
 def read_keyvals(path, keys):
@@ -199,8 +199,7 @@ def _m_range(text):
 def cmd_eisenstein(args, out):
     """Theta coefficients of a definite rank-4/5 lattice, else q_L."""
     lat = IntLattice(read_gram(args.lattice), args.lattice)
-    sign = 1 if lat.rank in (4, 5) and lat.is_positive_definite() else -1
-    for res in coefficients(lat, _m_range(args.m_range), sign):
+    for res in coefficients(lat, _m_range(args.m_range)):
         _emit(out, [("m", res.m), ("m0", res.m0), ("f", res.f),
                     ("sign", res.sign()), ("exact", _frac(res.value))])
     return 0
@@ -277,10 +276,7 @@ def cmd_budget(args, out):
     M = kv.integer("M", 500)
     if M < 1:
         raise kv.error("M", "is not positive")
-    t_params = KeyVals(kv.path)    # so a missing T-set key names the file
-    for key in ("N", "C", "D", "disc_F"):
-        if key in kv:
-            t_params[key] = kv.integer(key)
+    t_params = {key: kv.integer(key) for key in ("N", "C", "D") if key in kv}
     if kv.get("exclude", "deep") != "deep":
         raise kv.error("exclude", "is not 'deep'")
     rep = run_budget(p=p, A=kv.integer("A"), case=kv["case"],

@@ -56,10 +56,11 @@ def euler_correction(D0, s):
 
 
 H2_TABLE_MAX = 1 << 22  # entries of the g table: 32 MiB of int64
+H2_MEMO_MAX = 4096  # memoized H(2, N): above cusp_pdet5's 1215 distinct D0
 _g = np.ones(1, dtype=np.int64)  # g(0 .. X-1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=H2_MEMO_MAX)
 def cohen_h2(N):
     """Cohen's H(2, N) = (theta g)(N) / 120 for 1 <= N < H2_TABLE_MAX, exact.
 
@@ -69,9 +70,9 @@ def cohen_h2(N):
     - 32 sigma_1(n/4) it is theta g, g(n) = r_4(n) - 20 [n odd] sigma_1(n),
     g(0) = 1.  |g(n)| <= 28 sigma_1(n) < 28 n (1 + ln n), so the int64 sum
     of the 2 sqrt(N) + 1 terms g(N - k^2) cannot wrap for N <= 34887503849,
-    far above the table cap.  Values are memoized, and the table of g grows
-    to min(max(2 X, N + 1), H2_TABLE_MAX) by one sigma_1 sieve; an N it
-    cannot hold is refused before the sieve runs.
+    far above the table cap.  H2_MEMO_MAX values are memoized, and the table
+    of g grows to min(max(2 X, N + 1), H2_TABLE_MAX) by one sigma_1 sieve;
+    an N it cannot hold is refused before the sieve runs.
     """
     global _g
     if N >= H2_TABLE_MAX:
@@ -122,15 +123,14 @@ class EisResult:
         return (self.value > 0) - (self.value < 0)
 
 
-def coefficients(lattice, ms, sign):
+def coefficients(lattice, ms):
     """An iterator of one EisResult per m of ms, each built as it is read,
-    so a range streams: sign -1 gives q_L (``q_L_hilbert`` at rank 4,
-    ``q_L_siegel`` at rank 5), +1 the theta coefficients of a definite
-    lattice (``q_positive_definite``)."""
-    if lattice.rank not in (4, 5):  # q_L off rank 4 is the Siegel shape's
-        raise InvalidParameter("only rank 4 and 5 coefficient formulas"
-                               if sign > 0 else f"q_L_siegel needs rank 5, "
+    so a range streams: theta coefficients of a positive-definite lattice
+    (``q_positive_definite``), else q_L (``q_L_hilbert``, ``q_L_siegel``)."""
+    if lattice.rank not in (4, 5):
+        raise InvalidParameter(f"coefficient formulas need rank 4 or 5, "
                                f"got {lattice.rank}")
+    sign = 1 if lattice.is_positive_definite() else -1
     return (_q_rank4 if lattice.rank == 4 else _q_rank5)(lattice, ms, sign)
 
 
@@ -143,14 +143,14 @@ def q_L_hilbert(lattice, m):
     """
     if lattice.rank != 4:
         raise InvalidParameter(f"q_L_hilbert needs rank 4, got {lattice.rank}")
-    return next(_q_rank4(lattice, [m], sign=-1))
+    return next(coefficients(lattice, [m]))
 
 
 def q_L_siegel(lattice, m):
     """Eisenstein coefficient for the rank-5 family (negative sign)."""
     if lattice.rank != 5:
         raise InvalidParameter(f"q_L_siegel needs rank 5, got {lattice.rank}")
-    return next(_q_rank5(lattice, [m], sign=-1))
+    return next(coefficients(lattice, [m]))
 
 
 def q_positive_definite(lattice, m, tol=None):
@@ -158,7 +158,7 @@ def q_positive_definite(lattice, m, tol=None):
     rank 4 or 5: it depends only on the genus, and its sign is positive.
     tol is ignored, for callers written when the L-value was an interval.
     """
-    return next(coefficients(lattice, [m], +1))
+    return next(coefficients(lattice, [m]))
 
 
 def _densities(lattice, bad, ms):

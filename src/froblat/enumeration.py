@@ -22,7 +22,7 @@ import numpy as np
 
 from . import linalg
 from .errors import InvalidParameter, NotPositiveDefinite
-from .eisenstein import coefficients
+from .eisenstein import coefficients, fundamental_part
 from .padics import _valuation, factorint, primefactors, primerange
 from .quadforms import IntLattice, kronecker
 
@@ -233,8 +233,9 @@ def build_T_set(kind, p, params, M):
     kind 'square': {D q^2 <= M, q prime != p} with D = params['D'].
     kind 'prime_qr': primes q != p, quadratic residues mod p, q = 3 mod 4.
     kind 'hilbert': m in (N, M] with p not dividing m, v_l(m) <= C for
-    every l dividing twice the lattice determinant, and some q || m inert
-    in the real quadratic field (kronecker(disc_F, q) = -1).
+    every l | det2 = params['det2'] = 2 det, and some q || m inert in F:
+    kronecker(d_F, q) = -1, d_F the fundamental part of 2 |det2| (det =
+    d_F modulo squares on the quadratic space of the real field F).
     """
     if kind == "square":
         D = params.get("D", 1)
@@ -250,11 +251,11 @@ def build_T_set(kind, p, params, M):
                 out.append(q)
         return out
     if kind == "hilbert":
-        N, C, disc_F = params.get("N", 0), params.get("C", 2), params["disc_F"]
-        bad = primefactors(params["det2"])
+        N, C, det2 = params.get("N", 0), params.get("C", 2), params["det2"]
+        bad, d_F = primefactors(det2), fundamental_part(2 * abs(det2))[0]
         return [m for m in range(max(N, 1) + 1, M + 1)
                 if m % p and all(_valuation(m, ell) <= C for ell in bad)
-                and any(e == 1 and kronecker(disc_F, q) == -1
+                and any(e == 1 and kronecker(d_F, q) == -1
                         for q, e in factorint(m))]
     raise InvalidParameter(f"unknown T-set kind {kind!r}")
 
@@ -270,7 +271,7 @@ def cusp_deviation(lattice, m_lo, m_hi):
     """
     counts = representation_counts(lattice, m_hi)
     records = []
-    for qv in coefficients(lattice, range(max(1, m_lo), m_hi + 1), +1):
+    for qv in coefficients(lattice, range(max(1, m_lo), m_hi + 1)):
         m = qv.m
         records.append({"m": m, "r": counts[m], "eis": qv.value,
                         "radius": 0, "deviation": counts[m] - qv.value})

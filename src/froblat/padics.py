@@ -21,7 +21,6 @@ share: valuations, primality, factorization and a prime sieve.
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from itertools import compress, product
 
 from .errors import DivisionByZero, InvalidParameter, ZeroPrecision
@@ -78,7 +77,6 @@ def isprime(n):
     return True
 
 
-@lru_cache(maxsize=128)
 def factorint(n):
     """Prime factorization of n >= 1 as ((q, e), ...), q increasing.
 

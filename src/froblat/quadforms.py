@@ -108,7 +108,7 @@ class IntLattice:
                         f"differ; a Gram matrix must be symmetric")
         self.gram = g
         self.rank = n
-        self._det = None
+        self._det = self._definite = None
         self._local = {}
 
     def bilinear(self, v, w):
@@ -126,7 +126,9 @@ class IntLattice:
         return self._det
 
     def is_positive_definite(self):
-        return linalg.is_positive_definite(self.gram)
+        if self._definite is None:
+            self._definite = linalg.is_positive_definite(self.gram)
+        return self._definite
 
     def local(self, ell):
         """The Jordan splitting at the prime l, built once per lattice."""

@@ -212,7 +212,7 @@ def test_criterion_9_budget_pipeline():
     lh = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 2, 1], [0, 0, 1, -6]]
     rep = run_budget(p=5, A=2, case="superspecial", global_gram=lh,
                      chain_head=head, depth=3, M=500, t_kind="hilbert",
-                     t_params={"N": 0, "C": 1, "disc_F": 13},
+                     t_params={"N": 0, "C": 1},
                      exclude_deep=True)
     assert len(rep.T) > 100
     assert rep.global_sum == 282196

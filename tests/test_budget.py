@@ -146,6 +146,23 @@ def test_chain_derivation_and_nesting():
                                     [1, 1, 0, 0], [0, 0, 0, 1]])])
 
 
+def test_derive_chain_certifies_its_chain(monkeypatch):
+    """derive_chain hands its members' bases, from the head's identity,
+    to check_chain_nested: the indices are p^(3n) and p^(3n+1)."""
+    seen = []
+
+    def spy(grams_with_bases):
+        seen.append(check_chain_nested(grams_with_bases))
+        return seen[-1]
+
+    monkeypatch.setattr(budget, "check_chain_nested", spy)
+    for depth in range(4):
+        derive_chain(IntLattice(HEAD), 5, depth)
+        assert seen[-1] == [5 ** (3 * n + i) for n in range(depth + 1)
+                            for i in (0, 1)]
+    assert seen[-1] == [1, 5, 125, 625, 15625, 78125, 1953125, 9765625]
+
+
 def test_deep_chain_splits_modulo_its_depth():
     """At depth 9 the splitting holds modulo 5^10: u3 and u4 are
     isotropic and orthogonal to u1, u2 there (a fixed modulus 5^8 left
@@ -206,7 +223,7 @@ def test_chain_head_completions():
     assert head.det() == 325 and head.is_positive_definite()
 
 
-HILBERT = {"t_kind": "hilbert", "t_params": {"N": 0, "C": 1, "disc_F": 13}}
+HILBERT = {"t_kind": "hilbert", "t_params": {"N": 0, "C": 1}}
 SQUARE_D5 = {"t_kind": "square", "t_params": {"D": 5}}
 
 

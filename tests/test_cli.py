@@ -302,7 +302,7 @@ def test_curve_non_integer_value_names_the_key(tmp_path, old, new, detail):
     assert out == f"error=InvalidParameter detail={curve}: {detail}\n"
 
 
-@pytest.mark.parametrize("key", ["case", "disc_F"])
+@pytest.mark.parametrize("key", ["case"])
 def test_budget_config_missing_key_names_the_key(tmp_path, key):
     with open(fx("budget_p5.cfg")) as fh:
         lines = [ln for ln in fh if not ln.startswith(key + "=")]
@@ -316,6 +316,8 @@ def test_budget_config_missing_key_names_the_key(tmp_path, key):
 @pytest.mark.parametrize("line, detail", [
     ("dpeth=5", "unknown key 'dpeth'"),
     ("det2=26", "unknown key 'det2'"),
+    # the field is read from the global lattice's determinant
+    ("disc_F=13", "unknown key 'disc_F'"),
     ("family=hilbert", "unknown key 'family'"),
     ("M=50", "key 'M' is given twice"),
 ])
@@ -384,8 +386,8 @@ def test_eisenstein_rank_three_exits_one(tmp_path):
     gram = _write(tmp_path, "r3.gram", "2 1 0\n1 2 0\n0 0 2\n")
     code, text = run(["eisenstein", "--lattice", gram, "--m-range", "1..2"])
     assert code == 1
-    assert text == ("error=InvalidParameter detail=q_L_siegel needs "
-                    "rank 5, got 3\n")
+    assert text == ("error=InvalidParameter detail=coefficient formulas "
+                    "need rank 4 or 5, got 3\n")
 
 
 @pytest.mark.parametrize("m_range", ["3..1", "5", "1..x"])
@@ -511,3 +513,30 @@ def test_closed_stdout_exits_without_traceback():
     proc.wait(timeout=120)
     assert first.startswith(b"m=1 ")
     assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
+def _child_peak_kib(argv, env):
+    """ru_maxrss of one froblat child, read by a fresh parent process."""
+    probe = ("import resource, subprocess, sys; "
+             "subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL, "
+             "check=True); "
+             "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+    proc = subprocess.run([sys.executable, "-c", probe, sys.executable, "-m",
+                           "froblat.cli", *argv], env=env, check=True,
+                          capture_output=True, text=True, timeout=300)
+    return int(proc.stdout)
+
+
+def test_a_long_eisenstein_range_runs_in_bounded_memory():
+    # 1..10^5 grows the g table from 73728 to 589824 entries (4.5 MiB;
+    # the sieve briefly holds about three such arrays) and fills no more
+    # than H2_MEMO_MAX memo entries; the unbounded memo, 60794 entries,
+    # made the difference 18 MiB
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.abspath(src), env.get("PYTHONPATH")]))
+    peaks = [_child_peak_kib(["eisenstein", "--lattice", fx("ls_global.gram"),
+                              "--m-range", f"1..{hi}"], env)
+             for hi in (10 ** 4, 10 ** 5)]
+    assert peaks[1] - peaks[0] < 16 * 1024, peaks

@@ -240,8 +240,7 @@ def test_radius_only_from_l_value():
 def test_hilbert_growth_window():
     """m^(1-eps) << |q(m)| << m^(1+eps) over an admissible m-set."""
     from froblat.enumeration import build_T_set
-    T = build_T_set("hilbert", 5, {"N": 0, "C": 1, "disc_F": 13,
-                                   "det2": 26}, 500)
+    T = build_T_set("hilbert", 5, {"N": 0, "C": 1, "det2": 26}, 500)
     LH = IntLattice([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 2, 1],
                      [0, 0, 1, -6]], "LH13")
     eps = 0.35
@@ -267,8 +266,7 @@ def test_hilbert_partial_sum_growth():
 
     def mass(M):
         total = 0.0
-        for m in build_T_set("hilbert", 5, {"N": 0, "C": 1, "disc_F": 13,
-                                            "det2": 26}, M):
+        for m in build_T_set("hilbert", 5, {"N": 0, "C": 1, "det2": 26}, M):
             if m not in cache:
                 cache[m] = -q_L_hilbert(LH, m).midpoint()
             total += cache[m]
@@ -452,8 +450,7 @@ def _fields(res):
     ("d5", 60, 1), ("a5", 60, 1), ("z4", 60, 1), ("z5", 60, 1)])
 def test_batch_equals_the_per_m_oracle(name, m_hi, sign):
     import eisenstein_oracle
-    got = list(eisenstein.coefficients(_fixture(name), range(1, m_hi + 1),
-                                       sign))
+    got = list(eisenstein.coefficients(_fixture(name), range(1, m_hi + 1)))
     assert len(got) == m_hi
     oracle = _fixture(name)
     for m, res in zip(range(1, m_hi + 1), got):
@@ -468,24 +465,24 @@ def test_batch_of_a_shuffled_list_with_repeats():
         ms = [rng.randint(1, 400) for _ in range(300)] + [7, 7, 1]
         rng.shuffle(ms)
         lat = _fixture(name)
-        got = eisenstein.coefficients(lat, ms, sign)
+        got = eisenstein.coefficients(lat, ms)
         assert [_fields(r) for r in got] == [
             _fields(eisenstein_oracle.coefficient(lat, m, sign)) for m in ms]
 
 
 def test_single_m_forms_are_the_one_element_batch():
     for m in (1, 9, 250):
-        assert q_L_siegel(LS, m) == next(eisenstein.coefficients(LS, [m], -1))
+        assert q_L_siegel(LS, m) == next(eisenstein.coefficients(LS, [m]))
         assert q_L_hilbert(LH13, m) \
-            == next(eisenstein.coefficients(LH13, [m], -1))
+            == next(eisenstein.coefficients(LH13, [m]))
         assert q_positive_definite(D5, m, tol=1e-10) \
-            == next(eisenstein.coefficients(D5, [m], 1))
+            == next(eisenstein.coefficients(D5, [m]))
 
 
 def test_a_range_is_read_as_it_streams():
     # nothing past the m read so far is computed, however long the range
-    for lat, sign in ((LS, -1), (LH13, -1), (D5, 1)):
-        it = eisenstein.coefficients(lat, range(1, 10 ** 15), sign)
+    for lat in (LS, LH13, D5):
+        it = eisenstein.coefficients(lat, range(1, 10 ** 15))
         assert [next(it).m for _ in range(3)] == [1, 2, 3]
 
 

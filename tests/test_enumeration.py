@@ -163,11 +163,30 @@ def test_counts_past_the_cap_raise_before_allocating():
     assert peak < 1 << 16
 
 
+def test_hilbert_t_set_reads_the_field_from_the_lattice():
+    """lh_f13 has det 13: its hilbert T-set is the one that states
+    disc_F = 13, the m with some q || m inert in Q(sqrt 13)."""
+    import sympy
+    lat = _lattice("lh_f13")
+    assert lat.det() == 13
+    for p, C in ((5, 1), (5, 2), (7, 1)):
+        for M in (60, 500):
+            want = []
+            for m in range(2, M + 1):
+                fac = sympy.factorint(m)
+                if (m % p and fac.get(2, 0) <= C and fac.get(13, 0) <= C
+                        and any(e == 1 and sympy.jacobi_symbol(q, 13) == -1
+                                for q, e in fac.items())):
+                    want.append(m)
+            got = build_T_set("hilbert", p, {"N": 0, "C": C,
+                                             "det2": 2 * lat.det()}, M)
+            assert got == want, (p, C, M)
+
+
 def test_t_sets():
     assert build_T_set("square", 5, {"D": 1}, 20) == [4, 9]
     assert build_T_set("prime_qr", 5, {}, 50) == [11, 19, 31]
-    T = build_T_set("hilbert", 5, {"N": 0, "C": 1, "disc_F": 13,
-                                   "det2": 26}, 60)
+    T = build_T_set("hilbert", 5, {"N": 0, "C": 1, "det2": 26}, 60)
     from froblat.quadforms import kronecker
     import sympy
     for m in T:

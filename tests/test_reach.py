@@ -27,8 +27,6 @@ UNREACHED = {
                          "span certificate",
     "enumeration.short_vectors": "bench/tracing.py hooks it; the oracle "
                                  "of the walk's order pins",
-    "budget.check_chain_nested": "to certify derive_chain's chains once "
-                                 "the Siegel budget runs",
     "crystals._blocked": "error path: precision blocks a verdict",
     "regression.split_equal_decay_indices": "the decay_matrix benchmark "
                                             "workload calls it",
