@@ -283,12 +283,12 @@ class BudgetReport:
 
 
 def run_budget(*, p, A, case, global_gram, chain_head, depth, M, t_kind,
-               t_params, exclude_deep=False):
+               t_params):
     """Full pipeline: chain, T-set, chain counts, S_M, local and global sums.
 
-    The chain is ``derive_chain`` of the chain head's Gram to depth.  With
-    exclude_deep, S_M is the m of the T-set that the deepest member
-    L_{depth,2} represents; each member is enumerated at most once.
+    The chain is ``derive_chain`` of the chain head's Gram to depth.  S_M,
+    the m of the T-set that L_{depth,2} represents, is left out: deeper
+    members lie inside L_{depth,2}.  Each member is enumerated at most once.
     """
     if A < 1:
         raise InvalidParameter("A must be >= 1")
@@ -307,11 +307,9 @@ def run_budget(*, p, A, case, global_gram, chain_head, depth, M, t_kind,
             deep_counts = counts
         for m, r in enumerate(counts):
             local[m] += w * r
-    excluded = []
-    if exclude_deep:
-        if deep_counts is None:    # L_{depth,2} carries no weight
-            deep_counts = representation_counts(IntLattice(deep), M)
-        excluded = [m for m in t_set if deep_counts[m]]
+    if deep_counts is None:    # L_{depth,2} carries no weight
+        deep_counts = representation_counts(IntLattice(deep), M)
+    excluded = [m for m in t_set if deep_counts[m]]
     kept = [m for m in t_set if m not in excluded]
     if not kept:
         raise InvalidParameter(f"no m is kept: the T-set has {len(t_set)} "

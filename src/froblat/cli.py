@@ -93,7 +93,7 @@ class KeyVals(dict):
 
 CURVE_KEYS = ("case", "p", "d", "c", "x", "y", "z")
 BUDGET_KEYS = ("p", "A", "case", "global_gram", "chain_head", "depth", "M",
-               "t_kind", "N", "C", "D", "exclude")
+               "t_kind", "N", "C", "D")
 
 
 def read_keyvals(path, keys):
@@ -277,12 +277,9 @@ def cmd_budget(args, out):
     if M < 1:
         raise kv.error("M", "is not positive")
     t_params = {key: kv.integer(key) for key in ("N", "C", "D") if key in kv}
-    if kv.get("exclude", "deep") != "deep":
-        raise kv.error("exclude", "is not 'deep'")
     rep = run_budget(p=p, A=kv.integer("A"), case=kv["case"],
                      global_gram=glob, chain_head=head, depth=depth, M=M,
-                     t_kind=kv.get("t_kind", "square"), t_params=t_params,
-                     exclude_deep="exclude" in kv)
+                     t_kind=kv.get("t_kind", "square"), t_params=t_params)
     for rec in rep.per_m:
         g = _frac(rec["g"])
         _emit(out, [("m", rec["m"]), ("local", _frac(rec["local"])),

@@ -80,13 +80,16 @@ def cohen_h2(N):
                                f"{H2_TABLE_MAX} entries")
     if len(_g) <= N:
         X = min(max(2 * len(_g), N + 1), H2_TABLE_MAX)
-        sig = np.zeros(X, dtype=np.int64)
-        for d in range(1, math.isqrt(X - 1) + 1):  # n = d e with d <= e
-            sig[d * d::d] += np.arange(2 * d, (X - 1) // d + d + 1)
-            sig[d * d] -= d
-        g = 8 * sig
-        g[1::2] -= 20 * sig[1::2]
-        g[::4] -= 32 * sig[:(X + 3) // 4]
+        # sigma_1 in place: the d = 1 term of n = d e (d <= e) is n + 1
+        g = np.arange(1, X + 1, dtype=np.int64)
+        g[1] -= 1
+        for d in range(2, math.isqrt(X - 1) + 1):
+            g[d * d::d] += np.arange(2 * d, (X - 1) // d + d + 1)
+            g[d * d] -= d
+        quarter = 32 * g[:(X + 3) // 4]
+        g[1::2] *= -12
+        g[::2] *= 8
+        g[::4] -= quarter
         g[0] = 1
         _g = g
     k = np.arange(1, math.isqrt(N) + 1)

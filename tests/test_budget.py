@@ -243,18 +243,37 @@ def test_run_budget_small():
 
 
 def test_run_budget_excludes_what_the_deepest_member_represents():
-    """At depth 0 on T = {5 q^2}, L_{0,2} represents every m of T, so
-    exclude_deep leaves nothing to compare."""
-    rep = budget_of(depth=0, M=300, **SQUARE_D5)
-    assert rep.T == [20, 45, 245] and rep.excluded == []
+    """At depth 0 on T = {5 q^2} = {20, 45, 245}, L_{0,2} represents every
+    m of T, so S_M leaves nothing to compare."""
     chain, _ = derive_chain(IntLattice(HEAD), 5, 0)
     deep = representation_counts(IntLattice(chain[0][1]), 300)
-    assert all(deep[m] for m in rep.T)
+    assert all(deep[m] for m in (20, 45, 245))
     for case in ("superspecial", "supergeneric"):
         with pytest.raises(InvalidParameter, match="no m is kept: the T-set "
                            "has 3 members, 3 of them excluded"):
-            budget_of(case=case, depth=0, M=300, exclude_deep=True,
-                      **SQUARE_D5)
+            budget_of(case=case, depth=0, M=300, **SQUARE_D5)
+
+
+@pytest.mark.parametrize("case", ["superspecial", "supergeneric"])
+def test_run_budget_local_is_final_off_S_M(case):
+    """Every deeper member lies inside L_{d,2}, so an m that L_{d,2} does
+    not represent gets nothing past depth d: each m a depth-d run reports
+    has the same local at depth d + 1."""
+    for t_set in (SQUARE_D5, {"t_kind": "square", "t_params": {"D": 1}},
+                  HILBERT):
+        runs = []
+        for depth in range(3):
+            try:
+                rep = budget_of(case=case, depth=depth, M=300, **t_set)
+            except InvalidParameter as exc:
+                assert t_set is SQUARE_D5 and depth == 0
+                assert "no m is kept" in str(exc)
+                runs.append({})
+            else:
+                runs.append({rec["m"]: rec["local"] for rec in rep.per_m})
+        assert runs[2]
+        for shallow, deeper in zip(runs, runs[1:]):
+            assert shallow == {m: deeper[m] for m in shallow}
 
 
 def test_run_budget_supergeneric_is_pinned():
@@ -284,14 +303,12 @@ def test_run_budget_local_is_local_bound(case, weighted, facts):
     assert rep.local_sum == sum(rec["local"] for rec in rep.per_m)
 
 
-@pytest.mark.parametrize("case, exclude_deep, calls", [
-    pytest.param("supergeneric", False, 3, id="supergeneric-3"),
-    pytest.param("superspecial", False, 6, id="superspecial-6"),
-    pytest.param("supergeneric", True, 4, id="supergeneric-deep-4"),
-    pytest.param("superspecial", True, 6, id="superspecial-deep-6"),
+@pytest.mark.parametrize("case, calls", [
+    pytest.param("supergeneric", 4, id="supergeneric-deep-4"),
+    pytest.param("superspecial", 6, id="superspecial-deep-6"),
 ])
 def test_run_budget_enumerates_only_weighted_members(monkeypatch, case,
-                                                     exclude_deep, calls):
+                                                     calls):
     # a supergeneric chain weighs one member per level, so its second
     # member is enumerated only as the deepest one, for S_M; a
     # superspecial chain reuses L_{2,2}'s weighted counts for S_M
@@ -302,12 +319,12 @@ def test_run_budget_enumerates_only_weighted_members(monkeypatch, case,
         return representation_counts(lattice, bound)
 
     monkeypatch.setattr(budget, "representation_counts", counting)
-    budget_of(case=case, exclude_deep=exclude_deep)
+    budget_of(case=case)
     assert len(seen) == calls
     chain, _ = derive_chain(IntLattice(HEAD), 5, 2)
     if case == "supergeneric":
         assert seen == [IntLattice(g).det() for g, _ in chain] \
-            + [IntLattice(chain[-1][1]).det()] * exclude_deep
+            + [IntLattice(chain[-1][1]).det()]
 
 
 def test_budget_command_enumerates_each_weighted_member_once(monkeypatch):

@@ -98,13 +98,6 @@ def test_decay_past_the_truncation_bound_returns_at_once():
                     f"CELLS_MAX = {1 << 23}\n")
 
 
-def test_decay_case_mismatch():
-    code, text = run(["decay", "--case", "siegel-superspecial",
-                      "--curve", fx("xt_yt.curve")])
-    assert code == 1
-    assert "error=InvalidParameter" in text
-
-
 def test_theta_counts():
     code, text = run(["theta", "--lattice", fx("z4.gram"), "--max", "2"])
     assert code == 0
@@ -287,6 +280,8 @@ def test_curve_without_degree_names_the_key(tmp_path):
     ("d=2", "d=2\nc=1", "split case carries no parameter c"),
     ("case=hilbert-split", "case=inert-superspecial",
      "unknown case 'inert-superspecial'"),
+    ("case=hilbert-split", "case=siegel-superspecial",
+     "case siegel-superspecial needs the parameter c"),
     ("p=5", "p=9", "p = 9 is not an odd prime"),
     ("d=2", "d=2\nprecison=10", "unknown key 'precison'"),
     ("d=2", "d=2\nnt=63", "unknown key 'nt'"),
@@ -319,6 +314,8 @@ def test_budget_config_missing_key_names_the_key(tmp_path, key):
     # the field is read from the global lattice's determinant
     ("disc_F=13", "unknown key 'disc_F'"),
     ("family=hilbert", "unknown key 'family'"),
+    # S_M is always left out
+    ("exclude=deep", "unknown key 'exclude'"),
     ("M=50", "key 'M' is given twice"),
 ])
 def test_budget_config_stray_key_names_the_key(tmp_path, line, detail):
@@ -334,8 +331,6 @@ def test_budget_config_stray_key_names_the_key(tmp_path, line, detail):
                  id="case-superspecal"),
     pytest.param("global_gram", "{tmp}/r3.gram", "global lattice of rank 3",
                  id="global_gram-rank3"),
-    pytest.param("exclude", "dep", "{cfg}: exclude='dep' is not 'deep'",
-                 id="exclude-dep"),
     pytest.param("N", "600", "no m is kept: the T-set has 0 members, 0 of "
                  "them excluded", id="N-600"),
 ])
@@ -529,7 +524,7 @@ def _child_peak_kib(argv, env):
 
 def test_a_long_eisenstein_range_runs_in_bounded_memory():
     # 1..10^5 grows the g table from 73728 to 589824 entries (4.5 MiB;
-    # the sieve briefly holds about three such arrays) and fills no more
+    # the sieve briefly holds one and a half such arrays) and fills no more
     # than H2_MEMO_MAX memo entries; the unbounded memo, 60794 entries,
     # made the difference 18 MiB
     src = os.path.join(os.path.dirname(__file__), "..", "src")

@@ -4,6 +4,8 @@ import io
 import math
 import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -383,6 +385,44 @@ def test_cohen_h2_raises_past_the_table_cap_before_building():
         tracemalloc.stop()
     assert len(eisenstein._g) == size
     assert peak < 1 << 16
+
+
+def test_g_table_matches_divisor_sums():
+    """g(n) = 8 sigma(n) - 32 sigma(n/4) - 20 [n odd] sigma(n), g(0) = 1,
+    entry by entry for n < 2^12, sigma summed over the divisors."""
+    X = 1 << 12
+    cohen_h2(X - 1)
+    sigma = [0] * X
+    for d in range(1, X):
+        for n in range(d, X, d):
+            sigma[n] += d
+    want = [1] + [8 * sigma[n] - 32 * sigma[n // 4] * (n % 4 == 0)
+                  - 20 * sigma[n] * (n % 2) for n in range(1, X)]
+    assert eisenstein._g[:X].tolist() == want
+
+
+def test_the_full_g_table_is_built_in_place():
+    # a full table is 32 MiB of int64; the sieve's largest temporary is
+    # its d = 2 term, half a table (+48 MiB in all); a sieve holding
+    # three table-sized arrays reads +80 MiB and fails the bound
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.abspath(src), env.get("PYTHONPATH")]))
+    probe = ("import resource; from froblat import eisenstein as e; "
+             "peak = lambda: resource.getrusage(resource.RUSAGE_SELF)"
+             ".ru_maxrss; before = peak(); "
+             "e.cohen_h2(e.H2_TABLE_MAX - 1); "
+             "print(len(e._g), peak() - before)")
+    # a child inherits the high-water mark of the process that starts it,
+    # so a fresh interpreter, not this one, starts the probe
+    fresh = "import subprocess, sys; subprocess.run(sys.argv[1:], check=True)"
+    proc = subprocess.run([sys.executable, "-c", fresh, sys.executable, "-c",
+                           probe], env=env, check=True, capture_output=True,
+                          text=True, timeout=120)
+    size, kib = map(int, proc.stdout.split())
+    assert size == H2_TABLE_MAX
+    assert kib < 60 * 1024, kib
 
 
 def test_l_values_contain_mpmath_reference():
