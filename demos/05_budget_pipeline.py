@@ -28,11 +28,12 @@ chain, _ = derive_chain(IntLattice(HEAD), 5, depth=3)
 print("\nchain determinants:",
       [IntLattice(g1).det() for g1, _ in chain])
 
-# the pipeline derives the same chain and excludes the T-set values that
-# the deepest member L_{3,2} represents
-report = run_budget(p=5, A=2, case="superspecial", global_gram=LH,
-                    chain_head=HEAD, depth=3, M=500, t_kind="hilbert",
-                    t_params={"N": 0, "C": 1})
+# the pipeline derives the same chain, weighs it as superspecial (HEAD's
+# shape, the only one derive_chain splits) and excludes the T-set values
+# that the deepest member L_{3,2} represents
+report = run_budget(p=5, A=2, global_lattice=IntLattice(LH),
+                    chain_head=IntLattice(HEAD), depth=3, M=500,
+                    t_kind="hilbert", t_params={"N": 0, "C": 1})
 print("T-set values L_{3,2} represents (excluded):", report.excluded)
 print(f"\nadmissible m up to 500: {len(report.T)}")
 print(f"cumulative local bound: {float(report.local_sum):.1f}")

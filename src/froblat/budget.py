@@ -8,13 +8,13 @@ decay: for a superspecial point
             + sum_{n>=1} A p^n / 2 (r_{n,1}(m) + r_{n,2}(m)),
 
 and for a supergeneric point A(p+1)/p r_0(m) + sum A p^n r_n(m).  The
-global side is g(m) = A/(p-1) |q_L(m)| with q_L the Eisenstein
-coefficient of the ambient lattice.  The Eisenstein-side aggregation of
-the same weights against the coefficient ratio bounds stays below
-alpha(p) A/(p-1) with alpha(p) = (p+2)/(2p) + p/(p^2-1) < 11/12 for
-p >= 5; `froblat selftest` checks that bar for each splitting
-behaviour and the closed form against a finite chain, and the cumulative
-report checks the budget empirically.
+global side is g(m) = A/(p-1) |q_L(m)| with q_L the Eisenstein coefficient
+of the ambient lattice.  The Eisenstein-side aggregation of the same
+weights against the coefficient ratio bounds stays below alpha(p) A/(p-1)
+with alpha(p) = (p+2)/(2p) + p/(p^2-1) < 11/12 for p >= 5; `froblat
+selftest` checks that bar for each splitting behaviour and the closed form
+against a finite chain, and ``run_budget`` checks the budget on a
+superspecial chain, the only head shape ``derive_chain`` splits.
 """
 
 import itertools
@@ -205,7 +205,7 @@ def derive_chain(head, p, depth):
     ``check_chain_nested`` certifies the members' bases, from the head's.
     """
     if head.rank != 4:
-        raise InvalidParameter("chain derivation implemented for rank 4")
+        raise InvalidParameter(f"{head.label}: chain derivation needs rank 4")
     B = head.bilinear
     q = p ** (depth + 2)
     u3 = _isotropic_vector(head, p, q)
@@ -227,9 +227,11 @@ def derive_chain(head, p, depth):
     u1, u2 = out12
     for u in (u1, u2):
         if B(u, b3) % q or B(u, b4) % q:
-            raise InvalidParameter("splitting failed to orthogonalize")
+            raise InvalidParameter(f"{head.label}: splitting failed to "
+                                   f"orthogonalize")
         if head.q_value(u) % p != 0:
-            raise InvalidParameter("p-part direction has unit norm")
+            raise InvalidParameter(f"{head.label}: p-part direction has "
+                                   f"unit norm")
     chain = []
     members = [(head.gram, [[int(i == j) for j in range(4)]
                             for i in range(4)])]
@@ -261,7 +263,8 @@ def _isotropic_vector(lattice, p, q):
                   if any(v) and lattice.q_value(v) % p == 0
                   and any(lattice.bilinear(v, e) % p for e in units)), None)
     if start is None:
-        raise InvalidParameter("no smooth isotropic direction mod p")
+        raise InvalidParameter(f"{lattice.label}: no smooth isotropic "
+                               f"direction mod p")
     v = start
     while lattice.q_value(v) % q:
         # the gradient stays a unit mod p: each step moves v by p
@@ -282,40 +285,34 @@ class BudgetReport:
     ratio: Fraction                # local_sum / global_sum
 
 
-def run_budget(*, p, A, case, global_gram, chain_head, depth, M, t_kind,
+def run_budget(*, p, A, global_lattice, chain_head, depth, M, t_kind,
                t_params):
     """Full pipeline: chain, T-set, chain counts, S_M, local and global sums.
 
-    The chain is ``derive_chain`` of the chain head's Gram to depth.  S_M,
-    the m of the T-set that L_{depth,2} represents, is left out: deeper
-    members lie inside L_{depth,2}.  Each member is enumerated at most once.
+    The chain head (an IntLattice, as is global_lattice) is split to depth
+    by ``derive_chain``; S_M, the m of the T-set that L_{depth,2}
+    represents, is left out, as deeper members lie inside it.
     """
-    if A < 1:
-        raise InvalidParameter("A must be >= 1")
-    glob = IntLattice(global_gram, "global")
-    if glob.rank not in (4, 5):
-        raise InvalidParameter(f"global lattice of rank {glob.rank}: q_L "
-                               f"needs rank 4 (Hilbert) or 5 (Siegel)")
-    chain, _ = derive_chain(IntLattice(chain_head, "chain head"), p, depth)
-    deep = chain[-1][1]
-    t_set = build_T_set(t_kind, p, t_params | {"det2": 2 * glob.det()}, M)
+    if global_lattice.rank not in (4, 5):
+        raise InvalidParameter(f"global lattice of rank {global_lattice.rank}"
+                               f": q_L needs rank 4 (Hilbert) or 5 (Siegel)")
+    chain, _ = derive_chain(chain_head, p, depth)
+    t_set = build_T_set(t_kind, p,
+                        t_params | {"det2": 2 * global_lattice.det()}, M)
     local = [0] * (M + 1)  # numerators over 2p
-    deep_counts = None
-    for _, w, g in _weighted(case, A, p, chain):
+    for _, w, g in _weighted("superspecial", A, p, chain):
         counts = representation_counts(IntLattice(g), M)
-        if g is deep:
-            deep_counts = counts
         for m, r in enumerate(counts):
             local[m] += w * r
-    if deep_counts is None:    # L_{depth,2} carries no weight
-        deep_counts = representation_counts(IntLattice(deep), M)
-    excluded = [m for m in t_set if deep_counts[m]]
+    # the last member weighed is L_{depth,2}
+    excluded = [m for m in t_set if counts[m]]
     kept = [m for m in t_set if m not in excluded]
     if not kept:
         raise InvalidParameter(f"no m is kept: the T-set has {len(t_set)} "
                                f"members, {len(excluded)} of them excluded")
     per_m = [{"m": q.m, "local": Fraction(local[q.m], 2 * p),
-              "g": global_g(A, p, q)} for q in coefficients(glob, kept)]
+              "g": global_g(A, p, q)}
+             for q in coefficients(global_lattice, kept)]
     global_sum = sum((rec["g"] for rec in per_m), Fraction(0))
     if global_sum == 0:
         raise InvalidParameter("the global coefficients vanish on every "

@@ -22,7 +22,7 @@ from .crystals import (LOCAL_DENSITIES, CrystalModel, FormalCurve,
                        f_infinity, find_decaying_submodule, local_gram,
                        truncation)
 from .eisenstein import coefficients
-from .enumeration import (prime_rep_count, representation_counts,
+from .enumeration import (T_KEYS, prime_rep_count, representation_counts,
                           square_rep_count)
 from .padics import (PAdicParams, _valuation, isprime, primerange,
                      smallest_nonresidue)
@@ -81,19 +81,22 @@ class KeyVals(dict):
         return errors.InvalidParameter(f"{self.path}: {key}={self[key]!r} "
                                        f"{what}")
 
-    def integer(self, key, default=None):
-        """The value of key as an int (default when absent and given)."""
+    def integer(self, key, default=None, least=None):
+        """The int value of key (default when absent), refused below least."""
         if default is not None and key not in self:
             return default
         try:
-            return int(self[key])
+            value = int(self[key])
         except ValueError:
             raise self.error(key, "is not an integer") from None
+        if least is not None and value < least:
+            raise self.error(key, ("is negative", "is not positive")[least])
+        return value
 
 
 CURVE_KEYS = ("case", "p", "d", "c", "x", "y", "z")
-BUDGET_KEYS = ("p", "A", "case", "global_gram", "chain_head", "depth", "M",
-               "t_kind", "N", "C", "D")
+BUDGET_KEYS = ("p", "A", "global_gram", "chain_head", "depth", "M", "t_kind",
+               *itertools.chain(*T_KEYS.values()))
 
 
 def read_keyvals(path, keys):
@@ -267,19 +270,20 @@ def cmd_budget(args, out):
     p = kv.integer("p")
     if not isprime(p):
         raise kv.error("p", "is not a prime")
-    # read here so that a malformed Gram names its file
-    glob, head = (IntLattice(read_gram(kv[key]), kv[key]).gram
+    A = kv.integer("A", least=1)
+    # read here so that a malformed Gram or a refused head names its file
+    glob, head = (IntLattice(read_gram(kv[key]), kv[key])
                   for key in ("global_gram", "chain_head"))
-    depth = kv.integer("depth", 3)
-    if depth < 0:
-        raise kv.error("depth", "is negative")
-    M = kv.integer("M", 500)
-    if M < 1:
-        raise kv.error("M", "is not positive")
-    t_params = {key: kv.integer(key) for key in ("N", "C", "D") if key in kv}
-    rep = run_budget(p=p, A=kv.integer("A"), case=kv["case"],
-                     global_gram=glob, chain_head=head, depth=depth, M=M,
-                     t_kind=kv.get("t_kind", "square"), t_params=t_params)
+    depth = kv.integer("depth", 3, least=0)
+    M = kv.integer("M", 500, least=1)
+    t_kind = kv.get("t_kind", "square")
+    reads = T_KEYS.get(t_kind, {})  # build_T_set refuses an unknown kind
+    for key in kv:
+        if key not in reads and any(key in keys for keys in T_KEYS.values()):
+            raise kv.error(key, f"is not read by t_kind {t_kind}")
+    t_params = {key: kv.integer(key) for key in reads if key in kv}
+    rep = run_budget(p=p, A=A, global_lattice=glob, chain_head=head,
+                     depth=depth, M=M, t_kind=t_kind, t_params=t_params)
     for rec in rep.per_m:
         g = _frac(rec["g"])
         _emit(out, [("m", rec["m"]), ("local", _frac(rec["local"])),

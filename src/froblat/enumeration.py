@@ -227,6 +227,10 @@ def prime_rep_count(counts):
     return sum(counts[ell] for ell in primerange(2, len(counts)))
 
 
+# each T-set kind's config keys and their defaults
+T_KEYS = {"square": {"D": 1}, "prime_qr": {}, "hilbert": {"N": 0, "C": 2}}
+
+
 def build_T_set(kind, p, params, M):
     """The m-sequences driving the budget sums, truncated at M.
 
@@ -237,27 +241,22 @@ def build_T_set(kind, p, params, M):
     kronecker(d_F, q) = -1, d_F the fundamental part of 2 |det2| (det =
     d_F modulo squares on the quadratic space of the real field F).
     """
+    if kind not in T_KEYS:
+        raise InvalidParameter(f"unknown T-set kind {kind!r}")
+    params = T_KEYS[kind] | params
     if kind == "square":
-        D = params.get("D", 1)
-        out = []
-        for q in primerange(2, math.isqrt(M // D) + 1 if M >= D else 2):
-            if q != p and D * q * q <= M:
-                out.append(D * q * q)
-        return sorted(out)
+        D = params["D"]
+        return [D * q * q for q in primerange(2, math.isqrt(M // D) + 1)
+                if q != p]
     if kind == "prime_qr":
-        out = []
-        for q in primerange(2, M + 1):
-            if q != p and q % 4 == 3 and pow(q, (p - 1) // 2, p) == 1:
-                out.append(q)
-        return out
-    if kind == "hilbert":
-        N, C, det2 = params.get("N", 0), params.get("C", 2), params["det2"]
-        bad, d_F = primefactors(det2), fundamental_part(2 * abs(det2))[0]
-        return [m for m in range(max(N, 1) + 1, M + 1)
-                if m % p and all(_valuation(m, ell) <= C for ell in bad)
-                and any(e == 1 and kronecker(d_F, q) == -1
-                        for q, e in factorint(m))]
-    raise InvalidParameter(f"unknown T-set kind {kind!r}")
+        return [q for q in primerange(2, M + 1)
+                if q != p and q % 4 == 3 and pow(q, (p - 1) // 2, p) == 1]
+    N, C, det2 = params["N"], params["C"], params["det2"]
+    bad, d_F = primefactors(det2), fundamental_part(2 * abs(det2))[0]
+    return [m for m in range(max(N, 1) + 1, M + 1)
+            if m % p and all(_valuation(m, ell) <= C for ell in bad)
+            and any(e == 1 and kronecker(d_F, q) == -1
+                    for q, e in factorint(m))]
 
 
 def cusp_deviation(lattice, m_lo, m_hi):

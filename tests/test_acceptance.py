@@ -210,9 +210,9 @@ def test_criterion_9_budget_pipeline():
     head = [[2, 0, -1, -1], [0, 2, -1, 0], [-1, -1, 6, -2],
             [-1, 0, -2, 18]]
     lh = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 2, 1], [0, 0, 1, -6]]
-    rep = run_budget(p=5, A=2, case="superspecial", global_gram=lh,
-                     chain_head=head, depth=3, M=500, t_kind="hilbert",
-                     t_params={"N": 0, "C": 1})
+    rep = run_budget(p=5, A=2, global_lattice=IntLattice(lh, "lh"),
+                     chain_head=IntLattice(head, "head"), depth=3, M=500,
+                     t_kind="hilbert", t_params={"N": 0, "C": 1})
     assert len(rep.T) > 100
     assert rep.global_sum == 282196
     assert rep.ratio <= Fraction(11, 12)

@@ -228,11 +228,11 @@ SQUARE_D5 = {"t_kind": "square", "t_params": {"D": 5}}
 
 
 def budget_of(**facts):
-    """run_budget on HEAD and LH at p = 5, A = 2; facts override the
-    superspecial case, depth 2, M = 120 and the hilbert T-set."""
-    return run_budget(**dict(p=5, A=2, case="superspecial", global_gram=LH,
-                             chain_head=HEAD, depth=2, M=120, **HILBERT)
-                      | facts)
+    """run_budget on HEAD and LH at p = 5, A = 2; facts override depth 2,
+    M = 120 and the hilbert T-set."""
+    return run_budget(**dict(p=5, A=2, global_lattice=IntLattice(LH, "LH"),
+                             chain_head=IntLattice(HEAD, "HEAD"), depth=2,
+                             M=120, **HILBERT) | facts)
 
 
 def test_run_budget_small():
@@ -248,14 +248,14 @@ def test_run_budget_excludes_what_the_deepest_member_represents():
     chain, _ = derive_chain(IntLattice(HEAD), 5, 0)
     deep = representation_counts(IntLattice(chain[0][1]), 300)
     assert all(deep[m] for m in (20, 45, 245))
-    for case in ("superspecial", "supergeneric"):
-        with pytest.raises(InvalidParameter, match="no m is kept: the T-set "
-                           "has 3 members, 3 of them excluded"):
-            budget_of(case=case, depth=0, M=300, **SQUARE_D5)
+    with pytest.raises(InvalidParameter, match="no m is kept: the T-set "
+                       "has 3 members, 3 of them excluded"):
+        budget_of(depth=0, M=300, **SQUARE_D5)
 
 
-@pytest.mark.parametrize("case", ["superspecial", "supergeneric"])
-def test_run_budget_local_is_final_off_S_M(case):
+# one row per chain-head shape that derive_chain splits
+@pytest.mark.parametrize("head", [pytest.param(HEAD, id="superspecial")])
+def test_run_budget_local_is_final_off_S_M(head):
     """Every deeper member lies inside L_{d,2}, so an m that L_{d,2} does
     not represent gets nothing past depth d: each m a depth-d run reports
     has the same local at depth d + 1."""
@@ -264,7 +264,8 @@ def test_run_budget_local_is_final_off_S_M(case):
         runs = []
         for depth in range(3):
             try:
-                rep = budget_of(case=case, depth=depth, M=300, **t_set)
+                rep = budget_of(chain_head=IntLattice(head), depth=depth,
+                                M=300, **t_set)
             except InvalidParameter as exc:
                 assert t_set is SQUARE_D5 and depth == 0
                 assert "no m is kept" in str(exc)
@@ -276,42 +277,31 @@ def test_run_budget_local_is_final_off_S_M(case):
             assert shallow == {m: deeper[m] for m in shallow}
 
 
-def test_run_budget_supergeneric_is_pinned():
-    rep = budget_of(case="supergeneric")
-    assert (rep.local_sum, rep.global_sum, len(rep.T)) == (11280, 15314, 49)
-
-
-@pytest.mark.parametrize("case, weighted, facts", [
-    pytest.param("supergeneric", 1, HILBERT, id="supergeneric-1"),
-    pytest.param("superspecial", 2, HILBERT, id="superspecial-2"),
+# ids: the chain's case and the members it weighs per level
+@pytest.mark.parametrize("facts", [
+    pytest.param(HILBERT, id="superspecial-2"),
     # T = [20, 45, 245]: L_{0,2} and L_{1,1} reach it, so the deep weights
     # count here, where on the hilbert T-set only L_{0,1} does
-    pytest.param("supergeneric", 1, dict(SQUARE_D5, M=300),
-                 id="supergeneric-1-square-D5"),
-    pytest.param("superspecial", 2, dict(SQUARE_D5, M=300),
-                 id="superspecial-2-square-D5"),
+    pytest.param(dict(SQUARE_D5, M=300), id="superspecial-2-square-D5"),
 ])
-def test_run_budget_local_is_local_bound(case, weighted, facts):
-    rep = budget_of(case=case, **facts)
+def test_run_budget_local_is_local_bound(facts):
+    rep = budget_of(**facts)
     M = facts.get("M", 120)
     chain, _ = derive_chain(IntLattice(HEAD), 5, 2)
     r_tables = [tuple(representation_counts(IntLattice(g), M)
-                      for g in entry[:weighted]) for entry in chain]
+                      for g in entry) for entry in chain]
     assert rep.per_m
     for rec in rep.per_m:
-        assert rec["local"] == local_bound(case, 2, 5, r_tables, rec["m"])
+        assert rec["local"] == local_bound("superspecial", 2, 5, r_tables,
+                                           rec["m"])
     assert rep.local_sum == sum(rec["local"] for rec in rep.per_m)
 
 
-@pytest.mark.parametrize("case, calls", [
-    pytest.param("supergeneric", 4, id="supergeneric-deep-4"),
-    pytest.param("superspecial", 6, id="superspecial-deep-6"),
-])
-def test_run_budget_enumerates_only_weighted_members(monkeypatch, case,
-                                                     calls):
-    # a supergeneric chain weighs one member per level, so its second
-    # member is enumerated only as the deepest one, for S_M; a
-    # superspecial chain reuses L_{2,2}'s weighted counts for S_M
+@pytest.mark.parametrize("head", [pytest.param(HEAD,
+                                               id="superspecial-deep-6")])
+def test_run_budget_enumerates_only_weighted_members(monkeypatch, head):
+    """Depth 2 weighs six members, and S_M reuses L_{2,2}'s weighted
+    counts: six enumerations, in chain order."""
     seen = []
 
     def counting(lattice, bound):
@@ -319,12 +309,9 @@ def test_run_budget_enumerates_only_weighted_members(monkeypatch, case,
         return representation_counts(lattice, bound)
 
     monkeypatch.setattr(budget, "representation_counts", counting)
-    budget_of(case=case)
-    assert len(seen) == calls
-    chain, _ = derive_chain(IntLattice(HEAD), 5, 2)
-    if case == "supergeneric":
-        assert seen == [IntLattice(g).det() for g, _ in chain] \
-            + [IntLattice(chain[-1][1]).det()]
+    budget_of(chain_head=IntLattice(head))
+    chain, _ = derive_chain(IntLattice(head), 5, 2)
+    assert seen == [IntLattice(g).det() for entry in chain for g in entry]
 
 
 def test_budget_command_enumerates_each_weighted_member_once(monkeypatch):

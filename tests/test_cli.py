@@ -244,7 +244,7 @@ def test_malformed_gram_names_the_file_and_entry(tmp_path, cmd, text, detail):
     pytest.param("3 0 -1 -1\n0 2 -1 0\n-1 -1 6 -2\n-1 0 -2 18\n",
                  "Gram entry (1, 1) = 3 is odd; the diagonal of a bilinear "
                  "Gram is even", id="odd-diagonal"),
-    # on this one the splitting fails later, naming no file or entry
+    # on this one the splitting fails later, naming no entry
     pytest.param("2 1 -1 -1\n0 2 -1 0\n-1 -1 6 -2\n-1 0 -2 18\n",
                  "Gram entries (1, 2) = 1 and (2, 1) = 0 differ; a Gram "
                  "matrix must be symmetric", id="asymmetric"),
@@ -258,6 +258,25 @@ def test_malformed_chain_head_is_one_error_record(tmp_path, head, detail):
     code, out = run(["budget", "--config", cfg])
     assert code == 1
     assert out == f"error=InvalidParameter detail={gram}: {detail}\n"
+
+
+@pytest.mark.parametrize("name, detail", [
+    # a supergeneric head at 5: (5, 5, 5, 10), no unimodular part
+    ("hilbert_inert_sg_p5.gram", "no smooth isotropic direction mod p"),
+    # (1, 2, 5, 10) at 5: a unimodular part that is not hyperbolic
+    ("hilbert_split_p5.gram", "no smooth isotropic direction mod p"),
+    # unimodular at 5: no p-scaled part is left for u1 and u2
+    ("lh_f13.gram", "p-part direction has unit norm"),
+])
+def test_a_head_derive_chain_refuses_is_one_record_naming_it(tmp_path, name,
+                                                             detail):
+    with open(fx("budget_p5.cfg")) as fh:
+        text = "".join(f"chain_head={fx(name)}\n"
+                       if ln.startswith("chain_head=") else ln for ln in fh)
+    cfg = _write(tmp_path, "head.cfg", text)
+    code, out = run(["budget", "--config", cfg])
+    assert code == 1
+    assert out == f"error=InvalidParameter detail={fx(name)}: {detail}\n"
 
 
 def test_curve_without_degree_names_the_key(tmp_path):
@@ -297,7 +316,7 @@ def test_curve_non_integer_value_names_the_key(tmp_path, old, new, detail):
     assert out == f"error=InvalidParameter detail={curve}: {detail}\n"
 
 
-@pytest.mark.parametrize("key", ["case"])
+@pytest.mark.parametrize("key", ["p", "A", "global_gram", "chain_head"])
 def test_budget_config_missing_key_names_the_key(tmp_path, key):
     with open(fx("budget_p5.cfg")) as fh:
         lines = [ln for ln in fh if not ln.startswith(key + "=")]
@@ -316,6 +335,9 @@ def test_budget_config_missing_key_names_the_key(tmp_path, key):
     ("family=hilbert", "unknown key 'family'"),
     # S_M is always left out
     ("exclude=deep", "unknown key 'exclude'"),
+    # the chain head's shape settles the case
+    ("case=superspecial", "unknown key 'case'"),
+    ("D=5", "D='5' is not read by t_kind hilbert"),
     ("M=50", "key 'M' is given twice"),
 ])
 def test_budget_config_stray_key_names_the_key(tmp_path, line, detail):
@@ -327,8 +349,6 @@ def test_budget_config_stray_key_names_the_key(tmp_path, line, detail):
 
 
 @pytest.mark.parametrize("key, typo, detail", [
-    pytest.param("case", "superspecal", "unknown case 'superspecal'",
-                 id="case-superspecal"),
     pytest.param("global_gram", "{tmp}/r3.gram", "global lattice of rank 3",
                  id="global_gram-rank3"),
     pytest.param("N", "600", "no m is kept: the T-set has 0 members, 0 of "
@@ -352,6 +372,7 @@ def test_budget_config_typo_is_one_error_record(tmp_path, key, typo, detail):
     ("depth", "-1", "is negative"),
     ("M", "-5", "is not positive"),
     ("p", "4", "is not a prime"),
+    ("A", "0", "is not positive"),
 ])
 def test_budget_config_out_of_range_names_the_key(tmp_path, key, value,
                                                   detail):
@@ -363,6 +384,19 @@ def test_budget_config_out_of_range_names_the_key(tmp_path, key, value,
     assert code == 1
     assert out == (f"error=InvalidParameter detail={cfg}: "
                    f"{key}={value!r} {detail}\n")
+
+
+@pytest.mark.parametrize("name", sorted(name for name in os.listdir(FIX)
+                                        if name.endswith(".cfg")))
+def test_every_budget_config_runs(monkeypatch, name):
+    """Each fixtures/*.cfg runs from the repository root, as its relative
+    paths read: exit 0, one record per kept m, then one summary line."""
+    monkeypatch.chdir(os.path.join(FIX, ".."))
+    code, out = run(["budget", "--config", os.path.join("fixtures", name)])
+    assert code == 0
+    *records, summary = out.splitlines()
+    assert records and all(ln.startswith("m=") for ln in records)
+    assert summary.startswith("T_size=")
 
 
 @pytest.mark.parametrize("name", ["z4", "z5", "a5", "d5"])
