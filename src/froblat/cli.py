@@ -277,11 +277,15 @@ def cmd_budget(args, out):
     depth = kv.integer("depth", 3, least=0)
     M = kv.integer("M", 500, least=1)
     t_kind = kv.get("t_kind", "square")
-    reads = T_KEYS.get(t_kind, {})  # build_T_set refuses an unknown kind
+    if t_kind not in T_KEYS:
+        raise kv.error("t_kind", f"is not one of {', '.join(T_KEYS)}")
+    reads = T_KEYS[t_kind]
     for key in kv:
         if key not in reads and any(key in keys for keys in T_KEYS.values()):
             raise kv.error(key, f"is not read by t_kind {t_kind}")
-    t_params = {key: kv.integer(key) for key in reads if key in kv}
+    # D >= 1, as the square kind divides M by it; N >= 0 and C >= 0
+    t_params = {key: kv.integer(key, least=1 if key == "D" else 0)
+                for key in reads if key in kv}
     rep = run_budget(p=p, A=A, global_lattice=glob, chain_head=head,
                      depth=depth, M=M, t_kind=t_kind, t_params=t_params)
     for rec in rep.per_m:

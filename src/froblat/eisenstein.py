@@ -2,7 +2,9 @@
 
 Every Eisenstein coefficient is one exact Fraction, built from an integer
 numerator and denominator multiplied factor by factor, and a range of m
-is one ``coefficients`` pass that does once what every m shares.
+is one ``coefficients`` pass that does once what every m shares; a
+rank-5 pass reads H2_READ_AHEAD m ahead and fills their H(2, D0) in one
+batch.
 Its character discriminant D is positive (4|det| in rank 4, 2 m0 |det|
 in rank 5), and for D = D0 s^2 > 0 with D0 fundamental (or 1) and
 conductor f = D0,
@@ -16,10 +18,11 @@ numbers H(2, N).  So pi and every square root cancel from the
 coefficient formulas, and L(2, chi) itself is never evaluated.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -45,24 +48,28 @@ def fundamental_part(D, factors=None):
     return D0, s
 
 
-def euler_correction(D0, s):
+def euler_correction(D0, s, factors=None):
     """(numerator, denominator) of E = prod_{q | s} (q^2 - chi_{D0}(q)) / q^2,
-    the exact factor with L(2, chi_{D0 s^2}) = E * L(2, chi_{D0})."""
+    the exact factor with L(2, chi_{D0 s^2}) = E * L(2, chi_{D0});
+    factors: D0 s^2's, if known, for s's primes are among them."""
     num = den = 1
-    for q in primefactors(s):
-        num *= q * q - kronecker(D0, q)
-        den *= q * q
+    for q, _ in factorint(s) if factors is None else factors:
+        if s % q == 0:
+            num *= q * q - kronecker(D0, q)
+            den *= q * q
     return num, den
 
 
 H2_TABLE_MAX = 1 << 22  # entries of the g table: 32 MiB of int64
 H2_MEMO_MAX = 4096  # memoized H(2, N): above cusp_pdet5's 1215 distinct D0
+H2_READ_AHEAD = 256  # m a rank-5 pass reads ahead, for one H(2, D0) batch
 _g = np.ones(1, dtype=np.int64)  # g(0 .. X-1)
+_h2 = {}  # N -> H(2, N), oldest first
 
 
-@lru_cache(maxsize=H2_MEMO_MAX)
-def cohen_h2(N):
-    """Cohen's H(2, N) = (theta g)(N) / 120 for 1 <= N < H2_TABLE_MAX, exact.
+def cohen_h2_batch(Ns):
+    """{N: H(2, N)} for every N of Ns, Cohen's H(2, N) = (theta g)(N) / 120
+    for 1 <= N < H2_TABLE_MAX, exact.
 
     120 sum_N H(2, N) q^N = theta^5 - 20 theta sum_{n odd} sigma_1(n) q^n
     spans Kohnen's plus space M^+_{5/2}(Gamma_0(4)) (Cohen, Math. Ann. 217,
@@ -70,16 +77,26 @@ def cohen_h2(N):
     - 32 sigma_1(n/4) it is theta g, g(n) = r_4(n) - 20 [n odd] sigma_1(n),
     g(0) = 1.  |g(n)| <= 28 sigma_1(n) < 28 n (1 + ln n), so the int64 sum
     of the 2 sqrt(N) + 1 terms g(N - k^2) cannot wrap for N <= 34887503849,
-    far above the table cap.  H2_MEMO_MAX values are memoized, and the table
-    of g grows to min(max(2 X, N + 1), H2_TABLE_MAX) by one sigma_1 sieve;
-    an N it cannot hold is refused before the sieve runs.
+    far above the table cap.
+
+    The N of Ns not in the memo are one batch: the table of g grows at
+    most once, to min(max(2 X, largest N + 1), H2_TABLE_MAX), by one
+    sigma_1 sieve; one gather reads every g(N - k^2), |k| <= isqrt(N), of
+    every N, and ``np.add.reduceat`` sums each N's run.  The memo keeps the
+    last H2_MEMO_MAX values computed.  A batch holding an N the table
+    cannot hold is refused before the sieve runs.
     """
     global _g
-    if N >= H2_TABLE_MAX:
-        raise InvalidParameter(f"H(2, {N}): the g table holds at most "
+    out = {N: _h2.get(N) for N in Ns}
+    new = [N for N, h in out.items() if h is None]
+    if not new:
+        return out
+    top = max(new)
+    if top >= H2_TABLE_MAX:
+        raise InvalidParameter(f"H(2, {top}): the g table holds at most "
                                f"{H2_TABLE_MAX} entries")
-    if len(_g) <= N:
-        X = min(max(2 * len(_g), N + 1), H2_TABLE_MAX)
+    if len(_g) <= top:
+        X = min(max(2 * len(_g), top + 1), H2_TABLE_MAX)
         # sigma_1 in place: the d = 1 term of n = d e (d <= e) is n + 1
         g = np.arange(1, X + 1, dtype=np.int64)
         g[1] -= 1
@@ -92,8 +109,24 @@ def cohen_h2(N):
         g[::4] -= quarter
         g[0] = 1
         _g = g
-    k = np.arange(1, math.isqrt(N) + 1)
-    return Fraction(int(_g[N]) + 2 * int(_g[N - k * k].sum()), 120)
+    roots = [math.isqrt(N) for N in new]
+    runs = np.array([2 * r + 1 for r in roots])  # k = -isqrt(N) .. isqrt(N)
+    starts = np.cumsum(runs) - runs
+    idx = np.arange(starts[-1] + runs[-1])  # in place: k, then N - k^2
+    idx -= np.repeat(starts + roots, runs)
+    idx *= -idx
+    idx += np.repeat(new, runs)
+    sums = np.add.reduceat(_g[idx], starts)
+    for N, total in zip(new, sums.tolist()):
+        out[N] = _h2[N] = Fraction(total, 120)
+    while len(_h2) > H2_MEMO_MAX:
+        del _h2[next(iter(_h2))]
+    return out
+
+
+def cohen_h2(N):
+    """Cohen's H(2, N), 1 <= N < H2_TABLE_MAX: a batch of one."""
+    return cohen_h2_batch((N,))[N]
 
 
 def bernoulli_2(D0):
@@ -217,19 +250,41 @@ def _q_rank5(lattice, ms, sign):
     for ell in bad:  # each density comes as delta / (1 - ell^-4)
         num0 *= ell ** 4
         den0 *= ell ** 4 - 1
-    for m, dn, dd in _densities(lattice, bad, ms):
-        D_factors, fm = dict(bad), factorint(m)
-        for q, e in fm:  # a prime of 2 det stays in m0
-            D_factors[q] = D_factors.get(q, 0) + (e if q in bad else e % 2)
-        f = math.prod(q ** (e // 2) for q, e in fm if q not in bad)
-        m0 = m // (f * f)
-        D0, s = fundamental_part(2 * m0 * abs(det), D_factors.items())
-        (E_num, E_den), H = euler_correction(D0, s), cohen_h2(D0)
-        mid = middle_divisor_sum(m0, f, det) if f > 1 else 1
-        yield EisResult(m=m, value=Fraction(
-            num0 * m * f * mid.numerator * dn * s * E_num * H.numerator,
-            den0 * mid.denominator * dd * D0 * E_den * H.denominator),
-            l_fund=D0, m0=m0, f=f)
+
+    def read():  # (m, m0, f, D0, num, den): the value is num H(2, D0) / den
+        for m, dn, dd in _densities(lattice, bad, ms):
+            D_factors, fm = dict(bad), factorint(m)
+            for q, e in fm:  # a prime of 2 det stays in m0
+                D_factors[q] = D_factors.get(q, 0) + (e if q in bad else e % 2)
+            f = math.prod(q ** (e // 2) for q, e in fm if q not in bad)
+            m0 = m // (f * f)
+            D0, s = fundamental_part(2 * m0 * abs(det), D_factors.items())
+            E_num, E_den = euler_correction(D0, s, D_factors.items())
+            mid = middle_divisor_sum(m0, f, det) if f > 1 else 1
+            yield (m, m0, f, D0, num0 * m * f * mid.numerator * dn * s * E_num,
+                   den0 * mid.denominator * dd * D0 * E_den)
+
+    # H2_READ_AHEAD rows at a time, so that one batch fills their D0; a D0
+    # past the g table, or an m that read() refuses, raises at its own m,
+    # after the rows before it
+    rows = read()
+    while True:
+        chunk, error = [], None
+        try:
+            for row in itertools.islice(rows, H2_READ_AHEAD):
+                chunk.append(row)
+        except Exception as exc:
+            error = exc
+        h2 = cohen_h2_batch(row[3] for row in chunk if row[3] < H2_TABLE_MAX)
+        for m, m0, f, D0, num, den in chunk:
+            H = h2[D0] if D0 in h2 else cohen_h2(D0)
+            yield EisResult(m=m, value=Fraction(num * H.numerator,
+                                                den * H.denominator),
+                            l_fund=D0, m0=m0, f=f)
+        if error is not None:
+            raise error
+        if len(chunk) < H2_READ_AHEAD:
+            return
 
 
 def middle_divisor_sum(m0, f, det):

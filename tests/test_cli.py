@@ -8,6 +8,7 @@ import pytest
 
 from froblat import cli, errors
 from froblat.cli import dispatch
+from froblat.eisenstein import H2_READ_AHEAD
 
 FIX = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -184,6 +185,20 @@ def test_eisenstein_streams_the_records_before_a_refused_m():
         "m=1048577 m0=1048577 f=1 sign=-1 exact=-51833295360\n"
         "error=InvalidParameter detail=H(2, 4194312): the g table holds "
         "at most 4194304 entries\n")
+
+
+def test_a_chunk_writes_every_record_before_an_m_past_the_g_table():
+    # every D0 below m = 1048578 is under the g table, and 1048578 sits
+    # deep in the second read-ahead chunk: the error comes after them all
+    lo = 1048578 - H2_READ_AHEAD - 200
+    code, text = run(["eisenstein", "--lattice", fx("ls_global.gram"),
+                      "--m-range", f"{lo}..1048600"])
+    assert code == 1
+    *records, error = text.splitlines()
+    assert [int(ln.split()[0][2:]) for ln in records] \
+        == list(range(lo, 1048578))
+    assert error == ("error=InvalidParameter detail=H(2, 4194312): the g "
+                     "table holds at most 4194304 entries")
 
 
 def test_missing_file_exits_one():
@@ -386,6 +401,35 @@ def test_budget_config_out_of_range_names_the_key(tmp_path, key, value,
                    f"{key}={value!r} {detail}\n")
 
 
+@pytest.mark.parametrize("kind, key, value, detail", [
+    ("square", "D", "0", "is not positive"),
+    ("square", "D", "-3", "is not positive"),
+    ("hilbert", "N", "-1", "is negative"),
+    ("hilbert", "C", "-1", "is negative"),
+])
+def test_budget_config_t_set_value_out_of_range_names_the_key(
+        tmp_path, kind, key, value, detail):
+    with open(fx("budget_p5.cfg")) as fh:
+        text = "".join(ln for ln in fh
+                       if not ln.startswith(("t_kind=", "N=", "C=")))
+    cfg = _write(tmp_path, "tset.cfg",
+                 text + f"t_kind={kind}\n{key}={value}\n")
+    code, out = run(["budget", "--config", cfg])
+    assert code == 1
+    assert out == (f"error=InvalidParameter detail={cfg}: "
+                   f"{key}={value!r} {detail}\n")
+
+
+def test_budget_config_unknown_t_kind_names_the_key(tmp_path):
+    with open(fx("budget_p5.cfg")) as fh:
+        cfg = _write(tmp_path, "kind.cfg",
+                     fh.read().replace("t_kind=hilbert", "t_kind=squares"))
+    code, out = run(["budget", "--config", cfg])
+    assert code == 1
+    assert out == (f"error=InvalidParameter detail={cfg}: t_kind='squares' "
+                   f"is not one of square, prime_qr, hilbert\n")
+
+
 @pytest.mark.parametrize("name", sorted(name for name in os.listdir(FIX)
                                         if name.endswith(".cfg")))
 def test_every_budget_config_runs(monkeypatch, name):
@@ -557,7 +601,7 @@ def _child_peak_kib(argv, env):
 
 
 def test_a_long_eisenstein_range_runs_in_bounded_memory():
-    # 1..10^5 grows the g table from 73728 to 589824 entries (4.5 MiB;
+    # 1..10^5 grows the g table from 65440 to 523520 entries (4 MiB;
     # the sieve briefly holds one and a half such arrays) and fills no more
     # than H2_MEMO_MAX memo entries; the unbounded memo, 60794 entries,
     # made the difference 18 MiB

@@ -387,6 +387,19 @@ def test_cohen_h2_raises_past_the_table_cap_before_building():
     assert peak < 1 << 16
 
 
+def test_the_batch_equals_the_per_n_sum_below_20000():
+    # one batch of every N < 20000 against the direct sum
+    # g(N) + 2 sum_{k >= 1} g(N - k^2), N by N in Python ints
+    got = eisenstein.cohen_h2_batch(range(1, 20000))
+    assert list(got) == list(range(1, 20000))
+    assert len(eisenstein._h2) <= eisenstein.H2_MEMO_MAX
+    g = eisenstein._g[:20000].tolist()
+    for N in range(1, 20000):
+        total = g[N] + 2 * sum(g[N - k * k]
+                               for k in range(1, math.isqrt(N) + 1))
+        assert got[N] == Fraction(total, 120), N
+
+
 def test_g_table_matches_divisor_sums():
     """g(n) = 8 sigma(n) - 32 sigma(n/4) - 20 [n odd] sigma(n), g(0) = 1,
     entry by entry for n < 2^12, sigma summed over the divisors."""
@@ -520,10 +533,19 @@ def test_single_m_forms_are_the_one_element_batch():
 
 
 def test_a_range_is_read_as_it_streams():
-    # nothing past the m read so far is computed, however long the range
+    # nothing past the m read so far, or past a rank-5 pass's read-ahead
+    # chunk of H2_READ_AHEAD m, is computed, however long the range
     for lat in (LS, LH13, D5):
         it = eisenstein.coefficients(lat, range(1, 10 ** 15))
         assert [next(it).m for _ in range(3)] == [1, 2, 3]
+
+
+def test_a_refused_m_is_refused_after_the_m_before_it():
+    # m = 0 sits in the read-ahead chunk of m = 5, but m = 5 comes first
+    it = eisenstein.coefficients(_fixture("ls_global"), [5, 0])
+    assert next(it).m == 5
+    with pytest.raises(InvalidParameter, match="m must be positive"):
+        next(it)
 
 
 RANK_45 = ["a5", "chain_head_p5", "d5", "hilbert_inert_sg_p5",
