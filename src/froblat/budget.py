@@ -275,6 +275,14 @@ def _isotropic_vector(lattice, p, q):
     return [x // g for x in v]
 
 
+def norm_ideal(gram):
+    """g > 0 with gZ the norm ideal: the gcd of the Q(e_i) = G_ii / 2 and
+    the B(e_i, e_j) = G_ij, i < j, so every Q(x) is a multiple of g."""
+    n = len(gram)
+    return math.gcd(*(gram[i][i] // 2 for i in range(n)),
+                    *(gram[i][j] for i in range(n) for j in range(i + 1, n)))
+
+
 @dataclass
 class BudgetReport:
     T: list
@@ -291,7 +299,9 @@ def run_budget(*, p, A, global_lattice, chain_head, depth, M, t_kind,
 
     The chain head (an IntLattice, as is global_lattice) is split to depth
     by ``derive_chain``; S_M, the m of the T-set that L_{depth,2}
-    represents, is left out, as deeper members lie inside it.
+    represents, is left out, as deeper members lie inside it.  A member
+    is walked only if its ``norm_ideal`` divides some T-set m; past the
+    head it is a power of p, so a T-set prime to p walks the head alone.
     """
     if global_lattice.rank not in (4, 5):
         raise InvalidParameter(f"global lattice of rank {global_lattice.rank}"
@@ -300,12 +310,18 @@ def run_budget(*, p, A, global_lattice, chain_head, depth, M, t_kind,
     t_set = build_T_set(t_kind, p,
                         t_params | {"det2": 2 * global_lattice.det()}, M)
     local = [0] * (M + 1)  # numerators over 2p
-    for _, w, g in _weighted("superspecial", A, p, chain):
-        counts = representation_counts(IntLattice(g), M)
-        for m, r in enumerate(counts):
-            local[m] += w * r
+    for _, w, gram in _weighted("superspecial", A, p, chain):
+        # Q takes its values in the norm ideal gZ, so a member for which
+        # no T-set m lies in gZ has r(m) = 0 on all of them: g certifies
+        # that, and the member is not walked
+        g = norm_ideal(gram)
+        counts = None
+        if any(m % g == 0 for m in t_set):
+            counts = representation_counts(IntLattice(gram), M)
+            for m in t_set:
+                local[m] += w * counts[m]
     # the last member weighed is L_{depth,2}
-    excluded = [m for m in t_set if counts[m]]
+    excluded = [m for m in t_set if counts and counts[m]]
     kept = [m for m in t_set if m not in excluded]
     if not kept:
         raise InvalidParameter(f"no m is kept: the T-set has {len(t_set)} "

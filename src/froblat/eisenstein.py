@@ -256,11 +256,12 @@ def _q_rank5(lattice, ms, sign):
             D_factors, fm = dict(bad), factorint(m)
             for q, e in fm:  # a prime of 2 det stays in m0
                 D_factors[q] = D_factors.get(q, 0) + (e if q in bad else e % 2)
-            f = math.prod(q ** (e // 2) for q, e in fm if q not in bad)
+            f_factors = [(q, e // 2) for q, e in fm if q not in bad and e > 1]
+            f = math.prod(q ** e for q, e in f_factors)
             m0 = m // (f * f)
             D0, s = fundamental_part(2 * m0 * abs(det), D_factors.items())
             E_num, E_den = euler_correction(D0, s, D_factors.items())
-            mid = middle_divisor_sum(m0, f, det) if f > 1 else 1
+            mid = middle_divisor_sum(m0, f, det, f_factors) if f > 1 else 1
             yield (m, m0, f, D0, num0 * m * f * mid.numerator * dn * s * E_num,
                    den0 * mid.denominator * dd * D0 * E_den)
 
@@ -287,16 +288,17 @@ def _q_rank5(lattice, ms, sign):
             return
 
 
-def middle_divisor_sum(m0, f, det):
+def middle_divisor_sum(m0, f, det, factors=None):
     """sum_{d | f} mu(d) chi_D(d) d^-2 sigma_{-3}(f/d), exact.
 
     That is sum mu(d) chi(d) d sigma_3(f/d) / f^3, and since chi_D is
     completely multiplicative it is the product over q^e || f of
-    sigma_3(q^e) - chi(q) q sigma_3(q^(e-1)), over f^3.
+    sigma_3(q^e) - chi(q) q sigma_3(q^(e-1)), over f^3; factors: f's,
+    if known.
     """
     D = 2 * m0 * abs(det)
     total = 1
-    for q, e in factorint(f):
+    for q, e in factorint(f) if factors is None else factors:
         lower = sum(q ** (3 * i) for i in range(e))  # sigma_3(q^(e-1))
         total *= lower + q ** (3 * e) - kronecker(D, q) * q * lower
     return Fraction(total, f ** 3)

@@ -217,3 +217,20 @@ def test_criterion_9_budget_pipeline():
     assert rep.global_sum == 282196
     assert rep.ratio <= Fraction(11, 12)
     _report("9 budget-pipeline", time.time() - start, 300)
+    # the same budget at p = 7 and 11, inert in Q(sqrt13) too; the heads
+    # are fixtures/chain_head_p7.gram and chain_head_p11.gram
+    for p, head, global_sum, ratio in (
+            (7, [[2, 1, 0, 2], [1, 2, -2, 0], [0, -2, 12, -1],
+                 [2, 0, -1, 26]], Fraction(601624, 3),
+             Fraction(978561, 2105684)),
+            (11, [[2, -2, -1, 0], [-2, 6, 1, 1], [-1, 1, 6, 0],
+                  [0, 1, 0, 36]], Fraction(641684, 5),
+             Fraction(1702155, 3529262))):
+        start = time.time()
+        rep = run_budget(p=p, A=2, global_lattice=IntLattice(lh, "lh"),
+                         chain_head=IntLattice(head, "head"), depth=3,
+                         M=500, t_kind="hilbert", t_params={"N": 0, "C": 1})
+        assert len(rep.T) > 100
+        assert rep.global_sum == global_sum
+        assert rep.ratio == ratio and ratio <= Fraction(11, 12)
+        _report(f"9 budget-pipeline p={p}", time.time() - start, 10)

@@ -12,8 +12,9 @@ from froblat.budget import (_complete_to_basis, alpha_const,
                             alpha_variants, check_chain_nested, derive_chain,
                             eisenstein_budget, global_g, run_budget)
 from froblat.crystals import HILBERT_INERT_SSP, local_gram
-from froblat.enumeration import representation_counts
+from froblat.enumeration import build_T_set, representation_counts
 from froblat.errors import ChainNotNested, InvalidParameter
+from froblat.padics import smallest_nonresidue
 from froblat.quadforms import IntLattice, local_density
 
 HEAD = [[2, 0, -1, -1], [0, 2, -1, 0], [-1, -1, 6, -2], [-1, 0, -2, 18]]
@@ -211,16 +212,33 @@ def test_complete_to_basis_first_column_is_v():
         _complete_to_basis([4, -6, 2])
 
 
-def test_chain_head_completions():
-    """The fixture lattice lies in the forced genus at 2, 5, and 13."""
-    head = IntLattice(HEAD, "head")
-    local5 = IntLattice(local_gram(HILBERT_INERT_SSP, 5, 2), "model5")
+def assert_head_completes(p):
+    """fixtures/chain_head_p<p>.gram lies in the forced genus at 2, p and
+    13, and derive_chain splits it with the norm ideals p^n Z, p^(n+1) Z
+    at level n >= 1."""
+    root = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+    head = IntLattice(cli.read_gram(os.path.join(
+        root, f"chain_head_p{p}.gram")), "head")
+    local = IntLattice(local_gram(HILBERT_INERT_SSP, p,
+                                  smallest_nonresidue(p)), "model")
     lh = IntLattice(LH, "LH")
     for m in range(1, 31):
-        assert local_density(5, head, m) == local_density(5, local5, m)
+        assert local_density(p, head, m) == local_density(p, local, m)
         assert local_density(13, head, m) == local_density(13, lh, m)
         assert local_density(2, head, m) == local_density(2, lh, m)
-    assert head.det() == 325 and head.is_positive_definite()
+    assert head.det() == 13 * p * p and head.is_positive_definite()
+    chain, _ = derive_chain(head, p, 3)
+    assert [budget.norm_ideal(g) for entry in chain for g in entry] == \
+        [1, p, p, p ** 2, p ** 2, p ** 3, p ** 3, p ** 4]
+
+
+def test_chain_head_completions():
+    assert_head_completes(5)
+
+
+@pytest.mark.parametrize("p", [7, 11])
+def test_chain_head_completions_at_7_and_11(p):
+    assert_head_completes(p)
 
 
 HILBERT = {"t_kind": "hilbert", "t_params": {"N": 0, "C": 1}}
@@ -297,26 +315,52 @@ def test_run_budget_local_is_local_bound(facts):
     assert rep.local_sum == sum(rec["local"] for rec in rep.per_m)
 
 
-@pytest.mark.parametrize("head", [pytest.param(HEAD,
-                                               id="superspecial-deep-6")])
-def test_run_budget_enumerates_only_weighted_members(monkeypatch, head):
-    """Depth 2 weighs six members, and S_M reuses L_{2,2}'s weighted
-    counts: six enumerations, in chain order."""
+def walked_by(monkeypatch, **facts):
+    """budget_of(**facts) and the Grams of the members it walked, in
+    order; a refused budget comes back as its message."""
     seen = []
 
     def counting(lattice, bound):
-        seen.append(lattice.det())
+        seen.append(lattice.gram)
         return representation_counts(lattice, bound)
 
-    monkeypatch.setattr(budget, "representation_counts", counting)
-    budget_of(chain_head=IntLattice(head))
+    with monkeypatch.context() as patch:
+        patch.setattr(budget, "representation_counts", counting)
+        try:
+            rep = budget_of(**facts)
+        except InvalidParameter as exc:
+            rep = str(exc)
+    return rep, seen
+
+
+def reaching(members, t_set):
+    """The members whose norm ideal gZ holds some m of t_set."""
+    return [g for g in members
+            if any(m % budget.norm_ideal(g) == 0 for m in t_set)]
+
+
+@pytest.mark.parametrize("head", [pytest.param(HEAD,
+                                               id="superspecial-deep-6")])
+def test_run_budget_enumerates_only_weighted_members(monkeypatch, head):
+    """Depth 2 weighs six members, and only those whose norm ideal gZ
+    holds a T-set m are walked, in chain order: past the head g is 5,
+    5, 25, 25, 125, so on the hilbert T-set (prime to 5) the head alone,
+    and on T = {20, 45, 245} the head, L_{0,2} and L_{1,1}."""
     chain, _ = derive_chain(IntLattice(head), 5, 2)
-    assert seen == [IntLattice(g).det() for entry in chain for g in entry]
+    members = [g for entry in chain for g in entry]
+    for facts, walks in ((HILBERT, 1), (dict(SQUARE_D5, M=300), 3)):
+        rep, seen = walked_by(monkeypatch, chain_head=IntLattice(head),
+                              **facts)
+        assert seen == reaching(members, rep.T)
+        assert len(seen) == walks
+    assert seen == members[:3]
 
 
 def test_budget_command_enumerates_each_weighted_member_once(monkeypatch):
-    """fixtures/budget_p5.cfg weighs 8 members to depth 3 and excludes
-    by L_{3,2}, one of them: 8 enumerations."""
+    """fixtures/budget_p5.cfg weighs 8 members to depth 3, but its
+    hilbert T-set is prime to 5 and every member past the head has a
+    power of 5 as its norm ideal: 1 enumeration, the head's, which S_M
+    does not repeat."""
     dets = []
 
     def counting(lattice, bound):
@@ -330,7 +374,34 @@ def test_budget_command_enumerates_each_weighted_member_once(monkeypatch):
     out = io.StringIO()
     assert cli.dispatch(["budget", "--config", "fixtures/budget_p5.cfg"],
                         out=out) == 0
-    assert len(dets) == len(set(dets)) == 8
+    assert dets == [325]
+
+
+@pytest.mark.parametrize("depth", range(4))
+def test_run_budget_skips_only_members_that_miss_the_t_set(monkeypatch,
+                                                           depth):
+    """Every member run_budget does not walk has r(m) = 0 on every T-set
+    m, for each T-set kind, and each report (or refusal) is that of a
+    walk of every member (a norm ideal read as Z)."""
+    M = 300
+    chain, _ = derive_chain(IntLattice(HEAD), 5, depth)
+    members = [g for entry in chain for g in entry]
+    counts = [representation_counts(IntLattice(g), M) for g in members]
+    det2 = 2 * IntLattice(LH).det()
+    for t_set in ({"t_kind": "square", "t_params": {"D": 1}}, SQUARE_D5,
+                  {"t_kind": "prime_qr", "t_params": {}}, HILBERT):
+        T = build_T_set(t_set["t_kind"], 5,
+                        t_set["t_params"] | {"det2": det2}, M)
+        rep, seen = walked_by(monkeypatch, depth=depth, M=M, **t_set)
+        assert seen == reaching(members, T)
+        for g, r in zip(members, counts):
+            if g not in seen:
+                assert not any(r[m] for m in T)
+        with monkeypatch.context() as patch:
+            patch.setattr(budget, "norm_ideal", lambda gram: 1)
+            every, seen = walked_by(monkeypatch, depth=depth, M=M, **t_set)
+        assert seen == members
+        assert every == rep
 
 
 def test_run_budget_square_t_set_and_empty_t_set():

@@ -21,6 +21,8 @@ GOLDEN = {
     "decay_depth_four": ["decay", "--curve", "fixtures/xt_yt.curve",
                          "--nmax", "4", "--search"],
     "budget_p5": ["budget", "--config", "fixtures/budget_p5.cfg"],
+    "budget_p7": ["budget", "--config", "fixtures/budget_p7.cfg"],
+    "budget_p11": ["budget", "--config", "fixtures/budget_p11.cfg"],
     "eisenstein_ls_global": ["eisenstein", "--lattice",
                              "fixtures/ls_global.gram", "--m-range",
                              "1..20"],
