@@ -14,6 +14,7 @@ from froblat import IntLattice, hanke_density, local_density
 from froblat.crystals import (HILBERT_INERT_SG, HILBERT_INERT_SSP,
                               HILBERT_SPLIT, SIEGEL_SG, SIEGEL_SSP,
                               local_gram)
+from froblat.quadforms import count_representations_mod
 
 p = 5
 shapes = [
@@ -38,7 +39,9 @@ print("\nsupergeneric unit densities:",
 # the count stabilizes once the exponent passes 1 + 2 v_p(2m)
 L = IntLattice([[2, 1, 0], [1, 4, 1], [0, 1, 6]])
 for a in (1, 3, 5):
-    print(f"delta at exponent {a}:", local_density(3, L, 6, a_exp=a))
+    count = count_representations_mod(L, 3, 6, a)
+    delta = Fraction(count, 3 ** (a * (L.rank - 1)))
+    print(f"delta at exponent {a}:", delta)
 
 # the reduction also holds at l = 2 and at v_l(m) >= 2
 for ell, m in ((2, 12), (5, 50)):

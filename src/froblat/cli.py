@@ -11,7 +11,6 @@ name> detail=..." records, usage errors included.
 import argparse
 import itertools
 import os
-import random
 import sys
 from fractions import Fraction
 
@@ -26,7 +25,7 @@ from .enumeration import (T_KEYS, prime_rep_count, representation_counts,
                           square_rep_count)
 from .padics import (PAdicParams, _valuation, isprime, primerange,
                      smallest_nonresidue)
-from .quadforms import IntLattice, hanke_density, local_density
+from .quadforms import IntLattice, hanke_density
 from .regression import decay_fixture_table, run_decay_fixture
 from .series import column_valuation_profile
 
@@ -179,11 +178,8 @@ def _emit(out, fields):
 def cmd_density(args, out):
     lat = IntLattice(read_gram(args.gram), args.gram)
     for m in _m_range(args.m_range):
-        delta = local_density(args.ell, lat, m)
-        fields = [("m", m), ("ell", args.ell), ("delta", _frac(delta))]
-        if args.hanke:
-            fields.append(("hanke", _frac(hanke_density(args.ell, lat, m))))
-        _emit(out, fields)
+        delta = hanke_density(args.ell, lat, m)
+        _emit(out, [("m", m), ("ell", args.ell), ("delta", _frac(delta))])
     return 0
 
 
@@ -314,7 +310,7 @@ def cmd_selftest(args, out):
             # the first 20 m with v_p(m) = vp
             ms = (m for m in itertools.count(1) if _valuation(m, p) == vp)
             for m in itertools.islice(ms, 20):
-                got = local_density(p, lat, m)
+                got = hanke_density(p, lat, m)
                 if got != want:
                     failures += 1
                     _emit(out, [("check", "density"), ("case", case),
@@ -322,29 +318,6 @@ def cmd_selftest(args, out):
                                 ("want", _frac(want))])
         _emit(out, [("check", "densities"), ("p", p),
                     ("ok", int(failures == failed_before))])
-    # seeded random sweep: type decomposition against stable counts
-    failed_before = failures
-    rng = random.Random(args.seed)
-    swept = 0
-    while swept < 40:
-        p = rng.choice([3, 5, 7, 11, 13])
-        rk = rng.randint(2, 4)
-        gram = [[0] * rk for _ in range(rk)]
-        for i in range(rk):
-            gram[i][i] = 2 * rng.choice([1, 2, p, 2 * p]) \
-                * rng.choice([1, -1])
-            for j in range(i):
-                gram[i][j] = gram[j][i] = rng.randint(-1, 1)
-        lat = IntLattice(gram)
-        if lat.det() == 0:
-            continue
-        m = rng.randint(1, 60)
-        if hanke_density(p, lat, m) != local_density(p, lat, m):
-            failures += 1
-            _emit(out, [("check", "hanke"), ("p", p), ("m", m), ("ok", 0)])
-        swept += 1
-    _emit(out, [("check", "hanke-sweep"), ("seed", args.seed),
-                ("instances", swept), ("ok", int(failures == failed_before))])
     if args.quick:
         _emit(out, [("selftest", "quick"), ("failures", failures)])
         return 1 if failures else 0
@@ -408,7 +381,6 @@ def build_parser():
     d.add_argument("--gram", required=True)
     d.add_argument("--ell", type=int, required=True)
     d.add_argument("--m-range", default="1..20")
-    d.add_argument("--hanke", action="store_true")
     d.set_defaults(func=cmd_density)
 
     e = sub.add_parser("eisenstein", help="Eisenstein Fourier coefficients")
@@ -438,10 +410,7 @@ def build_parser():
 
     s = sub.add_parser("selftest", help="golden densities, decay matrix "
                                         "and budget constants")
-    s.add_argument("--quick", action="store_true",
-                   help="densities and the random sweep only")
-    s.add_argument("--seed", type=int, default=0,
-                   help="seed for the randomized density sweep")
+    s.add_argument("--quick", action="store_true", help="densities only")
     s.set_defaults(func=cmd_selftest)
     return ap
 

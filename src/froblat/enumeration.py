@@ -183,7 +183,7 @@ def representation_counts(lattice, bound):
     total[0] = 1
     for comp in comps:
         sub = IntLattice([[lattice.gram[i][j] for j in comp] for i in comp],
-                         f"{lattice.label}|{comp}")
+                         lattice.label)
         part = np.zeros(bound + 1, dtype=np.int64)
         for _, norms in _descend(sub, bound):
             hist = np.bincount(norms.astype(np.int64, copy=False))

@@ -2,20 +2,22 @@
 
 Lattices carry the Gram matrix of the bilinear form [x, y], so Q(v) =
 v^T G v / 2 and det(L) = det(G).  Local densities are computed two ways.
-The stable count delta(l, L, m) = l^(a(1-rk)) #{v mod l^a : Q(v) = m mod
-l^a} with a = 1 + 2 v_l(2m) (by convolution of per-block value
-distributions) is the oracle.  Hanke's good/bad-type reduction, at every
-prime l and every m >= 1,
+Hanke's good/bad-type reduction, at every prime l and every m >= 1,
 
     delta(L, m) = good(L, m) + [l | m] l^(1-s0) delta(L_I, m/l),
 
-reads only tables mod l, or mod 8 at l = 2, and is what the Eisenstein
-coefficients use.  Here s0 counts the variables of the unimodular
-constituent, good(L, m) counts the solutions with one of them a unit,
-and L_I scales that constituent by l and the rest by 1/l.  Both read
-the Jordan splitting ``lattice.local(l)``: an IntLattice builds it once
-per l, mod l^K from its cached determinant (see ``linalg.jordan_split``),
-and a LocalLattice is its own splitting.
+reads only tables mod l, or mod 8 at l = 2, and is the density that the
+Eisenstein coefficients and every command read.  Here s0 counts the
+variables of the unimodular constituent, good(L, m) counts the solutions
+with one of them a unit, and L_I scales that constituent by l and the
+rest by 1/l.  The stable count delta(l, L, m) = l^(a(1-rk)) #{v mod l^a :
+Q(v) = m mod l^a} with a = 1 + 2 v_l(2m) (by convolution of per-block
+value distributions) is its oracle, read by the tests, demo 03 and the
+density_sweep benchmark; it refuses once l^a passes TABLE_MAX, where
+Hanke's still answers.  Both read the Jordan splitting
+``lattice.local(l)``: an IntLattice builds it once per l, mod l^K from
+its cached determinant (see ``linalg.jordan_split``), and a LocalLattice
+is its own splitting.
 """
 
 from fractions import Fraction

@@ -31,31 +31,61 @@ def test_density_golden():
 
 
 def test_density_with_hanke():
+    """delta is Hanke's density; the --hanke column option is gone."""
     code, text = run(["density", "--gram", fx("hilbert_split_p5.gram"),
-                      "--ell", "5", "--m-range", "1..6", "--hanke"])
+                      "--ell", "5", "--m-range", "1..6"])
     assert code == 0
     for line in text.splitlines():
         if "m=3" in line:
-            assert "delta=6/5" in line and "hanke=6/5" in line
-
+            assert "delta=6/5" in line
+    code, text = run(["density", "--gram", fx("hilbert_split_p5.gram"),
+                      "--ell", "5", "--m-range", "1..6", "--hanke"])
+    assert code == 1
+    assert text.startswith("error=InvalidParameter detail=")
+    assert "--hanke" in text and len(text.splitlines()) == 1
 
 
 def test_density_past_the_table_cap_is_one_error_record():
-    code, text = run(["density", "--gram", fx("z4.gram"), "--ell", "2",
-                      "--m-range", "512..512"])
+    """The least prime above TABLE_MAX needs a table mod l of more
+    entries than the cap."""
+    code, text = run(["density", "--gram", fx("z4.gram"), "--ell", "1048583",
+                      "--m-range", "1..1"])
     assert code == 1
     assert text.startswith("error=InvalidParameter detail=a residue table")
     assert len(text.splitlines()) == 1
 
+
 def test_density_hanke_at_two_matches_the_stable_count():
+    from froblat.quadforms import IntLattice, local_density
+    lat = IntLattice(cli.read_gram(fx("z4.gram")))
     code, text = run(["density", "--gram", fx("z4.gram"), "--ell", "2",
-                      "--m-range", "1..16", "--hanke"])
+                      "--m-range", "1..16"])
     assert code == 0
     lines = text.splitlines()
     assert len(lines) == 16
-    for line in lines:
+    for m, line in enumerate(lines, 1):
         fields = dict(field.split("=") for field in line.split())
-        assert fields["delta"] == fields["hanke"], line
+        assert fields["delta"] == cli._frac(local_density(2, lat, m)), line
+
+
+def test_density_answers_past_the_stable_count_table(monkeypatch):
+    """At l = 2 the stable count at m = 512 needs a table mod 2^21, past
+    TABLE_MAX; Hanke's reads tables mod 8.  D5 is a one-class genus whose
+    only bad prime is 2, so r(512) is the Siegel-Eisenstein coefficient,
+    and that coefficient's delta at 2 is the one printed here."""
+    from froblat.eisenstein import q_positive_definite
+    from froblat.enumeration import representation_counts
+    from froblat.quadforms import IntLattice
+    code, text = run(["density", "--gram", fx("d5.gram"), "--ell", "2",
+                      "--m-range", "512..512"])
+    assert (code, text) == (0, "m=512 ell=2 delta=187245/262144\n")
+    code, text = run(["density", "--gram", fx("d5.gram"), "--ell", "2",
+                      "--m-range", "1048576..1048576"])
+    assert (code, text) == \
+        (0, "m=1048576 ell=2 delta=3067833785/4294967296\n")
+    d5 = IntLattice(cli.read_gram(fx("d5.gram")))
+    assert representation_counts(d5, 512)[512] \
+        == q_positive_definite(d5, 512).value == 374490
 
 
 def test_decay_table():
@@ -159,6 +189,16 @@ def test_theta_max_past_the_cap_exits_one():
     assert code == 1
     assert text == ("error=InvalidParameter detail=count bound "
                     "1099511627776: at most 1048576 counts are held\n")
+
+
+def test_theta_on_an_indefinite_gram_names_its_file():
+    """Each orthogonal component carries the lattice's own label, so the
+    record names the Gram file, not a component of it."""
+    path = fx("lh_f13.gram")
+    code, text = run(["theta", "--lattice", path, "--max", "5"])
+    assert code == 1
+    assert text == (f"error=NotPositiveDefinite detail={path}: enumeration "
+                    "needs a positive-definite form\n")
 
 
 def test_decay_negative_nmax_exits_one():
@@ -492,6 +532,14 @@ def test_selftest_quick():
         assert f"check=densities p={p} ok=1" in text
 
 
+def test_selftest_has_no_seed():
+    """selftest runs no random section, so --seed is a usage error."""
+    code, text = run(["selftest", "--seed", "5"])
+    assert code == 1
+    assert text == ("error=InvalidParameter detail=froblat: unrecognized "
+                    "arguments: --seed 5\n")
+
+
 def test_selftest_reports_each_section_on_its_own(monkeypatch):
     """A closed form wrong only at p = 7 fails that record alone."""
     case, vp, expect = cli.LOCAL_DENSITIES[0]
@@ -502,7 +550,6 @@ def test_selftest_reports_each_section_on_its_own(monkeypatch):
     assert code == 1
     for p in (5, 7, 11, 13):
         assert f"check=densities p={p} ok={int(p != 7)}\n" in text
-    assert "check=hanke-sweep seed=0 instances=40 ok=1\n" in text
     assert "selftest=quick failures=20\n" in text
 
 
@@ -531,14 +578,14 @@ def test_selftest_budget_constants_count_their_failures(monkeypatch):
     assert text.endswith("selftest=full failures=3\n")
 
 
-def test_selftest_sweep_and_decay_failures_are_recorded(monkeypatch):
-    """A density wrong on the sweep's first instance and a decay fixture
-    with no certified span each fail their section and count once."""
+def test_selftest_density_and_decay_failures_are_recorded(monkeypatch):
+    """A density wrong once fails its own densities record, and a decay
+    fixture with no certified span fails its record; each counts once."""
     hanke = cli.hanke_density
     calls = []
 
     def wrong_once(p, lat, m):
-        calls.append(m)
+        calls.append((p, m))
         return hanke(p, lat, m) + (len(calls) == 1)
 
     run_fixture = cli.run_decay_fixture
@@ -553,10 +600,12 @@ def test_selftest_sweep_and_decay_failures_are_recorded(monkeypatch):
     code, text = run(["selftest"])
     assert code == 1
     lines = text.splitlines()
-    hanke_failures = [ln for ln in lines if ln.startswith("check=hanke ")]
-    assert len(hanke_failures) == 1
-    assert hanke_failures[0].endswith(f" m={calls[0]} ok=0")
-    assert "check=hanke-sweep seed=0 instances=40 ok=0" in lines
+    p, m = calls[0]
+    density_failures = [ln for ln in lines if ln.startswith("check=density ")]
+    assert len(density_failures) == 1
+    assert f" p={p} m={m} " in density_failures[0]
+    for q in (5, 7, 11, 13):
+        assert f"check=densities p={q} ok={int(q != p)}" in lines
     assert ("check=decay name=split-generic ok=0 detail=no decaying rank-3 "
             "submodule certified") in lines
     assert sum(ln.startswith("check=decay ") for ln in lines) == 18

@@ -26,6 +26,8 @@ GOLDEN = {
     "eisenstein_ls_global": ["eisenstein", "--lattice",
                              "fixtures/ls_global.gram", "--m-range",
                              "1..20"],
+    "density_d5_ell2": ["density", "--gram", "fixtures/d5.gram", "--ell",
+                        "2", "--m-range", "1..64"],
 }
 
 

@@ -152,8 +152,10 @@ def test_stabilization():
                 mm //= ell
                 v += 1
             a0 = 1 + 2 * v
-            assert local_density(ell, lat, m, a0) \
-                == local_density(ell, lat, m, a0 + 2)
+            got = [Fraction(count_representations_mod(lat, ell, m, a),
+                            ell ** (a * (lat.rank - 1)))
+                   for a in (a0, a0 + 2)]
+            assert got[0] == got[1] == local_density(ell, lat, m)
 
 
 def _assert_square_class_of_det(lat, loc, p):
@@ -421,8 +423,8 @@ def test_i8_densities_do_not_wrap(m):
 def test_residue_table_past_the_cap_is_refused_before_building():
     import tracemalloc
     # criterion 2's generator asks for at most 13^5 entries (m = 169),
-    # and `froblat density --ell 2 --m-range 256..256` for 2^19; m = 512
-    # needs 2^21
+    # and the stable count at l = 2 for 2^19 at m = 256; m = 512 needs
+    # 2^21
     assert 13 ** 5 < 2 ** 19 <= TABLE_MAX < 2 ** 21
     lat = IntLattice([[2 * (i == j) for j in range(4)] for i in range(4)])
     lat.local(2)  # the Jordan split, before tracing
